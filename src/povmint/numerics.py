@@ -25,30 +25,35 @@ LAGUERRE_MAX_N = 256
 LAGUERRE_MAX_X = 600.0
 
 
-def laguerre(n: int, alpha: float, x):
-    """Associated Laguerre polynomial L_n^(alpha)(x) by upward recurrence in n.
+def laguerre_table(n_max: int, alpha, x) -> np.ndarray:
+    """Table L[n] = L_n^(alpha)(x), n = 0..n_max, by upward recurrence in n.
 
-    The recurrence is stable over the range used here (n <= 256, |x| <= 600).
-    ``alpha`` may be any real > -1; negative integers are also accepted since
-    the reflection identity L_n^(m-n)(t) = (m!/n!)(-t)^(n-m) L_m^(n-m)(t)
-    requires them.  Other alpha <= -1 are rejected.
-    """
-    if n < 0 or int(n) != n:
-        raise DomainError(f"degree must be a nonnegative integer, got {n}")
-    alpha = float(alpha)
-    if alpha <= -1.0 and not alpha.is_integer():
+    ``alpha`` and ``x`` broadcast, so one pass covers every order and argument.
+    Raises DomainError outside the validated range n <= 256, |x| <= 600, and
+    for alpha <= -1 unless it is an integer (the reflection identity
+    L_n^(m-n)(t) = (m!/n!)(-t)^(n-m) L_m^(n-m)(t) needs those)."""
+    if n_max < 0 or int(n_max) != n_max:
+        raise DomainError(f"degree must be a nonnegative integer, got {n_max}")
+    alpha, x = np.asarray(alpha, dtype=float), np.asarray(x, dtype=float)
+    if np.any((alpha <= -1.0) & (alpha != np.round(alpha))):
         raise DomainError(f"alpha must be > -1 or a negative integer, got {alpha}")
-    x = np.asarray(x, dtype=float)
-    assert n <= LAGUERRE_MAX_N and np.all(np.abs(x) <= LAGUERRE_MAX_X), (
-        "outside the validated recurrence range (n <= 256, |x| <= 600)"
-    )
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 + alpha - x
-    for k in range(2, n + 1):
-        prev, cur = cur, ((2 * k - 1 + alpha - x) * cur - (k - 1 + alpha) * prev) / k
-    return cur if cur.ndim else float(cur)
+    if n_max > LAGUERRE_MAX_N or np.any(np.abs(x) > LAGUERRE_MAX_X):
+        raise DomainError(f"n = {n_max}, max |x| = {np.max(np.abs(x), initial=0.0):.6g}"
+                          " is outside the validated range n <= 256, |x| <= 600")
+    table = np.ones((n_max + 1,) + np.broadcast_shapes(alpha.shape, x.shape))
+    if n_max >= 1:
+        table[1] = 1.0 + alpha - x
+    for k in range(2, n_max + 1):
+        table[k] = ((2 * k - 1 + alpha - x) * table[k - 1]
+                    - (k - 1 + alpha) * table[k - 2]) / k
+    return table
+
+
+def laguerre(n: int, alpha: float, x):
+    """Associated Laguerre polynomial L_n^(alpha)(x): the last row of
+    :func:`laguerre_table`.  Scalar x gives a float."""
+    row = laguerre_table(n, float(alpha), x)[-1]
+    return row if row.ndim else float(row)
 
 
 def bessel_i(nu: float, x: float) -> float:

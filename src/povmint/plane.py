@@ -18,10 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import xlogy
 
 from .core import DensityFamily
-from .numerics import (PoleError, QuadratureRule, bessel_i, hyp2f1_terminating,
-                       laguerre, make_rule, product_rule)
+from .numerics import (DomainError, PoleError, QuadratureRule, bessel_i,
+                       hyp2f1_terminating, laguerre, laguerre_table, make_rule,
+                       product_rule)
 
 
 @dataclass(frozen=True)
@@ -57,46 +59,43 @@ def fock_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return a, a.conj().T
 
 
+def _real_displacements(x, dim: int) -> np.ndarray:
+    """e^{x/2} D(sqrt(x)) for an array of x >= 0, shape x.shape + (dim, dim).
+
+    Entry (m, n), m >= n: sqrt(n!/m!) x^{(m-n)/2} L_n^{(m-n)}(x) from one
+    Laguerre table, its prefactor in log space; entry (n, m) adds (-1)^{m-n}.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise DomainError(f"|z|^2 must be nonnegative, got {np.min(x)}")
+    flat = x.reshape(-1, 1)
+    m, n = np.tril_indices(dim)
+    lf = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, dim)))])
+    vals = laguerre_table(dim - 1, np.arange(dim), flat)[n, :, m - n].T
+    vals *= np.exp(0.5 * (lf[n] - lf[m]) + xlogy(0.5 * (m - n), flat))
+    out = np.zeros((flat.shape[0], dim, dim))
+    out[:, m, n] = vals
+    out[:, n, m] = vals * (-1.0) ** (m - n)
+    return out.reshape(x.shape + (dim, dim))
+
+
 def displacement(z: complex, dim: int) -> np.ndarray:
     """Truncated displacement operator D(z) with analytic matrix elements.
 
     D_mn(z) = sqrt(n!/m!) z^{m-n} e^{-|z|^2/2} L_n^{(m-n)}(|z|^2) for m >= n,
-    and D_mn(z) = conj(D_nm(-z)) below the diagonal.
+    and D_mn(z) = conj(D_nm(-z)) below the diagonal; D(|z| e^{i phi}) is
+    P D(|z|) P^dag with P = diag(e^{i n phi}).
     """
     z = complex(z)
+    phases = np.exp(1.0j * np.arange(dim) * np.angle(z))
     x = abs(z) ** 2
-    d = np.zeros((dim, dim), dtype=complex)
-    # log-factorial ratios keep sqrt(n!/m!) finite at large dim
-    lf = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, dim)))])
-    gauss = math.exp(-0.5 * x)
-    for m in range(dim):
-        for n in range(m + 1):
-            amp = math.exp(0.5 * (lf[n] - lf[m])) * gauss * laguerre(n, m - n, x)
-            d[m, n] = amp * z ** (m - n)
-            if m != n:
-                d[n, m] = amp * (-z.conjugate()) ** (m - n)
-    return d
+    real = _real_displacements(x, dim) * math.exp(-0.5 * x)
+    return phases[:, None] * real * phases.conj()[None, :]
 
 
 def _displacement_scaled_real(sqrt_j_squared: float, dim: int) -> np.ndarray:
-    """D(sqrt(J)) without its e^{-J/2} factor, for real displacements.
-
-    Entry (m, n), m >= n: sqrt(n!/m!) J^{(m-n)/2} L_n^{(m-n)}(J); the
-    matrix is symmetric up to the (-1)^{m-n} sign below the diagonal.
-    """
-    x = sqrt_j_squared
-    d = np.zeros((dim, dim))
-    lf = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, dim)))])
-    for m in range(dim):
-        for n in range(m + 1):
-            amp = math.exp(0.5 * (lf[n] - lf[m]) + 0.5 * (m - n) * math.log(x)
-                           if x > 0 else 0.5 * (lf[n] - lf[m]))
-            if x == 0 and m != n:
-                amp = 0.0
-            val = amp * laguerre(n, m - n, x)
-            d[m, n] = val
-            d[n, m] = val * (-1.0) ** (m - n)
-    return d
+    """D(sqrt(J)) without its e^{-J/2} factor (entries in _real_displacements)."""
+    return _real_displacements(sqrt_j_squared, dim)
 
 
 def thermal_density(params: ThermalParams) -> np.ndarray:
@@ -225,20 +224,27 @@ def plane_family(params: ThermalParams, rule: QuadratureRule | None = None,
                  tol: float = 1e-6) -> DensityFamily:
     """The displaced-thermal POVM family on (J, gamma) nodes.
 
-    Radial matrices are cached per J; angles enter only as diagonal phases
-    (rotation covariance of the displacement operator).
+    rho(J, 0) of every radial node is built in one batched pass at
+    construction; angles enter only as diagonal phases (rotation covariance).
     """
     if rule is None:
         rule = plane_rule(params.dim)
-    cache: dict[float, np.ndarray] = {}
+
+    def radial_stack(js):
+        d = _real_displacements(js, params.dim)
+        d *= np.exp(-0.5 * js)[..., None, None] * np.sqrt(params.weights())
+        # stored complex: evaluate's complex phase products then need no cast
+        return np.matmul(d, np.swapaxes(d, -1, -2), out=np.empty(d.shape, complex))
+
+    radii = np.unique(rule.nodes[:, 0])
+    radial = dict(zip(radii.tolist(), radial_stack(radii)))
     modes = np.arange(params.dim)
 
     def evaluate(node):
         j, gamma = float(node[0]), float(node[1])
-        base = cache.get(j)
+        base = radial.get(j)
         if base is None:
-            base = displaced_thermal(math.sqrt(j), params, strict=False)
-            cache[j] = base
+            base = radial_stack(j)
         phases = np.exp(1.0j * modes * gamma)
         return phases[:, None] * base * phases.conj()[None, :]
 
@@ -299,12 +305,11 @@ def _radial_integrals(params: ThermalParams, n_j: int | None = None) -> np.ndarr
         n_j = params.dim + 8
     rule0 = make_rule("gauss-laguerre", n_j)
     rule_h = make_rule("gauss-laguerre", n_j, alpha=0.5)
-    acc0 = np.zeros((params.dim, params.dim))
-    acc_h = np.zeros((params.dim, params.dim))
-    for x, w in zip(rule0.nodes, rule0.weights):
-        acc0 += w * rho_scaled_real(float(x), params)
-    for x, w in zip(rule_h.nodes, rule_h.weights):
-        acc_h += w * rho_scaled_real(float(x), params) / math.sqrt(float(x))
+    nodes = np.concatenate([rule0.nodes, rule_h.nodes])
+    d = _real_displacements(nodes, params.dim)
+    rho = (d * params.weights()) @ np.swapaxes(d, 1, 2)
+    acc0 = rule0.integrate(rho[:n_j])
+    acc_h = rule_h.integrate(rho[n_j:] / np.sqrt(rule_h.nodes)[:, None, None])
     parity = (np.add.outer(np.arange(params.dim), np.arange(params.dim)) % 2)
     return np.where(parity == 0, acc0, acc_h)
 
@@ -316,12 +321,10 @@ def phase_operator(params: ThermalParams, n_j: int | None = None) -> np.ndarray:
     -2 pi i / k otherwise, so A_g = pi diag(R_mm) + i R_mm' / (m'-m).
     """
     r = _radial_integrals(params, n_j)
-    dim = params.dim
-    out = (math.pi * np.diag(np.diag(r))).astype(complex)
-    for m in range(dim):
-        for mp in range(dim):
-            if m != mp:
-                out[m, mp] = 1.0j * r[m, mp] / (mp - m)
+    idx = np.arange(params.dim)
+    # the identity only keeps the diagonal finite; it is overwritten below
+    out = 1.0j * r / (idx[None, :] - idx[:, None] + np.eye(params.dim))
+    np.fill_diagonal(out, math.pi * np.diag(r))
     return out
 
 
@@ -359,22 +362,13 @@ def phase_covariance_defect(params: ThermalParams, theta0: float,
     """Defect of U_T(theta0) A_g U_T(-theta0) = A_{g(. - theta0 mod 2pi)}.
 
     The translated angle function has the same analytic angular integrals
-    up to the phase e^{i(m-m') theta0}, evaluated here independently.
+    up to the phase e^{i(m-m') theta0}, so its operator is A_g times it.
     """
-    r = _radial_integrals(params, n_j)
-    dim = params.dim
     a = phase_operator(params, n_j)
-    u = torus_unitary(theta0, dim)
-    lhs = u @ a @ u.conj().T
-    # translated symbol: int (gamma - theta0 mod 2pi) e^{ik gamma} dgamma
-    #   = 2 pi^2 (k=0) or -2 pi i e^{i k theta0} / k
-    rhs = (math.pi * np.diag(np.diag(r))).astype(complex)
-    for m in range(dim):
-        for mp in range(dim):
-            if m != mp:
-                rhs[m, mp] = (1.0j * r[m, mp] / (mp - m)
-                              * np.exp(1.0j * (m - mp) * theta0))
-    return float(np.max(np.abs(lhs - rhs)))
+    u = torus_unitary(theta0, params.dim)
+    idx = np.arange(params.dim)
+    rhs = a * np.exp(1.0j * np.subtract.outer(idx, idx) * theta0)
+    return float(np.max(np.abs(u @ a @ u.conj().T - rhs)))
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,16 @@ class TestVerify:
         code = main(["verify", "plane", "--t", "1.5"])
         assert code == 2
 
+    def test_plane_dim_beyond_laguerre_range_exit_2(self, capsys):
+        # the outermost default radial node is ~673 at dim 160, past |x| <= 600
+        code = main(["verify", "plane", "--dim", "160"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("configuration error in suite plane")
+
 
 class TestReconstruct:
     def test_round_trip_exit_0(self, capsys, tmp_path):

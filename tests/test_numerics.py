@@ -1,6 +1,9 @@
 """Special functions and quadrature rules against independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -10,7 +13,7 @@ from scipy.special import eval_genlaguerre, iv
 
 from povmint.numerics import (DomainError, PoleError, bessel_i,
                               bessel_i_scaled, hyp2f1_terminating, laguerre,
-                              make_rule, product_rule)
+                              laguerre_table, make_rule, product_rule)
 
 
 class TestLaguerre:
@@ -47,10 +50,31 @@ class TestLaguerre:
             laguerre(2, -1.5, 1.0)
 
     def test_validated_range_guard(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(DomainError):
             laguerre(300, 0.0, 1.0)
-        with pytest.raises(AssertionError):
+        with pytest.raises(DomainError):
             laguerre(3, 0.0, 1e4)
+
+    def test_range_guard_survives_optimized_mode(self):
+        # python -O strips assert statements; the guard must not rely on them
+        code = ("from povmint.numerics import DomainError, laguerre\n"
+                "try:\n"
+                "    laguerre(300, 0, 1.0)\n"
+                "except DomainError:\n"
+                "    print('DomainError')\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "DomainError"
+
+    def test_table_matches_scalar_recurrence(self):
+        x = np.array([0.0, 0.7, 12.5, 235.0])
+        table = laguerre_table(20, np.arange(8)[:, None], x)
+        for n in range(21):
+            for k in range(8):
+                assert np.array_equal(table[n, k], laguerre(n, k, x))
 
 
 class TestBessel:

@@ -3,11 +3,12 @@ space, probability kernel routes, quantized operators, phase operator."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from povmint import core, operators, plane
+from povmint import core, numerics, operators, plane
 
 PARAMS = plane.ThermalParams(t=0.2, dim=32)
 
@@ -69,6 +70,75 @@ class TestParamsAndStates:
         lhs = plane.rho_scaled_real(j, PARAMS) * math.exp(-j)
         rhs = plane.displaced_thermal(math.sqrt(j), PARAMS, strict=False)
         assert_allclose(lhs, rhs.real, atol=1e-13)
+
+
+def displacement_loop(z, dim):
+    """Per-element reference: one scalar Laguerre call per matrix entry."""
+    z = complex(z)
+    x = abs(z) ** 2
+    d = np.zeros((dim, dim), dtype=complex)
+    lf = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, dim)))])
+    gauss = math.exp(-0.5 * x)
+    for m in range(dim):
+        for n in range(m + 1):
+            amp = (math.exp(0.5 * (lf[n] - lf[m])) * gauss
+                   * numerics.laguerre(n, m - n, x))
+            d[m, n] = amp * z ** (m - n)
+            if m != n:
+                d[n, m] = amp * (-z.conjugate()) ** (m - n)
+    return d
+
+
+def displacement_mpmath(z, dim):
+    """High-precision oracle from mpmath's Laguerre polynomials."""
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z)
+        x = abs(zm) ** 2
+        d = np.zeros((dim, dim), dtype=complex)
+        for m in range(dim):
+            for n in range(m + 1):
+                amp = (mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(m))
+                       * mpmath.exp(-x / 2) * mpmath.laguerre(n, m - n, x))
+                d[m, n] = complex(amp * zm ** (m - n))
+                d[n, m] = complex(amp * (-mpmath.conj(zm)) ** (m - n))
+    return d
+
+
+class TestDisplacementOracles:
+    @pytest.mark.parametrize("dim", [48, 64, 128])
+    def test_matches_mpmath_and_loop(self, dim):
+        radius = math.sqrt(dim / 4.0)
+        z = complex(*np.random.default_rng(dim).uniform(-radius, radius, 2))
+        got = plane.displacement(z, dim)
+        for want in (displacement_mpmath(z, dim), displacement_loop(z, dim)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, 10.0, 80.0, 235.0])
+    def test_scaled_real_strips_gaussian(self, x):
+        dim = 48
+        got = plane._displacement_scaled_real(x, dim)
+        want = plane.displacement(math.sqrt(x), dim).real * math.exp(0.5 * x)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        k = np.subtract.outer(np.arange(dim), np.arange(dim))
+        assert np.array_equal(got.T, got * (-1.0) ** k)
+
+    def test_family_nodes_are_displaced_densities(self):
+        # radial nodes stay where truncation leaves a unit-trace density
+        params = plane.ThermalParams(t=0.2, dim=48)
+        fam = plane.plane_family(params, plane.plane_rule(48, n_j=12,
+                                                          n_gamma=16,
+                                                          j_max=6.0))
+        assert fam.validate_nodes(sample=None)
+        for j, gamma in fam.rule.nodes[::7]:
+            want = plane.displaced_thermal(math.sqrt(j) * np.exp(1j * gamma),
+                                           params)
+            assert_allclose(fam.evaluate((j, gamma)), want, atol=1e-13)
+        off_rule = (2.345, 0.678)
+        want = plane.displaced_thermal(math.sqrt(off_rule[0])
+                                       * np.exp(1j * off_rule[1]), params)
+        assert_allclose(fam.evaluate(off_rule), want, atol=1e-13)
+        with pytest.raises(numerics.DomainError):
+            fam.evaluate((-0.5, 0.0))
 
 
 class TestProbabilityKernel:
