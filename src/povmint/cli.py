@@ -33,33 +33,28 @@ def _round(x, digits: int = 12):
     return x
 
 
-# set by run_verify when --tol is given; applied to every tolerance-bearing
-# check before the pass flag is computed
-_TOL_OVERRIDE: float | None = None
+def _passes(computed, expected, tol: float | None) -> bool:
+    if tol is None:
+        return True
+    return bool(np.max(np.abs(np.asarray(computed, dtype=complex)
+                              - np.asarray(expected, dtype=complex))) <= tol)
 
 
 def check(cid: str, anchor: str, computed, expected, tol: float | None):
-    if tol is not None and _TOL_OVERRIDE is not None:
-        tol = _TOL_OVERRIDE
-    if tol is None:
-        ok = True
-    elif np.isscalar(computed) and np.isscalar(expected):
-        ok = abs(complex(computed) - complex(expected)) <= tol
-    else:
-        ok = bool(np.max(np.abs(np.asarray(computed, dtype=complex)
-                                - np.asarray(expected, dtype=complex))) <= tol)
-    return {"id": cid, "paper_anchor": anchor, "computed": _round(computed),
-            "expected": _round(expected), "tol": tol, "pass": bool(ok)}
+    """One report row; its values are rounded when the report is rendered."""
+    return {"id": cid, "paper_anchor": anchor, "computed": computed,
+            "expected": expected, "tol": tol,
+            "pass": _passes(computed, expected, tol)}
 
 
 # ---------------------------------------------------------------------------
 # Suites.
 
 
-def suite_circle(args) -> list[dict]:
-    r, phi, n = args.r, 0.0, args.grid
+def suite_circle(args) -> tuple[dict, list[dict]]:
+    r, phi, n = args.r, 0.0, max(args.grid, 8)
     checks = []
-    fam = circle.circle_family(r, phi, n=max(n, 8))
+    fam = circle.circle_family(r, phi, n=n)
     rep = core.check_resolution(fam)
     checks.append(check("circle-resolution", "margomegamain", rep.defect,
                         0.0, 1e-13))
@@ -95,13 +90,13 @@ def suite_circle(args) -> list[dict]:
             operators.pseudo_distance(circle.rho_circle(r, phi, theta0),
                                       circle.rho_circle(r, phi, theta)),
             circle.circle_pseudo_distance(r, theta0, theta), 1e-12))
-    return checks
+    return {"r": r, "grid": n, "seed": args.seed}, checks
 
 
-def suite_sphere(args) -> list[dict]:
-    r, n = args.r, args.grid
+def suite_sphere(args) -> tuple[dict, list[dict]]:
+    r, n = args.r, max(args.grid, 8)
     checks = []
-    fam = sphere.sphere_family(r, n_theta=max(n, 8), n_phi=max(n, 8))
+    fam = sphere.sphere_family(r, n_theta=n, n_phi=n)
     rep = core.check_resolution(fam)
     checks.append(check("sphere-resolution", "S2resun", rep.defect, 0.0, 1e-12))
     aq = sphere.quantize_azimuth(r)
@@ -139,10 +134,10 @@ def suite_sphere(args) -> list[dict]:
                                 sphere.rho_sphere(r, 0.4, 0.2),
                                 sphere.rho_sphere(r, 1.3, 2.5)),
                             sphere.sphere_pseudo_distance(r, d0, d1), 1e-12))
-    return checks
+    return {"r": r, "grid": n}, checks
 
 
-def suite_plane(args) -> list[dict]:
+def suite_plane(args) -> tuple[dict, list[dict]]:
     t, dim = args.t, args.dim
     params = plane.ThermalParams(t, dim)
     checks = []
@@ -198,10 +193,10 @@ def suite_plane(args) -> list[dict]:
     for name, anchor in [("translation", "covtrans"), ("rotation", "rotcovAf"),
                          ("parity", "parcov"), ("conjugation", "conjcov")]:
         checks.append(check(f"covariance-{name}", anchor, cov[name], 0.0, 1e-5))
-    return checks
+    return {"t": t, "dim": dim}, checks
 
 
-def suite_halfplane(args) -> list[dict]:
+def suite_halfplane(args) -> tuple[dict, list[dict]]:
     alpha, t = args.alpha, args.t
     # fixed truncation: large enough that the thermal tail t^dim sits below
     # every tolerance here, small enough to keep the group quadrature cheap
@@ -235,10 +230,10 @@ def suite_halfplane(args) -> list[dict]:
                                               c_rho=c_quad)
     checks.append(check("resolution-block", "residrhoTqpF",
                         float(np.max(np.abs(block - np.eye(3)))), 0.0, 1e-3))
-    return checks
+    return {"t": t, "alpha": alpha, "dim": dim, "grid": grid}, checks
 
 
-def suite_core(args) -> list[dict]:
+def suite_core(args) -> tuple[dict, list[dict]]:
     rng = np.random.default_rng(args.seed)
     r = 0.6
     fam = circle.circle_family(r, 0.0, n=16)
@@ -279,10 +274,10 @@ def suite_core(args) -> list[dict]:
     other = core.povm_region(fam, lambda th: th >= math.pi)
     checks.append(check("povm-complementarity", "povmap",
                         float(np.max(np.abs(half + other - one))), 0.0, 1e-13))
-    return checks
+    return {"seed": args.seed}, checks
 
 
-def suite_finite(args) -> list[dict]:
+def suite_finite(args) -> tuple[dict, list[dict]]:
     checks = []
     fb = finite.feasibility_bounds(2)
     checks.append(check("feasibility-full-rank", "allowr",
@@ -307,7 +302,7 @@ def suite_finite(args) -> list[dict]:
     checks.append(check("round-trip-table", "relprho",
                         float(np.max(np.abs(rec_table.p - table.p))),
                         0.0, 1e-6))
-    return checks
+    return {"seed": args.seed}, checks
 
 
 def _random_resolving_family(rng, n: int, size: int):
@@ -340,6 +335,9 @@ SUITES = {
 
 
 def render(report: dict, fmt: str) -> str:
+    report = {**report, "checks": [
+        {**chk, "computed": _round(chk["computed"]),
+         "expected": _round(chk["expected"])} for chk in report["checks"]]}
     if fmt == "json":
         return json.dumps(report, indent=2) + "\n"
     buf = io.StringIO()
@@ -399,33 +397,27 @@ def _emit(text: str, out: str | None):
 
 
 def run_verify(args) -> int:
-    global _TOL_OVERRIDE
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    _TOL_OVERRIDE = args.tol
     code = 0
-    try:
-        for name in names:
-            try:
-                checks = SUITES[name](args)
-            except ValueError as exc:
-                sys.stderr.write(f"configuration error in suite {name}: {exc}\n")
-                return 2
-            report = {
-                "suite": name,
-                "params": {"r": args.r, "t": args.t, "alpha": args.alpha,
-                           "dim": args.dim, "grid": args.grid,
-                           "seed": args.seed},
-                "checks": checks,
-            }
-            path = args.out
-            if path and len(names) > 1:
-                stem, dot, ext = path.rpartition(".")
-                path = f"{stem}-{name}{dot}{ext}" if dot else f"{path}-{name}"
-            _emit(render(report, args.format), path)
-            if not all(chk["pass"] for chk in checks):
-                code = 1
-    finally:
-        _TOL_OVERRIDE = None
+    for name in names:
+        try:
+            params, checks = SUITES[name](args)
+        except (ValueError, OverflowError) as exc:
+            sys.stderr.write(f"configuration error in suite {name}: {exc}\n")
+            return 2
+        if args.tol is not None:
+            checks = [chk if chk["tol"] is None else
+                      {**chk, "tol": args.tol,
+                       "pass": _passes(chk["computed"], chk["expected"], args.tol)}
+                      for chk in checks]
+        report = {"suite": name, "params": params, "checks": checks}
+        path = args.out
+        if path and len(names) > 1:
+            stem, dot, ext = path.rpartition(".")
+            path = f"{stem}-{name}{dot}{ext}" if dot else f"{path}-{name}"
+        _emit(render(report, args.format), path)
+        if not all(chk["pass"] for chk in checks):
+            code = 1
     return code
 
 

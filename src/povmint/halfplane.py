@@ -12,16 +12,15 @@ variables: q through the substitution q = e^u, p through p = tan(v).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import DensityFamily, GroupOrbitSpec
-from .numerics import (QuadratureRule, bessel_i, hyp2f1_terminating, laguerre,
-                       make_rule)
+from .core import DensityFamily, GroupOrbitSpec, orbit_family
+from .numerics import (QuadratureRule, _f21_terms, bessel_i, hyp2f1_terminating,
+                       laguerre, make_rule)
 
 
 @dataclass(frozen=True)
@@ -108,34 +107,18 @@ def group_inverse(g: tuple[float, float]):
     return (1.0 / q, -p * q)
 
 
-def _monomial_coeffs(n: int, alpha: float) -> np.ndarray:
-    """Coefficients c_a of L_n^{(alpha)}(x) = sum_a c_a x^a."""
-    c = np.empty(n + 1)
-    for a in range(n + 1):
-        c[a] = ((-1.0) ** a * math.exp(
-            math.lgamma(n + alpha + 1) - math.lgamma(a + alpha + 1)
-            - math.lgamma(n - a + 1) - math.lgamma(a + 1)))
-    return c
-
-
-def _f21_tracked(m: int, b: float, c: float, x: complex) -> tuple[complex, float]:
-    """Terminating 2F1(-m, b; c; x) plus the largest term magnitude.
+def _f21_tracked(m: int, b: float, c: float, x: np.ndarray):
+    """Terminating 2F1(-m, b; c; x) over an array x, plus the largest term
+    magnitude at each x.
 
     The max term bounds the cancellation suffered by the alternating sum,
     so the caller can pick the better-conditioned of two representations.
     """
-    term = complex(1.0)
-    re, im, biggest = [1.0], [0.0], 1.0
-    for k in range(m):
-        term = term * (k - m) * (b + k) * x / ((c + k) * (k + 1))
-        re.append(term.real)
-        im.append(term.imag)
-        biggest = max(biggest, abs(term))
-    return complex(math.fsum(re), math.fsum(im)), biggest
+    terms = np.array(_f21_terms(m, b, c, x))
+    return terms.sum(axis=0), np.abs(terms).max(axis=0)
 
 
-def overlap_block(q: float, p: float, alpha: float, rows: int,
-                  cols: int) -> np.ndarray:
+def overlap_block(q, p, alpha: float, rows: int, cols: int) -> np.ndarray:
     """Matrix elements M[i, n] = <e_i | U(q,p) | e_n>, evaluated analytically.
 
     Each element is a Laplace transform of a product of two Laguerre
@@ -151,22 +134,25 @@ def overlap_block(q: float, p: float, alpha: float, rows: int,
     Gamma(i+n+a+1)/sqrt(...) in place of the Gamma ratio above) used as a
     fallback: the two sums lose accuracy in complementary (q, p) regions, so
     each element keeps whichever route cancelled less.
+
+    q and p may be arrays (broadcast together): the result then has shape
+    q.shape + (rows, cols), and each element runs over all nodes at once.
     """
-    if q <= 0.0:
-        raise ValueError(f"q must be positive, got {q}")
-    if q == 1.0 and p == 0.0:
-        return np.eye(rows, cols, dtype=complex)
-    s = complex(0.5 * (1.0 + 1.0 / q), -p)
-    log_s = cmath.log(s)
-    log_s1 = cmath.log(s - 1.0)
-    log_sq = cmath.log(s - 1.0 / q)
+    q, p = np.broadcast_arrays(np.asarray(q, dtype=float),
+                               np.asarray(p, dtype=float))
+    if np.any(q <= 0.0):
+        raise ValueError(f"q must be positive, got {np.min(q)}")
+    identity = (q == 1.0) & (p == 0.0)
+    q = np.where(identity, 2.0, q)  # s - 1 vanishes there; block set below
+    s = 0.5 * (1.0 + 1.0 / q) - 1j * p
+    log_s, log_s1, log_sq = np.log(s), np.log(s - 1.0), np.log(s - 1.0 / q)
     zeta = (1.0 / q) / ((s - 1.0) * (s - 1.0 / q))
     z = 1.0 - zeta
     lf = np.array([math.lgamma(k + 1.0) for k in range(rows + cols)])
     lg = np.array([math.lgamma(k + alpha + 1.0) for k in range(rows + cols)])
     lga1 = math.lgamma(alpha + 1.0)
-    base = -math.log(q) * (0.5 * alpha + 0.5)
-    out = np.empty((rows, cols), dtype=complex)
+    base = -np.log(q) * (0.5 * alpha + 0.5)
+    out = np.empty(q.shape + (rows, cols), dtype=complex)
     for i in range(rows):
         for n in range(cols):
             lo, hi = (i, n) if i <= n else (n, i)
@@ -174,50 +160,19 @@ def overlap_block(q: float, p: float, alpha: float, rows: int,
                       - (i + n + alpha + 1.0) * log_s)
             half = 0.5 * (lg[i] - lf[i] + lg[n] - lf[n])
             f21, big = _f21_tracked(lo, -float(hi), alpha + 1.0, zeta)
-            val = f21 * cmath.exp(half - lga1 + powers)
+            val = f21 * np.exp(half - lga1 + powers)
             # predicted cancellation error = max term * route amplitude
-            err_a = math.log(big) + half - lga1 + powers.real
-            if big > 1e6 * max(abs(f21), 1e-300):
+            err_a = np.log(big) + half - lga1 + powers.real
+            fallback = big > 1e6 * np.maximum(np.abs(f21), 1e-300)
+            # the partner route may overflow at nodes that do not take it
+            with np.errstate(over="ignore", invalid="ignore"):
                 f21b, bigb = _f21_tracked(lo, -float(hi), -(i + n + alpha), z)
-                err_b = math.log(bigb) + lg[i + n] - half + powers.real
-                if err_b < err_a:
-                    val = f21b * cmath.exp(lg[i + n] - half + powers)
-            out[i, n] = val
+                err_b = np.log(bigb) + lg[i + n] - half + powers.real
+                out[..., i, n] = np.where(
+                    fallback & (err_b < err_a),
+                    f21b * np.exp(lg[i + n] - half + powers), val)
+    out[identity] = np.eye(rows, cols)
     return out
-
-
-def overlap_block_monomial(q: float, p: float, alpha: float, rows: int,
-                           cols: int) -> np.ndarray:
-    """Cross-check route for :func:`overlap_block` via monomial expansion.
-
-    Expanding both Laguerre polynomials in monomials reduces each element to
-    sum_{a,b} c_a d_b q^{-b} Gamma(alpha+a+b+1) / (sigma - ip)^{alpha+a+b+1}
-    with sigma = (1 + 1/q)/2, times q^{-alpha/2 - 1/2} and the norms.  The
-    alternating double sum loses roughly max(rows, cols) bits to
-    cancellation, so it is only trustworthy for indices up to ~16.
-    """
-    if q <= 0.0:
-        raise ValueError(f"q must be positive, got {q}")
-    sigma = 0.5 * (1.0 + 1.0 / q)
-    log_base = complex(np.log(complex(sigma, -p)))
-    nmax = max(rows, cols)
-    coeffs = [_monomial_coeffs(n, alpha) for n in range(nmax)]
-    norms = np.array([basis_norm(n, alpha) for n in range(nmax)])
-    powers = np.arange(rows + cols - 1)
-    gam = np.exp(np.array([math.lgamma(alpha + k + 1) for k in powers])
-                 - (alpha + powers + 1) * log_base)
-    # G[a, b] = Gamma(alpha+a+b+1) (sigma - ip)^{-(alpha+a+b+1)}
-    g = gam[np.add.outer(np.arange(rows), np.arange(cols))]
-    cr = np.zeros((rows, rows))
-    for i in range(rows):
-        cr[i, : i + 1] = coeffs[i]
-    cc = np.zeros((cols, cols))
-    qb = q ** (-np.arange(cols, dtype=float))
-    for n in range(cols):
-        cc[n, : n + 1] = coeffs[n]
-    pref = q ** (-0.5 * alpha - 0.5)
-    return (pref * norms[:rows, None] * norms[None, :cols]
-            * np.einsum("ia,ab,nb,b->in", cr, g, cc, qb))
 
 
 def affine_group_rule(n_u: int = 64, u_max: float = 14.0,
@@ -272,12 +227,9 @@ def c_rho_quadrature(params: AffineParams,
     """
     if rule is None:
         rule = affine_group_rule()
-    w = params.weights()
-    vals = np.empty(rule.size)
-    for k, (q, p) in enumerate(rule.nodes):
-        row = overlap_block(float(q), float(p), params.alpha, 1, params.dim)[0]
-        vals[k] = float(w @ (np.abs(row) ** 2))
-    return float(rule.integrate(vals))
+    row = overlap_block(rule.nodes[:, 0], rule.nodes[:, 1], params.alpha, 1,
+                        params.dim)[:, 0]
+    return float(rule.integrate(np.abs(row) ** 2 @ params.weights()))
 
 
 def c_rho_derived(alpha: float) -> float:
@@ -347,12 +299,9 @@ def affine_family(params: AffineParams, rule: QuadratureRule | None = None,
     spec = affine_orbit_spec(params, rule)
     if c_rho is None:
         c_rho = c_rho_quadrature(params, spec.group_rule)
-    norm_rule = QuadratureRule(spec.group_rule.nodes,
-                               spec.group_rule.weights / c_rho,
-                               spec.group_rule.kind + "/c_rho", {})
-    return DensityFamily(params.dim, spec.orbit_density, norm_rule,
-                         label=f"halfplane(alpha={params.alpha}, t={params.t})",
-                         tol=tol)
+    return orbit_family(spec, c_rho,
+                        label=f"halfplane(alpha={params.alpha}, t={params.t})",
+                        tol=tol)
 
 
 def affine_resolution_check(params: AffineParams, block: int = 4,
@@ -367,9 +316,11 @@ def affine_resolution_check(params: AffineParams, block: int = 4,
         rule = affine_group_rule()
     if c_rho is None:
         c_rho = c_rho_quadrature(params, rule)
-    w = params.weights()
-    acc = np.zeros((block, block), dtype=complex)
-    for (q, p), wk in zip(rule.nodes, rule.weights):
-        m = overlap_block(float(q), float(p), params.alpha, block, params.dim)
-        acc += wk * ((m * w) @ m.conj().T)
-    return acc / c_rho
+    m = overlap_block(rule.nodes[:, 0], rule.nodes[:, 1], params.alpha, block,
+                      params.dim)
+    # sum_k w_k (m_k W m_k^dag) from the real and imaginary parts of m, read
+    # as a view [..., 0] / [..., 1] so that no copy of m is made
+    parts = m.view(float).reshape(m.shape + (2,))
+    g = np.einsum("k,n,kinc,kjnd->cdij", rule.weights, params.weights(),
+                  parts, parts)
+    return (g[0, 0] + g[1, 1] + 1j * (g[1, 0] - g[0, 1])) / c_rho

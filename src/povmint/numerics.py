@@ -81,12 +81,13 @@ def bessel_i_scaled(nu: float, x: float) -> tuple[float, float]:
     return float(ive(nu, x)), float(x)
 
 
-def hyp2f1_terminating(m: int, b: float, c: float, x):
-    """Terminating Gauss hypergeometric sum 2F1(-m, b; c; x).
+def _f21_terms(m: int, b: float, c: float, x) -> list:
+    """The terms of the terminating series 2F1(-m, b; c; x).
 
     The first parameter -m (m a nonnegative integer) makes the series a
-    polynomial with m+1 terms; x may be real or complex.  Raises PoleError
-    when a denominator Pochhammer factor (c)_k vanishes before the series
+    polynomial with m+1 terms.  x may be a real or complex scalar or an
+    array; each term then has its type or shape.  Raises PoleError when a
+    denominator Pochhammer factor (c)_k vanishes before the series
     terminates.
     """
     if m < 0 or int(m) != m:
@@ -100,6 +101,13 @@ def hyp2f1_terminating(m: int, b: float, c: float, x):
             )
         term = term * (k - m) * (b + k) * x / ((c + k) * (k + 1))
         terms.append(term)
+    return terms
+
+
+def hyp2f1_terminating(m: int, b: float, c: float, x):
+    """Terminating Gauss hypergeometric sum 2F1(-m, b; c; x) for a real or
+    complex scalar x: the terms of :func:`_f21_terms`, summed exactly rounded."""
+    terms = _f21_terms(m, b, c, x)
     if isinstance(terms[0], complex):
         return complex(math.fsum(t.real for t in terms),
                        math.fsum(t.imag for t in terms))

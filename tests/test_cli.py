@@ -1,11 +1,13 @@
 """CLI: suite execution, report schema, determinism, exit codes."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from povmint import finite
+from povmint import cli, finite
 from povmint.cli import main
 
 FAST = ["--dim", "16", "--grid", "24"]
@@ -93,6 +95,51 @@ class TestVerify:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("configuration error in suite plane")
+
+    @pytest.mark.parametrize("suite,t", [("plane", "0.999"), ("halfplane", "0.9")])
+    def test_bessel_overflow_exit_2(self, capsys, suite, t):
+        # at these t the Bessel closed forms need I_nu(x) beyond x = 700
+        code = main(["verify", suite, "--t", t])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"configuration error in suite {suite}")
+
+    def test_halfplane_reports_parameters_used(self, capsys):
+        code, out = run(capsys, ["verify", "halfplane", "--dim", "48",
+                                 "--grid", "48", "--r", "0.3"])
+        assert code == 0
+        assert json.loads(out)["params"] == {"t": 0.2, "alpha": 2.0, "dim": 16,
+                                             "grid": 64}
+
+
+class TestTracerBindings:
+    """The benchmark's tracer rebinds module attributes of the library by
+    name; each of those names must exist and be restored afterwards."""
+
+    def test_attach_install_uninstall_restores_every_patch(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+
+        def current(owner, attr):
+            return owner[attr] if isinstance(owner, dict) else getattr(owner, attr)
+
+        tracer = module.Tracer()
+        tracer.attach(cli)
+        patches = tracer._patches
+        assert len(patches) == 26
+        tracer.install()
+        try:
+            for owner, attr, _original, replacement in patches:
+                assert current(owner, attr) is replacement
+        finally:
+            tracer.uninstall()
+        for owner, attr, original, _replacement in patches:
+            assert current(owner, attr) is original
 
 
 class TestReconstruct:

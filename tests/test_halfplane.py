@@ -1,7 +1,9 @@
 """Affine half-plane: Laguerre basis, group action, admissibility, kernel."""
 
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,6 +25,114 @@ def overlap_oracle(q, p, alpha, rows, cols, n_nodes=400, x_max=120.0):
             en = halfplane.basis_fn(n, alpha, rule.nodes / q)
             out[i, n] = rule.integrate(ei * phase * en)
     return out
+
+
+def _monomial_coeffs(n, alpha):
+    """Coefficients c_a of L_n^{(alpha)}(x) = sum_a c_a x^a."""
+    c = np.empty(n + 1)
+    for a in range(n + 1):
+        c[a] = ((-1.0) ** a * math.exp(
+            math.lgamma(n + alpha + 1) - math.lgamma(a + alpha + 1)
+            - math.lgamma(n - a + 1) - math.lgamma(a + 1)))
+    return c
+
+
+def overlap_block_monomial(q, p, alpha, rows, cols):
+    """Cross-check route for the overlap block via monomial expansion.
+
+    Expanding both Laguerre polynomials in monomials reduces each element to
+    sum_{a,b} c_a d_b q^{-b} Gamma(alpha+a+b+1) / (sigma - ip)^{alpha+a+b+1}
+    with sigma = (1 + 1/q)/2, times q^{-alpha/2 - 1/2} and the norms.  The
+    alternating double sum loses roughly max(rows, cols) bits to
+    cancellation, so it is only trustworthy for indices up to ~16.
+    """
+    sigma = 0.5 * (1.0 + 1.0 / q)
+    log_base = complex(np.log(complex(sigma, -p)))
+    nmax = max(rows, cols)
+    coeffs = [_monomial_coeffs(n, alpha) for n in range(nmax)]
+    norms = np.array([halfplane.basis_norm(n, alpha) for n in range(nmax)])
+    powers = np.arange(rows + cols - 1)
+    gam = np.exp(np.array([math.lgamma(alpha + k + 1) for k in powers])
+                 - (alpha + powers + 1) * log_base)
+    # G[a, b] = Gamma(alpha+a+b+1) (sigma - ip)^{-(alpha+a+b+1)}
+    g = gam[np.add.outer(np.arange(rows), np.arange(cols))]
+    cr = np.zeros((rows, rows))
+    for i in range(rows):
+        cr[i, : i + 1] = coeffs[i]
+    cc = np.zeros((cols, cols))
+    qb = q ** (-np.arange(cols, dtype=float))
+    for n in range(cols):
+        cc[n, : n + 1] = coeffs[n]
+    pref = q ** (-0.5 * alpha - 0.5)
+    return (pref * norms[:rows, None] * norms[None, :cols]
+            * np.einsum("ia,ab,nb,b->in", cr, g, cc, qb))
+
+
+def overlap_block_scalar(q, p, alpha, rows, cols):
+    """The per-element route of the batched overlap block, one node at a
+    time in complex scalars with exactly rounded 2F1 sums."""
+
+    def f21_tracked(m, b, c, x):
+        term, re, im, biggest = complex(1.0), [1.0], [0.0], 1.0
+        for k in range(m):
+            term = term * (k - m) * (b + k) * x / ((c + k) * (k + 1))
+            re.append(term.real)
+            im.append(term.imag)
+            biggest = max(biggest, abs(term))
+        return complex(math.fsum(re), math.fsum(im)), biggest
+
+    s = complex(0.5 * (1.0 + 1.0 / q), -p)
+    log_s, log_s1, log_sq = cmath.log(s), cmath.log(s - 1.0), cmath.log(s - 1.0 / q)
+    zeta = (1.0 / q) / ((s - 1.0) * (s - 1.0 / q))
+    lf = [math.lgamma(k + 1.0) for k in range(rows + cols)]
+    lg = [math.lgamma(k + alpha + 1.0) for k in range(rows + cols)]
+    lga1 = math.lgamma(alpha + 1.0)
+    base = -math.log(q) * (0.5 * alpha + 0.5)
+    out = np.empty((rows, cols), dtype=complex)
+    for i in range(rows):
+        for n in range(cols):
+            lo, hi = min(i, n), max(i, n)
+            powers = (base + i * log_s1 + n * log_sq
+                      - (i + n + alpha + 1.0) * log_s)
+            half = 0.5 * (lg[i] - lf[i] + lg[n] - lf[n])
+            f21, big = f21_tracked(lo, -float(hi), alpha + 1.0, zeta)
+            val = f21 * cmath.exp(half - lga1 + powers)
+            err_a = math.log(big) + half - lga1 + powers.real
+            if big > 1e6 * max(abs(f21), 1e-300):
+                f21b, bigb = f21_tracked(lo, -float(hi), -(i + n + alpha), 1.0 - zeta)
+                err_b = math.log(bigb) + lg[i + n] - half + powers.real
+                if err_b < err_a:
+                    val = f21b * cmath.exp(lg[i + n] - half + powers)
+            out[i, n] = val
+    return out
+
+
+def overlap_block_mpmath(q, p, alpha, rows, cols, dps=40):
+    """The closed form of the overlap block (see halfplane.overlap_block)
+    with mpmath's 2F1, at dps significant digits."""
+    out = np.empty((rows, cols), dtype=complex)
+    with mpmath.workdps(dps):
+        q, a = mpmath.mpf(q), mpmath.mpf(alpha)
+        s = mpmath.mpc((1 + 1 / q) / 2, -p)
+        zeta = (1 / q) / ((s - 1) * (s - 1 / q))
+        for i in range(rows):
+            for n in range(cols):
+                norm = mpmath.sqrt(
+                    mpmath.gamma(i + a + 1) * mpmath.gamma(n + a + 1)
+                    / (mpmath.factorial(i) * mpmath.factorial(n))) / mpmath.gamma(a + 1)
+                out[i, n] = complex(
+                    norm * q ** (-a / 2 - 0.5) * (s - 1) ** i * (s - 1 / q) ** n
+                    * s ** (-(i + n + a + 1)) * mpmath.hyp2f1(-i, -n, a + 1, zeta))
+    return out
+
+
+def central_nodes(count=20, seed=5):
+    """Seeded nodes of the default group rule with |log q| < 3 and
+    |arctan p| < 1.2, where the 16 x 16 blocks are not negligible."""
+    nodes = halfplane.affine_group_rule().nodes
+    central = np.flatnonzero((np.abs(np.log(nodes[:, 0])) < 3.0)
+                             & (np.abs(np.arctan(nodes[:, 1])) < 1.2))
+    return nodes[np.random.default_rng(seed).choice(central, count, replace=False)]
 
 
 class TestBasis:
@@ -85,7 +195,7 @@ class TestOverlap:
 
     def test_matches_monomial_route(self):
         got = halfplane.overlap_block(1.9, 0.8, 1.5, 10, 10)
-        want = halfplane.overlap_block_monomial(1.9, 0.8, 1.5, 10, 10)
+        want = overlap_block_monomial(1.9, 0.8, 1.5, 10, 10)
         assert_allclose(got, want, atol=1e-7)
 
     def test_rows_unitary(self):
@@ -106,6 +216,58 @@ class TestOverlap:
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             halfplane.overlap_block(-1.0, 0.0, 2.0, 4, 4)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBatchedOverlap:
+    def test_matches_mpmath_closed_form(self):
+        nodes = central_nodes()
+        got = halfplane.overlap_block(nodes[:, 0], nodes[:, 1], 2.0, 16, 16)
+        for (q, p), block in zip(nodes, got):
+            assert_allclose(block, overlap_block_mpmath(q, p, 2.0, 16, 16),
+                            rtol=0, atol=1e-12)
+
+    def test_matches_scalar_route(self):
+        nodes = central_nodes()
+        got = halfplane.overlap_block(nodes[:, 0], nodes[:, 1], 1.5, 16, 16)
+        for (q, p), block in zip(nodes, got):
+            assert_allclose(block, overlap_block_scalar(q, p, 1.5, 16, 16),
+                            rtol=0, atol=1e-12)
+
+    def test_batch_equals_per_node_calls(self):
+        nodes = central_nodes()
+        got = halfplane.overlap_block(nodes[:, 0], nodes[:, 1], 2.0, 6, 9)
+        assert got.shape == (len(nodes), 6, 9)
+        for (q, p), block in zip(nodes, got):
+            assert_allclose(block, halfplane.overlap_block(q, p, 2.0, 6, 9),
+                            rtol=0, atol=1e-15)
+
+    def test_broadcast_shape(self):
+        q = np.array([[0.5], [2.0]])
+        p = np.array([-1.0, 0.0, 1.0])
+        got = halfplane.overlap_block(q, p, 2.0, 3, 4)
+        assert got.shape == (2, 3, 3, 4)
+        assert_allclose(got[1, 2], halfplane.overlap_block(2.0, 1.0, 2.0, 3, 4),
+                        rtol=0, atol=1e-15)
+
+    def test_identity_element_inside_batch(self):
+        got = halfplane.overlap_block(np.array([0.7, 1.0, 1.0]),
+                                      np.array([0.3, 0.0, 0.3]), 2.0, 5, 8)
+        assert_allclose(got[1], np.eye(5, 8), atol=0)
+        assert np.max(np.abs(got[2] - np.eye(5, 8))) > 0.01
+
+    def test_rejects_bad_q_anywhere(self):
+        with pytest.raises(ValueError):
+            halfplane.overlap_block(np.array([0.5, 2.0, 0.0]), 0.1, 2.0, 4, 4)
+
+    def test_wide_block_raises_no_warning(self):
+        # the partner route overflows at some of these nodes, where it is
+        # never chosen
+        nodes = central_nodes(8)
+        got = halfplane.overlap_block(nodes[:, 0], nodes[:, 1], 2.0, 8, 200)
+        assert np.all(np.isfinite(got))
+        got = halfplane.overlap_block(1.8, 1.3, 2.0, 8, 200)
+        assert_allclose(np.sum(np.abs(got) ** 2, axis=1), 1.0, atol=1e-6)
 
 
 class TestAdmissibility:
