@@ -30,6 +30,8 @@ class DensityFamily:
     rule: QuadratureRule
     label: str = ""
     tol: float = 1e-12
+    # optional fast route: coeffs -> sum_k coeffs_k rho(x_k) over rule.nodes
+    weighted_sum: Callable[[Array], Array] | None = None
 
     def node_matrices(self) -> Array:
         """Stack of rho(x_k) over the rule nodes, shape (n_nodes, dim, dim)."""
@@ -54,9 +56,12 @@ class ResolutionReport:
 
 
 def _accumulate(fam: DensityFamily, coeffs=None) -> Array:
-    """Streaming weighted sum of rho over nodes (avoids stacking large grids)."""
-    total = np.zeros((fam.dim, fam.dim), dtype=complex)
+    """Weighted sum of rho over nodes: the family's own weighted_sum when it
+    has one, else a streaming per-node loop (avoids stacking large grids)."""
     weights = fam.rule.weights
+    if fam.weighted_sum is not None:
+        return fam.weighted_sum(weights if coeffs is None else weights * coeffs)
+    total = np.zeros((fam.dim, fam.dim), dtype=complex)
     for k, x in enumerate(fam.rule.nodes):
         c = weights[k] if coeffs is None else weights[k] * coeffs[k]
         if c != 0.0:

@@ -8,9 +8,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .operators import is_density
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on first use."""
+    # scipy.optimize adds ~23 MB and ~0.3 s to every import of the CLI
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -177,7 +184,8 @@ def reconstruct(table: ProbTable, rank_one: bool = False, seed: int = 0,
     rho_i = B_i B_i^dag / tr(B_i B_i^dag): residuals are the upper-triangle
     trace mismatches plus `penalty` times the resolution defect entries.
     Restarts are deterministic per (seed, restart index); the winner has the
-    lowest residual, ties broken by resolution defect.
+    lowest residual, ties broken by resolution defect.  ``converged`` needs
+    the residual below ``tol`` and every recovered matrix a density.
     """
     table.validate()
     size, n = table.measure.count, table.n
@@ -226,6 +234,6 @@ def reconstruct(table: ProbTable, rank_one: bool = False, seed: int = 0,
         if best[0] < tol and best[1] < 100 * tol:
             break
     table_res, defect, rhos = best
-    assert all(is_density(r, tol=1e-8, eig_slack=1e-7).ok for r in rhos)
+    densities = all(is_density(r, tol=1e-8, eig_slack=1e-7).ok for r in rhos)
     return ReconstructionResult(rhos, table_res, defect,
-                                table_res < tol, used)
+                                table_res < tol and densities, used)

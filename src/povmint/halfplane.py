@@ -36,6 +36,8 @@ class AffineParams:
             raise ValueError(f"resolution requires alpha > 0, got {self.alpha}")
         if not 0.0 <= self.t < 1.0:
             raise ValueError(f"t must lie in [0, 1), got {self.t}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
 
     def weights(self) -> np.ndarray:
         return (1.0 - self.t) * self.t ** np.arange(self.dim)

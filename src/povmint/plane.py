@@ -163,8 +163,8 @@ def plane_prob_series(z0: complex, z: complex, t: float, n_max: int = 40,
 
 def laguerre_square_sum(t: float, x: float, n_max: int = 200) -> float:
     """Partial sum sum_n t^{2n} (L_n(x))^2 (the diagonal part of the kernel)."""
-    return math.fsum(t ** (2 * n) * laguerre(n, 0, x) ** 2
-                     for n in range(n_max + 1))
+    rows = laguerre_table(n_max, 0.0, x).tolist()
+    return math.fsum(t ** (2 * n) * rows[n] ** 2 for n in range(n_max + 1))
 
 
 def laguerre_square_closed(t: float, x: float, printed: bool = False) -> float:
@@ -220,25 +220,48 @@ def plane_rule(dim: int, n_j: int | None = None, n_gamma: int | None = None,
     return product_rule(radial, angular)
 
 
+def _grid_angles(nodes: np.ndarray) -> np.ndarray | None:
+    """The shared angle set when the (J, gamma) nodes are, in row-major order,
+    a grid of strictly ascending radii times one angle set; else None."""
+    if len(nodes) == 0:
+        return None
+    n_gamma = int(np.argmax(nodes[:, 0] != nodes[0, 0])) or len(nodes)
+    if len(nodes) % n_gamma:
+        return None
+    grid = nodes.reshape(-1, n_gamma, 2)
+    radii, angles = grid[:, 0, 0], grid[0, :, 1]
+    if (np.any(grid[..., 0] != radii[:, None]) or np.any(grid[..., 1] != angles)
+            or np.any(np.diff(radii) <= 0)):
+        return None
+    return angles
+
+
 def plane_family(params: ThermalParams, rule: QuadratureRule | None = None,
                  tol: float = 1e-6) -> DensityFamily:
     """The displaced-thermal POVM family on (J, gamma) nodes.
 
     rho(J, 0) of every radial node is built in one batched pass at
-    construction; angles enter only as diagonal phases (rotation covariance).
+    construction; angles enter only as diagonal phases (rotation covariance),
+    rho(J, gamma)_mn = rho(J, 0)_mn e^{i(m-n) gamma}.  On a tensor-grid rule
+    the family's weighted sum therefore reduces each radius's coefficients to
+    angular harmonics S_j(m-n) = sum_gamma c(J_j, gamma) e^{i(m-n) gamma} and
+    contracts them with the radial stack, with no matrix per node.
     """
     if rule is None:
         rule = plane_rule(params.dim)
+    dim = params.dim
 
     def radial_stack(js):
-        d = _real_displacements(js, params.dim)
+        d = _real_displacements(js, dim)
         d *= np.exp(-0.5 * js)[..., None, None] * np.sqrt(params.weights())
         # stored complex: evaluate's complex phase products then need no cast
         return np.matmul(d, np.swapaxes(d, -1, -2), out=np.empty(d.shape, complex))
 
     radii = np.unique(rule.nodes[:, 0])
-    radial = dict(zip(radii.tolist(), radial_stack(radii)))
-    modes = np.arange(params.dim)
+    stack = radial_stack(radii)
+    # views into the one stack, keyed by radius
+    radial = dict(zip(radii.tolist(), stack))
+    modes = np.arange(dim)
 
     def evaluate(node):
         j, gamma = float(node[0]), float(node[1])
@@ -248,8 +271,21 @@ def plane_family(params: ThermalParams, rule: QuadratureRule | None = None,
         phases = np.exp(1.0j * modes * gamma)
         return phases[:, None] * base * phases.conj()[None, :]
 
-    return DensityFamily(params.dim, evaluate, rule,
-                         label=f"plane(t={params.t}, dim={params.dim})", tol=tol)
+    weighted_sum = None
+    angles = _grid_angles(rule.nodes)
+    if angles is not None:
+        # harmonic column m - n + dim - 1 holds e^{i(m-n) gamma}; a matmul, not
+        # an FFT, so any angle set (offset, odd count) is summed exactly
+        harmonics = np.exp(1.0j * np.outer(angles, np.arange(1 - dim, dim)))
+        column = np.subtract.outer(modes, modes) + dim - 1
+
+        def weighted_sum(coeffs):
+            s = np.reshape(coeffs, (len(radii), -1)) @ harmonics
+            return np.einsum("jmn,jmn->mn", stack, s[:, column])
+
+    return DensityFamily(dim, evaluate, rule,
+                         label=f"plane(t={params.t}, dim={dim})", tol=tol,
+                         weighted_sum=weighted_sum)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,6 +146,19 @@ class TestTracerBindings:
             assert current(owner, attr) is original
 
 
+class TestImport:
+    def test_cli_import_defers_scipy_optimize(self):
+        # only the finite solver needs scipy.optimize; it loads on first use
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import sys, povmint.cli\n"
+                "print('scipy.optimize' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+
 class TestReconstruct:
     def test_round_trip_exit_0(self, capsys, tmp_path):
         path = table_file(tmp_path, [qubit(0.4), qubit(-0.4)], [1.0, 1.0])
@@ -150,6 +167,13 @@ class TestReconstruct:
         report = json.loads(out)
         assert report["suite"] == "reconstruct"
         assert len(report["solution"]) == 2
+
+    def test_non_density_result_exit_4(self, capsys, tmp_path, monkeypatch):
+        path = table_file(tmp_path, [qubit(0.4), qubit(-0.4)], [1.0, 1.0])
+        monkeypatch.setattr(finite, "is_density",
+                            lambda *a, **k: SimpleNamespace(ok=False))
+        code, _out = run(capsys, ["reconstruct", path, "--tol", "1e-6"])
+        assert code == 4
 
     def test_invalid_table_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -2,6 +2,7 @@
 group orbits.  The circle family doubles as the workhorse fixture because its
 integrands are trigonometric polynomials (trapezoid rules are exact)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,21 @@ class TestDensityFamily:
     def test_validate_nodes_catches_bad_family(self, fam):
         bad = core.DensityFamily(2, lambda th: np.diag([2.0, -1.0]), fam.rule)
         assert not bad.validate_nodes()
+
+
+    def test_weighted_sum_replaces_the_node_loop(self, fam):
+        # the engine hands the family weight * coefficient per node
+        seen = []
+
+        def weighted_sum(coeffs):
+            seen.append(np.asarray(coeffs))
+            return np.einsum("k,kij->ij", coeffs, fam.node_matrices())
+
+        fast = dataclasses.replace(fam, weighted_sum=weighted_sum)
+        f = lambda th: math.cos(th) + 2.0
+        assert_allclose(core.quantize(fast, f), core.quantize(fam, f), atol=1e-14)
+        want = fam.rule.weights * np.array([f(th) for th in fam.rule.nodes])
+        assert_allclose(seen[0], want, rtol=0, atol=0)
 
 
 class TestResolution:

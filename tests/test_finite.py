@@ -1,6 +1,7 @@
 """Finite measure spaces: counting bounds, frames, table reconstruction."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -156,6 +157,18 @@ class TestReconstruct:
         assert out.converged
         a, b = out.rhos
         assert np.max(np.abs(a @ b - b @ a)) < 1e-8
+
+    def test_non_density_result_is_not_converged(self, monkeypatch):
+        # the density check is part of the result, not an assert that
+        # python -O would strip
+        rho1 = bloch((0.0, 0.0, 0.4))
+        measure = finite.FiniteMeasure(np.array([1.0, 1.0]))
+        table = finite.gram_probabilities([rho1, np.eye(2) - rho1], measure)
+        monkeypatch.setattr(finite, "is_density",
+                            lambda *a, **k: SimpleNamespace(ok=False))
+        out = finite.reconstruct(table, seed=0)
+        assert out.residual < 1e-8
+        assert out.converged is False
 
     def test_infeasible_count_rejected(self):
         m = finite.FiniteMeasure(np.full(7, 2.0 / 7.0))

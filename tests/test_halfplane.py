@@ -141,6 +141,8 @@ class TestBasis:
             halfplane.AffineParams(alpha=0.0, t=0.1, dim=4)
         with pytest.raises(ValueError):
             halfplane.AffineParams(alpha=1.0, t=1.0, dim=4)
+        with pytest.raises(ValueError):
+            halfplane.AffineParams(alpha=1.0, t=0.1, dim=0)
 
     def test_basis_domain(self):
         with pytest.raises(ValueError):

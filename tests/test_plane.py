@@ -1,6 +1,7 @@
 """Weyl-Heisenberg geometry: displaced thermal states on a truncated Fock
 space, probability kernel routes, quantized operators, phase operator."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -157,6 +158,12 @@ class TestProbabilityKernel:
         printed = plane.plane_prob_series(z0, z, PARAMS.t, printed=True)
         assert_allclose(got, printed, rtol=1e-6)
 
+    def test_square_sum_matches_scalar_laguerre_calls(self):
+        for t, x in [(0.2, 1.3), (0.5, 0.0), (0.7, 4.0), (0.9, 25.0)]:
+            want = math.fsum(t ** (2 * n) * numerics.laguerre(n, 0, x) ** 2
+                             for n in range(201))
+            assert plane.laguerre_square_sum(t, x) == want
+
     def test_bessel_identity(self):
         for t, x in [(0.1, 0.4), (0.3, 1.3), (0.45, 2.6)]:
             assert_allclose(plane.laguerre_square_sum(t, x),
@@ -240,6 +247,89 @@ class TestQuantization:
         rule = plane.plane_rule(16, j_max=40.0)
         fam = plane.plane_family(plane.ThermalParams(t=0.2, dim=16), rule)
         assert core.check_resolution(fam, block=8).defect < 1e-7
+
+
+def _offset_trapezoid_rule(dim):
+    radial = numerics.make_rule("gauss-legendre", dim + 8, a=0.0, b=40.0)
+    angular = numerics.make_rule("periodic-trapezoid", 2 * dim + 33,
+                                 scale=1.0 / (2.0 * math.pi), offset=0.5)
+    return numerics.product_rule(radial, angular)
+
+
+WEIGHTED_RULES = {
+    "default-16": (16, lambda: plane.plane_rule(16)),
+    "default-48": (48, lambda: plane.plane_rule(48)),
+    "legendre-j_max": (16, lambda: plane.plane_rule(16, j_max=40.0)),
+    "odd-n_gamma": (16, lambda: plane.plane_rule(16, n_gamma=65)),
+    "offset-trapezoid": (16, lambda: _offset_trapezoid_rule(16)),
+}
+
+SYMBOLS = {
+    "q": lambda nd: math.sqrt(2.0 * nd[0]) * math.cos(nd[1]),
+    "p": lambda nd: math.sqrt(2.0 * nd[0]) * math.sin(nd[1]),
+    "q2": lambda nd: 2.0 * nd[0] * math.cos(nd[1]) ** 2,
+    "complex": lambda nd: math.exp(-nd[0]) * complex(math.cos(3 * nd[1]),
+                                                     math.sin(nd[1])),
+}
+
+
+def _region(nd):
+    return nd[0] < 2.0 and nd[1] < 2.5
+
+
+class TestWeightedSum:
+    """The family's harmonic weighted sum against the per-node loop."""
+
+    TOL = 1e-12  # absolute, on every entry
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTED_RULES))
+    def test_matches_per_node_loop(self, name):
+        dim, make = WEIGHTED_RULES[name]
+        fam = plane.plane_family(plane.ThermalParams(t=0.2, dim=dim), make())
+        assert fam.weighted_sum is not None
+        ref = dataclasses.replace(fam, weighted_sum=None)
+        for key, f in SYMBOLS.items():
+            got, want = core.quantize(fam, f), core.quantize(ref, f)
+            assert np.max(np.abs(got - want)) < self.TOL, key
+        got = core.check_resolution(fam).operator
+        assert np.max(np.abs(got - core.check_resolution(ref).operator)) < self.TOL
+        got = core.povm_region(fam, _region)
+        assert np.max(np.abs(got - core.povm_region(ref, _region))) < self.TOL
+
+    def test_matches_extended_precision_sum(self):
+        # |z|^2 = J at dim 48: the per-node loop's own rounding reaches 2.7e-12
+        # near the truncation corner, so the oracle is the same node sum
+        # accumulated in long double
+        fam = plane.plane_family(plane.ThermalParams(t=0.2, dim=48))
+        coeffs = fam.rule.weights * fam.rule.nodes[:, 0]
+        want = np.zeros((48, 48), dtype=np.clongdouble)
+        for c, x in zip(coeffs, fam.rule.nodes):
+            want += np.clongdouble(c) * fam.evaluate(x).astype(np.clongdouble)
+        got = core.quantize(fam, lambda nd: nd[0])
+        assert float(np.max(np.abs(got - want))) < self.TOL
+
+    def test_off_grid_rules_use_the_loop(self):
+        params = plane.ThermalParams(t=0.2, dim=16)
+        grid = plane.plane_family(params)
+        rule = grid.rule
+        shuffled = np.random.default_rng(5).permutation(rule.size)
+        # a grid whose radii descend is still a tensor grid, in another order
+        n_radii = len(np.unique(rule.nodes[:, 0]))
+        descending = np.arange(rule.size).reshape(n_radii, -1)[::-1].ravel()
+        for order in (shuffled, descending):
+            permuted = numerics.QuadratureRule(rule.nodes[order],
+                                               rule.weights[order], "permuted")
+            fam = plane.plane_family(params, permuted)
+            assert fam.weighted_sum is None
+            for key, f in SYMBOLS.items():
+                diff = core.quantize(fam, f) - core.quantize(grid, f)
+                assert np.max(np.abs(diff)) < self.TOL, key
+        nodes = np.array([[0.5, 0.0], [0.5, 1.0], [1.5, 0.3]])
+        three = numerics.QuadratureRule(nodes, np.array([0.2, 0.3, 0.5]), "hand")
+        fam = plane.plane_family(params, three)
+        assert fam.weighted_sum is None
+        want = sum(w * fam.evaluate(x) for w, x in zip(three.weights, nodes))
+        assert np.max(np.abs(core.check_resolution(fam).operator - want)) < self.TOL
 
 
 class TestPhaseOperator:
