@@ -189,7 +189,7 @@ def suite_plane(args) -> tuple[dict, list[dict]]:
                          "note": "printed-matrix route deviates; the "
                                  "quadrature route is normative"},
                         None, None))
-    cov = plane.covariance_defects(params)
+    cov = plane.covariance_defects(params, fam=fam)
     for name, anchor in [("translation", "covtrans"), ("rotation", "rotcovAf"),
                          ("parity", "parcov"), ("conjugation", "conjcov")]:
         checks.append(check(f"covariance-{name}", anchor, cov[name], 0.0, 1e-5))
@@ -422,6 +422,10 @@ def run_verify(args) -> int:
 
 
 def run_reconstruct(args) -> int:
+    if args.restarts < 1 or not args.tol > 0:
+        sys.stderr.write(f"configuration error: --restarts must be >= 1 and "
+                         f"--tol > 0, got {args.restarts} and {args.tol}\n")
+        return 2
     try:
         with open(args.table) as fh:
             table = finite.ProbTable.from_json(fh.read())

@@ -142,14 +142,8 @@ def gram_probabilities(rhos, measure: FiniteMeasure,
     if defect > tol:
         raise ValueError(f"family does not resolve the identity "
                          f"(defect {defect:.3g})")
-    size = measure.count
-    n = np.asarray(rhos[0]).shape[0]
-    p = np.empty((size, size))
-    for i in range(size):
-        for j in range(size):
-            p[i, j] = float(np.trace(
-                np.asarray(rhos[i]) @ np.asarray(rhos[j])).real)
-    table = ProbTable(p, measure, n)
+    rho = np.asarray(rhos, dtype=complex)
+    table = ProbTable(_gram(rho), measure, rho.shape[1])
     table.validate(tol=max(tol * 100, 1e-8))
     return table
 
@@ -163,16 +157,72 @@ class ReconstructionResult:
     restarts_used: int
 
 
+def _gram(rho: np.ndarray) -> np.ndarray:
+    """p_ij = tr(rho_i rho_j) of a stack of Hermitian matrices (size, n, n)."""
+    return np.einsum("iab,jba->ij", rho, rho).real
+
+
 def _params_to_rhos(x: np.ndarray, size: int, n: int, k: int):
-    """Unpack optimizer variables into densities rho = B B^dag / tr(B B^dag)."""
-    per = 2 * n * k
-    rhos = []
-    for i in range(size):
-        chunk = x[i * per:(i + 1) * per]
-        b = (chunk[:n * k] + 1.0j * chunk[n * k:]).reshape(n, k)
-        m = b @ b.conj().T
-        rhos.append(m / np.trace(m).real)
-    return rhos
+    """Unpack optimizer variables into densities rho = B B^dag / s.
+
+    Each point's 2nk variables are the real then the imaginary part of its
+    n x k factor B, row-major.  Returns the density stack (size, n, n), the
+    traces s_i = ||B_i||_F^2 and the factor stack B (size, n, k).
+    """
+    xr = x.reshape(size, 2, n, k)
+    b = xr[:, 0] + 1.0j * xr[:, 1]
+    s = np.einsum("ixab,ixab->i", xr, xr)
+    rho = b @ b.conj().transpose(0, 2, 1) / s[:, None, None]
+    return rho, s, b
+
+
+def _objective(target: np.ndarray, nu: np.ndarray, n: int, k: int,
+               penalty: float):
+    """Residual function of `reconstruct` and its closed-form Jacobian.
+
+    Residuals are the upper-triangle table mismatches p_ij - target_ij, then
+    `penalty` times the resolution defect sum_i nu_i rho_i - I (real upper
+    triangle, imaginary strict upper triangle).  With B = X + iY, rho =
+    B B^dag / s and s = ||B||_F^2:
+      dp_ij/dX_l = d_il 2Re(rho_j B_i - p_ij B_i)/s_i + (i <-> j), Im for Y_l;
+      d(rho_i)_ab/d(X_i)_cd = (d_ac conj(B)_bd + B_ad d_bc - 2 rho_ab X_cd)/s_i,
+      d(rho_i)_ab/d(Y_i)_cd = (i d_ac conj(B)_bd - i B_ad d_bc - 2 rho_ab Y_cd)/s_i.
+    Jacobian columns follow the layout of x: point, real/imaginary part,
+    row, column.
+    """
+    size = len(nu)
+    iu, re, im = np.triu_indices(size), np.triu_indices(n), np.triu_indices(n, k=1)
+    idn = np.eye(n)
+    eye = np.eye(size)[:, :, None, None, None]
+
+    def residuals(x):
+        rho, _, _ = _params_to_rhos(x, size, n, k)
+        total = np.einsum("i,iab->ab", nu, rho) - idn
+        return np.concatenate([(_gram(rho) - target)[iu],
+                               penalty * total.real[re],
+                               penalty * total.imag[im]])
+
+    def jacobian(x):
+        rho, s, b = _params_to_rhos(x, size, n, k)
+        p = _gram(rho)
+        # dp_ij/dB_i: real part for X_i, imaginary part for Y_i
+        dp = 2.0 * (np.einsum("jab,ibk->ijak", rho, b)
+                    - p[:, :, None, None] * b[:, None]) / s[:, None, None, None]
+        dp = np.stack([dp.real, dp.imag], axis=2)
+        # rows (i, j), columns l: delta_il dp_ij + delta_jl dp_ji
+        pairs = (eye[:, None] * dp[:, :, None]
+                 + eye[None] * dp.swapaxes(0, 1)[:, :, None])
+        sym = np.einsum("ac,ibd->iabcd", idn, b.conj())
+        swap = np.einsum("iad,bc->iabcd", b, idn)
+        dx = sym + swap - 2.0 * np.einsum("iab,icd->iabcd", rho, b.real)
+        dy = 1.0j * (sym - swap) - 2.0 * np.einsum("iab,icd->iabcd", rho, b.imag)
+        dt = (np.stack([dx, dy], axis=3)
+              * (penalty * nu / s)[:, None, None, None, None, None])
+        rows = [pairs[iu], dt.real[:, re[0], re[1]].swapaxes(0, 1),
+                dt.imag[:, im[0], im[1]].swapaxes(0, 1)]
+        return np.concatenate([r.reshape(len(r), -1) for r in rows])
+
+    return residuals, jacobian
 
 
 def reconstruct(table: ProbTable, rank_one: bool = False, seed: int = 0,
@@ -182,11 +232,14 @@ def reconstruct(table: ProbTable, rank_one: bool = False, seed: int = 0,
 
     Penalized nonlinear least squares over the factorized parametrization
     rho_i = B_i B_i^dag / tr(B_i B_i^dag): residuals are the upper-triangle
-    trace mismatches plus `penalty` times the resolution defect entries.
+    trace mismatches plus `penalty` times the resolution defect entries,
+    with the closed-form Jacobian of `_objective`.
     Restarts are deterministic per (seed, restart index); the winner has the
     lowest residual, ties broken by resolution defect.  ``converged`` needs
     the residual below ``tol`` and every recovered matrix a density.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     table.validate()
     size, n = table.measure.count, table.n
     bounds = feasibility_bounds(n, rank_one)
@@ -199,19 +252,7 @@ def reconstruct(table: ProbTable, rank_one: bool = False, seed: int = 0,
     nu = table.measure.weights
     target = np.asarray(table.p, dtype=float)
     iu = np.triu_indices(size)
-    eye = np.eye(n)
-
-    def residuals(x):
-        rhos = _params_to_rhos(x, size, n, k)
-        p = np.array([[np.trace(rhos[i] @ rhos[j]).real for j in range(size)]
-                      for i in range(size)])
-        res_p = (p - target)[iu]
-        total = sum(w * r for w, r in zip(nu, rhos)) - eye
-        return np.concatenate([
-            res_p,
-            penalty * total.real[np.triu_indices(n)],
-            penalty * total.imag[np.triu_indices(n, k=1)],
-        ])
+    residuals, jacobian = _objective(target, nu, n, k, penalty)
 
     rng = np.random.default_rng(seed)
     n_res = len(iu[0]) + n * (n + 1) // 2 + n * (n - 1) // 2
@@ -220,15 +261,13 @@ def reconstruct(table: ProbTable, rank_one: bool = False, seed: int = 0,
     used = 0
     for attempt in range(restarts):
         x0 = rng.standard_normal(size * 2 * n * k)
-        sol = least_squares(residuals, x0, method=method, max_nfev=max_nfev)
-        rhos = _params_to_rhos(sol.x, size, n, k)
-        table_res = float(np.sqrt(np.sum(
-            (np.array([[np.trace(rhos[i] @ rhos[j]).real
-                        for j in range(size)] for i in range(size)])
-             - target)[iu] ** 2)))
-        defect = resolution_defect(rhos, table.measure)
+        sol = least_squares(residuals, x0, jac=jacobian, method=method,
+                            max_nfev=max_nfev)
+        rho, _, _ = _params_to_rhos(sol.x, size, n, k)
+        table_res = float(np.sqrt(np.sum((_gram(rho) - target)[iu] ** 2)))
+        defect = resolution_defect(rho, table.measure)
         used = attempt + 1
-        cand = (table_res, defect, rhos)
+        cand = (table_res, defect, list(rho))
         if best is None or cand[:2] < best[:2]:
             best = cand
         if best[0] < tol and best[1] < 100 * tol:

@@ -413,17 +413,20 @@ def phase_covariance_defect(params: ThermalParams, theta0: float,
 
 def covariance_defects(params: ThermalParams, z0: complex = 0.5,
                        theta: float = 0.7,
-                       rule: QuadratureRule | None = None,
+                       fam: DensityFamily | None = None,
                        block: int | None = None) -> dict[str, float]:
     """Defects of the four covariance identities on test functions.
 
     Translation and rotation use a displaced Gaussian bump, parity an even
     pairing of the same bump, conjugation a complex mixture.  Defects are
     max-norm on the protected block (top-left dim/2 square by default).
+    ``fam`` is a plane family of ``params`` already built by the caller;
+    by default one is built on the default rule.
     """
     from .core import quantize
 
-    fam = plane_family(params, rule)
+    if fam is None:
+        fam = plane_family(params)
     dim = params.dim
     if block is None:
         block = dim // 2

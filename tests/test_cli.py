@@ -181,6 +181,19 @@ class TestReconstruct:
                                     "nu": [1.0, 1.0], "n": 2}))
         assert main(["reconstruct", str(path)]) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--restarts", "0"),
+                                            ("--restarts", "-1"),
+                                            ("--tol", "-1"), ("--tol", "0")])
+    def test_bad_solver_setting_exit_2(self, capsys, tmp_path, flag, value):
+        path = table_file(tmp_path, [qubit(0.4), qubit(-0.4)], [1.0, 1.0])
+        code = main(["reconstruct", path, flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("configuration error")
+
     def test_infeasible_exit_3(self, capsys, tmp_path):
         # seven rank-one points exceed the qubit bound N <= 6
         angles = np.arange(7) * np.pi / 7

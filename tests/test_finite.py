@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from povmint import finite
+from povmint.cli import main
 
 SIGMA = [np.array([[0, 1], [1, 0]], dtype=complex),
          np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -20,6 +21,14 @@ def bloch(a):
     for ak, s in zip(a, SIGMA):
         rho = rho + 0.5 * ak * s
     return rho
+
+
+def octahedron_family():
+    """Six rank-one projectors along +-x, +-y, +-z with weights 1/3 each:
+    the largest rank-one qubit family, N = 6."""
+    rhos = [bloch(sign * np.eye(3)[axis]) for axis in range(3)
+            for sign in (1.0, -1.0)]
+    return rhos, finite.FiniteMeasure(np.full(6, 1.0 / 3.0))
 
 
 def mercedes_family():
@@ -170,9 +179,111 @@ class TestReconstruct:
         assert out.residual < 1e-8
         assert out.converged is False
 
+    def test_round_trip_rank_one_six_points_lm(self, monkeypatch):
+        # 25 residuals for 24 variables: the Levenberg-Marquardt route
+        rhos, measure = octahedron_family()
+        table = finite.gram_probabilities(rhos, measure)
+        methods = []
+        solve = finite.least_squares
+
+        def spy(*args, **kwargs):
+            methods.append(kwargs["method"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(finite, "least_squares", spy)
+        out = finite.reconstruct(table, rank_one=True, seed=0)
+        assert set(methods) == {"lm"}
+        assert out.converged
+        assert out.residual < 1e-8
+
+    @pytest.mark.parametrize("restarts", [0, -2])
+    def test_restarts_below_one_rejected(self, restarts):
+        _, rhos, measure = mercedes_family()
+        table = finite.gram_probabilities(rhos, measure)
+        with pytest.raises(ValueError, match="restarts"):
+            finite.reconstruct(table, restarts=restarts)
+
+    def test_verify_finite_passes_for_fifty_seeds(self, capsys):
+        # other tests solve at a few fixed seeds; fifty pin the convergence rate
+        for seed in range(50):
+            assert main(["verify", "finite", "--seed", str(seed)]) == 0, seed
+        capsys.readouterr()
+
     def test_infeasible_count_rejected(self):
         m = finite.FiniteMeasure(np.full(7, 2.0 / 7.0))
         p = np.full((7, 7), 0.5)
         table = finite.ProbTable(p, m, 2)
         with pytest.raises(ValueError, match="infeasible"):
             finite.reconstruct(table)
+
+
+def loop_params_to_rhos(x, size, n, k):
+    """The per-point unpacking the solver used before it was batched."""
+    per = 2 * n * k
+    rhos = []
+    for i in range(size):
+        chunk = x[i * per:(i + 1) * per]
+        b = (chunk[:n * k] + 1.0j * chunk[n * k:]).reshape(n, k)
+        m = b @ b.conj().T
+        rhos.append(m / np.trace(m).real)
+    return rhos
+
+
+def loop_gram(rhos):
+    size = len(rhos)
+    return np.array([[np.trace(rhos[i] @ rhos[j]).real for j in range(size)]
+                     for i in range(size)])
+
+
+def loop_residuals(x, target, nu, n, k, penalty):
+    rhos = loop_params_to_rhos(x, len(nu), n, k)
+    total = sum(w * r for w, r in zip(nu, rhos)) - np.eye(n)
+    return np.concatenate([
+        (loop_gram(rhos) - target)[np.triu_indices(len(nu))],
+        penalty * total.real[np.triu_indices(n)],
+        penalty * total.imag[np.triu_indices(n, k=1)],
+    ])
+
+
+class TestObjective:
+    """The batched residual and the closed-form Jacobian of reconstruct."""
+
+    # (n, N, rank one); the last case takes the Levenberg-Marquardt route
+    CASES = [(2, 4, False), (2, 3, True), (3, 5, False), (2, 2, False),
+             (2, 6, True)]
+
+    @staticmethod
+    def problem(n, size, rank_one):
+        k = 1 if rank_one else n
+        rng = np.random.default_rng([n, size, k])
+        target = rng.uniform(0.0, 1.0, (size, size))
+        target = 0.5 * (target + target.T)
+        nu = np.full(size, n / size)
+        x = rng.standard_normal(size * 2 * n * k)
+        return x, target, nu, k
+
+    @pytest.mark.parametrize("n,size,rank_one", CASES)
+    def test_jacobian_matches_central_differences(self, n, size, rank_one):
+        x, target, nu, k = self.problem(n, size, rank_one)
+        residuals, jacobian = finite._objective(target, nu, n, k, 10.0)
+        # step 1e-6: rounding (~1e-16 |r| / h, |r| ~ penalty = 10) and
+        # truncation (~h^2) errors stay near 1e-9, so 1e-7 absolute
+        h = 1e-6
+        fd = np.array([(residuals(x + h * e) - residuals(x - h * e)) / (2 * h)
+                       for e in np.eye(len(x))]).T
+        jac = jacobian(x)
+        assert jac.shape == (len(residuals(x)), len(x))
+        assert_allclose(jac, fd, rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("n,size,rank_one", CASES)
+    def test_batched_residual_and_gram_match_loops(self, n, size, rank_one):
+        x, target, nu, k = self.problem(n, size, rank_one)
+        rho, s, _ = finite._params_to_rhos(x, size, n, k)
+        rhos = loop_params_to_rhos(x, size, n, k)
+        assert_allclose(rho, np.array(rhos), rtol=0, atol=1e-14)
+        assert_allclose(s, np.sum(x.reshape(size, -1) ** 2, axis=1),
+                        rtol=1e-14)
+        assert_allclose(finite._gram(rho), loop_gram(rhos), rtol=0, atol=1e-14)
+        residuals, _ = finite._objective(target, nu, n, k, 10.0)
+        assert_allclose(residuals(x), loop_residuals(x, target, nu, n, k, 10.0),
+                        rtol=0, atol=1e-14)

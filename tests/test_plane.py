@@ -374,6 +374,12 @@ class TestCovariance:
         for name in ("translation", "rotation", "parity", "conjugation"):
             assert cov[name] < 1e-6, name
 
+    def test_defects_on_a_given_family(self):
+        # the CLI passes the family it already built instead of a second one
+        fam = plane.plane_family(PARAMS)
+        assert plane.covariance_defects(PARAMS, fam=fam) == \
+            plane.covariance_defects(PARAMS)
+
     def test_rotation_covariance_of_family(self):
         # rho(e^{i theta} z) = U(theta) rho(z) U(theta)^dag
         theta, z = 0.8, 0.5 + 0.3j
