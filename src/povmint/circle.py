@@ -17,6 +17,8 @@ from .core import DensityFamily
 from .numerics import make_rule
 
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -35,22 +37,20 @@ class CircleDensityParams:
         object.__setattr__(self, "theta", self.theta % (2.0 * math.pi))
 
 
-def _spin_part(big_phi: float) -> np.ndarray:
-    c, s = math.cos(big_phi), math.sin(big_phi)
-    return np.array([[c, s], [s, -c]])
-
-
 def rotation2(omega: float) -> np.ndarray:
     """Plane rotation matrix by angle omega."""
     c, s = math.cos(omega), math.sin(omega)
     return np.array([[c, -s], [s, c]])
 
 
-def rho_circle(r: float, phi: float, theta: float = 0.0) -> np.ndarray:
-    """2x2 real density (1/2)(I + r S(2(phi+theta)))."""
+def rho_circle(r: float, phi: float, theta=0.0) -> np.ndarray:
+    """2x2 real density (1/2)(I + r S(2(phi+theta))); theta may be an array,
+    giving shape theta.shape + (2, 2)."""
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must lie in [0, 1], got {r}")
-    return 0.5 * (np.eye(2) + r * _spin_part(2.0 * (phi + theta)))
+    big_phi = 2.0 * (phi + np.asarray(theta, dtype=float))[..., None, None]
+    return 0.5 * (np.eye(2) + r * (np.cos(big_phi) * _SIGMA_Z
+                                   + np.sin(big_phi) * _SIGMA_X))
 
 
 def angle_ket(angle: float) -> np.ndarray:

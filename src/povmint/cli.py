@@ -79,17 +79,13 @@ def suite_circle(args) -> tuple[dict, list[dict]]:
     checks.append(check("probability-kernel", "probdistcirc",
                         core.prob_kernel(fam, theta0, theta),
                         circle.circle_prob(r, theta0, theta), 1e-14))
-    checks.append(check(
-        "hs-distance", "distHSS1",
-        operators.hs_distance(circle.rho_circle(r, phi, theta0),
-                              circle.rho_circle(r, phi, theta)),
-        circle.circle_hs_distance(r, theta0, theta), 1e-13))
+    rho0, rho1 = circle.rho_circle(r, phi, np.array([theta0, theta]))
+    checks.append(check("hs-distance", "distHSS1", operators.hs_distance(rho0, rho1),
+                        circle.circle_hs_distance(r, theta0, theta), 1e-13))
     if r > 0:
-        checks.append(check(
-            "pseudo-distance", "psdistS1",
-            operators.pseudo_distance(circle.rho_circle(r, phi, theta0),
-                                      circle.rho_circle(r, phi, theta)),
-            circle.circle_pseudo_distance(r, theta0, theta), 1e-12))
+        checks.append(check("pseudo-distance", "psdistS1",
+                            operators.pseudo_distance(rho0, rho1),
+                            circle.circle_pseudo_distance(r, theta0, theta), 1e-12))
     return {"r": r, "grid": n, "seed": args.seed}, checks
 
 
@@ -118,21 +114,17 @@ def suite_sphere(args) -> tuple[dict, list[dict]]:
     checks.append(check("lower-symbol-q", "lowsqS2", low,
                         math.pi - math.pi * r * r / 4.0
                         * math.sin(theta) * math.sin(phi), 1e-10))
-    d0 = sphere.direction(0.4, 0.2)
-    d1 = sphere.direction(1.3, 2.5)
+    thetas, phis = np.array([0.4, 1.3]), np.array([0.2, 2.5])
+    d0, d1 = sphere.direction(thetas, phis)
+    rho0, rho1 = sphere.rho_sphere(r, thetas, phis)
     checks.append(check("probability-kernel", "probdisph",
-                        float(np.trace(sphere.rho_sphere(r, 0.4, 0.2)
-                                       @ sphere.rho_sphere(r, 1.3, 2.5)).real),
+                        float(np.trace(rho0 @ rho1).real),
                         sphere.sphere_prob(r, d0, d1), 1e-13))
-    checks.append(check("hs-distance", "distHSS2",
-                        operators.hs_distance(sphere.rho_sphere(r, 0.4, 0.2),
-                                              sphere.rho_sphere(r, 1.3, 2.5)),
+    checks.append(check("hs-distance", "distHSS2", operators.hs_distance(rho0, rho1),
                         sphere.sphere_hs_distance(r, d0, d1), 1e-13))
     if r > 0:
         checks.append(check("pseudo-distance", "psdistS2",
-                            operators.pseudo_distance(
-                                sphere.rho_sphere(r, 0.4, 0.2),
-                                sphere.rho_sphere(r, 1.3, 2.5)),
+                            operators.pseudo_distance(rho0, rho1),
                             sphere.sphere_pseudo_distance(r, d0, d1), 1e-12))
     return {"r": r, "grid": n}, checks
 
@@ -177,7 +169,7 @@ def suite_plane(args) -> tuple[dict, list[dict]]:
     checks.append(check("phase-hermitian", "scsphaseop",
                         float(np.max(np.abs(ph - ph.conj().T))), 0.0, 1e-10))
     checks.append(check("phase-covariance", "covquantaa",
-                        plane.phase_covariance_defect(pp, 0.9), 0.0, 1e-6))
+                        plane.phase_covariance_defect(ph, 0.9), 0.0, 1e-6))
     pa = plane.phase_operator_printed(pp)
     guard = np.zeros_like(pa, dtype=bool)
     guard[1:, 1:] = True
@@ -241,22 +233,19 @@ def suite_core(args) -> tuple[dict, list[dict]]:
     one = core.quantize(fam, lambda th: 1.0)
     checks.append(check("quantize-identity", "povmquantf",
                         float(np.max(np.abs(one - np.eye(2)))), 0.0, 1e-13))
+    f = lambda th: np.cos(2 * th)
+    g = lambda th: np.sin(2 * th) + 0.5
     worst = 0.0
     for _ in range(10):
         a1, b1 = rng.standard_normal(2)
-        f = lambda th: math.cos(2 * th)
-        g = lambda th: math.sin(2 * th) + 0.5
         lhs = core.quantize(fam, lambda th: a1 * f(th) + b1 * g(th))
         rhs = a1 * core.quantize(fam, f) + b1 * core.quantize(fam, g)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     checks.append(check("quantize-linearity", "povmquantf", worst, 0.0, 1e-12))
-    worst = 0.0
-    for th0 in fam.rule.nodes:
-        vals = np.array([core.prob_kernel(fam, th0, th) for th in fam.rule.nodes])
-        worst = max(worst, abs(float(fam.rule.integrate(vals)) - 1.0))
-    checks.append(check("kernel-row-normalization", "probdist", worst,
-                        0.0, 1e-12))
-    f = lambda th: math.cos(2 * th)
+    mats = fam.evaluate(fam.rule.nodes)
+    kernel = np.einsum("aij,bji->ab", mats, mats).real  # tr(rho(x_a) rho(x_b))
+    row_defect = float(np.max(np.abs(kernel @ fam.rule.weights - 1.0)))
+    checks.append(check("kernel-row-normalization", "probdist", row_defect, 0.0, 1e-12))
     af = core.quantize(fam, f)
     sup = max(abs(core.lower_symbol(fam, af, th).real)
               for th in np.linspace(0, 2 * math.pi, 50))
@@ -265,9 +254,8 @@ def suite_core(args) -> tuple[dict, list[dict]]:
     rho_m = operators.mix(operators.MixtureSpec(
         np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 1.0]])))
     lhs = core.measurement_expectation(rho_m, fam, f)
-    vals = np.array([f(th) * float(np.trace(rho_m @ fam.evaluate(th)).real)
-                     for th in fam.rule.nodes])
-    rhs = float(fam.rule.integrate(vals))
+    probs = np.einsum("ij,kji->k", rho_m, mats).real
+    rhs = float(fam.rule.integrate(f(fam.rule.nodes) * probs))
     checks.append(check("measurement-two-route", "measexpect",
                         abs(lhs.real - rhs), 0.0, 1e-12))
     half = core.povm_region(fam, lambda th: th < math.pi)

@@ -21,9 +21,17 @@ from .operators import is_density
 Array = np.ndarray
 
 
+# Bytes of node matrices stacked per evaluate call in a reduction (a non-grid
+# dim-48 plane rule would otherwise stack ~300 MB at once).
+NODE_BATCH_BYTES = 1 << 23
+
+
 @dataclass
 class DensityFamily:
-    """Map x -> density matrix together with a rule for the measure dnu."""
+    """Map x -> density matrix together with a rule for the measure dnu.
+
+    ``evaluate`` takes a node or an array of nodes and broadcasts: shape
+    nodes.shape[:-1] + (dim, dim) on 2-D rules, nodes.shape + (dim, dim) on 1-D."""
 
     dim: int
     evaluate: Callable[[object], Array]
@@ -35,16 +43,15 @@ class DensityFamily:
 
     def node_matrices(self) -> Array:
         """Stack of rho(x_k) over the rule nodes, shape (n_nodes, dim, dim)."""
-        return np.stack([np.asarray(self.evaluate(x), dtype=complex)
-                         for x in self.rule.nodes])
+        return _on_nodes(self.evaluate, self.rule.nodes, (self.dim,) * 2).astype(complex)
 
     def validate_nodes(self, sample: int | None = 16) -> bool:
         """Spot-check that evaluate() yields densities at (a sample of) nodes."""
-        nodes = self.rule.nodes
-        idx = range(len(nodes))
-        if sample is not None and len(nodes) > sample:
-            idx = np.linspace(0, len(nodes) - 1, sample).astype(int)
-        return all(is_density(self.evaluate(nodes[i]), tol=1e-9).ok for i in idx)
+        idx = np.arange(self.rule.size)
+        if sample is not None and len(idx) > sample:
+            idx = np.linspace(0, len(idx) - 1, sample).astype(int)
+        return all(is_density(m, tol=1e-9).ok
+                   for _, mats in _batches(self, idx) for m in mats)
 
 
 @dataclass(frozen=True)
@@ -55,17 +62,32 @@ class ResolutionReport:
     ok: bool
 
 
+def _on_nodes(fn: Callable, nodes: Array, tail: tuple) -> Array:
+    """fn on a node array, checked to broadcast to shape (len(nodes),) + tail."""
+    out = np.asarray(fn(nodes))
+    if out.shape != (len(nodes),) + tail:
+        raise ValueError(f"evaluate, phi and unitary must broadcast over node arrays:"
+                         f" {len(nodes)} nodes gave shape {out.shape}")
+    return out
+
+
+def _batches(fam: DensityFamily, idx: Array):
+    """Yield (part, rho(rule.nodes[part])) over slices of idx within NODE_BATCH_BYTES."""
+    step = max(1, NODE_BATCH_BYTES // (16 * fam.dim * fam.dim))
+    for start in range(0, len(idx), step):
+        part = idx[start:start + step]
+        yield part, _on_nodes(fam.evaluate, fam.rule.nodes[part], (fam.dim,) * 2)
+
+
 def _accumulate(fam: DensityFamily, coeffs=None) -> Array:
     """Weighted sum of rho over nodes: the family's own weighted_sum when it
-    has one, else a streaming per-node loop (avoids stacking large grids)."""
-    weights = fam.rule.weights
+    has one, else one einsum per batch of the nodes with nonzero coefficient."""
+    c = fam.rule.weights if coeffs is None else fam.rule.weights * coeffs
     if fam.weighted_sum is not None:
-        return fam.weighted_sum(weights if coeffs is None else weights * coeffs)
+        return fam.weighted_sum(c)
     total = np.zeros((fam.dim, fam.dim), dtype=complex)
-    for k, x in enumerate(fam.rule.nodes):
-        c = weights[k] if coeffs is None else weights[k] * coeffs[k]
-        if c != 0.0:
-            total += c * np.asarray(fam.evaluate(x), dtype=complex)
+    for part, mats in _batches(fam, np.flatnonzero(c)):
+        total += np.einsum("k,kij->ij", c[part], mats)
     return total
 
 
@@ -89,13 +111,12 @@ def povm_region(fam: DensityFamily, indicator: Callable) -> Array:
 
 def prob_kernel(fam: DensityFamily, x0, x) -> float:
     """Probability kernel tr(rho(x0) rho(x))."""
-    r0 = np.asarray(fam.evaluate(x0), dtype=complex)
-    r1 = np.asarray(fam.evaluate(x), dtype=complex)
+    r0, r1 = np.asarray(fam.evaluate(np.array([x0, x])), dtype=complex)
     return float(np.trace(r0 @ r1).real)
 
 
 def quantize(fam: DensityFamily, f: Callable) -> Array:
-    """Quantized operator A_f = sum_k w_k f(x_k) rho(x_k)."""
+    """Quantized operator A_f = sum_k w_k f(x_k) rho(x_k), one scalar f(x) per node."""
     vals = np.array([complex(f(x)) for x in fam.rule.nodes])
     if not np.all(np.isfinite(vals)):
         raise ValueError("f must be finite at every quadrature node")
@@ -108,8 +129,7 @@ def lower_symbol(fam: DensityFamily, a: Array, x) -> complex:
     rho = np.asarray(fam.evaluate(x), dtype=complex)
     if rho.shape != a.shape:
         raise ValueError("dimension mismatch")
-    val = complex(np.trace(rho @ a))
-    return val
+    return complex(np.trace(rho @ a))
 
 
 def measurement_expectation(rho_m: Array, fam: DensityFamily, f: Callable) -> complex:
@@ -128,7 +148,8 @@ def measurement_expectation(rho_m: Array, fam: DensityFamily, f: Callable) -> co
 class CsBasis:
     """Orthonormal functions phi_n on (X, mu), realized on a base rule.
 
-    phi(x) must return the length-N vector (phi_0(x), ..., phi_{N-1}(x)).
+    phi(x) returns the length-N vector (phi_0(x), ..., phi_{N-1}(x)) and
+    broadcasts over nodes like DensityFamily.evaluate (trailing axis N).
     """
 
     phi: Callable[[object], Array]
@@ -138,26 +159,25 @@ class CsBasis:
 
     def gram_defect(self) -> float:
         """Max-norm distance of the Gram matrix from the identity."""
-        samples = np.stack([np.asarray(self.phi(x), dtype=complex)
-                            for x in self.base_rule.nodes])
+        samples = _on_nodes(self.phi, self.base_rule.nodes, (self.size,))
         gram = np.einsum("k,kn,km->nm", self.base_rule.weights,
                          samples.conj(), samples)
         return float(np.max(np.abs(gram - np.eye(self.size))))
 
 
-def cs_norm(basis: CsBasis, x) -> float:
+def cs_norm(basis: CsBasis, x) -> Array:
     """Normalization N(x) = sum_n |phi_n(x)|^2 (must be positive)."""
     v = np.asarray(basis.phi(x), dtype=complex)
-    return float(np.sum(np.abs(v) ** 2))
+    return np.sum(np.abs(v) ** 2, axis=-1)
 
 
-def cs_state(basis: CsBasis, x) -> tuple[Array, float]:
+def cs_state(basis: CsBasis, x) -> tuple[Array, Array]:
     """Coherent state |x> = N(x)^{-1/2} sum_n conj(phi_n(x)) |e_n>, plus N(x)."""
     v = np.asarray(basis.phi(x), dtype=complex)
-    norm = float(np.sum(np.abs(v) ** 2))
-    if norm <= 0.0:
+    norm = np.sum(np.abs(v) ** 2, axis=-1)
+    if np.any(norm <= 0.0):
         raise ValueError(f"N(x) vanishes at x={x!r}")
-    return v.conj() / math.sqrt(norm), norm
+    return v.conj() / np.sqrt(norm)[..., None], norm
 
 
 def reproducing_kernel(basis: CsBasis, x, xp) -> complex:
@@ -169,14 +189,14 @@ def reproducing_kernel(basis: CsBasis, x, xp) -> complex:
 
 def cs_family(basis: CsBasis, label: str = "", tol: float = 1e-10) -> DensityFamily:
     """Rank-one family rho(x) = |x><x| with measure dnu = N(x) dmu."""
-    weights = basis.base_rule.weights * np.array(
-        [cs_norm(basis, x) for x in basis.base_rule.nodes])
+    weights = basis.base_rule.weights * _on_nodes(
+        lambda x: cs_norm(basis, x), basis.base_rule.nodes, ())
     rule = QuadratureRule(basis.base_rule.nodes, weights, "cs-weighted",
                           {"base": basis.base_rule.kind})
 
     def evaluate(x):
         v, _ = cs_state(basis, x)
-        return np.outer(v, v.conj())
+        return v[..., :, None] * v[..., None, :].conj()
 
     return DensityFamily(basis.size, evaluate, rule, label=label, tol=tol)
 
@@ -189,10 +209,11 @@ def cs_family(basis: CsBasis, label: str = "", tol: float = 1e-10) -> DensityFam
 class GroupOrbitSpec:
     """Group orbit of a fiducial density under a unitary representation.
 
-    ``unitary(g)`` maps a group node to a unitary matrix; ``group_rule``
-    realizes the invariant measure dmu(g); ``probe`` is the fixed density
-    entering the admissibility integral; ``translate(g0, g)`` returns
-    g0^{-1} g for the covariance check.
+    ``unitary(g)`` maps a group node, or an array of them, to unitary
+    matrices with the same broadcasting as DensityFamily.evaluate;
+    ``group_rule`` realizes the invariant measure dmu(g); ``probe`` is the
+    fixed density entering the admissibility integral; ``translate(g0, g)``
+    returns g0^{-1} g for the covariance check.
     """
 
     unitary: Callable[[object], Array]
@@ -203,15 +224,13 @@ class GroupOrbitSpec:
 
     def orbit_density(self, g) -> Array:
         u = np.asarray(self.unitary(g), dtype=complex)
-        return u @ self.fiducial @ u.conj().T
+        return u @ self.fiducial @ np.swapaxes(u.conj(), -1, -2)
 
 
 def covariant_c_rho(spec: GroupOrbitSpec) -> float:
     """Admissibility constant c_rho = integral of tr(probe * rho(g)) dmu(g)."""
-    probe = np.asarray(spec.probe, dtype=complex)
-    vals = np.array([np.trace(probe @ spec.orbit_density(g)).real
-                     for g in spec.group_rule.nodes])
-    c = float(spec.group_rule.integrate(vals))
+    total = _accumulate(orbit_family(spec, c_rho=1.0))
+    c = float(np.trace(np.asarray(spec.probe, dtype=complex) @ total).real)
     if not math.isfinite(c) or c <= 0.0:
         raise ValueError(f"admissibility constant must be positive, got {c}")
     return c

@@ -212,7 +212,8 @@ def affine_orbit_spec(params: AffineParams,
     probe[0, 0] = 1.0
 
     def unitary(node):
-        return overlap_block(float(node[0]), float(node[1]), alpha, dim, dim)
+        node = np.asarray(node, dtype=float)
+        return overlap_block(node[..., 0], node[..., 1], alpha, dim, dim)
 
     def translate(g0, g):
         return group_product(group_inverse(tuple(g0)), tuple(g))

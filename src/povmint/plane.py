@@ -98,11 +98,6 @@ def _displacement_scaled_real(sqrt_j_squared: float, dim: int) -> np.ndarray:
     return _real_displacements(sqrt_j_squared, dim)
 
 
-def thermal_density(params: ThermalParams) -> np.ndarray:
-    """Diagonal thermal state (1-t) diag(1, t, t^2, ...)."""
-    return np.diag(params.weights()).astype(complex)
-
-
 def displaced_thermal(z: complex, params: ThermalParams,
                       strict: bool = True) -> np.ndarray:
     """Displaced thermal density D(z) rho_T D(z)^dag.
@@ -119,11 +114,12 @@ def displaced_thermal(z: complex, params: ThermalParams,
     return (d * params.weights()) @ d.conj().T
 
 
-def rho_scaled_real(j: float, params: ThermalParams) -> np.ndarray:
+def rho_scaled_real(j, params: ThermalParams) -> np.ndarray:
     """rho_T(sqrt(J)) * e^J: every entry is a polynomial in J (times sqrt(J)
-    for odd-parity entries), which makes Gauss-Laguerre radial rules exact."""
+    for odd-parity entries), which makes Gauss-Laguerre radial rules exact.
+    An array of J gives shape j.shape + (dim, dim)."""
     d = _displacement_scaled_real(j, params.dim)
-    return (d * params.weights()) @ d.T
+    return (d * params.weights()) @ np.swapaxes(d, -1, -2)
 
 
 def purity_closed(t: float) -> float:
@@ -252,24 +248,23 @@ def plane_family(params: ThermalParams, rule: QuadratureRule | None = None,
     dim = params.dim
 
     def radial_stack(js):
-        d = _real_displacements(js, dim)
-        d *= np.exp(-0.5 * js)[..., None, None] * np.sqrt(params.weights())
         # stored complex: evaluate's complex phase products then need no cast
-        return np.matmul(d, np.swapaxes(d, -1, -2), out=np.empty(d.shape, complex))
+        return np.multiply(rho_scaled_real(js, params), np.exp(-js)[..., None, None],
+                           out=np.empty(np.shape(js) + (dim, dim), complex))
 
     radii = np.unique(rule.nodes[:, 0])
     stack = radial_stack(radii)
-    # views into the one stack, keyed by radius
-    radial = dict(zip(radii.tolist(), stack))
     modes = np.arange(dim)
 
     def evaluate(node):
-        j, gamma = float(node[0]), float(node[1])
-        base = radial.get(j)
-        if base is None:
-            base = radial_stack(j)
-        phases = np.exp(1.0j * modes * gamma)
-        return phases[:, None] * base * phases.conj()[None, :]
+        j, gamma = np.moveaxis(np.asarray(node, dtype=float), -1, 0)
+        pos = np.minimum(np.searchsorted(radii, j), len(radii) - 1)
+        base = np.take(stack, pos, axis=0)  # a copy, even for one node: never a view
+        off = radii[pos] != j
+        if np.any(off):
+            base[off] = radial_stack(j[off])
+        phases = np.exp(1.0j * modes * gamma[..., None])
+        return phases[..., :, None] * base * phases.conj()[..., None, :]
 
     weighted_sum = None
     angles = _grid_angles(rule.nodes)
@@ -341,9 +336,7 @@ def _radial_integrals(params: ThermalParams, n_j: int | None = None) -> np.ndarr
         n_j = params.dim + 8
     rule0 = make_rule("gauss-laguerre", n_j)
     rule_h = make_rule("gauss-laguerre", n_j, alpha=0.5)
-    nodes = np.concatenate([rule0.nodes, rule_h.nodes])
-    d = _real_displacements(nodes, params.dim)
-    rho = (d * params.weights()) @ np.swapaxes(d, 1, 2)
+    rho = rho_scaled_real(np.concatenate([rule0.nodes, rule_h.nodes]), params)
     acc0 = rule0.integrate(rho[:n_j])
     acc_h = rule_h.integrate(rho[n_j:] / np.sqrt(rule_h.nodes)[:, None, None])
     parity = (np.add.outer(np.arange(params.dim), np.arange(params.dim)) % 2)
@@ -393,18 +386,17 @@ def phase_operator_printed(params: ThermalParams) -> np.ndarray:
     return out
 
 
-def phase_covariance_defect(params: ThermalParams, theta0: float,
-                            n_j: int | None = None) -> float:
-    """Defect of U_T(theta0) A_g U_T(-theta0) = A_{g(. - theta0 mod 2pi)}.
+def phase_covariance_defect(phase_op: np.ndarray, theta0: float) -> float:
+    """Defect of U_T(theta0) A_g U_T(-theta0) = A_{g(. - theta0 mod 2pi)}
+    for the phase operator A_g = phase_operator(params).
 
     The translated angle function has the same analytic angular integrals
     up to the phase e^{i(m-m') theta0}, so its operator is A_g times it.
     """
-    a = phase_operator(params, n_j)
-    u = torus_unitary(theta0, params.dim)
-    idx = np.arange(params.dim)
-    rhs = a * np.exp(1.0j * np.subtract.outer(idx, idx) * theta0)
-    return float(np.max(np.abs(u @ a @ u.conj().T - rhs)))
+    u = torus_unitary(theta0, len(phase_op))
+    idx = np.arange(len(phase_op))
+    rhs = phase_op * np.exp(1.0j * np.subtract.outer(idx, idx) * theta0)
+    return float(np.max(np.abs(u @ phase_op @ u.conj().T - rhs)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,14 @@ import numpy as np
 from .core import DensityFamily
 from .numerics import QuadratureRule, make_rule, product_rule
 
-SIGMA = [
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-]
+SIGMA = np.array([[[0.0, 1.0], [1.0, 0.0]],
+                  [[0.0, -1.0j], [1.0j, 0.0]],
+                  [[1.0, 0.0], [0.0, -1.0]]])
+
+
+def _signed_pauli(v) -> np.ndarray:
+    """v_x sigma_1 - v_y sigma_2 + v_z sigma_3 over the trailing axis of v."""
+    return np.tensordot(np.multiply(v, (1.0, -1.0, 1.0)), SIGMA, axes=1)
 
 
 @dataclass(frozen=True)
@@ -51,10 +54,7 @@ class Quaternion:
 
     def to_matrix(self) -> np.ndarray:
         """2x2 image under e_a -> (-1)^(a+1) i sigma_a."""
-        m = self.q0 * np.eye(2, dtype=complex)
-        for a, (sign, comp) in enumerate(zip((1.0, -1.0, 1.0), self.qv)):
-            m = m + comp * sign * 1.0j * SIGMA[a]
-        return m
+        return self.q0 * np.eye(2) + 1.0j * _signed_pauli(self.qv)
 
 
 QUAT_ONE = Quaternion(1.0, (0.0, 0.0, 0.0))
@@ -91,21 +91,20 @@ def xi_north(theta: float, phi: float) -> Quaternion:
                       tuple(math.sin(0.5 * theta) * c for c in axis))
 
 
-def direction(theta: float, phi: float) -> np.ndarray:
-    """Unit vector with spherical coordinates (theta, phi)."""
-    return np.array([math.sin(theta) * math.cos(phi),
-                     math.sin(theta) * math.sin(phi),
-                     math.cos(theta)])
+def direction(theta, phi) -> np.ndarray:
+    """Unit vector with spherical coordinates (theta, phi); array angles
+    broadcast, giving shape theta.shape + (3,)."""
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), phi)
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
-def rho_sphere(r: float, theta: float, phi: float) -> np.ndarray:
-    """Closed-form sphere density, 2x2 complex."""
+def rho_sphere(r: float, theta, phi) -> np.ndarray:
+    """Closed-form sphere density (I + r _signed_pauli(n)) / 2, n = direction:
+    entry (0, 1) is r sin(theta) e^{i phi} / 2; array angles broadcast."""
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must lie in [0, 1], got {r}")
-    ct, st = math.cos(theta), math.sin(theta)
-    e = complex(math.cos(phi), math.sin(phi))
-    return 0.5 * np.array([[1.0 + r * ct, r * st * e],
-                           [r * st * e.conjugate(), 1.0 - r * ct]])
+    return 0.5 * (np.eye(2) + r * _signed_pauli(direction(theta, phi)))
 
 
 def rho_sphere_transport(r: float, theta: float, phi: float) -> np.ndarray:
@@ -135,8 +134,8 @@ def sphere_family(r: float, n_theta: int = 8, n_phi: int = 8,
     """The sphere POVM family; nodes are (cos theta, phi) pairs."""
 
     def evaluate(node):
-        u, phi = node
-        return rho_sphere(r, math.acos(float(np.clip(u, -1.0, 1.0))), phi)
+        u, phi = np.moveaxis(np.asarray(node, dtype=float), -1, 0)
+        return rho_sphere(r, np.arccos(np.clip(u, -1.0, 1.0)), phi)
 
     return DensityFamily(2, evaluate, sphere_rule(n_theta, n_phi),
                          label=f"sphere(r={r})", tol=tol)

@@ -238,7 +238,7 @@ def test_criterion_08_phase_operator_routes(tmp_path, capsys):
         ph = plane.phase_operator(p32)
         assert np.max(np.abs(ph - ph.conj().T)) < 1e-6
         assert np.max(np.abs(np.diag(ph)[:16].real - math.pi)) < 1e-6
-        assert plane.phase_covariance_defect(p32, 0.9) < 1e-6
+        assert plane.phase_covariance_defect(ph, 0.9) < 1e-6
 
 
 def test_criterion_09_halfplane_admissibility_and_runtime(tmp_path):

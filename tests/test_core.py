@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from povmint import circle, core, operators
+from povmint import circle, core, halfplane, numerics, operators, plane, sphere
 from povmint.numerics import QuadratureRule, make_rule
 
 
@@ -27,7 +27,9 @@ class TestDensityFamily:
         assert fam.validate_nodes()
 
     def test_validate_nodes_catches_bad_family(self, fam):
-        bad = core.DensityFamily(2, lambda th: np.diag([2.0, -1.0]), fam.rule)
+        bad = core.DensityFamily(
+            2, lambda th: np.broadcast_to(np.diag([2.0, -1.0]), np.shape(th) + (2, 2)),
+            fam.rule)
         assert not bad.validate_nodes()
 
 
@@ -125,6 +127,7 @@ def fourier_basis(size, n_nodes=64):
     rule = make_rule("periodic-trapezoid", n_nodes)
 
     def phi(theta):
+        theta = np.asarray(theta)[..., None]
         return np.exp(1j * np.arange(size) * theta) / math.sqrt(2 * math.pi)
 
     return core.CsBasis(phi, size, rule)
@@ -166,7 +169,8 @@ def torus_orbit_spec(r=0.6, n=32):
     fiducial = circle.rho_circle(r, 0.0)
 
     def unitary(theta):
-        return circle.rotation2(theta).astype(complex)
+        c, s = np.cos(theta), np.sin(theta)
+        return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2) + 0j
 
     probe = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     return core.GroupOrbitSpec(unitary, fiducial, rule, probe,
@@ -207,3 +211,155 @@ class TestGroupOrbit:
         spec.probe = np.zeros((2, 2), dtype=complex)
         with pytest.raises(ValueError):
             core.covariant_c_rho(spec)
+
+
+# ---------------------------------------------------------------------------
+# The node-array contract: evaluate broadcasts over node arrays, and the
+# batched reduction matches the per-node loop it replaced.
+
+
+def loop_accumulate(fam, coeffs=None):
+    """The former per-node reduction: one evaluate call per nonzero node."""
+    total = np.zeros((fam.dim, fam.dim), dtype=complex)
+    for k, x in enumerate(fam.rule.nodes):
+        c = fam.rule.weights[k] if coeffs is None else fam.rule.weights[k] * coeffs[k]
+        if c != 0.0:
+            total += c * np.asarray(fam.evaluate(x), dtype=complex)
+    return total
+
+
+def _plane_rule(kind):
+    params = plane.ThermalParams(t=0.2, dim=12)
+    if kind == "shuffled":
+        rule = plane.plane_rule(12, n_j=10, n_gamma=16)
+        order = np.random.default_rng(3).permutation(rule.size)
+        rule = QuadratureRule(rule.nodes[order], rule.weights[order], "shuffled")
+    else:
+        nodes = np.array([[0.5, 0.0], [0.5, 1.0], [1.5, 0.3], [2.5, 4.0]])
+        rule = QuadratureRule(nodes, np.array([0.2, 0.3, 0.4, 0.1]), "hand")
+    return plane.plane_family(params, rule)
+
+
+GEOMETRIES = {
+    "circle": lambda: circle.circle_family(0.7, 0.3, n=16),
+    "sphere": lambda: sphere.sphere_family(0.8, 6, 7),
+    "fourier-cs": lambda: core.cs_family(fourier_basis(4)),
+    "torus-orbit": lambda: core.orbit_family(torus_orbit_spec()),
+    "affine": lambda: halfplane.affine_family(
+        halfplane.AffineParams(alpha=2.0, t=0.25, dim=6),
+        halfplane.affine_group_rule(8, 6.0, 8)),
+    "plane-shuffled": lambda: _plane_rule("shuffled"),
+    "plane-hand": lambda: _plane_rule("hand"),
+}
+
+
+def _coeffs(fam):
+    """Seeded complex coefficients with a few exact zeros."""
+    rng = np.random.default_rng(11)
+    c = rng.standard_normal(fam.rule.size) + 1j * rng.standard_normal(fam.rule.size)
+    c[::5] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+class TestNodeArrayContract:
+    TOL = 1e-12  # absolute, on every entry
+
+    def test_batch_matches_single_nodes(self, name):
+        fam = GEOMETRIES[name]()
+        assert fam.weighted_sum is None
+        nodes = fam.rule.nodes
+        batch = fam.evaluate(nodes)
+        assert batch.shape == (len(nodes), fam.dim, fam.dim)
+        for k in range(len(nodes)):
+            assert_allclose(batch[k], fam.evaluate(nodes[k]), rtol=0, atol=1e-15)
+        # leading axes broadcast: a (2, 2)-block of nodes gives (2, 2, dim, dim)
+        block = nodes[:4].reshape((2, 2) + nodes.shape[1:])
+        assert_allclose(fam.evaluate(block).reshape(4, fam.dim, fam.dim),
+                        batch[:4], rtol=0, atol=1e-15)
+
+    def test_accumulate_matches_the_loop(self, name):
+        fam = GEOMETRIES[name]()
+        c = _coeffs(fam)
+        for coeffs in (None, c):
+            got = core._accumulate(fam, coeffs)
+            assert np.max(np.abs(got - loop_accumulate(fam, coeffs))) < self.TOL
+
+    def test_small_batch_budget_crosses_chunks(self, name, monkeypatch):
+        fam = GEOMETRIES[name]()
+        calls = []
+        counted = dataclasses.replace(
+            fam, evaluate=lambda x: calls.append(len(x)) or fam.evaluate(x))
+        # three node matrices per batch
+        monkeypatch.setattr(core, "NODE_BATCH_BYTES", 3 * 16 * fam.dim ** 2)
+        c = _coeffs(fam)
+        got = core._accumulate(counted, c)
+        assert calls and max(calls) == 3 and sum(calls) == np.count_nonzero(c)
+        assert np.max(np.abs(got - loop_accumulate(fam, c))) < self.TOL
+        calls.clear()
+        assert counted.validate_nodes(sample=None) == fam.validate_nodes(sample=None)
+        assert max(calls) == 3
+
+
+class TestPlaneBatches:
+    def test_on_and_off_rule_nodes_in_one_batch(self):
+        fam = _plane_rule("hand")
+        params = plane.ThermalParams(t=0.2, dim=12)
+        nodes = np.array([[0.5, 0.7], [2.345, 0.678], [1.5, -0.2],
+                          [0.0, 0.1], [3.0, 2.0]])
+        batch = fam.evaluate(nodes)
+        for k, (j, gamma) in enumerate(nodes):
+            want = plane.displaced_thermal(math.sqrt(j) * np.exp(1j * gamma),
+                                           params, strict=False)
+            assert_allclose(batch[k], want, atol=1e-13)
+            assert_allclose(batch[k], fam.evaluate(nodes[k]), rtol=0, atol=1e-15)
+
+    def test_negative_radius_in_a_batch_raises(self):
+        fam = _plane_rule("hand")
+        with pytest.raises(numerics.DomainError):
+            fam.evaluate(np.array([[0.5, 0.0], [-0.5, 0.0]]))
+
+    def test_off_rule_node_leaves_the_radial_stack_alone(self):
+        # a single off-rule node gathers its neighbour's radial matrix; filling
+        # in its own must not overwrite the stack that later calls share
+        params = plane.ThermalParams(t=0.2, dim=12)
+        fam = plane.plane_family(params, plane.plane_rule(12, n_j=10, n_gamma=16))
+        radii = np.unique(fam.rule.nodes[:, 0])
+        neighbour = np.array([radii[np.searchsorted(radii, 2.345)], 0.3])
+        f = lambda x: x[0] * math.cos(x[1]) + 0.5
+        before = fam.evaluate(neighbour), core.quantize(fam, f)
+        for off in ((2.345, 0.678), np.array([2.345, 0.678]), [2.345, 0.678]):
+            fam.evaluate(off)
+        core.prob_kernel(fam, fam.rule.nodes[0], (2.345, 0.678))
+        core.lower_symbol(fam, before[1], (2.345, 0.678))
+        assert_allclose(fam.evaluate(neighbour), before[0], rtol=0, atol=0)
+        assert_allclose(core.quantize(fam, f), before[1], rtol=0, atol=0)
+
+
+class TestNonBroadcastingCallables:
+    """Callables written one node at a time fail loudly on node arrays."""
+
+    def test_evaluate_returning_one_matrix(self, fam):
+        bad = core.DensityFamily(2, lambda th: circle.rho_circle(0.5, 0.0), fam.rule)
+        for call in (bad.node_matrices, bad.validate_nodes,
+                     lambda: core.check_resolution(bad),
+                     lambda: core.quantize(bad, lambda th: 1.0)):
+            with pytest.raises(ValueError, match="broadcast over node arrays"):
+                call()
+
+    def test_phi_without_a_trailing_axis(self):
+        # np.exp(1j * n * theta) with as many nodes as functions multiplies
+        # elementwise instead of giving one row per node
+        rule = make_rule("periodic-trapezoid", 4)
+        basis = core.CsBasis(
+            lambda th: np.exp(1j * np.arange(4) * th) / math.sqrt(2 * math.pi), 4, rule)
+        with pytest.raises(ValueError, match="broadcast over node arrays"):
+            basis.gram_defect()
+        with pytest.raises(ValueError, match="broadcast over node arrays"):
+            core.cs_family(basis)
+
+    def test_unitary_returning_one_matrix(self):
+        spec = torus_orbit_spec(n=8)
+        one = dataclasses.replace(spec, unitary=lambda g: circle.rotation2(0.3) + 0j)
+        with pytest.raises(ValueError, match="broadcast over node arrays"):
+            core.covariant_c_rho(one)

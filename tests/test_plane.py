@@ -348,7 +348,7 @@ class TestPhaseOperator:
         assert np.max(np.abs(quad - plane.phase_operator(p))[:6, :6]) < 2e-2
 
     def test_covariance_defect(self):
-        assert plane.phase_covariance_defect(PARAMS, 0.9) < 1e-10
+        assert plane.phase_covariance_defect(plane.phase_operator(PARAMS), 0.9) < 1e-10
 
     def test_published_route_structure(self):
         pa = plane.phase_operator_printed(PARAMS)
