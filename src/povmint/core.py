@@ -210,9 +210,12 @@ class GroupOrbitSpec:
     """Group orbit of a fiducial density under a unitary representation.
 
     ``unitary(g)`` maps a group node, or an array of them, to unitary
-    matrices with the same broadcasting as DensityFamily.evaluate;
-    ``group_rule`` realizes the invariant measure dmu(g); ``probe`` is the
-    fixed density entering the admissibility integral; ``translate(g0, g)``
+    matrices with the same broadcasting as DensityFamily.evaluate; it may
+    return only their leading r rows, shape (..., r, dim), and the orbit
+    densities are then the compressions of U F U^dag onto the first r basis
+    states. ``group_rule`` realizes the invariant measure dmu(g); ``probe``
+    is the fixed density entering the admissibility integral, acting on the
+    same r-dimensional space as the orbit densities; ``translate(g0, g)``
     returns g0^{-1} g for the covariance check.
     """
 
@@ -223,8 +226,11 @@ class GroupOrbitSpec:
     translate: Callable[[object, object], object] | None = None
 
     def orbit_density(self, g) -> Array:
+        # U F U^dag as conj(conj(U F) U^T): at most two (..., r, dim) arrays live
         u = np.asarray(self.unitary(g), dtype=complex)
-        return u @ self.fiducial @ np.swapaxes(u.conj(), -1, -2)
+        uf = u @ self.fiducial
+        rho = np.conjugate(uf, out=uf) @ np.swapaxes(u, -1, -2)
+        return np.conjugate(rho, out=rho)
 
 
 def covariant_c_rho(spec: GroupOrbitSpec) -> float:
@@ -244,7 +250,7 @@ def orbit_family(spec: GroupOrbitSpec, c_rho: float | None = None,
     rule = QuadratureRule(spec.group_rule.nodes, spec.group_rule.weights / c_rho,
                           spec.group_rule.kind + "/c_rho",
                           dict(spec.group_rule.params))
-    dim = np.asarray(spec.fiducial).shape[0]
+    dim = np.asarray(spec.probe).shape[0]
     return DensityFamily(dim, spec.orbit_density, rule, label=label, tol=tol)
 
 

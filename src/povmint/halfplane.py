@@ -18,9 +18,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DensityFamily, GroupOrbitSpec, orbit_family
+from .core import (CsBasis, DensityFamily, GroupOrbitSpec, check_resolution,
+                   covariant_c_rho, orbit_family)
 from .numerics import (QuadratureRule, _f21_terms, bessel_i, hyp2f1_terminating,
-                       laguerre, make_rule)
+                       laguerre, laguerre_table, make_rule)
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,8 @@ def gram_defect(alpha: float, dim: int, n_nodes: int | None = None) -> float:
         n_nodes = dim + 4
     rule = make_rule("gauss-laguerre", n_nodes, alpha=alpha)
     norms = np.array([basis_norm(n, alpha) for n in range(dim)])
-    polys = np.stack([laguerre(n, alpha, rule.nodes) for n in range(dim)])
-    gram = norms[:, None] * norms[None, :] * np.einsum(
-        "k,nk,mk->nm", rule.weights, polys, polys)
-    return float(np.max(np.abs(gram - np.eye(dim))))
+    return CsBasis(lambda x: norms * np.moveaxis(laguerre_table(dim - 1, alpha, x), 0, -1),
+                   dim, rule).gram_defect()
 
 
 def inverse_moment(n: int, alpha: float) -> float:
@@ -196,24 +195,28 @@ def affine_group_rule(n_u: int = 64, u_max: float = 14.0,
                           {"n_u": n_u, "u_max": u_max, "n_v": n_v})
 
 
-def affine_orbit_spec(params: AffineParams,
-                      rule: QuadratureRule | None = None) -> GroupOrbitSpec:
+def affine_orbit_spec(params: AffineParams, rule: QuadratureRule | None = None,
+                      rows: int | None = None) -> GroupOrbitSpec:
     """Group-orbit description of the thermal family for the core engine.
 
-    The returned unitary map is the truncated overlap block, exactly unitary
-    only in the infinite-basis limit; admissibility sums need only its first
-    row, which is exact.
+    The unitary map returns the leading ``rows`` rows (default all ``dim``)
+    of the truncated overlap block, so the orbit densities are the
+    compressions of rho_T(q,p) onto e_0..e_{rows-1}, and the probe is the
+    rows x rows projector on e_0. The block is exactly unitary only in the
+    infinite-basis limit; the admissibility integral needs only its first
+    row (rows=1), which is exact up to the thermal tail t^dim.
     """
     if rule is None:
         rule = affine_group_rule()
     dim, alpha = params.dim, params.alpha
+    rows = dim if rows is None else rows
     fiducial = np.diag(params.weights()).astype(complex)
-    probe = np.zeros((dim, dim), dtype=complex)
+    probe = np.zeros((rows, rows), dtype=complex)
     probe[0, 0] = 1.0
 
     def unitary(node):
         node = np.asarray(node, dtype=float)
-        return overlap_block(node[..., 0], node[..., 1], alpha, dim, dim)
+        return overlap_block(node[..., 0], node[..., 1], alpha, rows, dim)
 
     def translate(g0, g):
         return group_product(group_inverse(tuple(g0)), tuple(g))
@@ -228,11 +231,7 @@ def c_rho_quadrature(params: AffineParams,
     Only the first overlap row enters, so this is exact in the basis
     truncation up to the thermal tail t^dim.
     """
-    if rule is None:
-        rule = affine_group_rule()
-    row = overlap_block(rule.nodes[:, 0], rule.nodes[:, 1], params.alpha, 1,
-                        params.dim)[:, 0]
-    return float(rule.integrate(np.abs(row) ** 2 @ params.weights()))
+    return covariant_c_rho(affine_orbit_spec(params, rule, rows=1))
 
 
 def c_rho_derived(alpha: float) -> float:
@@ -250,9 +249,9 @@ def c_rho_printed(alpha: float, t: float) -> float:
     return 2.0 * math.pi * (1.0 - t) / alpha
 
 
-def thermal_kernel(x: float, y: float, params: AffineParams,
-                   printed: bool = False) -> float:
-    """Integral kernel of rho_T on L^2(R+).
+def thermal_kernel(x, y, params: AffineParams, printed: bool = False):
+    """Integral kernel of rho_T on L^2(R+); x and y broadcast, and scalars
+    give a float.
 
     Corrected form (from the Hille-Hardy bilinear sum):
         K_T(x,y) = t^{-alpha/2} e^{-(1+t)(x+y)/(2(1-t))}
@@ -263,15 +262,14 @@ def thermal_kernel(x: float, y: float, params: AffineParams,
     t, alpha = params.t, params.alpha
     if not 0.0 < t < 1.0:
         raise ValueError("thermal kernel needs t in (0, 1)")
-    if x < 0 or y < 0:
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if np.any(x < 0) or np.any(y < 0):
         raise ValueError("kernel arguments must be nonnegative")
-    arg = 2.0 * math.sqrt(t * x * y) / (1.0 - t)
-    if printed:
-        return ((1.0 - t) * t ** (-0.5 * alpha)
-                * math.exp(-0.5 * t * (x + y) / (1.0 - t)) * bessel_i(alpha, arg))
-    return (t ** (-0.5 * alpha)
-            * math.exp(-0.5 * (1.0 + t) * (x + y) / (1.0 - t))
-            * bessel_i(alpha, arg))
+    arg = 2.0 * np.sqrt(t * x * y) / (1.0 - t)
+    pre, decay = (1.0 - t, t) if printed else (1.0, 1.0 + t)
+    out = (pre * t ** (-0.5 * alpha) * np.exp(-0.5 * decay * (x + y) / (1.0 - t))
+           * bessel_i(alpha, arg))
+    return out if out.ndim else float(out)
 
 
 def kernel_trace(params: AffineParams, n_nodes: int = 200,
@@ -279,9 +277,8 @@ def kernel_trace(params: AffineParams, n_nodes: int = 200,
     """Quadrature of int K_T(x, x) dx; equals tr rho_T = 1 for the
     corrected kernel."""
     rule = make_rule("gauss-legendre", n_nodes, a=0.0, b=x_max)
-    vals = np.array([thermal_kernel(float(x), float(x), params, printed)
-                     for x in rule.nodes])
-    return float(rule.integrate(vals))
+    return float(rule.integrate(
+        thermal_kernel(rule.nodes, rule.nodes, params, printed)))
 
 
 def kernel_eigen_ratio(n: int, params: AffineParams, x: float,
@@ -290,9 +287,8 @@ def kernel_eigen_ratio(n: int, params: AffineParams, x: float,
     """(int K_T(x, y) e_n(y) dy) / e_n(x); equals (1-t) t^n for the
     corrected kernel."""
     rule = make_rule("gauss-legendre", n_nodes, a=0.0, b=y_max)
-    vals = np.array([thermal_kernel(x, float(y), params, printed)
-                     * basis_fn(n, params.alpha, float(y))
-                     for y in rule.nodes])
+    vals = (thermal_kernel(x, rule.nodes, params, printed)
+            * basis_fn(n, params.alpha, rule.nodes))
     return float(rule.integrate(vals)) / basis_fn(n, params.alpha, x)
 
 
@@ -315,15 +311,7 @@ def affine_resolution_check(params: AffineParams, block: int = 4,
     Each element is a double group integral; only the first `block` overlap
     rows are computed per node.
     """
-    if rule is None:
-        rule = affine_group_rule()
+    spec = affine_orbit_spec(params, rule, rows=block)
     if c_rho is None:
-        c_rho = c_rho_quadrature(params, rule)
-    m = overlap_block(rule.nodes[:, 0], rule.nodes[:, 1], params.alpha, block,
-                      params.dim)
-    # sum_k w_k (m_k W m_k^dag) from the real and imaginary parts of m, read
-    # as a view [..., 0] / [..., 1] so that no copy of m is made
-    parts = m.view(float).reshape(m.shape + (2,))
-    g = np.einsum("k,n,kinc,kjnd->cdij", rule.weights, params.weights(),
-                  parts, parts)
-    return (g[0, 0] + g[1, 1] + 1j * (g[1, 0] - g[0, 1])) / c_rho
+        c_rho = c_rho_quadrature(params, spec.group_rule)
+    return check_resolution(orbit_family(spec, c_rho)).operator

@@ -56,20 +56,23 @@ def laguerre(n: int, alpha: float, x):
     return row if row.ndim else float(row)
 
 
-def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function I_nu(x) for nu >= 0, x >= 0.
+def bessel_i(nu: float, x):
+    """Modified Bessel function I_nu(x) for nu >= 0, x >= 0, elementwise over
+    an array x; a scalar x gives a float.
 
     Raises OverflowError beyond x = 700; use :func:`bessel_i_scaled` there.
     """
-    if x < 0:
-        raise DomainError(f"argument must be nonnegative, got {x}")
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise DomainError(f"argument must be nonnegative, got {np.min(x)}")
     if nu < 0:
         raise DomainError(f"order must be nonnegative, got {nu}")
-    if x > BESSEL_OVERFLOW_X:
+    if np.any(x > BESSEL_OVERFLOW_X):
         raise OverflowError(
-            f"I_nu({x}) overflows a double; use bessel_i_scaled instead"
+            f"I_nu({np.max(x)}) overflows a double; use bessel_i_scaled instead"
         )
-    return float(ive(nu, x) * math.exp(x))
+    out = ive(nu, x) * np.exp(x)
+    return out if out.ndim else float(out)
 
 
 def bessel_i_scaled(nu: float, x: float) -> tuple[float, float]:

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from povmint import core, halfplane
-from povmint.numerics import make_rule
+from povmint.numerics import DomainError, bessel_i, make_rule
 
 PARAMS = halfplane.AffineParams(alpha=2.0, t=0.25, dim=6)
 
@@ -124,6 +124,26 @@ def overlap_block_mpmath(q, p, alpha, rows, cols, dps=40):
                     norm * q ** (-a / 2 - 0.5) * (s - 1) ** i * (s - 1 / q) ** n
                     * s ** (-(i + n + a + 1)) * mpmath.hyp2f1(-i, -n, a + 1, zeta))
     return out
+
+
+def c_rho_first_row(params, rule):
+    """Admissibility constant as the first-row sum
+    sum_k w_k sum_n W_n |<e_0|U(q_k,p_k)|e_n>|^2."""
+    row = halfplane.overlap_block(rule.nodes[:, 0], rule.nodes[:, 1],
+                                  params.alpha, 1, params.dim)[:, 0]
+    return float(rule.integrate(np.abs(row) ** 2 @ params.weights()))
+
+
+def resolution_block_einsum(params, block, rule, c_rho):
+    """Leading block of sum_k w_k M_k W M_k^dag / c_rho, with M_k the first
+    ``block`` overlap rows, as one four-operand einsum over the real and
+    imaginary parts of M."""
+    m = halfplane.overlap_block(rule.nodes[:, 0], rule.nodes[:, 1],
+                                params.alpha, block, params.dim)
+    parts = m.view(float).reshape(m.shape + (2,))
+    g = np.einsum("k,n,kinc,kjnd->cdij", rule.weights, params.weights(),
+                  parts, parts)
+    return (g[0, 0] + g[1, 1] + 1j * (g[1, 0] - g[0, 1])) / c_rho
 
 
 def central_nodes(count=20, seed=5):
@@ -314,6 +334,48 @@ class TestAdmissibility:
         assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
+class TestOrbitEngine:
+    """c_rho and the resolution block run on core's orbit engine; the
+    first-row sum and the einsum above are their references."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.2, 0.5])
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.5])
+    def test_matches_reference_reductions(self, alpha, t):
+        params = halfplane.AffineParams(alpha, t, dim=16)
+        for grid in (32, 64):
+            rule = halfplane.affine_group_rule(n_u=grid, n_v=grid)
+            c_rho = halfplane.c_rho_quadrature(params, rule)
+            assert abs(c_rho - c_rho_first_row(params, rule)) < 1e-12
+            for block in (1, 3, 6):
+                got = halfplane.affine_resolution_check(params, block, rule, c_rho)
+                want = resolution_block_einsum(params, block, rule, c_rho)
+                assert got.shape == (block, block)
+                assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_rows_family_is_leading_block(self):
+        rule = halfplane.affine_group_rule(12, 8.0, 12)
+        c_rho = halfplane.c_rho_quadrature(PARAMS, rule)
+        full = core.orbit_family(halfplane.affine_orbit_spec(PARAMS, rule), c_rho)
+        part = core.orbit_family(
+            halfplane.affine_orbit_spec(PARAMS, rule, rows=3), c_rho)
+        assert (full.dim, part.dim) == (PARAMS.dim, 3)
+        assert_allclose(core.check_resolution(part).operator,
+                        core.check_resolution(full).operator[:3, :3],
+                        rtol=0, atol=1e-14)
+        nodes = central_nodes(5)
+        u = halfplane.overlap_block(nodes[:, 0], nodes[:, 1], PARAMS.alpha,
+                                    PARAMS.dim, PARAMS.dim)
+        want = u @ np.diag(PARAMS.weights()) @ np.swapaxes(u.conj(), -1, -2)
+        assert_allclose(full.evaluate(nodes), want, rtol=0, atol=1e-15)
+        assert_allclose(part.evaluate(nodes), want[:, :3, :3], rtol=0, atol=1e-15)
+
+    def test_c_rho_needs_one_row(self):
+        rule = halfplane.affine_group_rule(12, 8.0, 12)
+        one = core.covariant_c_rho(halfplane.affine_orbit_spec(PARAMS, rule, rows=1))
+        full = core.covariant_c_rho(halfplane.affine_orbit_spec(PARAMS, rule))
+        assert abs(one - full) < 1e-13
+
+
 class TestThermalKernel:
     def test_trace_is_one(self):
         assert_allclose(halfplane.kernel_trace(PARAMS), 1.0, rtol=1e-10)
@@ -329,6 +391,29 @@ class TestThermalKernel:
         for n in range(5):
             ratio = halfplane.kernel_eigen_ratio(n, PARAMS, x=2.3)
             assert_allclose(ratio, (1 - PARAMS.t) * PARAMS.t ** n, rtol=1e-8)
+
+    @pytest.mark.parametrize("printed", [False, True])
+    def test_array_kernel_matches_scalar(self, printed):
+        xs = np.linspace(0.0, 12.0, 7)
+        got = halfplane.thermal_kernel(xs[:, None], xs[None, :], PARAMS, printed)
+        assert got.shape == (7, 7)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(xs):
+                want = halfplane.thermal_kernel(float(x), float(y), PARAMS, printed)
+                assert isinstance(want, float)
+                assert_allclose(got[i, j], want, rtol=1e-15, atol=0)
+
+    def test_array_guards(self):
+        with pytest.raises(ValueError):
+            halfplane.thermal_kernel(np.array([0.5, -1e-3]), 0.5, PARAMS)
+        with pytest.raises(ValueError):
+            halfplane.thermal_kernel(0.5, np.array([[1.0], [-2.0]]), PARAMS)
+        with pytest.raises(DomainError):
+            bessel_i(1.0, np.array([0.1, -0.1, 3.0]))
+        with pytest.raises(OverflowError):
+            bessel_i(1.0, np.array([1.0, 700.5, 2.0]))
+        assert isinstance(bessel_i(1.0, 2.0), float)
+        assert bessel_i(1.0, np.array([2.0, 700.0])).shape == (2,)
 
     def test_kernel_guards(self):
         with pytest.raises(ValueError):

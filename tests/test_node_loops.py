@@ -1,14 +1,19 @@
-"""The engine builds node matrices from whole node arrays: no Python loop in
-core.py walks a rule's nodes, with one exemption. ``quantize`` and
-``povm_region`` call their per-node symbol or indicator (a scalar callable
-by contract) once per node; those two symbol loops are allowed as long as
-they build no node matrix (no ``evaluate``, ``phi``, ``unitary`` or
-``orbit_density`` inside them). ``map`` over rule nodes counts as a loop."""
+"""The library builds node matrices and node values from whole node arrays:
+no Python loop in any module under src/povmint walks a rule's nodes, with one
+exemption. In core.py, ``quantize`` and ``povm_region`` call their per-node
+symbol or indicator (a scalar callable by contract) once per node; those two
+symbol loops are allowed as long as they build no node matrix (no
+``evaluate``, ``phi``, ``unitary`` or ``orbit_density`` inside them).
+``map`` over rule nodes counts as a loop."""
 
 import ast
 from pathlib import Path
 
-CORE = Path(__file__).resolve().parent.parent / "src" / "povmint" / "core.py"
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "povmint"
+CORE = SRC / "core.py"
+OTHER_MODULES = sorted(set(SRC.glob("*.py")) - {CORE})
 RULES = {"rule", "base_rule", "group_rule"}
 SYMBOL_LOOPS = {"quantize", "povm_region"}
 NODE_BUILDERS = {"evaluate", "phi", "unitary", "orbit_density"}
@@ -42,9 +47,9 @@ def _builds_node_matrices(loop) -> bool:
     return any(_name(node) in NODE_BUILDERS for node in ast.walk(loop))
 
 
-def node_loops(source: str) -> list[int]:
-    """Line numbers of loops over rule nodes, outside the symbol loops or
-    building node matrices."""
+def node_loops(source: str, symbol_loops=SYMBOL_LOOPS) -> list[int]:
+    """Line numbers of loops over rule nodes, outside the functions named in
+    ``symbol_loops`` or building node matrices."""
     tree = ast.parse(source)
     owner = {}  # node -> innermost enclosing function name (ast.walk is BFS)
     for func in ast.walk(tree):
@@ -52,12 +57,22 @@ def node_loops(source: str) -> list[int]:
             owner.update(dict.fromkeys(ast.walk(func), func.name))
     return [node.lineno for node in ast.walk(tree)
             if any(map(_walks_rule_nodes, _loop_iters(node)))
-            and (owner.get(node) not in SYMBOL_LOOPS or _builds_node_matrices(node))]
+            and (owner.get(node) not in symbol_loops or _builds_node_matrices(node))]
 
 
 def test_core_has_no_loop_over_rule_nodes():
     lines = node_loops(CORE.read_text())
     assert not lines, f"core.py loops over rule nodes at lines {lines}"
+
+
+@pytest.mark.parametrize("path", OTHER_MODULES, ids=lambda path: path.name)
+def test_module_has_no_loop_over_rule_nodes(path):
+    lines = node_loops(path.read_text(), symbol_loops=set())
+    assert not lines, f"{path.name} loops over rule nodes at lines {lines}"
+
+
+def test_guard_finds_the_modules():
+    assert {"halfplane.py", "plane.py", "cli.py"} <= {p.name for p in OTHER_MODULES}
 
 
 def test_guard_sees_the_loops_it_forbids():
@@ -83,3 +98,6 @@ def test_guard_sees_the_loops_it_forbids():
                       "    vals = [complex(f(x)) for x in fam.rule.nodes]") == []
     assert node_loops("def povm_region(fam, ind):\n"
                       "    return list(map(ind, fam.rule.nodes))") == []
+    # outside core.py no function is exempt
+    assert node_loops("def quantize(fam, f):\n"
+                      "    vals = [complex(f(x)) for x in fam.rule.nodes]", set()) == [2]
