@@ -98,21 +98,19 @@ def product_and_algebra(p1: CircleDensityParams, p2: CircleDensityParams):
     return product, commutator, anticommutator
 
 
-def circle_rule(n: int = 16, offset: float = 0.5):
+def circle_rule(n: int = 16):
     """Trapezoid rule on [0, 2pi) with weight 1/pi (total measure 2).
 
-    The default half-spacing offset keeps nodes away from the angle
-    function's jump at theta = 0.
+    The half-spacing offset keeps nodes away from the angle function's jump
+    at theta = 0.
     """
-    return make_rule("periodic-trapezoid", n, offset=offset, scale=1.0 / math.pi)
+    return make_rule("periodic-trapezoid", n, offset=0.5, scale=1.0 / math.pi)
 
 
-def circle_family(r: float, phi: float = 0.0, n: int = 16,
-                  tol: float = 1e-12) -> DensityFamily:
+def circle_family(r: float, phi: float = 0.0, n: int = 16) -> DensityFamily:
     """The circle POVM family theta -> rho_{r,phi}(theta) with dtheta/pi."""
-    return DensityFamily(
-        2, lambda theta: rho_circle(r, phi, theta), circle_rule(n),
-        label=f"circle(r={r}, phi={phi})", tol=tol)
+    return DensityFamily(2, lambda theta: rho_circle(r, phi, theta),
+                         circle_rule(n), tol=1e-12)
 
 
 def fourier_quantize(mean: float, cc: float, cs: float,

@@ -36,7 +36,6 @@ class DensityFamily:
     dim: int
     evaluate: Callable[[object], Array]
     rule: QuadratureRule
-    label: str = ""
     tol: float = 1e-12
     # optional fast route: coeffs -> sum_k coeffs_k rho(x_k) over rule.nodes
     weighted_sum: Callable[[Array], Array] | None = None
@@ -57,7 +56,6 @@ class DensityFamily:
 @dataclass(frozen=True)
 class ResolutionReport:
     defect: float
-    worst_entry: tuple[int, int]
     operator: Array
     ok: bool
 
@@ -96,11 +94,8 @@ def check_resolution(fam: DensityFamily, block: int | None = None) -> Resolution
     total = _accumulate(fam)
     if block is not None:
         total = total[:block, :block]
-    diff = np.abs(total - np.eye(total.shape[0]))
-    worst = np.unravel_index(np.argmax(diff), diff.shape)
-    defect = float(diff[worst])
-    return ResolutionReport(defect, (int(worst[0]), int(worst[1])), total,
-                            defect < fam.tol)
+    defect = float(np.max(np.abs(total - np.eye(total.shape[0]))))
+    return ResolutionReport(defect, total, defect < fam.tol)
 
 
 def povm_region(fam: DensityFamily, indicator: Callable) -> Array:
@@ -155,7 +150,6 @@ class CsBasis:
     phi: Callable[[object], Array]
     size: int
     base_rule: QuadratureRule
-    tol: float = 1e-10
 
     def gram_defect(self) -> float:
         """Max-norm distance of the Gram matrix from the identity."""
@@ -187,18 +181,17 @@ def reproducing_kernel(basis: CsBasis, x, xp) -> complex:
     return complex(vx.conj() @ vxp)
 
 
-def cs_family(basis: CsBasis, label: str = "", tol: float = 1e-10) -> DensityFamily:
+def cs_family(basis: CsBasis) -> DensityFamily:
     """Rank-one family rho(x) = |x><x| with measure dnu = N(x) dmu."""
     weights = basis.base_rule.weights * _on_nodes(
         lambda x: cs_norm(basis, x), basis.base_rule.nodes, ())
-    rule = QuadratureRule(basis.base_rule.nodes, weights, "cs-weighted",
-                          {"base": basis.base_rule.kind})
+    rule = QuadratureRule(basis.base_rule.nodes, weights)
 
     def evaluate(x):
         v, _ = cs_state(basis, x)
         return v[..., :, None] * v[..., None, :].conj()
 
-    return DensityFamily(basis.size, evaluate, rule, label=label, tol=tol)
+    return DensityFamily(basis.size, evaluate, rule, tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +236,13 @@ def covariant_c_rho(spec: GroupOrbitSpec) -> float:
 
 
 def orbit_family(spec: GroupOrbitSpec, c_rho: float | None = None,
-                 label: str = "", tol: float = 1e-10) -> DensityFamily:
+                 tol: float = 1e-10) -> DensityFamily:
     """Orbit family with measure dnu = dmu / c_rho, normalized to resolve I."""
     if c_rho is None:
         c_rho = covariant_c_rho(spec)
-    rule = QuadratureRule(spec.group_rule.nodes, spec.group_rule.weights / c_rho,
-                          spec.group_rule.kind + "/c_rho",
-                          dict(spec.group_rule.params))
+    rule = QuadratureRule(spec.group_rule.nodes, spec.group_rule.weights / c_rho)
     dim = np.asarray(spec.probe).shape[0]
-    return DensityFamily(dim, spec.orbit_density, rule, label=label, tol=tol)
+    return DensityFamily(dim, spec.orbit_density, rule, tol=tol)
 
 
 def covariance_check(spec: GroupOrbitSpec, fam: DensityFamily,

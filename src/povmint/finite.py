@@ -85,7 +85,6 @@ class ProbTable:
 class FeasibilityReport:
     n_min: int
     n_max: float
-    free_parameters: str
     notes: str = ""
 
 
@@ -99,15 +98,14 @@ def feasibility_bounds(n: int, rank_one: bool = False) -> FeasibilityReport:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if n == 1:
-        return FeasibilityReport(1, 0, "0",
-                                 "degenerate: n^2 - 1 = 0, only trivial families")
+        return FeasibilityReport(1, 0, "degenerate: n^2 - 1 = 0, only trivial families")
     if not rank_one:
-        return FeasibilityReport(1, 2 * n * n - 2, "(N-1)(n^2-1)")
+        return FeasibilityReport(1, 2 * n * n - 2)
     disc = math.sqrt(8 * n * n - 4 * n + 1)
     lo = 0.5 * ((4 * n - 1) - disc)
     hi = 0.5 * ((4 * n - 1) + disc)
     return FeasibilityReport(
-        max(int(math.ceil(lo)), n), hi, "2N(n-1) - (n^2-1)",
+        max(int(math.ceil(lo)), n), hi,
         "upper root carries +sqrt; both printed bounds share the -sqrt sign")
 
 
@@ -226,14 +224,14 @@ def _objective(target: np.ndarray, nu: np.ndarray, n: int, k: int,
 
 
 def reconstruct(table: ProbTable, rank_one: bool = False, seed: int = 0,
-                restarts: int = 8, penalty: float = 10.0,
-                max_nfev: int = 4000, tol: float = 1e-8) -> ReconstructionResult:
+                restarts: int = 8, tol: float = 1e-8) -> ReconstructionResult:
     """Recover densities reproducing the table, up to unitary gauge freedom.
 
     Penalized nonlinear least squares over the factorized parametrization
     rho_i = B_i B_i^dag / tr(B_i B_i^dag): residuals are the upper-triangle
-    trace mismatches plus `penalty` times the resolution defect entries,
-    with the closed-form Jacobian of `_objective`.
+    trace mismatches plus 10 times the resolution defect entries, with the
+    closed-form Jacobian of `_objective` and at most 4000 evaluations per
+    restart.
     Restarts are deterministic per (seed, restart index); the winner has the
     lowest residual, ties broken by resolution defect.  ``converged`` needs
     the residual below ``tol`` and every recovered matrix a density.
@@ -252,7 +250,7 @@ def reconstruct(table: ProbTable, rank_one: bool = False, seed: int = 0,
     nu = table.measure.weights
     target = np.asarray(table.p, dtype=float)
     iu = np.triu_indices(size)
-    residuals, jacobian = _objective(target, nu, n, k, penalty)
+    residuals, jacobian = _objective(target, nu, n, k, 10.0)
 
     rng = np.random.default_rng(seed)
     n_res = len(iu[0]) + n * (n + 1) // 2 + n * (n - 1) // 2
@@ -262,7 +260,7 @@ def reconstruct(table: ProbTable, rank_one: bool = False, seed: int = 0,
     for attempt in range(restarts):
         x0 = rng.standard_normal(size * 2 * n * k)
         sol = least_squares(residuals, x0, jac=jacobian, method=method,
-                            max_nfev=max_nfev)
+                            max_nfev=4000)
         rho, _, _ = _params_to_rhos(sol.x, size, n, k)
         table_res = float(np.sqrt(np.sum((_gram(rho) - target)[iu] ** 2)))
         defect = resolution_defect(rho, table.measure)

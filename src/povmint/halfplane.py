@@ -21,7 +21,7 @@ import numpy as np
 from .core import (CsBasis, DensityFamily, GroupOrbitSpec, check_resolution,
                    covariant_c_rho, orbit_family)
 from .numerics import (QuadratureRule, _f21_terms, bessel_i, hyp2f1_terminating,
-                       laguerre, laguerre_table, make_rule)
+                       laguerre, laguerre_table, make_rule, product_rule)
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,13 @@ def basis_fn(n: int, alpha: float, x) -> np.ndarray:
             * laguerre(n, alpha, x))
 
 
-def gram_defect(alpha: float, dim: int, n_nodes: int | None = None) -> float:
+def gram_defect(alpha: float, dim: int) -> float:
     """Max-norm defect of the basis Gram matrix under a Gauss-Laguerre rule.
 
     The integrand e_n e_n' is (polynomial) * x^alpha e^{-x}, so the rule is
-    exact once n_nodes > dim.
+    exact with its dim + 4 nodes (any count above dim).
     """
-    if n_nodes is None:
-        n_nodes = dim + 4
-    rule = make_rule("gauss-laguerre", n_nodes, alpha=alpha)
+    rule = make_rule("gauss-laguerre", dim + 4, alpha=alpha)
     norms = np.array([basis_norm(n, alpha) for n in range(dim)])
     return CsBasis(lambda x: norms * np.moveaxis(laguerre_table(dim - 1, alpha, x), 0, -1),
                    dim, rule).gram_defect()
@@ -186,13 +184,9 @@ def affine_group_rule(n_u: int = 64, u_max: float = 14.0,
     ru = make_rule("gauss-legendre", n_u, a=-u_max, b=u_max)
     rv = make_rule("gauss-legendre", n_v, a=-0.5 * math.pi, b=0.5 * math.pi)
     qs = np.exp(ru.nodes)
-    ps = np.tan(rv.nodes)
-    wq = ru.weights * qs
-    wp = rv.weights / np.cos(rv.nodes) ** 2
-    nodes = np.column_stack([np.repeat(qs, n_v), np.tile(ps, n_u)])
-    weights = np.repeat(wq, n_v) * np.tile(wp, n_u)
-    return QuadratureRule(nodes, weights, "affine-exp-tan",
-                          {"n_u": n_u, "u_max": u_max, "n_v": n_v})
+    return product_rule(QuadratureRule(qs, ru.weights * qs),
+                        QuadratureRule(np.tan(rv.nodes),
+                                       rv.weights / np.cos(rv.nodes) ** 2))
 
 
 def affine_orbit_spec(params: AffineParams, rule: QuadratureRule | None = None,
@@ -272,35 +266,29 @@ def thermal_kernel(x, y, params: AffineParams, printed: bool = False):
     return out if out.ndim else float(out)
 
 
-def kernel_trace(params: AffineParams, n_nodes: int = 200,
-                 x_max: float = 160.0, printed: bool = False) -> float:
-    """Quadrature of int K_T(x, x) dx; equals tr rho_T = 1 for the
-    corrected kernel."""
-    rule = make_rule("gauss-legendre", n_nodes, a=0.0, b=x_max)
+def kernel_trace(params: AffineParams, printed: bool = False) -> float:
+    """Quadrature of int K_T(x, x) dx over [0, 160] (200 Gauss-Legendre
+    nodes); equals tr rho_T = 1 for the corrected kernel."""
+    rule = make_rule("gauss-legendre", 200, a=0.0, b=160.0)
     return float(rule.integrate(
         thermal_kernel(rule.nodes, rule.nodes, params, printed)))
 
 
 def kernel_eigen_ratio(n: int, params: AffineParams, x: float,
-                       n_nodes: int = 200, y_max: float = 160.0,
                        printed: bool = False) -> float:
-    """(int K_T(x, y) e_n(y) dy) / e_n(x); equals (1-t) t^n for the
-    corrected kernel."""
-    rule = make_rule("gauss-legendre", n_nodes, a=0.0, b=y_max)
+    """(int K_T(x, y) e_n(y) dy) / e_n(x) over y in [0, 160] (200
+    Gauss-Legendre nodes); equals (1-t) t^n for the corrected kernel."""
+    rule = make_rule("gauss-legendre", 200, a=0.0, b=160.0)
     vals = (thermal_kernel(x, rule.nodes, params, printed)
             * basis_fn(n, params.alpha, rule.nodes))
     return float(rule.integrate(vals)) / basis_fn(n, params.alpha, x)
 
 
-def affine_family(params: AffineParams, rule: QuadratureRule | None = None,
-                  c_rho: float | None = None, tol: float = 1e-3) -> DensityFamily:
+def affine_family(params: AffineParams,
+                  rule: QuadratureRule | None = None) -> DensityFamily:
     """The thermal orbit family rho_T(q,p) with measure dq dp / c_rho."""
     spec = affine_orbit_spec(params, rule)
-    if c_rho is None:
-        c_rho = c_rho_quadrature(params, spec.group_rule)
-    return orbit_family(spec, c_rho,
-                        label=f"halfplane(alpha={params.alpha}, t={params.t})",
-                        tol=tol)
+    return orbit_family(spec, c_rho_quadrature(params, spec.group_rule), tol=1e-3)
 
 
 def affine_resolution_check(params: AffineParams, block: int = 4,

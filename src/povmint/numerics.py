@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ive, roots_genlaguerre
@@ -128,8 +128,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.weights)):
@@ -146,6 +144,13 @@ class QuadratureRule:
         return (w * values).sum(axis=0)
 
 
+_RULE_KEYS = {
+    "periodic-trapezoid": {"a", "b", "offset", "scale"},
+    "gauss-legendre": {"a", "b", "scale"},
+    "gauss-laguerre": {"alpha", "scale"},
+}
+
+
 def make_rule(kind: str, n: int, **params) -> QuadratureRule:
     """Build a quadrature rule.
 
@@ -155,10 +160,18 @@ def make_rule(kind: str, n: int, **params) -> QuadratureRule:
         density ``scale`` multiplying the weights.
       * ``gauss-legendre``: n-point rule on [a, b] (default [-1, 1]), optional
         constant density ``scale``.
-      * ``gauss-laguerre``: integrates f(x) x^alpha e^(-x) on [0, inf).
+      * ``gauss-laguerre``: integrates f(x) x^alpha e^(-x) on [0, inf),
+        optional constant density ``scale``.
+
+    Raises DomainError for a keyword the kind does not read.
     """
     if n < 1:
         raise DomainError(f"node count must be >= 1, got {n}")
+    if kind not in _RULE_KEYS:
+        raise ValueError(f"unsupported rule kind: {kind!r}")
+    unknown = sorted(set(params) - _RULE_KEYS[kind])
+    if unknown:
+        raise DomainError(f"{kind} rule does not take {', '.join(unknown)}")
     scale = params.get("scale", 1.0)
     if kind == "periodic-trapezoid":
         a = params.get("a", 0.0)
@@ -173,15 +186,13 @@ def make_rule(kind: str, n: int, **params) -> QuadratureRule:
         x, w = np.polynomial.legendre.leggauss(n)
         nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
         weights = 0.5 * (b - a) * w * scale
-    elif kind == "gauss-laguerre":
+    else:
         alpha = params.get("alpha", 0.0)
         if alpha <= -1:
             raise DomainError(f"gauss-laguerre needs alpha > -1, got {alpha}")
         nodes, weights = roots_genlaguerre(n, alpha)
         weights = weights * scale
-    else:
-        raise ValueError(f"unsupported rule kind: {kind!r}")
-    return QuadratureRule(nodes, weights, kind, dict(params))
+    return QuadratureRule(nodes, weights)
 
 
 def product_rule(rule_a: QuadratureRule, rule_b: QuadratureRule) -> QuadratureRule:
@@ -194,5 +205,4 @@ def product_rule(rule_a: QuadratureRule, rule_b: QuadratureRule) -> QuadratureRu
         np.tile(rule_b.nodes, na),
     ])
     weights = np.repeat(rule_a.weights, nb) * np.tile(rule_b.weights, na)
-    return QuadratureRule(nodes, weights, "product",
-                          {"factors": (rule_a.kind, rule_b.kind)})
+    return QuadratureRule(nodes, weights)

@@ -38,11 +38,11 @@ def is_density(m, tol: float = 1e-12, eig_slack: float = POSITIVITY_SLACK) -> De
     return DensityCheck(ok, herm, trace, min_eig)
 
 
-def eig_hermitian(m, herm_tol: float = 1e-10):
+def eig_hermitian(m):
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
     m = _as_square(m)
     scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.conj().T)) > herm_tol * scale:
+    if np.max(np.abs(m - m.conj().T)) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigh(0.5 * (m + m.conj().T))
 

@@ -138,15 +138,16 @@ def plane_prob_matrix(z0: complex, z: complex, params: ThermalParams) -> float:
     return float(np.trace(r0 @ r1).real)
 
 
-def plane_prob_series(z0: complex, z: complex, t: float, n_max: int = 40,
+def plane_prob_series(z0: complex, z: complex, t: float,
                       printed: bool = False) -> float:
-    """Double Laguerre series for the probability kernel.
+    """Double Laguerre series for the probability kernel, to n = 40.
 
     The cross-term weight is n!/n'! (the ratio printed as n/n' is a typo:
     it must reproduce |D_{n'n}|^2, whose prefactor is factorial).  Pass
     printed=True to evaluate the typo variant for comparison.
     """
     x = abs(complex(z) - complex(z0)) ** 2
+    n_max = 40
     total = sum(t ** (2 * n) * laguerre(n, 0, x) ** 2 for n in range(n_max + 1))
     lf = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n_max + 1)))])
     for n in range(n_max + 1):
@@ -157,10 +158,10 @@ def plane_prob_series(z0: complex, z: complex, t: float, n_max: int = 40,
     return (1.0 - t) ** 2 * math.exp(-x) * total
 
 
-def laguerre_square_sum(t: float, x: float, n_max: int = 200) -> float:
-    """Partial sum sum_n t^{2n} (L_n(x))^2 (the diagonal part of the kernel)."""
-    rows = laguerre_table(n_max, 0.0, x).tolist()
-    return math.fsum(t ** (2 * n) * rows[n] ** 2 for n in range(n_max + 1))
+def laguerre_square_sum(t: float, x: float) -> float:
+    """Partial sum sum_{n<=200} t^{2n} (L_n(x))^2 (the diagonal part of the kernel)."""
+    rows = laguerre_table(200, 0.0, x).tolist()
+    return math.fsum(t ** (2 * n) * row ** 2 for n, row in enumerate(rows))
 
 
 def laguerre_square_closed(t: float, x: float, printed: bool = False) -> float:
@@ -207,8 +208,7 @@ def plane_rule(dim: int, n_j: int | None = None, n_gamma: int | None = None,
         # convert weights to plain dJ in log space: w * e^J overflows at the
         # outermost nodes even though the product is moderate
         radial = QuadratureRule(base.nodes,
-                                np.exp(np.log(base.weights) + base.nodes),
-                                "gauss-laguerre-dJ", {})
+                                np.exp(np.log(base.weights) + base.nodes))
     else:
         radial = make_rule("gauss-legendre", n_j, a=0.0, b=float(j_max))
     angular = make_rule("periodic-trapezoid", n_gamma,
@@ -232,8 +232,8 @@ def _grid_angles(nodes: np.ndarray) -> np.ndarray | None:
     return angles
 
 
-def plane_family(params: ThermalParams, rule: QuadratureRule | None = None,
-                 tol: float = 1e-6) -> DensityFamily:
+def plane_family(params: ThermalParams,
+                 rule: QuadratureRule | None = None) -> DensityFamily:
     """The displaced-thermal POVM family on (J, gamma) nodes.
 
     rho(J, 0) of every radial node is built in one batched pass at
@@ -278,9 +278,7 @@ def plane_family(params: ThermalParams, rule: QuadratureRule | None = None,
             s = np.reshape(coeffs, (len(radii), -1)) @ harmonics
             return np.einsum("jmn,jmn->mn", stack, s[:, column])
 
-    return DensityFamily(dim, evaluate, rule,
-                         label=f"plane(t={params.t}, dim={dim})", tol=tol,
-                         weighted_sum=weighted_sum)
+    return DensityFamily(dim, evaluate, rule, tol=1e-6, weighted_sum=weighted_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +311,9 @@ def energy_gap() -> float:
     return 0.5
 
 
-def torus_unitary(theta: float, dim: int, nu: float = 0.0) -> np.ndarray:
-    """Diagonal torus representation e^{i(n+nu) theta}."""
-    return np.diag(np.exp(1.0j * (np.arange(dim) + nu) * theta))
+def torus_unitary(theta: float, dim: int) -> np.ndarray:
+    """Diagonal torus representation e^{i n theta}."""
+    return np.diag(np.exp(1.0j * np.arange(dim) * theta))
 
 
 def parity_op(dim: int) -> np.ndarray:
@@ -326,14 +324,14 @@ def parity_op(dim: int) -> np.ndarray:
 # Phase operator.
 
 
-def _radial_integrals(params: ThermalParams, n_j: int | None = None) -> np.ndarray:
+def _radial_integrals(params: ThermalParams) -> np.ndarray:
     """R[m, m'] = int_0^inf [rho_T(sqrt(J))]_{mm'} dJ, exactly per parity.
 
     Even-parity entries are polynomial * e^{-J} (Gauss-Laguerre alpha=0
-    exact); odd-parity entries carry an extra sqrt(J) (alpha=1/2 exact).
+    exact); odd-parity entries carry an extra sqrt(J) (alpha=1/2 exact);
+    dim + 8 nodes each.
     """
-    if n_j is None:
-        n_j = params.dim + 8
+    n_j = params.dim + 8
     rule0 = make_rule("gauss-laguerre", n_j)
     rule_h = make_rule("gauss-laguerre", n_j, alpha=0.5)
     rho = rho_scaled_real(np.concatenate([rule0.nodes, rule_h.nodes]), params)
@@ -343,13 +341,13 @@ def _radial_integrals(params: ThermalParams, n_j: int | None = None) -> np.ndarr
     return np.where(parity == 0, acc0, acc_h)
 
 
-def phase_operator(params: ThermalParams, n_j: int | None = None) -> np.ndarray:
+def phase_operator(params: ThermalParams) -> np.ndarray:
     """Quantized angle via exact angular integrals (the quadrature route).
 
     int_0^{2pi} gamma e^{i k gamma} dgamma equals 2 pi^2 at k=0 and
     -2 pi i / k otherwise, so A_g = pi diag(R_mm) + i R_mm' / (m'-m).
     """
-    r = _radial_integrals(params, n_j)
+    r = _radial_integrals(params)
     idx = np.arange(params.dim)
     # the identity only keeps the diagonal finite; it is overwritten below
     out = 1.0j * r / (idx[None, :] - idx[:, None] + np.eye(params.dim))
@@ -403,15 +401,13 @@ def phase_covariance_defect(phase_op: np.ndarray, theta0: float) -> float:
 # Covariance suite.
 
 
-def covariance_defects(params: ThermalParams, z0: complex = 0.5,
-                       theta: float = 0.7,
-                       fam: DensityFamily | None = None,
-                       block: int | None = None) -> dict[str, float]:
+def covariance_defects(params: ThermalParams,
+                       fam: DensityFamily | None = None) -> dict[str, float]:
     """Defects of the four covariance identities on test functions.
 
-    Translation and rotation use a displaced Gaussian bump, parity an even
-    pairing of the same bump, conjugation a complex mixture.  Defects are
-    max-norm on the protected block (top-left dim/2 square by default).
+    Translation by z0 = 0.5 and rotation by 0.7 use a displaced Gaussian
+    bump, parity an even pairing of the same bump, conjugation a complex
+    mixture.  Defects are max-norm on the protected top-left dim/2 block.
     ``fam`` is a plane family of ``params`` already built by the caller;
     by default one is built on the default rule.
     """
@@ -420,8 +416,7 @@ def covariance_defects(params: ThermalParams, z0: complex = 0.5,
     if fam is None:
         fam = plane_family(params)
     dim = params.dim
-    if block is None:
-        block = dim // 2
+    z0, theta, block = 0.5, 0.7, dim // 2
 
     def z_of(node):
         return math.sqrt(float(node[0])) * np.exp(1.0j * float(node[1]))

@@ -129,27 +129,26 @@ def sphere_rule(n_theta: int = 8, n_phi: int = 8) -> QuadratureRule:
     return product_rule(ru, rphi)
 
 
-def sphere_family(r: float, n_theta: int = 8, n_phi: int = 8,
-                  tol: float = 1e-12) -> DensityFamily:
+def sphere_family(r: float, n_theta: int = 8, n_phi: int = 8) -> DensityFamily:
     """The sphere POVM family; nodes are (cos theta, phi) pairs."""
 
     def evaluate(node):
         u, phi = np.moveaxis(np.asarray(node, dtype=float), -1, 0)
         return rho_sphere(r, np.arccos(np.clip(u, -1.0, 1.0)), phi)
 
-    return DensityFamily(2, evaluate, sphere_rule(n_theta, n_phi),
-                         label=f"sphere(r={r})", tol=tol)
+    return DensityFamily(2, evaluate, sphere_rule(n_theta, n_phi), tol=1e-12)
 
 
-def quantize_azimuth(r: float, n_u: int = 16) -> np.ndarray:
+def quantize_azimuth(r: float) -> np.ndarray:
     """Quantized azimuthal angle with the angular integral done analytically.
 
     The sawtooth phi aliases any equispaced angular rule at first order, so
     the phi moments int phi e^{ik phi} dphi (= 2 pi^2 at k=0, -2 pi i / k
     else) are inserted exactly; the residual u-integrals are handled by
     Gauss-Legendre (diagonal, polynomial) and Gauss-Chebyshev of the second
-    kind (off-diagonal, weight sqrt(1-u^2)).
+    kind (off-diagonal, weight sqrt(1-u^2)), 16 nodes each.
     """
+    n_u = 16
     gl = make_rule("gauss-legendre", n_u, a=-1.0, b=1.0)
     diag_plus = float(gl.integrate(0.5 * (1.0 + r * gl.nodes)))
     diag_minus = float(gl.integrate(0.5 * (1.0 - r * gl.nodes)))

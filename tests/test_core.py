@@ -233,10 +233,10 @@ def _plane_rule(kind):
     if kind == "shuffled":
         rule = plane.plane_rule(12, n_j=10, n_gamma=16)
         order = np.random.default_rng(3).permutation(rule.size)
-        rule = QuadratureRule(rule.nodes[order], rule.weights[order], "shuffled")
+        rule = QuadratureRule(rule.nodes[order], rule.weights[order])
     else:
         nodes = np.array([[0.5, 0.0], [0.5, 1.0], [1.5, 0.3], [2.5, 4.0]])
-        rule = QuadratureRule(nodes, np.array([0.2, 0.3, 0.4, 0.1]), "hand")
+        rule = QuadratureRule(nodes, np.array([0.2, 0.3, 0.4, 0.1]))
     return plane.plane_family(params, rule)
 
 

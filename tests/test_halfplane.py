@@ -387,6 +387,15 @@ class TestThermalKernel:
         assert_allclose(halfplane.kernel_trace(PARAMS, printed=True), 1.0,
                         rtol=1e-6)
 
+    @pytest.mark.xfail(strict=True, reason="published kernel is no eigen-"
+                       "kernel of the basis: ratios 32.2, -124, -1254 at "
+                       "alpha 2, t 0.2, x 2.1; see the decisions ledger")
+    def test_published_kernel_eigenvalue_variant(self):
+        params = halfplane.AffineParams(alpha=2.0, t=0.2, dim=6)
+        for n in range(3):
+            assert_allclose(halfplane.kernel_eigen_ratio(n, params, 2.1, printed=True),
+                            0.8 * 0.2 ** n, rtol=1e-6)
+
     def test_eigenfunctions_geometric(self):
         for n in range(5):
             ratio = halfplane.kernel_eigen_ratio(n, PARAMS, x=2.3)

@@ -163,6 +163,20 @@ class TestRules:
         with pytest.raises(DomainError):
             make_rule("gauss-laguerre", 4, alpha=-2.0)
 
+    @pytest.mark.parametrize("kind, keys", [
+        ("periodic-trapezoid", {"alpha": 0.5}),
+        ("gauss-legendre", {"offset": 0.5, "scal": 3.0}),
+        ("gauss-laguerre", {"a": 0.0, "b": 1.0}),
+    ])
+    def test_unknown_keywords_raise(self, kind, keys):
+        with pytest.raises(DomainError, match=", ".join(sorted(keys))):
+            make_rule(kind, 4, **keys)
+
+    def test_each_kind_takes_its_keywords(self):
+        make_rule("periodic-trapezoid", 4, a=0.0, b=1.0, offset=0.5, scale=2.0)
+        make_rule("gauss-legendre", 4, a=0.0, b=1.0, scale=2.0)
+        make_rule("gauss-laguerre", 4, alpha=0.5, scale=2.0)
+
     def test_product_rule_tensor_integral(self):
         ra = make_rule("gauss-legendre", 5, a=0.0, b=1.0)
         rb = make_rule("periodic-trapezoid", 6)

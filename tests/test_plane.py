@@ -318,14 +318,14 @@ class TestWeightedSum:
         descending = np.arange(rule.size).reshape(n_radii, -1)[::-1].ravel()
         for order in (shuffled, descending):
             permuted = numerics.QuadratureRule(rule.nodes[order],
-                                               rule.weights[order], "permuted")
+                                               rule.weights[order])
             fam = plane.plane_family(params, permuted)
             assert fam.weighted_sum is None
             for key, f in SYMBOLS.items():
                 diff = core.quantize(fam, f) - core.quantize(grid, f)
                 assert np.max(np.abs(diff)) < self.TOL, key
         nodes = np.array([[0.5, 0.0], [0.5, 1.0], [1.5, 0.3]])
-        three = numerics.QuadratureRule(nodes, np.array([0.2, 0.3, 0.5]), "hand")
+        three = numerics.QuadratureRule(nodes, np.array([0.2, 0.3, 0.5]))
         fam = plane.plane_family(params, three)
         assert fam.weighted_sum is None
         want = sum(w * fam.evaluate(x) for w, x in zip(three.weights, nodes))
