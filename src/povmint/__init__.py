@@ -13,7 +13,7 @@ from .core import (CsBasis, DensityFamily, GroupOrbitSpec, ResolutionReport,
                    prob_kernel, quantize, reproducing_kernel)
 from .numerics import (DomainError, PoleError, QuadratureRule, bessel_i,
                        bessel_i_scaled, hyp2f1_terminating, laguerre,
-                       make_rule, product_rule)
+                       laguerre_rule, legendre_rule, periodic_rule, product_rule)
 from .operators import (DensityCheck, MixtureSpec, eig_hermitian, hs_distance,
                         is_density, mix, pseudo_distance, purity)
 
@@ -23,9 +23,10 @@ __all__ = [
     "ResolutionReport", "bessel_i", "bessel_i_scaled", "check_resolution",
     "covariance_check", "covariant_c_rho", "cs_family", "cs_norm", "cs_state",
     "eig_hermitian", "hs_distance", "hyp2f1_terminating", "is_density",
-    "laguerre", "lower_symbol", "make_rule", "measurement_expectation", "mix",
-    "orbit_family", "povm_region", "prob_kernel", "product_rule",
-    "pseudo_distance", "purity", "quantize", "reproducing_kernel",
+    "laguerre", "laguerre_rule", "legendre_rule", "lower_symbol",
+    "measurement_expectation", "mix", "orbit_family", "periodic_rule",
+    "povm_region", "prob_kernel", "product_rule", "pseudo_distance", "purity",
+    "quantize", "reproducing_kernel",
 ]
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityFamily
-from .numerics import make_rule
+from .numerics import periodic_rule
 
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -104,7 +104,7 @@ def circle_rule(n: int = 16):
     The half-spacing offset keeps nodes away from the angle function's jump
     at theta = 0.
     """
-    return make_rule("periodic-trapezoid", n, offset=0.5, scale=1.0 / math.pi)
+    return periodic_rule(n, 1.0 / math.pi, offset=0.5)
 
 
 def circle_family(r: float, phi: float = 0.0, n: int = 16) -> DensityFamily:

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -376,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None):
+def _emit(text: str, out: str | Path | None):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -401,8 +402,8 @@ def run_verify(args) -> int:
         report = {"suite": name, "params": params, "checks": checks}
         path = args.out
         if path and len(names) > 1:
-            stem, dot, ext = path.rpartition(".")
-            path = f"{stem}-{name}{dot}{ext}" if dot else f"{path}-{name}"
+            p = Path(path)
+            path = p.parent / f"{p.stem}-{name}{p.suffix}"
         _emit(render(report, args.format), path)
         if not all(chk["pass"] for chk in checks):
             code = 1

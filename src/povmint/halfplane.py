@@ -20,8 +20,10 @@ import numpy as np
 
 from .core import (CsBasis, DensityFamily, GroupOrbitSpec, check_resolution,
                    covariant_c_rho, orbit_family)
+# hyp2f1_terminating is unused here; perfbench/tracer.py rebinds it (ROADMAP item 1)
 from .numerics import (QuadratureRule, _f21_terms, bessel_i, hyp2f1_terminating,
-                       laguerre, laguerre_table, make_rule, product_rule)
+                       laguerre, laguerre_rule, laguerre_table, legendre_rule,
+                       product_rule)
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ def gram_defect(alpha: float, dim: int) -> float:
     The integrand e_n e_n' is (polynomial) * x^alpha e^{-x}, so the rule is
     exact with its dim + 4 nodes (any count above dim).
     """
-    rule = make_rule("gauss-laguerre", dim + 4, alpha=alpha)
+    rule = laguerre_rule(dim + 4, alpha)
     norms = np.array([basis_norm(n, alpha) for n in range(dim)])
     return CsBasis(lambda x: norms * np.moveaxis(laguerre_table(dim - 1, alpha, x), 0, -1),
                    dim, rule).gram_defect()
@@ -77,7 +79,7 @@ def inverse_moment(n: int, alpha: float) -> float:
     """
     if alpha <= 0.0:
         raise ValueError("the inverse moment diverges for alpha <= 0")
-    rule = make_rule("gauss-laguerre", n + 4, alpha=alpha - 1.0)
+    rule = laguerre_rule(n + 4, alpha - 1.0)
     vals = laguerre(n, alpha, rule.nodes)
     return basis_norm(n, alpha) ** 2 * float(rule.weights @ vals ** 2)
 
@@ -181,8 +183,8 @@ def affine_group_rule(n_u: int = 64, u_max: float = 14.0,
     q = e^u with Gauss-Legendre in u over [-u_max, u_max]; p = tan(v) with
     Gauss-Legendre in v over (-pi/2, pi/2).  Weights carry the Jacobians.
     """
-    ru = make_rule("gauss-legendre", n_u, a=-u_max, b=u_max)
-    rv = make_rule("gauss-legendre", n_v, a=-0.5 * math.pi, b=0.5 * math.pi)
+    ru = legendre_rule(n_u, -u_max, u_max)
+    rv = legendre_rule(n_v, -0.5 * math.pi, 0.5 * math.pi)
     qs = np.exp(ru.nodes)
     return product_rule(QuadratureRule(qs, ru.weights * qs),
                         QuadratureRule(np.tan(rv.nodes),
@@ -266,22 +268,24 @@ def thermal_kernel(x, y, params: AffineParams, printed: bool = False):
     return out if out.ndim else float(out)
 
 
+# the kernel checks' 200-node rule for dx on [0, 160], built once at import
+KERNEL_RULE = legendre_rule(200, 0.0, 160.0)
+
+
 def kernel_trace(params: AffineParams, printed: bool = False) -> float:
-    """Quadrature of int K_T(x, x) dx over [0, 160] (200 Gauss-Legendre
-    nodes); equals tr rho_T = 1 for the corrected kernel."""
-    rule = make_rule("gauss-legendre", 200, a=0.0, b=160.0)
-    return float(rule.integrate(
-        thermal_kernel(rule.nodes, rule.nodes, params, printed)))
+    """Quadrature of int K_T(x, x) dx under KERNEL_RULE; equals tr rho_T = 1
+    for the corrected kernel."""
+    x = KERNEL_RULE.nodes
+    return float(KERNEL_RULE.integrate(thermal_kernel(x, x, params, printed)))
 
 
 def kernel_eigen_ratio(n: int, params: AffineParams, x: float,
                        printed: bool = False) -> float:
-    """(int K_T(x, y) e_n(y) dy) / e_n(x) over y in [0, 160] (200
-    Gauss-Legendre nodes); equals (1-t) t^n for the corrected kernel."""
-    rule = make_rule("gauss-legendre", 200, a=0.0, b=160.0)
-    vals = (thermal_kernel(x, rule.nodes, params, printed)
-            * basis_fn(n, params.alpha, rule.nodes))
-    return float(rule.integrate(vals)) / basis_fn(n, params.alpha, x)
+    """(int K_T(x, y) e_n(y) dy) / e_n(x) under KERNEL_RULE; equals
+    (1-t) t^n for the corrected kernel."""
+    y = KERNEL_RULE.nodes
+    vals = thermal_kernel(x, y, params, printed) * basis_fn(n, params.alpha, y)
+    return float(KERNEL_RULE.integrate(vals)) / basis_fn(n, params.alpha, x)
 
 
 def affine_family(params: AffineParams,

@@ -144,55 +144,30 @@ class QuadratureRule:
         return (w * values).sum(axis=0)
 
 
-_RULE_KEYS = {
-    "periodic-trapezoid": {"a", "b", "offset", "scale"},
-    "gauss-legendre": {"a", "b", "scale"},
-    "gauss-laguerre": {"alpha", "scale"},
-}
-
-
-def make_rule(kind: str, n: int, **params) -> QuadratureRule:
-    """Build a quadrature rule.
-
-    kinds:
-      * ``periodic-trapezoid``: equispaced nodes on [a, b) (default [0, 2pi)),
-        optional midpoint ``offset`` in units of the spacing and a constant
-        density ``scale`` multiplying the weights.
-      * ``gauss-legendre``: n-point rule on [a, b] (default [-1, 1]), optional
-        constant density ``scale``.
-      * ``gauss-laguerre``: integrates f(x) x^alpha e^(-x) on [0, inf),
-        optional constant density ``scale``.
-
-    Raises DomainError for a keyword the kind does not read.
-    """
+def periodic_rule(n: int, scale: float, offset: float = 0.0) -> QuadratureRule:
+    """Trapezoid rule for scale * dtheta on [0, 2pi): n equispaced nodes,
+    shifted by ``offset`` in units of the spacing."""
     if n < 1:
         raise DomainError(f"node count must be >= 1, got {n}")
-    if kind not in _RULE_KEYS:
-        raise ValueError(f"unsupported rule kind: {kind!r}")
-    unknown = sorted(set(params) - _RULE_KEYS[kind])
-    if unknown:
-        raise DomainError(f"{kind} rule does not take {', '.join(unknown)}")
-    scale = params.get("scale", 1.0)
-    if kind == "periodic-trapezoid":
-        a = params.get("a", 0.0)
-        b = params.get("b", 2.0 * math.pi)
-        offset = params.get("offset", 0.0)
-        h = (b - a) / n
-        nodes = a + (np.arange(n) + offset) * h
-        weights = np.full(n, h * scale)
-    elif kind == "gauss-legendre":
-        a = params.get("a", -1.0)
-        b = params.get("b", 1.0)
-        x, w = np.polynomial.legendre.leggauss(n)
-        nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
-        weights = 0.5 * (b - a) * w * scale
-    else:
-        alpha = params.get("alpha", 0.0)
-        if alpha <= -1:
-            raise DomainError(f"gauss-laguerre needs alpha > -1, got {alpha}")
-        nodes, weights = roots_genlaguerre(n, alpha)
-        weights = weights * scale
-    return QuadratureRule(nodes, weights)
+    h = 2.0 * math.pi / n
+    return QuadratureRule((np.arange(n) + offset) * h, np.full(n, h * scale))
+
+
+def legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
+    """n-point Gauss-Legendre rule for dx on [a, b]."""
+    if n < 1:
+        raise DomainError(f"node count must be >= 1, got {n}")
+    x, w = np.polynomial.legendre.leggauss(n)
+    return QuadratureRule(0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w)
+
+
+def laguerre_rule(n: int, alpha: float = 0.0) -> QuadratureRule:
+    """n-point Gauss-Laguerre rule for x^alpha e^(-x) dx on [0, inf), alpha > -1."""
+    if n < 1:
+        raise DomainError(f"node count must be >= 1, got {n}")
+    if alpha <= -1:
+        raise DomainError(f"Gauss-Laguerre rule needs alpha > -1, got {alpha}")
+    return QuadratureRule(*roots_genlaguerre(n, alpha))
 
 
 def product_rule(rule_a: QuadratureRule, rule_b: QuadratureRule) -> QuadratureRule:

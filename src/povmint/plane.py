@@ -22,8 +22,8 @@ from scipy.special import xlogy
 
 from .core import DensityFamily
 from .numerics import (DomainError, PoleError, QuadratureRule, bessel_i,
-                       hyp2f1_terminating, laguerre, laguerre_table, make_rule,
-                       product_rule)
+                       hyp2f1_terminating, laguerre, laguerre_rule, laguerre_table,
+                       periodic_rule, product_rule)
 
 
 @dataclass(frozen=True)
@@ -93,21 +93,20 @@ def displacement(z: complex, dim: int) -> np.ndarray:
     return phases[:, None] * real * phases.conj()[None, :]
 
 
+# a separate name only so perfbench/tracer.py can time it (ROADMAP item 1)
 def _displacement_scaled_real(sqrt_j_squared: float, dim: int) -> np.ndarray:
     """D(sqrt(J)) without its e^{-J/2} factor (entries in _real_displacements)."""
     return _real_displacements(sqrt_j_squared, dim)
 
 
-def displaced_thermal(z: complex, params: ThermalParams,
-                      strict: bool = True) -> np.ndarray:
+def displaced_thermal(z: complex, params: ThermalParams) -> np.ndarray:
     """Displaced thermal density D(z) rho_T D(z)^dag.
 
-    With strict=True the displacement is rejected once |z|^2 >= dim/4, where
-    truncation visibly corrupts the state; internal quadrature paths relax
-    the guard because their weights suppress the corrupted region.
+    The displacement is rejected once |z|^2 >= dim/4, where truncation
+    visibly corrupts the state.
     """
     z = complex(z)
-    if strict and abs(z) ** 2 >= params.dim / 4.0:
+    if abs(z) ** 2 >= params.dim / 4.0:
         raise ValueError(
             f"|z|^2 = {abs(z) ** 2:.3g} exceeds the dim/4 truncation threshold")
     d = displacement(z, params.dim)
@@ -190,30 +189,23 @@ def plane_hs_closed(t: float, prob: float, printed: bool = False) -> float:
 # Quadrature over the plane and the POVM family.
 
 
-def plane_rule(dim: int, n_j: int | None = None, n_gamma: int | None = None,
-               j_max: float | None = None) -> QuadratureRule:
+def plane_rule(dim: int, n_j: int | None = None,
+               n_gamma: int | None = None) -> QuadratureRule:
     """Product rule for dJ dgamma / (2 pi); nodes are (J, gamma) pairs.
 
-    By default the radial factor converts Gauss-Laguerre nodes/weights to a
-    plain-dJ rule on [0, inf), exact for the (polynomial)*e^{-J} radial
-    profiles of the thermal family.  Passing j_max switches to a
-    Gauss-Legendre rule on [0, j_max] for truncation-convergence studies.
+    The radial factor converts Gauss-Laguerre nodes/weights to a plain-dJ
+    rule on [0, inf), exact for the (polynomial)*e^{-J} radial profiles of
+    the thermal family.
     """
     if n_j is None:
         n_j = dim + 16
     if n_gamma is None:
         n_gamma = max(2 * dim + 32, 64)
-    if j_max is None:
-        base = make_rule("gauss-laguerre", n_j)
-        # convert weights to plain dJ in log space: w * e^J overflows at the
-        # outermost nodes even though the product is moderate
-        radial = QuadratureRule(base.nodes,
-                                np.exp(np.log(base.weights) + base.nodes))
-    else:
-        radial = make_rule("gauss-legendre", n_j, a=0.0, b=float(j_max))
-    angular = make_rule("periodic-trapezoid", n_gamma,
-                        scale=1.0 / (2.0 * math.pi))
-    return product_rule(radial, angular)
+    base = laguerre_rule(n_j)
+    # convert weights to plain dJ in log space: w * e^J overflows at the
+    # outermost nodes even though the product is moderate
+    radial = QuadratureRule(base.nodes, np.exp(np.log(base.weights) + base.nodes))
+    return product_rule(radial, periodic_rule(n_gamma, 1.0 / (2.0 * math.pi)))
 
 
 def _grid_angles(nodes: np.ndarray) -> np.ndarray | None:
@@ -332,8 +324,8 @@ def _radial_integrals(params: ThermalParams) -> np.ndarray:
     dim + 8 nodes each.
     """
     n_j = params.dim + 8
-    rule0 = make_rule("gauss-laguerre", n_j)
-    rule_h = make_rule("gauss-laguerre", n_j, alpha=0.5)
+    rule0 = laguerre_rule(n_j)
+    rule_h = laguerre_rule(n_j, 0.5)
     rho = rho_scaled_real(np.concatenate([rule0.nodes, rule_h.nodes]), params)
     acc0 = rule0.integrate(rho[:n_j])
     acc_h = rule_h.integrate(rho[n_j:] / np.sqrt(rule_h.nodes)[:, None, None])

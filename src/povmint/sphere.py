@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityFamily
-from .numerics import QuadratureRule, make_rule, product_rule
+from .numerics import QuadratureRule, legendre_rule, periodic_rule, product_rule
 
 SIGMA = np.array([[[0.0, 1.0], [1.0, 0.0]],
                   [[0.0, -1.0j], [1.0j, 0.0]],
@@ -123,10 +123,8 @@ def spin_state(theta: float, phi: float) -> np.ndarray:
 def sphere_rule(n_theta: int = 8, n_phi: int = 8) -> QuadratureRule:
     """Product rule for sin(theta) dtheta dphi / (2 pi): Gauss-Legendre in
     cos(theta) times a trapezoid in phi.  Nodes are (u, phi) pairs, u = cos theta."""
-    ru = make_rule("gauss-legendre", n_theta, a=-1.0, b=1.0)
-    rphi = make_rule("periodic-trapezoid", n_phi, offset=0.5,
-                     scale=1.0 / (2.0 * math.pi))
-    return product_rule(ru, rphi)
+    return product_rule(legendre_rule(n_theta, -1.0, 1.0),
+                        periodic_rule(n_phi, 1.0 / (2.0 * math.pi), offset=0.5))
 
 
 def sphere_family(r: float, n_theta: int = 8, n_phi: int = 8) -> DensityFamily:
@@ -149,7 +147,7 @@ def quantize_azimuth(r: float) -> np.ndarray:
     kind (off-diagonal, weight sqrt(1-u^2)), 16 nodes each.
     """
     n_u = 16
-    gl = make_rule("gauss-legendre", n_u, a=-1.0, b=1.0)
+    gl = legendre_rule(n_u, -1.0, 1.0)
     diag_plus = float(gl.integrate(0.5 * (1.0 + r * gl.nodes)))
     diag_minus = float(gl.integrate(0.5 * (1.0 - r * gl.nodes)))
     j = np.arange(1, n_u + 1)

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 
 from povmint import circle, core, finite, halfplane, operators, plane, sphere
 from povmint.cli import main as cli_main
-from povmint.numerics import make_rule
+from povmint.numerics import legendre_rule, periodic_rule
 
 RNG = np.random.default_rng(20260823)
 
@@ -80,19 +80,19 @@ def test_criterion_03_circle_algebra_and_marginals():
             assert np.max(np.abs(m1 @ m2 - prod)) < 1e-13
             assert np.max(np.abs(m1 @ m2 - m2 @ m1 - comm)) < 1e-13
         big_r = lambda r, bp: circle.rho_circle(r, 0.0, 0.5 * bp)
-        trap = make_rule("periodic-trapezoid", 16, scale=1.0 / math.pi)
+        trap = periodic_rule(16, 1.0 / math.pi)
         total = trap.integrate(np.stack([big_r(0.7, t) for t in trap.nodes]))
         assert np.max(np.abs(total - np.eye(2))) < 1e-12
         theta = 0.9
         total = trap.integrate(np.stack([big_r(0.7, theta + 2 * w)
                                          for w in trap.nodes]))
         assert np.max(np.abs(total - np.eye(2))) < 1e-12
-        gl = make_rule("gauss-legendre", 8, a=0.0, b=1.0)
+        gl = legendre_rule(8, 0.0, 1.0)
         total = gl.integrate(np.stack([r * big_r(r, theta)
                                        for r in gl.nodes]))
         want = big_r(1.0, theta) / 3.0 + np.eye(2) / 12.0
         assert np.max(np.abs(total - want)) < 1e-12
-        ang = make_rule("periodic-trapezoid", 16, scale=2.0 / math.pi)
+        ang = periodic_rule(16, 2.0 / math.pi)
         total = sum(wr * wt * r * big_r(r, t)
                     for r, wr in zip(gl.nodes, gl.weights)
                     for t, wt in zip(ang.nodes, ang.weights))

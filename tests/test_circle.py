@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from povmint import circle, core, operators
-from povmint.numerics import make_rule
+from povmint.numerics import legendre_rule, periodic_rule
 
 RNG = np.random.default_rng(12345)
 
@@ -105,29 +105,29 @@ class TestMarginalIntegrals:
         return circle.rho_circle(r, 0.0, 0.5 * big_phi)
 
     def test_full_angle_marginal(self):
-        rule = make_rule("periodic-trapezoid", 16, scale=1.0 / math.pi)
+        rule = periodic_rule(16, 1.0 / math.pi)
         total = rule.integrate(np.stack([self.big_r(0.7, t)
                                          for t in rule.nodes]))
         assert_allclose(total, np.eye(2), atol=1e-12)
 
     def test_rotated_marginal(self):
         theta = 0.9
-        rule = make_rule("periodic-trapezoid", 16, scale=1.0 / math.pi)
+        rule = periodic_rule(16, 1.0 / math.pi)
         total = rule.integrate(np.stack([self.big_r(0.7, theta + 2.0 * w)
                                          for w in rule.nodes]))
         assert_allclose(total, np.eye(2), atol=1e-12)
 
     def test_radial_marginal(self):
         theta = 1.3
-        rule = make_rule("gauss-legendre", 8, a=0.0, b=1.0)
+        rule = legendre_rule(8, 0.0, 1.0)
         total = rule.integrate(np.stack([r * self.big_r(r, theta)
                                          for r in rule.nodes]))
         want = self.big_r(1.0, theta) / 3.0 + np.eye(2) / 12.0
         assert_allclose(total, want, atol=1e-12)
 
     def test_disk_integral(self):
-        radial = make_rule("gauss-legendre", 8, a=0.0, b=1.0)
-        angular = make_rule("periodic-trapezoid", 16, scale=2.0 / math.pi)
+        radial = legendre_rule(8, 0.0, 1.0)
+        angular = periodic_rule(16, 2.0 / math.pi)
         total = np.zeros((2, 2))
         for r, wr in zip(radial.nodes, radial.weights):
             for t, wt in zip(angular.nodes, angular.weights):

@@ -86,6 +86,17 @@ class TestVerify:
             assert path.exists()
             assert json.loads(path.read_text())["suite"] == suite
 
+    def test_multi_suite_out_in_dotted_directory(self, capsys, tmp_path):
+        # only the file name takes the suite suffix, not a dot in the directory
+        out_dir = tmp_path / "run.v2"
+        out_dir.mkdir()
+        code = main(["verify", "all", "--out", str(out_dir / "report"),
+                     "--dim", "16", "--grid", "24"])
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            f"report-{suite}" for suite in ("circle", "core", "finite",
+                                            "halfplane", "plane", "sphere"))
+
     def test_configuration_error_exit_2(self, capsys):
         code = main(["verify", "plane", "--t", "1.5"])
         assert code == 2

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from povmint import circle, core, halfplane, numerics, operators, plane, sphere
-from povmint.numerics import QuadratureRule, make_rule
+from povmint.numerics import QuadratureRule, periodic_rule
 
 
 @pytest.fixture
@@ -124,7 +124,7 @@ class TestQuantize:
 
 def fourier_basis(size, n_nodes=64):
     """Orthonormal exponentials e^{i n theta} / sqrt(2 pi) on the circle."""
-    rule = make_rule("periodic-trapezoid", n_nodes)
+    rule = periodic_rule(n_nodes, 1.0)
 
     def phi(theta):
         theta = np.asarray(theta)[..., None]
@@ -165,7 +165,7 @@ class TestCoherentStates:
 
 def torus_orbit_spec(r=0.6, n=32):
     """Circle family recast as a group orbit of the torus action."""
-    rule = make_rule("periodic-trapezoid", n)
+    rule = periodic_rule(n, 1.0)
     fiducial = circle.rho_circle(r, 0.0)
 
     def unitary(theta):
@@ -309,8 +309,9 @@ class TestPlaneBatches:
                           [0.0, 0.1], [3.0, 2.0]])
         batch = fam.evaluate(nodes)
         for k, (j, gamma) in enumerate(nodes):
-            want = plane.displaced_thermal(math.sqrt(j) * np.exp(1j * gamma),
-                                           params, strict=False)
+            # J = 3.0 sits on the dim/4 guard of displaced_thermal
+            d = plane.displacement(math.sqrt(j) * np.exp(1j * gamma), params.dim)
+            want = (d * params.weights()) @ d.conj().T
             assert_allclose(batch[k], want, atol=1e-13)
             assert_allclose(batch[k], fam.evaluate(nodes[k]), rtol=0, atol=1e-15)
 
@@ -350,7 +351,7 @@ class TestNonBroadcastingCallables:
     def test_phi_without_a_trailing_axis(self):
         # np.exp(1j * n * theta) with as many nodes as functions multiplies
         # elementwise instead of giving one row per node
-        rule = make_rule("periodic-trapezoid", 4)
+        rule = periodic_rule(4, 1.0)
         basis = core.CsBasis(
             lambda th: np.exp(1j * np.arange(4) * th) / math.sqrt(2 * math.pi), 4, rule)
         with pytest.raises(ValueError, match="broadcast over node arrays"):

@@ -9,14 +9,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from povmint import core, halfplane
-from povmint.numerics import DomainError, bessel_i, make_rule
+from povmint.numerics import DomainError, bessel_i, legendre_rule
 
 PARAMS = halfplane.AffineParams(alpha=2.0, t=0.25, dim=6)
 
 
 def overlap_oracle(q, p, alpha, rows, cols, n_nodes=400, x_max=120.0):
     """Direct quadrature of <e_i | U(q,p) | e_n> over the half-line."""
-    rule = make_rule("gauss-legendre", n_nodes, a=0.0, b=x_max)
+    rule = legendre_rule(n_nodes, 0.0, x_max)
     out = np.empty((rows, cols), dtype=complex)
     phase = np.exp(1j * p * rule.nodes) / math.sqrt(q)
     for i in range(rows):

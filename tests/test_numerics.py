@@ -13,7 +13,8 @@ from scipy.special import eval_genlaguerre, iv
 
 from povmint.numerics import (DomainError, PoleError, bessel_i,
                               bessel_i_scaled, hyp2f1_terminating, laguerre,
-                              laguerre_table, make_rule, product_rule)
+                              laguerre_rule, laguerre_table, legendre_rule,
+                              periodic_rule, product_rule)
 
 
 class TestLaguerre:
@@ -130,68 +131,60 @@ class TestHyp2f1:
 
 class TestRules:
     def test_trapezoid_exact_for_trig(self):
-        rule = make_rule("periodic-trapezoid", 8)
+        rule = periodic_rule(8, 1.0)
         vals = np.cos(3.0 * rule.nodes)
         assert abs(rule.integrate(vals)) < 1e-14
         assert_allclose(rule.integrate(np.ones(8)), 2.0 * math.pi, rtol=1e-14)
 
     def test_trapezoid_offset_shifts_nodes(self):
-        rule = make_rule("periodic-trapezoid", 4, offset=0.5)
+        rule = periodic_rule(4, 1.0, offset=0.5)
         assert_allclose(rule.nodes[0], 0.5 * (2.0 * math.pi / 4))
 
     def test_legendre_exact_for_polynomials(self):
-        rule = make_rule("gauss-legendre", 6, a=0.0, b=2.0)
+        rule = legendre_rule(6, 0.0, 2.0)
         # degree 11 is the exactness limit of a 6-point rule
         vals = rule.nodes ** 11
         assert_allclose(rule.integrate(vals), 2.0 ** 12 / 12.0, rtol=1e-13)
 
     def test_laguerre_moments(self):
-        rule = make_rule("gauss-laguerre", 10, alpha=0.5)
+        rule = laguerre_rule(10, 0.5)
         for k in range(5):
             want = math.gamma(k + 1.5)
             assert_allclose(rule.integrate(rule.nodes ** k), want, rtol=1e-12)
 
     def test_scale_factor(self):
-        rule = make_rule("periodic-trapezoid", 16, scale=1.0 / math.pi)
+        rule = periodic_rule(16, 1.0 / math.pi)
         assert_allclose(rule.integrate(np.ones(16)), 2.0, rtol=1e-14)
 
+    @pytest.mark.parametrize("build", [
+        lambda n: periodic_rule(n, 1.0),
+        lambda n: legendre_rule(n, -1.0, 1.0),
+        laguerre_rule,
+    ], ids=["periodic", "legendre", "laguerre"])
+    def test_empty_rule_raises(self, build):
+        with pytest.raises(DomainError):
+            build(0)
+
     def test_bad_inputs(self):
-        with pytest.raises(DomainError):
-            make_rule("gauss-legendre", 0)
-        with pytest.raises(ValueError):
-            make_rule("simpson", 4)
-        with pytest.raises(DomainError):
-            make_rule("gauss-laguerre", 4, alpha=-2.0)
-
-    @pytest.mark.parametrize("kind, keys", [
-        ("periodic-trapezoid", {"alpha": 0.5}),
-        ("gauss-legendre", {"offset": 0.5, "scal": 3.0}),
-        ("gauss-laguerre", {"a": 0.0, "b": 1.0}),
-    ])
-    def test_unknown_keywords_raise(self, kind, keys):
-        with pytest.raises(DomainError, match=", ".join(sorted(keys))):
-            make_rule(kind, 4, **keys)
-
-    def test_each_kind_takes_its_keywords(self):
-        make_rule("periodic-trapezoid", 4, a=0.0, b=1.0, offset=0.5, scale=2.0)
-        make_rule("gauss-legendre", 4, a=0.0, b=1.0, scale=2.0)
-        make_rule("gauss-laguerre", 4, alpha=0.5, scale=2.0)
+        for alpha in (-1.0, -2.0):
+            with pytest.raises(DomainError):
+                laguerre_rule(4, alpha)
 
     def test_product_rule_tensor_integral(self):
-        ra = make_rule("gauss-legendre", 5, a=0.0, b=1.0)
-        rb = make_rule("periodic-trapezoid", 6)
+        ra = legendre_rule(5, 0.0, 1.0)
+        rb = periodic_rule(6, 1.0)
         rule = product_rule(ra, rb)
         assert rule.nodes.shape == (30, 2)
         vals = rule.nodes[:, 0] ** 2 * np.cos(rule.nodes[:, 1]) ** 2
         assert_allclose(rule.integrate(vals), (1.0 / 3.0) * math.pi, rtol=1e-13)
 
     def test_product_rule_rejects_2d_factor(self):
-        ra = make_rule("gauss-legendre", 3)
+        ra = legendre_rule(3, -1.0, 1.0)
         rule = product_rule(ra, ra)
         with pytest.raises(DomainError):
             product_rule(rule, ra)
 
     def test_integrate_broadcasts_over_matrices(self):
-        rule = make_rule("periodic-trapezoid", 8)
+        rule = periodic_rule(8, 1.0)
         mats = np.stack([np.eye(2) * math.cos(t) ** 2 for t in rule.nodes])
         assert_allclose(rule.integrate(mats), math.pi * np.eye(2), rtol=1e-13)

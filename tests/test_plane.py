@@ -69,7 +69,7 @@ class TestParamsAndStates:
         # rho(sqrt(J)) e^J must reproduce the displaced thermal state
         j = 1.7
         lhs = plane.rho_scaled_real(j, PARAMS) * math.exp(-j)
-        rhs = plane.displaced_thermal(math.sqrt(j), PARAMS, strict=False)
+        rhs = plane.displaced_thermal(math.sqrt(j), PARAMS)
         assert_allclose(lhs, rhs.real, atol=1e-13)
 
 
@@ -126,9 +126,7 @@ class TestDisplacementOracles:
     def test_family_nodes_are_displaced_densities(self):
         # radial nodes stay where truncation leaves a unit-trace density
         params = plane.ThermalParams(t=0.2, dim=48)
-        fam = plane.plane_family(params, plane.plane_rule(48, n_j=12,
-                                                          n_gamma=16,
-                                                          j_max=6.0))
+        fam = plane.plane_family(params, _legendre_radial_rule(12, 6.0, 16))
         assert fam.validate_nodes(sample=None)
         for j, gamma in fam.rule.nodes[::7]:
             want = plane.displaced_thermal(math.sqrt(j) * np.exp(1j * gamma),
@@ -244,22 +242,30 @@ class TestQuantization:
         assert plane.energy_gap() == 0.5
 
     def test_legendre_radial_variant_converges(self):
-        rule = plane.plane_rule(16, j_max=40.0)
+        rule = _legendre_radial_rule(32, 40.0, 64)
         fam = plane.plane_family(plane.ThermalParams(t=0.2, dim=16), rule)
         assert core.check_resolution(fam, block=8).defect < 1e-7
 
 
+def _legendre_radial_rule(n_j, j_top, n_gamma):
+    """Gauss-Legendre in J on [0, j_top] times the plane's angular rule: a
+    radial rule for truncation-convergence studies."""
+    return numerics.product_rule(
+        numerics.legendre_rule(n_j, 0.0, j_top),
+        numerics.periodic_rule(n_gamma, 1.0 / (2.0 * math.pi)))
+
+
 def _offset_trapezoid_rule(dim):
-    radial = numerics.make_rule("gauss-legendre", dim + 8, a=0.0, b=40.0)
-    angular = numerics.make_rule("periodic-trapezoid", 2 * dim + 33,
-                                 scale=1.0 / (2.0 * math.pi), offset=0.5)
+    radial = numerics.legendre_rule(dim + 8, 0.0, 40.0)
+    angular = numerics.periodic_rule(2 * dim + 33, 1.0 / (2.0 * math.pi),
+                                     offset=0.5)
     return numerics.product_rule(radial, angular)
 
 
 WEIGHTED_RULES = {
     "default-16": (16, lambda: plane.plane_rule(16)),
     "default-48": (48, lambda: plane.plane_rule(48)),
-    "legendre-j_max": (16, lambda: plane.plane_rule(16, j_max=40.0)),
+    "legendre-radial": (16, lambda: _legendre_radial_rule(32, 40.0, 64)),
     "odd-n_gamma": (16, lambda: plane.plane_rule(16, n_gamma=65)),
     "offset-trapezoid": (16, lambda: _offset_trapezoid_rule(16)),
 }

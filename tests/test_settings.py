@@ -5,7 +5,11 @@ function name alone, so a call of any function with the same name counts; a
 call with ``*args`` passes every position and one with ``**kwargs`` every
 keyword. A call that forwards its own function's unpassed parameter, with
 the same default, passes nothing. A default that no call overrides is a
-constant and belongs inline."""
+constant and belongs inline.
+
+Settings read out of a ``**`` parameter have no default this audit can see,
+so a ``**`` parameter under src/povmint may only be forwarded whole, once,
+to one call."""
 
 import ast
 from pathlib import Path
@@ -104,6 +108,25 @@ def unpassed(def_sources, call_sources) -> list[str]:
         missing = found
 
 
+def unforwarded(sources) -> list[str]:
+    """``function(**name)`` for each ``**`` parameter that its function's
+    body does anything with other than pass whole to exactly one call."""
+    found = []
+    for source in sources:
+        for func in ast.walk(ast.parse(source)):
+            if not (isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and func.args.kwarg):
+                continue
+            name = func.args.kwarg.arg
+            uses = [node for node in ast.walk(func)
+                    if isinstance(node, ast.Name) and node.id == name]
+            forwarded = [kw.value for node in ast.walk(func) if isinstance(node, ast.Call)
+                         for kw in node.keywords if kw.arg is None]
+            if len(uses) != 1 or uses[0] not in forwarded:
+                found.append(f"{func.name}(**{name})")
+    return found
+
+
 def _sources(paths):
     return [p.read_text() for p in paths]
 
@@ -138,3 +161,21 @@ def test_guard_sees_the_settings_it_forbids():
     # nested functions are audited too
     assert unpassed(["def outer():\n    def inner(y=1):\n        pass\n"],
                     ["outer()"]) == ["inner(y)"]
+
+
+def test_double_star_parameters_only_forward():
+    hidden = unforwarded(_sources(sorted(SRC.glob("*.py"))))
+    assert not hidden, f"** parameters that do more than forward whole: {hidden}"
+
+
+def test_guard_sees_hidden_settings():
+    assert unforwarded(["def f(*a, **kw):\n    return g(*a, **kw)\n"
+                        "class K:\n    def m(self, **kw):\n        self.g(x=1, **kw)\n"]) == []
+    # a keyword read out of the parameter is a setting with a hidden default
+    hidden = "def make(kind, n, **params):\n    return params.get('scale', 1.0)\n"
+    assert unforwarded([hidden]) == ["make(**params)"]
+    # forwarded twice, merged into a new dict, or never used
+    assert unforwarded(["def f(**kw):\n    g(**kw)\n    h(**kw)\n",
+                        "def f(**kw):\n    g(**{**kw, 'a': 1})\n",
+                        "def f(**kw):\n    g(kw)\n",
+                        "def f(**kw):\n    pass\n"]) == ["f(**kw)"] * 4
