@@ -109,8 +109,7 @@ def circle_rule(n: int = 16):
 
 def circle_family(r: float, phi: float = 0.0, n: int = 16) -> DensityFamily:
     """The circle POVM family theta -> rho_{r,phi}(theta) with dtheta/pi."""
-    return DensityFamily(2, lambda theta: rho_circle(r, phi, theta),
-                         circle_rule(n), tol=1e-12)
+    return DensityFamily(2, lambda theta: rho_circle(r, phi, theta), circle_rule(n))
 
 
 def fourier_quantize(mean: float, cc: float, cs: float,

@@ -377,12 +377,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | Path | None):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text: str, out: str | Path | None) -> bool:
+    """Write a report to ``out``, or stdout; False after one error line if that fails."""
+    try:
+        if out:
+            Path(out).write_text(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"configuration error: cannot write the report: {exc}\n")
+        return False
+    return True
 
 
 def run_verify(args) -> int:
@@ -404,7 +409,8 @@ def run_verify(args) -> int:
         if path and len(names) > 1:
             p = Path(path)
             path = p.parent / f"{p.stem}-{name}{p.suffix}"
-        _emit(render(report, args.format), path)
+        if not _emit(render(report, args.format), path):
+            return 2
         if not all(chk["pass"] for chk in checks):
             code = 1
     return code
@@ -445,7 +451,8 @@ def run_reconstruct(args) -> int:
         "solution": [[_round(v, 10) for v in np.asarray(r).ravel().tolist()]
                      for r in result.rhos],
     }
-    _emit(render(report, args.format), args.out)
+    if not _emit(render(report, args.format), args.out):
+        return 2
     return 0 if result.converged else 4
 
 

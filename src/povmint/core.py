@@ -36,7 +36,6 @@ class DensityFamily:
     dim: int
     evaluate: Callable[[object], Array]
     rule: QuadratureRule
-    tol: float = 1e-12
     # optional fast route: coeffs -> sum_k coeffs_k rho(x_k) over rule.nodes
     weighted_sum: Callable[[Array], Array] | None = None
 
@@ -57,14 +56,13 @@ class DensityFamily:
 class ResolutionReport:
     defect: float
     operator: Array
-    ok: bool
 
 
 def _on_nodes(fn: Callable, nodes: Array, tail: tuple) -> Array:
     """fn on a node array, checked to broadcast to shape (len(nodes),) + tail."""
     out = np.asarray(fn(nodes))
     if out.shape != (len(nodes),) + tail:
-        raise ValueError(f"evaluate, phi and unitary must broadcast over node arrays:"
+        raise ValueError(f"node callables must broadcast over node arrays:"
                          f" {len(nodes)} nodes gave shape {out.shape}")
     return out
 
@@ -95,12 +93,12 @@ def check_resolution(fam: DensityFamily, block: int | None = None) -> Resolution
     if block is not None:
         total = total[:block, :block]
     defect = float(np.max(np.abs(total - np.eye(total.shape[0]))))
-    return ResolutionReport(defect, total, defect < fam.tol)
+    return ResolutionReport(defect, total)
 
 
 def povm_region(fam: DensityFamily, indicator: Callable) -> Array:
-    """POVM element of a region: integral of rho over nodes where indicator=1."""
-    mask = np.array([bool(indicator(x)) for x in fam.rule.nodes], dtype=float)
+    """POVM element of a region: rho integrated where indicator(nodes) holds."""
+    mask = _on_nodes(indicator, fam.rule.nodes, ()).astype(bool).astype(float)
     return _accumulate(fam, mask)
 
 
@@ -191,7 +189,7 @@ def cs_family(basis: CsBasis) -> DensityFamily:
         v, _ = cs_state(basis, x)
         return v[..., :, None] * v[..., None, :].conj()
 
-    return DensityFamily(basis.size, evaluate, rule, tol=1e-10)
+    return DensityFamily(basis.size, evaluate, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +233,13 @@ def covariant_c_rho(spec: GroupOrbitSpec) -> float:
     return c
 
 
-def orbit_family(spec: GroupOrbitSpec, c_rho: float | None = None,
-                 tol: float = 1e-10) -> DensityFamily:
+def orbit_family(spec: GroupOrbitSpec, c_rho: float | None = None) -> DensityFamily:
     """Orbit family with measure dnu = dmu / c_rho, normalized to resolve I."""
     if c_rho is None:
         c_rho = covariant_c_rho(spec)
     rule = QuadratureRule(spec.group_rule.nodes, spec.group_rule.weights / c_rho)
     dim = np.asarray(spec.probe).shape[0]
-    return DensityFamily(dim, spec.orbit_density, rule, tol=tol)
+    return DensityFamily(dim, spec.orbit_density, rule)
 
 
 def covariance_check(spec: GroupOrbitSpec, fam: DensityFamily,

@@ -292,7 +292,7 @@ def affine_family(params: AffineParams,
                   rule: QuadratureRule | None = None) -> DensityFamily:
     """The thermal orbit family rho_T(q,p) with measure dq dp / c_rho."""
     spec = affine_orbit_spec(params, rule)
-    return orbit_family(spec, c_rho_quadrature(params, spec.group_rule), tol=1e-3)
+    return orbit_family(spec, c_rho_quadrature(params, spec.group_rule))
 
 
 def affine_resolution_check(params: AffineParams, block: int = 4,

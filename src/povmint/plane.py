@@ -109,8 +109,7 @@ def displaced_thermal(z: complex, params: ThermalParams) -> np.ndarray:
     if abs(z) ** 2 >= params.dim / 4.0:
         raise ValueError(
             f"|z|^2 = {abs(z) ** 2:.3g} exceeds the dim/4 truncation threshold")
-    d = displacement(z, params.dim)
-    return (d * params.weights()) @ d.conj().T
+    return thermal_density(abs(z) ** 2, np.angle(z), params)
 
 
 def rho_scaled_real(j, params: ThermalParams) -> np.ndarray:
@@ -119,6 +118,18 @@ def rho_scaled_real(j, params: ThermalParams) -> np.ndarray:
     An array of J gives shape j.shape + (dim, dim)."""
     d = _displacement_scaled_real(j, params.dim)
     return (d * params.weights()) @ np.swapaxes(d, -1, -2)
+
+
+def thermal_density(j, gamma, params: ThermalParams) -> np.ndarray:
+    """rho_T(sqrt(J) e^{i gamma}) for arrays j and gamma that broadcast together:
+    rho_scaled_real(J) e^{-J} once per distinct J in the call, times the
+    rotation phases rho(J, gamma)_mn = rho(J, 0)_mn e^{i(m-n) gamma}."""
+    j = np.asarray(j, dtype=float)
+    radii, inverse = np.unique(j, return_inverse=True)
+    radial = rho_scaled_real(radii, params) * np.exp(-radii)[:, None, None]
+    phases = np.exp(1.0j * np.arange(params.dim) * np.asarray(gamma)[..., None])
+    return (phases[..., :, None] * radial[inverse.reshape(j.shape)]
+            * phases.conj()[..., None, :])
 
 
 def purity_closed(t: float) -> float:
@@ -228,49 +239,34 @@ def plane_family(params: ThermalParams,
                  rule: QuadratureRule | None = None) -> DensityFamily:
     """The displaced-thermal POVM family on (J, gamma) nodes.
 
-    rho(J, 0) of every radial node is built in one batched pass at
-    construction; angles enter only as diagonal phases (rotation covariance),
-    rho(J, gamma)_mn = rho(J, 0)_mn e^{i(m-n) gamma}.  On a tensor-grid rule
-    the family's weighted sum therefore reduces each radius's coefficients to
-    angular harmonics S_j(m-n) = sum_gamma c(J_j, gamma) e^{i(m-n) gamma} and
-    contracts them with the radial stack, with no matrix per node.
+    ``evaluate`` calls thermal_density when asked; the family stores no node
+    matrix, except on a tensor-grid rule: there the weighted sum reduces each
+    radius's coefficients to angular harmonics
+    S_j(m-n) = sum_gamma c(J_j, gamma) e^{i(m-n) gamma} and contracts them
+    with rho(J_j, 0), one matrix per radius built at construction.
     """
     if rule is None:
         rule = plane_rule(params.dim)
     dim = params.dim
 
-    def radial_stack(js):
-        # stored complex: evaluate's complex phase products then need no cast
-        return np.multiply(rho_scaled_real(js, params), np.exp(-js)[..., None, None],
-                           out=np.empty(np.shape(js) + (dim, dim), complex))
-
-    radii = np.unique(rule.nodes[:, 0])
-    stack = radial_stack(radii)
-    modes = np.arange(dim)
-
     def evaluate(node):
         j, gamma = np.moveaxis(np.asarray(node, dtype=float), -1, 0)
-        pos = np.minimum(np.searchsorted(radii, j), len(radii) - 1)
-        base = np.take(stack, pos, axis=0)  # a copy, even for one node: never a view
-        off = radii[pos] != j
-        if np.any(off):
-            base[off] = radial_stack(j[off])
-        phases = np.exp(1.0j * modes * gamma[..., None])
-        return phases[..., :, None] * base * phases.conj()[..., None, :]
+        return thermal_density(j, gamma, params)
 
     weighted_sum = None
     angles = _grid_angles(rule.nodes)
     if angles is not None:
+        stack = thermal_density(rule.nodes[::len(angles), 0], 0.0, params)
         # harmonic column m - n + dim - 1 holds e^{i(m-n) gamma}; a matmul, not
         # an FFT, so any angle set (offset, odd count) is summed exactly
         harmonics = np.exp(1.0j * np.outer(angles, np.arange(1 - dim, dim)))
-        column = np.subtract.outer(modes, modes) + dim - 1
+        column = np.subtract.outer(np.arange(dim), np.arange(dim)) + dim - 1
 
         def weighted_sum(coeffs):
-            s = np.reshape(coeffs, (len(radii), -1)) @ harmonics
+            s = np.reshape(coeffs, (len(stack), -1)) @ harmonics
             return np.einsum("jmn,jmn->mn", stack, s[:, column])
 
-    return DensityFamily(dim, evaluate, rule, tol=1e-6, weighted_sum=weighted_sum)
+    return DensityFamily(dim, evaluate, rule, weighted_sum=weighted_sum)
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def sphere_family(r: float, n_theta: int = 8, n_phi: int = 8) -> DensityFamily:
         u, phi = np.moveaxis(np.asarray(node, dtype=float), -1, 0)
         return rho_sphere(r, np.arccos(np.clip(u, -1.0, 1.0)), phi)
 
-    return DensityFamily(2, evaluate, sphere_rule(n_theta, n_phi), tol=1e-12)
+    return DensityFamily(2, evaluate, sphere_rule(n_theta, n_phi))
 
 
 def quantize_azimuth(r: float) -> np.ndarray:

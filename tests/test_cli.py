@@ -122,6 +122,15 @@ class TestVerify:
         assert len(lines) == 1
         assert lines[0].startswith(f"configuration error in suite {suite}")
 
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        code = main(["verify", "circle", "--out", str(tmp_path / "missing" / "x")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("configuration error")
+
     def test_halfplane_reports_parameters_used(self, capsys):
         code, out = run(capsys, ["verify", "halfplane", "--dim", "48",
                                  "--grid", "48", "--r", "0.3"])
@@ -198,6 +207,17 @@ class TestReconstruct:
     def test_bad_solver_setting_exit_2(self, capsys, tmp_path, flag, value):
         path = table_file(tmp_path, [qubit(0.4), qubit(-0.4)], [1.0, 1.0])
         code = main(["reconstruct", path, flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("configuration error")
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        path = table_file(tmp_path, [qubit(0.4), qubit(-0.4)], [1.0, 1.0])
+        code = main(["reconstruct", path, "--tol", "1e-6",
+                     "--out", str(tmp_path / "missing" / "x")])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

@@ -51,14 +51,12 @@ class TestDensityFamily:
 class TestResolution:
     def test_exact_on_circle(self, fam):
         rep = core.check_resolution(fam)
-        assert rep.ok
         assert rep.defect < 1e-14
 
     def test_reports_defect_of_scaled_family(self, fam):
         scaled = core.DensityFamily(2, lambda th: 1.1 * fam.evaluate(th),
                                     fam.rule)
         rep = core.check_resolution(scaled)
-        assert not rep.ok
         assert_allclose(rep.defect, 0.1, rtol=1e-10)
 
     def test_block_restriction(self, fam):
@@ -321,8 +319,8 @@ class TestPlaneBatches:
             fam.evaluate(np.array([[0.5, 0.0], [-0.5, 0.0]]))
 
     def test_off_rule_node_leaves_the_radial_stack_alone(self):
-        # a single off-rule node gathers its neighbour's radial matrix; filling
-        # in its own must not overwrite the stack that later calls share
+        # evaluating off-rule nodes must not change what later calls on rule
+        # nodes return, nor the radial stack the grid's weighted sum shares
         params = plane.ThermalParams(t=0.2, dim=12)
         fam = plane.plane_family(params, plane.plane_rule(12, n_j=10, n_gamma=16))
         radii = np.unique(fam.rule.nodes[:, 0])
@@ -347,6 +345,14 @@ class TestNonBroadcastingCallables:
                      lambda: core.quantize(bad, lambda th: 1.0)):
             with pytest.raises(ValueError, match="broadcast over node arrays"):
                 call()
+
+    def test_indicator_written_for_one_node(self):
+        # on a 2-D rule nd[0] reads the first node, not every node's first
+        # coordinate, and gives one value per coordinate
+        fam = sphere.sphere_family(0.8, 6, 7)
+        for indicator in (lambda nd: nd[0] > 0.0, lambda nd: True):
+            with pytest.raises(ValueError, match="broadcast over node arrays"):
+                core.povm_region(fam, indicator)
 
     def test_phi_without_a_trailing_axis(self):
         # np.exp(1j * n * theta) with as many nodes as functions multiplies

@@ -3,6 +3,7 @@ space, probability kernel routes, quantized operators, phase operator."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -280,7 +281,7 @@ SYMBOLS = {
 
 
 def _region(nd):
-    return nd[0] < 2.0 and nd[1] < 2.5
+    return (nd[..., 0] < 2.0) & (nd[..., 1] < 2.5)
 
 
 class TestWeightedSum:
@@ -305,14 +306,33 @@ class TestWeightedSum:
     def test_matches_extended_precision_sum(self):
         # |z|^2 = J at dim 48: the per-node loop's own rounding reaches 2.7e-12
         # near the truncation corner, so the oracle is the same node sum
-        # accumulated in long double
+        # accumulated in long double, evaluating one radius row per call
         fam = plane.plane_family(plane.ThermalParams(t=0.2, dim=48))
-        coeffs = fam.rule.weights * fam.rule.nodes[:, 0]
+        n_radii = len(np.unique(fam.rule.nodes[:, 0]))
+        coeffs = (fam.rule.weights * fam.rule.nodes[:, 0]).reshape(n_radii, -1)
         want = np.zeros((48, 48), dtype=np.clongdouble)
-        for c, x in zip(coeffs, fam.rule.nodes):
-            want += np.clongdouble(c) * fam.evaluate(x).astype(np.clongdouble)
+        for row_coeffs, row in zip(coeffs, fam.rule.nodes.reshape(n_radii, -1, 2)):
+            for c, m in zip(row_coeffs, fam.evaluate(row).astype(np.clongdouble)):
+                want += np.clongdouble(c) * m
         got = core.quantize(fam, lambda nd: nd[0])
         assert float(np.max(np.abs(got - want))) < self.TOL
+
+    def test_scattered_rule_builds_no_node_matrices(self):
+        # off a grid the family stores nothing: node matrices are built when
+        # a reduction asks for them, in core's bounded batches
+        rng = np.random.default_rng(3)
+        nodes = np.column_stack([rng.uniform(0.0, 4.0, 2000),
+                                 rng.uniform(0.0, 2.0 * math.pi, 2000)])
+        rule = numerics.QuadratureRule(nodes, np.full(2000, 1.0 / 2000))
+        params = plane.ThermalParams(t=0.2, dim=16)
+        tracemalloc.start()
+        try:
+            fam = plane.plane_family(params, rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fam.weighted_sum is None
+        assert peak < 1 << 20
 
     def test_off_grid_rules_use_the_loop(self):
         params = plane.ThermalParams(t=0.2, dim=16)
