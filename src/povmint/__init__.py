@@ -10,7 +10,7 @@ from .core import (CsBasis, DensityFamily, GroupOrbitSpec, ResolutionReport,
                    check_resolution, covariance_check, covariant_c_rho,
                    cs_family, cs_norm, cs_state, lower_symbol,
                    measurement_expectation, orbit_family, povm_region,
-                   prob_kernel, quantize, reproducing_kernel)
+                   prob_kernel, quantize, quantize_values, reproducing_kernel)
 from .numerics import (DomainError, PoleError, QuadratureRule, bessel_i,
                        bessel_i_scaled, hyp2f1_terminating, laguerre,
                        laguerre_rule, legendre_rule, periodic_rule, product_rule)
@@ -26,7 +26,7 @@ __all__ = [
     "laguerre", "laguerre_rule", "legendre_rule", "lower_symbol",
     "measurement_expectation", "mix", "orbit_family", "periodic_rule",
     "povm_region", "prob_kernel", "product_rule", "pseudo_distance", "purity",
-    "quantize", "reproducing_kernel",
+    "quantize", "quantize_values", "reproducing_kernel",
 ]
 
 __version__ = "0.1.0"

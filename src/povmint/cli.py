@@ -100,7 +100,7 @@ def suite_sphere(args) -> tuple[dict, list[dict]]:
     checks.append(check("quantized-q", "qtfrhorS2",
                         float(np.max(np.abs(aq - sphere.aq_matrix(r)))),
                         0.0, 1e-10))
-    ap = core.quantize(fam, lambda nd: nd[0])
+    ap = core.quantize_values(fam, fam.rule.nodes[:, 0])
     checks.append(check("quantized-p", "ptfrhorS2",
                         float(np.max(np.abs(ap - sphere.ap_matrix(r)))),
                         0.0, 1e-10))
@@ -143,15 +143,16 @@ def suite_plane(args) -> tuple[dict, list[dict]]:
                         plane.laguerre_square_closed(t, x), 1e-10))
     fam = plane.plane_family(params)
     # z = (q + ip)/sqrt(2), so q = sqrt(2J) cos gamma, p = sqrt(2J) sin gamma
-    aq = core.quantize(fam, lambda nd: math.sqrt(2.0 * nd[0]) * math.cos(nd[1]))
-    ap = core.quantize(fam, lambda nd: math.sqrt(2.0 * nd[0]) * math.sin(nd[1]))
+    j, gamma = fam.rule.nodes.T
+    aq = core.quantize_values(fam, np.sqrt(2.0 * j) * np.cos(gamma))
+    ap = core.quantize_values(fam, np.sqrt(2.0 * j) * np.sin(gamma))
     blk = dim // 2
     comm = (aq @ ap - ap @ aq)[:blk, :blk]
     checks.append(check("ccr-block", "comqp",
                         float(np.max(np.abs(comm - 1.0j * np.eye(blk)))),
                         0.0, 1e-8))
     # q^2 = 2 J cos^2(gamma) in action-angle coordinates
-    aq2 = core.quantize(fam, lambda nd: 2.0 * nd[0] * math.cos(nd[1]) ** 2)
+    aq2 = core.quantize_values(fam, 2.0 * j * np.cos(gamma) ** 2)
     q2 = np.linalg.matrix_power(plane.q_matrix(dim), 2)
     shift = plane.quadratic_shift(params)
     checks.append(check(
@@ -231,23 +232,22 @@ def suite_core(args) -> tuple[dict, list[dict]]:
     r = 0.6
     fam = circle.circle_family(r, 0.0, n=16)
     checks = []
-    one = core.quantize(fam, lambda th: 1.0)
+    one = core.quantize_values(fam, np.ones(fam.rule.size))
     checks.append(check("quantize-identity", "povmquantf",
                         float(np.max(np.abs(one - np.eye(2)))), 0.0, 1e-13))
     f = lambda th: np.cos(2 * th)
-    g = lambda th: np.sin(2 * th) + 0.5
+    fv, gv = f(fam.rule.nodes), np.sin(2 * fam.rule.nodes) + 0.5
+    af, ag = core.quantize_values(fam, fv), core.quantize_values(fam, gv)
     worst = 0.0
     for _ in range(10):
         a1, b1 = rng.standard_normal(2)
-        lhs = core.quantize(fam, lambda th: a1 * f(th) + b1 * g(th))
-        rhs = a1 * core.quantize(fam, f) + b1 * core.quantize(fam, g)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        lhs = core.quantize_values(fam, a1 * fv + b1 * gv)
+        worst = max(worst, float(np.max(np.abs(lhs - (a1 * af + b1 * ag)))))
     checks.append(check("quantize-linearity", "povmquantf", worst, 0.0, 1e-12))
     mats = fam.evaluate(fam.rule.nodes)
     kernel = np.einsum("aij,bji->ab", mats, mats).real  # tr(rho(x_a) rho(x_b))
     row_defect = float(np.max(np.abs(kernel @ fam.rule.weights - 1.0)))
     checks.append(check("kernel-row-normalization", "probdist", row_defect, 0.0, 1e-12))
-    af = core.quantize(fam, f)
     sup = max(abs(core.lower_symbol(fam, af, th).real)
               for th in np.linspace(0, 2 * math.pi, 50))
     checks.append(check("lower-symbol-contraction", "lowsymbmap",
@@ -256,7 +256,7 @@ def suite_core(args) -> tuple[dict, list[dict]]:
         np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 1.0]])))
     lhs = core.measurement_expectation(rho_m, fam, f)
     probs = np.einsum("ij,kji->k", rho_m, mats).real
-    rhs = float(fam.rule.integrate(f(fam.rule.nodes) * probs))
+    rhs = float(fam.rule.integrate(fv * probs))
     checks.append(check("measurement-two-route", "measexpect",
                         abs(lhs.real - rhs), 0.0, 1e-12))
     half = core.povm_region(fam, lambda th: th < math.pi)

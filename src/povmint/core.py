@@ -4,7 +4,9 @@ A :class:`DensityFamily` bundles a map x -> density matrix with a quadrature
 rule realizing the measure; everything else (resolution checks, POVMs of
 regions, probability kernels, quantization of functions, lower symbols,
 coherent-state construction, covariant orbits) is built on top of it by
-weighted sums over the rule nodes.
+weighted sums over the rule nodes.  A symbol is quantized from its values on
+the rule nodes (:func:`quantize_values`) or, as a scalar callable, one call
+per node (:func:`quantize`).
 """
 
 from __future__ import annotations
@@ -108,12 +110,19 @@ def prob_kernel(fam: DensityFamily, x0, x) -> float:
     return float(np.trace(r0 @ r1).real)
 
 
-def quantize(fam: DensityFamily, f: Callable) -> Array:
-    """Quantized operator A_f = sum_k w_k f(x_k) rho(x_k), one scalar f(x) per node."""
-    vals = np.array([complex(f(x)) for x in fam.rule.nodes])
+def quantize_values(fam: DensityFamily, vals: Array) -> Array:
+    """Quantized operator A_f = sum_k w_k f(x_k) rho(x_k) from the values f(x_k)."""
+    vals = np.asarray(vals, dtype=complex)
+    if vals.shape != (fam.rule.size,):
+        raise ValueError(f"values need shape ({fam.rule.size},), got {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("f must be finite at every quadrature node")
     return _accumulate(fam, vals)
+
+
+def quantize(fam: DensityFamily, f: Callable) -> Array:
+    """Quantized operator A_f of a scalar symbol f, called once per node."""
+    return quantize_values(fam, [complex(f(x)) for x in fam.rule.nodes])
 
 
 def lower_symbol(fam: DensityFamily, a: Array, x) -> complex:

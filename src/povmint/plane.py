@@ -399,47 +399,43 @@ def covariance_defects(params: ThermalParams,
     ``fam`` is a plane family of ``params`` already built by the caller;
     by default one is built on the default rule.
     """
-    from .core import quantize
+    from .core import quantize_values
 
     if fam is None:
         fam = plane_family(params)
     dim = params.dim
     z0, theta, block = 0.5, 0.7, dim // 2
-
-    def z_of(node):
-        return math.sqrt(float(node[0])) * np.exp(1.0j * float(node[1]))
-
+    j, gamma = fam.rule.nodes.T
+    z = np.sqrt(j) * np.exp(1.0j * gamma)
     center = 0.3 + 0.2j
 
     def bump(z):
-        return math.exp(-abs(z - center) ** 2)
+        return np.exp(-np.abs(z - center) ** 2)
 
     def sub(m):
         return m[:block, :block]
 
     out: dict[str, float] = {}
 
-    a_f = quantize(fam, lambda nd: bump(z_of(nd)))
+    a_f = quantize_values(fam, bump(z))
 
     d0 = displacement(complex(z0), dim)
     lhs = d0 @ a_f @ d0.conj().T
-    rhs = quantize(fam, lambda nd: bump(z_of(nd) - z0))
+    rhs = quantize_values(fam, bump(z - z0))
     out["translation"] = float(np.max(np.abs(sub(lhs - rhs))))
 
     u = torus_unitary(theta, dim)
     lhs = u @ a_f @ u.conj().T
-    rhs = quantize(fam, lambda nd: bump(np.exp(-1.0j * theta) * z_of(nd)))
+    rhs = quantize_values(fam, bump(np.exp(-1.0j * theta) * z))
     out["rotation"] = float(np.max(np.abs(sub(lhs - rhs))))
 
     p = parity_op(dim)
     lhs = p @ a_f @ p
-    rhs = quantize(fam, lambda nd: bump(-z_of(nd)))
+    rhs = quantize_values(fam, bump(-z))
     out["parity"] = float(np.max(np.abs(sub(lhs - rhs))))
 
-    def cf(z):
-        return z ** 2 + 1.0j * math.exp(-abs(z) ** 2)
-
-    a_c = quantize(fam, lambda nd: cf(z_of(nd)))
-    rhs = quantize(fam, lambda nd: np.conj(cf(z_of(nd))))
+    cf = z ** 2 + 1.0j * np.exp(-np.abs(z) ** 2)
+    a_c = quantize_values(fam, cf)
+    rhs = quantize_values(fam, np.conj(cf))
     out["conjugation"] = float(np.max(np.abs(sub(a_c.conj().T - rhs))))
     return out

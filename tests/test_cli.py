@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from povmint import cli, finite
+from povmint import cli, core, finite
 from povmint.cli import main
 
 FAST = ["--dim", "16", "--grid", "24"]
@@ -51,6 +51,17 @@ class TestVerify:
         code, out = run(capsys, ["verify", "plane"] + FAST)
         assert code == 0
         assert all(c["pass"] for c in json.loads(out)["checks"])
+
+    @pytest.mark.parametrize("argv", [["plane", "--dim", "16"], ["sphere"]])
+    def test_array_symbols_skip_the_per_node_quantize(self, capsys, monkeypatch, argv):
+        # these suites hand core.quantize_values node arrays, never a symbol
+        # to call once per node
+        def per_node_quantize(fam, f):
+            raise AssertionError("core.quantize called")
+
+        monkeypatch.setattr(core, "quantize", per_node_quantize)
+        code, _out = run(capsys, ["verify"] + argv)
+        assert code == 0
 
     def test_halfplane_suite_passes(self, capsys):
         code, out = run(capsys, ["verify", "halfplane", "--dim", "8",
@@ -143,17 +154,21 @@ class TestTracerBindings:
     """The benchmark's tracer rebinds module attributes of the library by
     name; each of those names must exist and be restored afterwards."""
 
-    def test_attach_install_uninstall_restores_every_patch(self):
+    @staticmethod
+    def tracer():
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
+        tracer = module.Tracer()
+        tracer.attach(cli)
+        return tracer
 
+    def test_attach_install_uninstall_restores_every_patch(self):
         def current(owner, attr):
             return owner[attr] if isinstance(owner, dict) else getattr(owner, attr)
 
-        tracer = module.Tracer()
-        tracer.attach(cli)
+        tracer = self.tracer()
         patches = tracer._patches
         assert len(patches) == 26
         tracer.install()
@@ -164,6 +179,20 @@ class TestTracerBindings:
             tracer.uninstall()
         for owner, attr, original, _replacement in patches:
             assert current(owner, attr) is original
+
+    def test_traced_plane_report_matches_untraced(self, capsys):
+        # the tracer wraps core.quantize's symbol in a callable, so a node
+        # array handed to core.quantize would fail only in traced runs
+        argv = ["verify", "plane", "--dim", "16"]
+        want = run(capsys, argv)
+        tracer = self.tracer()
+        tracer.install()
+        try:
+            got = run(capsys, argv)
+        finally:
+            tracer.uninstall()
+        assert got == want
+        assert want[0] == 0
 
 
 class TestImport:

@@ -120,6 +120,45 @@ class TestQuantize:
         assert_allclose(lhs.real, fam.rule.integrate(vals), atol=1e-13)
 
 
+QUANTIZE_VALUE_FAMILIES = {
+    # (family, symbol written once as an array expression over the nodes;
+    # + and * only, so it rounds the same on one node as on all of them)
+    "circle": (lambda: circle.circle_family(0.7, 0.3, n=16),
+               lambda th: th * th - 0.5 * th + 1j * th),
+    "sphere": (lambda: sphere.sphere_family(0.8, 6, 7),
+               lambda nd: nd[..., 0] * nd[..., 1] + 1j * nd[..., 0]),
+    "plane-grid": (lambda: plane.plane_family(plane.ThermalParams(t=0.2, dim=12),
+                                              plane.plane_rule(12, n_j=10, n_gamma=16)),
+                   lambda nd: nd[..., 0] * nd[..., 1] - 1j * nd[..., 0]),
+    "plane-scattered": (lambda: _plane_rule("shuffled"),
+                        lambda nd: nd[..., 0] * nd[..., 1] - 1j * nd[..., 0]),
+}
+
+
+class TestQuantizeValues:
+    @pytest.mark.parametrize("name", sorted(QUANTIZE_VALUE_FAMILIES))
+    def test_quantize_is_quantize_values_of_the_node_values(self, name):
+        make, f = QUANTIZE_VALUE_FAMILIES[name]
+        fam = make()
+        assert (fam.weighted_sum is not None) == (name == "plane-grid")
+        assert_allclose(core.quantize_values(fam, f(fam.rule.nodes)),
+                        core.quantize(fam, f), rtol=0, atol=0)
+
+    @pytest.mark.parametrize("vals", [np.ones(15), np.ones(17), np.ones((16, 1)),
+                                      np.ones((1, 16)), 1.0, np.float64(2.0)],
+                             ids=["short", "long", "column", "row", "float", "scalar"])
+    def test_rejects_wrong_shape(self, fam, vals):
+        with pytest.raises(ValueError, match=r"need shape \(16,\)"):
+            core.quantize_values(fam, vals)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_non_finite_values(self, fam, bad):
+        vals = np.ones(16, dtype=complex)
+        vals[3] = bad
+        with pytest.raises(ValueError, match="finite at every quadrature node"):
+            core.quantize_values(fam, vals)
+
+
 def fourier_basis(size, n_nodes=64):
     """Orthonormal exponentials e^{i n theta} / sqrt(2 pi) on the circle."""
     rule = periodic_rule(n_nodes, 1.0)

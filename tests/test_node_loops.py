@@ -3,9 +3,10 @@ no Python loop in any module under src/povmint walks a rule's nodes, with one
 exemption. In core.py, ``quantize`` calls its per-node symbol (a scalar
 callable by contract) once per node; that symbol loop is allowed as long as
 it builds no node matrix (no ``evaluate``, ``phi``, ``unitary`` or
-``orbit_density`` inside it). ``povm_region``'s indicator takes the node
-array, so its function has no exemption. ``map`` over rule nodes counts as a
-loop."""
+``orbit_density`` inside it). ``quantize_values`` is the array entry point:
+it takes the symbol's values on the rule nodes, so it has no exemption, nor
+has ``povm_region``, whose indicator takes the node array. ``map`` over rule
+nodes counts as a loop."""
 
 import ast
 from pathlib import Path
@@ -92,6 +93,9 @@ def test_guard_sees_the_loops_it_forbids():
          "    return list(map(ind, fam.rule.nodes))", 2),
         ("def quantize(fam, f):\n    def inner():\n"
          "        return [f(x) for x in fam.rule.nodes]", 3),
+        # the array entry point may not call a symbol per node
+        ("def quantize_values(fam, f):\n"
+         "    vals = [complex(f(x)) for x in fam.rule.nodes]", 2),
     ]
     for src, line in samples:
         assert node_loops(src) == [line], src
