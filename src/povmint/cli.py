@@ -1,7 +1,9 @@
 """Batch verification front end.
 
-Runs per-geometry check suites and emits machine-readable reports.  Each
-check row is {id, paper_anchor, computed, expected, tol, pass}; reports are
+Runs per-geometry check suites and emits machine-readable reports.  A suite
+returns its rows as data, {id, paper_anchor, computed, expected, tol};
+``_judge`` is the one place a row gets its ``pass`` (and its ``--tol``
+override), and ``render`` is the one place values are rounded.  Reports are
 deterministic byte-for-byte for a fixed configuration and seed.
 
 Exit codes: 0 all checks pass, 1 any check failed, 2 configuration error,
@@ -25,6 +27,8 @@ from . import circle, core, finite, halfplane, operators, plane, sphere
 
 def _round(x, digits: int = 12):
     """Stable rounding so reports do not wobble in the last bits."""
+    if isinstance(x, dict):
+        return {key: _round(val, digits) for key, val in x.items()}
     if isinstance(x, complex):
         return [round(x.real, digits), round(x.imag, digits)]
     if isinstance(x, (list, tuple, np.ndarray)):
@@ -34,18 +38,22 @@ def _round(x, digits: int = 12):
     return x
 
 
-def _passes(computed, expected, tol: float | None) -> bool:
-    if tol is None:
-        return True
-    return bool(np.max(np.abs(np.asarray(computed, dtype=complex)
-                              - np.asarray(expected, dtype=complex))) <= tol)
-
-
 def check(cid: str, anchor: str, computed, expected, tol: float | None):
-    """One report row; its values are rounded when the report is rendered."""
+    """One report row as data: no ``pass`` (``_judge`` adds it) and unrounded
+    values (``render`` rounds them).  ``tol=None`` marks an informational row."""
     return {"id": cid, "paper_anchor": anchor, "computed": computed,
-            "expected": expected, "tol": tol,
-            "pass": _passes(computed, expected, tol)}
+            "expected": expected, "tol": tol}
+
+
+def _judge(rows: list[dict], tol: float | None = None) -> list[dict]:
+    """Rows with their ``pass``: max |computed - expected| <= tol.  A given
+    ``tol`` replaces every row tolerance except None, which always passes."""
+    judged = []
+    for row in rows:
+        t = row["tol"] if tol is None or row["tol"] is None else tol
+        ok = t is None or operators.max_defect(row["computed"], row["expected"]) <= t
+        judged.append({**row, "tol": t, "pass": ok})
+    return judged
 
 
 # ---------------------------------------------------------------------------
@@ -70,12 +78,10 @@ def suite_circle(args) -> tuple[dict, list[dict]]:
         m1 = circle.rho_circle(p1.r, p1.phi)
         m2 = circle.rho_circle(p2.r, p2.phi)
         prod, comm, _anti = circle.product_and_algebra(p1, p2)
-        worst_prod = max(worst_prod, float(np.max(np.abs(m1 @ m2 - prod))))
-        worst_comm = max(worst_comm, float(np.max(np.abs(
-            m1 @ m2 - m2 @ m1 - comm))))
+        worst_prod = max(worst_prod, operators.max_defect(m1 @ m2, prod))
+        worst_comm = max(worst_comm, operators.max_defect(m1 @ m2 - m2 @ m1, comm))
     checks.append(check("product-formula", "multrho", worst_prod, 0.0, 1e-13))
-    checks.append(check("commutator-closed-form", "algrho", worst_comm,
-                        0.0, 1e-13))
+    checks.append(check("commutator-closed-form", "algrho", worst_comm, 0.0, 1e-13))
     theta0, theta = 0.3, 1.1
     checks.append(check("probability-kernel", "probdistcirc",
                         core.prob_kernel(fam, theta0, theta),
@@ -98,17 +104,15 @@ def suite_sphere(args) -> tuple[dict, list[dict]]:
     checks.append(check("sphere-resolution", "S2resun", rep.defect, 0.0, 1e-12))
     aq = sphere.quantize_azimuth(r)
     checks.append(check("quantized-q", "qtfrhorS2",
-                        float(np.max(np.abs(aq - sphere.aq_matrix(r)))),
-                        0.0, 1e-10))
+                        operators.max_defect(aq, sphere.aq_matrix(r)), 0.0, 1e-10))
     ap = core.quantize_values(fam, fam.rule.nodes[:, 0])
     checks.append(check("quantized-p", "ptfrhorS2",
-                        float(np.max(np.abs(ap - sphere.ap_matrix(r)))),
-                        0.0, 1e-10))
+                        operators.max_defect(ap, sphere.ap_matrix(r)), 0.0, 1e-10))
     comm = (sphere.aq_matrix(r) @ sphere.ap_matrix(r)
             - sphere.ap_matrix(r) @ sphere.aq_matrix(r))
     expect = 1.0j * math.pi * r * r / 6.0 * sphere.SIGMA[0]
     checks.append(check("commutator-qp", "crqpS2",
-                        float(np.max(np.abs(comm - expect))), 0.0, 1e-10))
+                        operators.max_defect(comm, expect), 0.0, 1e-10))
     theta, phi = 1.1, 0.7
     low = core.lower_symbol(
         fam, sphere.aq_matrix(r), (math.cos(theta), phi)).real
@@ -149,16 +153,13 @@ def suite_plane(args) -> tuple[dict, list[dict]]:
     blk = dim // 2
     comm = (aq @ ap - ap @ aq)[:blk, :blk]
     checks.append(check("ccr-block", "comqp",
-                        float(np.max(np.abs(comm - 1.0j * np.eye(blk)))),
-                        0.0, 1e-8))
+                        operators.max_defect(comm, 1.0j * np.eye(blk)), 0.0, 1e-8))
     # q^2 = 2 J cos^2(gamma) in action-angle coordinates
     aq2 = core.quantize_values(fam, 2.0 * j * np.cos(gamma) ** 2)
     q2 = np.linalg.matrix_power(plane.q_matrix(dim), 2)
     shift = plane.quadratic_shift(params)
-    checks.append(check(
-        "quadratic-q2", "quadraq",
-        float(np.max(np.abs((aq2 - q2 - shift * np.eye(dim))[:blk, :blk]))),
-        0.0, 1e-5))
+    checks.append(check("quadratic-q2", "quadraq", operators.max_defect(
+        (aq2 - q2 - shift * np.eye(dim))[:blk, :blk]), 0.0, 1e-5))
     checks.append(check("energy-gap", "quantosc2", plane.energy_gap(), 0.5, 0.0))
     rep = core.check_resolution(fam, block=blk)
     checks.append(check("resolution-block", "residrhoTz", rep.defect, 0.0, 1e-6))
@@ -166,10 +167,10 @@ def suite_plane(args) -> tuple[dict, list[dict]]:
     ph = plane.phase_operator(pp)
     half = pp.dim // 2
     checks.append(check("phase-diagonal", "scsphaseop",
-                        float(np.max(np.abs(np.diag(ph)[:half].real - math.pi))),
+                        operators.max_defect(np.diag(ph)[:half].real, math.pi),
                         0.0, 1e-6))
     checks.append(check("phase-hermitian", "scsphaseop",
-                        float(np.max(np.abs(ph - ph.conj().T))), 0.0, 1e-10))
+                        operators.max_defect(ph, ph.conj().T), 0.0, 1e-10))
     checks.append(check("phase-covariance", "covquantaa",
                         plane.phase_covariance_defect(ph, 0.9), 0.0, 1e-6))
     pa = plane.phase_operator_printed(pp)
@@ -177,9 +178,9 @@ def suite_plane(args) -> tuple[dict, list[dict]]:
     guard[1:, 1:] = True
     np.fill_diagonal(guard, False)
     finite_mask = guard & np.isfinite(pa)
-    diff = float(np.max(np.abs((pa - ph)[finite_mask])))
+    diff = operators.max_defect((pa - ph)[finite_mask])
     checks.append(check("phase-route-comparison", "Fmm'",
-                        {"max_abs_route_difference_guarded": _round(diff),
+                        {"max_abs_route_difference_guarded": diff,
                          "note": "printed-matrix route deviates; the "
                                  "quadrature route is normative"},
                         None, None))
@@ -195,22 +196,21 @@ def suite_halfplane(args) -> tuple[dict, list[dict]]:
     # fixed truncation: large enough that the thermal tail t^dim sits below
     # every tolerance here, small enough to keep the group quadrature cheap
     dim = 16
+    params = halfplane.AffineParams(alpha, t, dim)
     checks = []
     checks.append(check("basis-gram", "LagOB",
                         halfplane.gram_defect(alpha, dim), 0.0, 1e-10))
     checks.append(check("inverse-moment", "croexpl",
                         halfplane.inverse_moment(0, alpha), 1.0 / alpha, 1e-12))
-    params = halfplane.AffineParams(alpha, t, dim)
     grid = max(args.grid, 64)
     rule = halfplane.affine_group_rule(n_u=grid, n_v=grid)
     c_quad = halfplane.c_rho_quadrature(params, rule)
     checks.append(check(
         "admissibility-constant", "croexpl",
-        {"quadrature": _round(c_quad),
-         "derived_2pi_over_alpha": _round(halfplane.c_rho_derived(alpha)),
-         "printed_2pi_1mt_over_alpha": _round(
-             halfplane.c_rho_printed(alpha, t))},
-        {"quadrature": _round(halfplane.c_rho_derived(alpha))}, None))
+        {"quadrature": c_quad,
+         "derived_2pi_over_alpha": halfplane.c_rho_derived(alpha),
+         "printed_2pi_1mt_over_alpha": halfplane.c_rho_printed(alpha, t)},
+        {"quadrature": halfplane.c_rho_derived(alpha)}, None))
     checks.append(check("admissibility-derived", "croexpl", c_quad,
                         halfplane.c_rho_derived(alpha), 1e-8))
     if t > 0:
@@ -223,7 +223,7 @@ def suite_halfplane(args) -> tuple[dict, list[dict]]:
     block = halfplane.affine_resolution_check(params, block=3, rule=rule,
                                               c_rho=c_quad)
     checks.append(check("resolution-block", "residrhoTqpF",
-                        float(np.max(np.abs(block - np.eye(3)))), 0.0, 1e-3))
+                        operators.max_defect(block, np.eye(3)), 0.0, 1e-3))
     return {"t": t, "alpha": alpha, "dim": dim, "grid": grid}, checks
 
 
@@ -234,7 +234,7 @@ def suite_core(args) -> tuple[dict, list[dict]]:
     checks = []
     one = core.quantize_values(fam, np.ones(fam.rule.size))
     checks.append(check("quantize-identity", "povmquantf",
-                        float(np.max(np.abs(one - np.eye(2)))), 0.0, 1e-13))
+                        operators.max_defect(one, np.eye(2)), 0.0, 1e-13))
     f = lambda th: np.cos(2 * th)
     fv, gv = f(fam.rule.nodes), np.sin(2 * fam.rule.nodes) + 0.5
     af, ag = core.quantize_values(fam, fv), core.quantize_values(fam, gv)
@@ -242,11 +242,11 @@ def suite_core(args) -> tuple[dict, list[dict]]:
     for _ in range(10):
         a1, b1 = rng.standard_normal(2)
         lhs = core.quantize_values(fam, a1 * fv + b1 * gv)
-        worst = max(worst, float(np.max(np.abs(lhs - (a1 * af + b1 * ag)))))
+        worst = max(worst, operators.max_defect(lhs, a1 * af + b1 * ag))
     checks.append(check("quantize-linearity", "povmquantf", worst, 0.0, 1e-12))
     mats = fam.evaluate(fam.rule.nodes)
     kernel = np.einsum("aij,bji->ab", mats, mats).real  # tr(rho(x_a) rho(x_b))
-    row_defect = float(np.max(np.abs(kernel @ fam.rule.weights - 1.0)))
+    row_defect = operators.max_defect(kernel @ fam.rule.weights, 1.0)
     checks.append(check("kernel-row-normalization", "probdist", row_defect, 0.0, 1e-12))
     sup = max(abs(core.lower_symbol(fam, af, th).real)
               for th in np.linspace(0, 2 * math.pi, 50))
@@ -262,15 +262,14 @@ def suite_core(args) -> tuple[dict, list[dict]]:
     half = core.povm_region(fam, lambda th: th < math.pi)
     other = core.povm_region(fam, lambda th: th >= math.pi)
     checks.append(check("povm-complementarity", "povmap",
-                        float(np.max(np.abs(half + other - one))), 0.0, 1e-13))
+                        operators.max_defect(half + other, one), 0.0, 1e-13))
     return {"seed": args.seed}, checks
 
 
 def suite_finite(args) -> tuple[dict, list[dict]]:
     checks = []
     fb = finite.feasibility_bounds(2)
-    checks.append(check("feasibility-full-rank", "allowr",
-                        fb.n_max, 6, 0.0))
+    checks.append(check("feasibility-full-rank", "allowr", fb.n_max, 6, 0.0))
     fb1 = finite.feasibility_bounds(2, rank_one=True)
     checks.append(check("feasibility-rank-one-roots", "condNncs",
                         [0.5 * (7 - math.sqrt(25)), fb1.n_max],
@@ -285,12 +284,10 @@ def suite_finite(args) -> tuple[dict, list[dict]]:
     rhos, measure = _random_resolving_family(rng, n=2, size=4)
     table = finite.gram_probabilities(rhos, measure)
     result = finite.reconstruct(table, seed=args.seed)
-    checks.append(check("round-trip-residual", "relprho", result.residual,
-                        0.0, 1e-6))
+    checks.append(check("round-trip-residual", "relprho", result.residual, 0.0, 1e-6))
     rec_table = finite.gram_probabilities(result.rhos, measure, tol=1e-6)
     checks.append(check("round-trip-table", "relprho",
-                        float(np.max(np.abs(rec_table.p - table.p))),
-                        0.0, 1e-6))
+                        operators.max_defect(rec_table.p, table.p), 0.0, 1e-6))
     return {"seed": args.seed}, checks
 
 
@@ -324,9 +321,12 @@ SUITES = {
 
 
 def render(report: dict, fmt: str) -> str:
+    """The report as JSON or CSV text; the one place its values are rounded."""
     report = {**report, "checks": [
         {**chk, "computed": _round(chk["computed"]),
          "expected": _round(chk["expected"])} for chk in report["checks"]]}
+    if "solution" in report:
+        report["solution"] = _round(report["solution"], 10)
     if fmt == "json":
         return json.dumps(report, indent=2) + "\n"
     buf = io.StringIO()
@@ -391,6 +391,10 @@ def _emit(text: str, out: str | Path | None) -> bool:
 
 
 def run_verify(args) -> int:
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:
+        sys.stderr.write(f"configuration error: --tol must lie in [0, inf), "
+                         f"got {args.tol}\n")
+        return 2
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     code = 0
     for name in names:
@@ -399,11 +403,7 @@ def run_verify(args) -> int:
         except (ValueError, OverflowError) as exc:
             sys.stderr.write(f"configuration error in suite {name}: {exc}\n")
             return 2
-        if args.tol is not None:
-            checks = [chk if chk["tol"] is None else
-                      {**chk, "tol": args.tol,
-                       "pass": _passes(chk["computed"], chk["expected"], args.tol)}
-                      for chk in checks]
+        checks = _judge(checks, args.tol)
         report = {"suite": name, "params": params, "checks": checks}
         path = args.out
         if path and len(names) > 1:
@@ -417,9 +417,9 @@ def run_verify(args) -> int:
 
 
 def run_reconstruct(args) -> int:
-    if args.restarts < 1 or not args.tol > 0:
-        sys.stderr.write(f"configuration error: --restarts must be >= 1 and "
-                         f"--tol > 0, got {args.restarts} and {args.tol}\n")
+    if args.restarts < 1 or not 0.0 < args.tol < math.inf:
+        sys.stderr.write(f"configuration error: --restarts must be >= 1 and --tol "
+                         f"in (0, inf), got {args.restarts} and {args.tol}\n")
         return 2
     try:
         with open(args.table) as fh:
@@ -441,15 +441,14 @@ def run_reconstruct(args) -> int:
         "params": {"n": table.n, "N": table.measure.count,
                    "rank_one": args.rank_one, "seed": args.seed,
                    "restarts": args.restarts},
-        "checks": [
+        "checks": _judge([
             check("feasibility", "allowr", table.measure.count,
-                  {"min": fb.n_min, "max": _round(fb.n_max)}, None),
+                  {"min": fb.n_min, "max": fb.n_max}, None),
             check("residual", "relprho", result.residual, 0.0, args.tol),
             check("resolution-defect", "finresNn", result.resolution,
                   0.0, 100 * args.tol),
-        ],
-        "solution": [[_round(v, 10) for v in np.asarray(r).ravel().tolist()]
-                     for r in result.rhos],
+        ]),
+        "solution": [np.asarray(r).ravel() for r in result.rhos],
     }
     if not _emit(render(report, args.format), args.out):
         return 2

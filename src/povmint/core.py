@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import QuadratureRule
-from .operators import is_density
+from .operators import is_density, max_defect
 
 Array = np.ndarray
 
@@ -94,8 +94,7 @@ def check_resolution(fam: DensityFamily, block: int | None = None) -> Resolution
     total = _accumulate(fam)
     if block is not None:
         total = total[:block, :block]
-    defect = float(np.max(np.abs(total - np.eye(total.shape[0]))))
-    return ResolutionReport(defect, total)
+    return ResolutionReport(max_defect(total, np.eye(total.shape[0])), total)
 
 
 def povm_region(fam: DensityFamily, indicator: Callable) -> Array:
@@ -163,7 +162,7 @@ class CsBasis:
         samples = _on_nodes(self.phi, self.base_rule.nodes, (self.size,))
         gram = np.einsum("k,kn,km->nm", self.base_rule.weights,
                          samples.conj(), samples)
-        return float(np.max(np.abs(gram - np.eye(self.size))))
+        return max_defect(gram, np.eye(self.size))
 
 
 def cs_norm(basis: CsBasis, x) -> Array:
@@ -259,4 +258,4 @@ def covariance_check(spec: GroupOrbitSpec, fam: DensityFamily,
     u0 = np.asarray(spec.unitary(g0), dtype=complex)
     lhs = u0 @ quantize(fam, f) @ u0.conj().T
     rhs = quantize(fam, lambda g: f(spec.translate(g0, g)))
-    return float(np.max(np.abs(lhs - rhs)))
+    return max_defect(lhs, rhs)

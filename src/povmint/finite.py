@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import is_density
+from .operators import is_density, max_defect
 
 
 def least_squares(*args, **kwargs):
@@ -55,13 +55,12 @@ class ProbTable:
             raise ValueError(f"table must be {nn}x{nn}, got {p.shape}")
         if np.any(p < -tol) or np.any(p > 1 + tol):
             raise ValueError("probabilities must lie in [0, 1]")
-        if np.max(np.abs(p - p.T)) > tol:
+        if max_defect(p, p.T) > tol:
             raise ValueError("table must be symmetric")
-        rows = p @ self.measure.weights
-        if np.max(np.abs(rows - 1.0)) > tol:
+        worst = max_defect(p @ self.measure.weights, 1.0)
+        if worst > tol:
             raise ValueError(
-                f"row sums sum_j nu_j p_ij must equal 1 (worst defect "
-                f"{np.max(np.abs(rows - 1.0)):.3g})")
+                f"row sums sum_j nu_j p_ij must equal 1 (worst defect {worst:.3g})")
         if abs(self.measure.total() - self.n) > tol:
             raise ValueError("weights must sum to the Hilbert dimension n")
 
@@ -120,17 +119,17 @@ def parseval_check(vectors, weights) -> float:
     """Max-norm defect of sum_i nu_i |x_i><x_i| = I for unit vectors x_i."""
     vecs = np.asarray(vectors, dtype=complex)
     w = np.asarray(weights, dtype=float)
-    if np.max(np.abs(np.linalg.norm(vecs, axis=1) - 1.0)) > 1e-10:
+    if max_defect(np.linalg.norm(vecs, axis=1), 1.0) > 1e-10:
         raise ValueError("frame vectors must be unit")
     n = vecs.shape[1]
     frame = np.einsum("i,ij,ik->jk", w, vecs, vecs.conj())
-    return float(np.max(np.abs(frame - np.eye(n))))
+    return max_defect(frame, np.eye(n))
 
 
 def resolution_defect(rhos, measure: FiniteMeasure) -> float:
     total = sum(w * np.asarray(r, dtype=complex)
                 for w, r in zip(measure.weights, rhos))
-    return float(np.max(np.abs(total - np.eye(total.shape[0]))))
+    return max_defect(total, np.eye(total.shape[0]))
 
 
 def gram_probabilities(rhos, measure: FiniteMeasure,

@@ -35,8 +35,8 @@ class AffineParams:
     dim: int
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError(f"resolution requires alpha > 0, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"resolution requires 0 < alpha < inf, got {self.alpha}")
         if not 0.0 <= self.t < 1.0:
             raise ValueError(f"t must lie in [0, 1), got {self.t}")
         if self.dim < 1:

@@ -20,6 +20,11 @@ class DensityCheck:
     min_eigenvalue: float
 
 
+def max_defect(a, b=0.0) -> float:
+    """Max-norm distance max |a - b| (NaN if any entry is NaN)."""
+    return float(np.max(np.abs(np.subtract(a, b))))
+
+
 def _as_square(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -30,7 +35,7 @@ def _as_square(m) -> np.ndarray:
 def is_density(m, tol: float = 1e-12, eig_slack: float = POSITIVITY_SLACK) -> DensityCheck:
     """Check Hermiticity, unit trace and positivity; diagnostics always returned."""
     m = _as_square(m)
-    herm = float(np.max(np.abs(m - m.conj().T)))
+    herm = max_defect(m, m.conj().T)
     trace = float(abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag))
     sym = 0.5 * (m + m.conj().T)
     min_eig = float(np.linalg.eigvalsh(sym)[0])
@@ -41,8 +46,7 @@ def is_density(m, tol: float = 1e-12, eig_slack: float = POSITIVITY_SLACK) -> De
 def eig_hermitian(m):
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
     m = _as_square(m)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.conj().T)) > 1e-10 * scale:
+    if max_defect(m, m.conj().T) > 1e-10 * max(1.0, max_defect(m)):
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigh(0.5 * (m + m.conj().T))
 
@@ -91,7 +95,7 @@ class MixtureSpec:
             raise ValueError("mixture weights must lie in [0,1] and sum to 1")
         s = np.asarray(self.states, dtype=complex)
         norms = np.linalg.norm(s, axis=1)
-        if np.max(np.abs(norms - 1.0)) > tol:
+        if max_defect(norms, 1.0) > tol:
             raise ValueError("mixture states must be unit vectors")
 
 

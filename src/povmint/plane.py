@@ -24,6 +24,7 @@ from .core import DensityFamily
 from .numerics import (DomainError, PoleError, QuadratureRule, bessel_i,
                        hyp2f1_terminating, laguerre, laguerre_rule, laguerre_table,
                        periodic_rule, product_rule)
+from .operators import max_defect
 
 
 @dataclass(frozen=True)
@@ -382,7 +383,7 @@ def phase_covariance_defect(phase_op: np.ndarray, theta0: float) -> float:
     u = torus_unitary(theta0, len(phase_op))
     idx = np.arange(len(phase_op))
     rhs = phase_op * np.exp(1.0j * np.subtract.outer(idx, idx) * theta0)
-    return float(np.max(np.abs(u @ phase_op @ u.conj().T - rhs)))
+    return max_defect(u @ phase_op @ u.conj().T, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +423,20 @@ def covariance_defects(params: ThermalParams,
     d0 = displacement(complex(z0), dim)
     lhs = d0 @ a_f @ d0.conj().T
     rhs = quantize_values(fam, bump(z - z0))
-    out["translation"] = float(np.max(np.abs(sub(lhs - rhs))))
+    out["translation"] = max_defect(sub(lhs - rhs))
 
     u = torus_unitary(theta, dim)
     lhs = u @ a_f @ u.conj().T
     rhs = quantize_values(fam, bump(np.exp(-1.0j * theta) * z))
-    out["rotation"] = float(np.max(np.abs(sub(lhs - rhs))))
+    out["rotation"] = max_defect(sub(lhs - rhs))
 
     p = parity_op(dim)
     lhs = p @ a_f @ p
     rhs = quantize_values(fam, bump(-z))
-    out["parity"] = float(np.max(np.abs(sub(lhs - rhs))))
+    out["parity"] = max_defect(sub(lhs - rhs))
 
     cf = z ** 2 + 1.0j * np.exp(-np.abs(z) ** 2)
     a_c = quantize_values(fam, cf)
     rhs = quantize_values(fam, np.conj(cf))
-    out["conjugation"] = float(np.max(np.abs(sub(a_c.conj().T - rhs))))
+    out["conjugation"] = max_defect(sub(a_c.conj().T - rhs))
     return out

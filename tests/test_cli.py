@@ -1,7 +1,9 @@
-"""CLI: suite execution, report schema, determinism, exit codes."""
+"""CLI: suite execution, report schema, row judging, determinism, exit codes."""
 
+import ast
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -142,12 +144,121 @@ class TestVerify:
         assert len(lines) == 1
         assert lines[0].startswith("configuration error")
 
+    @pytest.mark.parametrize("tol", ["-1", "-0.5", "nan", "inf"])
+    def test_bad_tol_exit_2(self, capsys, monkeypatch, tmp_path, tol):
+        def never(args):
+            raise AssertionError("suite ran")
+
+        monkeypatch.setitem(cli.SUITES, "circle", never)
+        out = tmp_path / "report.json"
+        code = main(["verify", "circle", "--tol", tol, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert not out.exists()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("configuration error: --tol must lie in [0, inf)")
+
+    def test_zero_tol_is_valid(self, capsys):
+        code, out = run(capsys, ["verify", "finite", "--tol", "0"] + FAST)
+        assert code in (0, 1)
+        assert {c["tol"] for c in json.loads(out)["checks"]} == {0.0}
+
+    @pytest.mark.parametrize("alpha", ["0", "nan", "inf"])
+    def test_bad_alpha_exit_2(self, capsys, alpha):
+        code = main(["verify", "halfplane", "--alpha", alpha])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0] == ("configuration error in suite halfplane: resolution "
+                            f"requires 0 < alpha < inf, got {float(alpha)}")
+
     def test_halfplane_reports_parameters_used(self, capsys):
         code, out = run(capsys, ["verify", "halfplane", "--dim", "48",
                                  "--grid", "48", "--r", "0.3"])
         assert code == 0
         assert json.loads(out)["params"] == {"t": 0.2, "alpha": 2.0, "dim": 16,
                                              "grid": 64}
+
+
+class TestRows:
+    """Suites return rows as data; ``_judge`` alone decides ``pass`` and applies
+    ``--tol``, and ``render`` alone rounds."""
+
+    def test_pass_is_produced_only_in_judge(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        owner = {}  # node -> innermost enclosing function name (ast.walk is BFS)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+
+        def is_pass(node):
+            return isinstance(node, ast.Constant) and node.value == "pass"
+
+        producers = [node for node in ast.walk(tree)
+                     if (isinstance(node, ast.Dict) and any(map(is_pass, node.keys)))
+                     or (isinstance(node, ast.Subscript) and is_pass(node.slice)
+                         and isinstance(node.ctx, ast.Store))
+                     or (isinstance(node, ast.Call) and node.args
+                         and is_pass(node.args[0]) and isinstance(node.func, ast.Attribute)
+                         and node.func.attr in {"setdefault", "__setitem__"})]
+        assert producers
+        assert {owner.get(node) for node in producers} == {"_judge"}
+
+    def test_check_rows_carry_no_pass(self):
+        row = cli.check("x", "anchor", 1.0, 1.0, 1e-12)
+        assert list(row) == ["id", "paper_anchor", "computed", "expected", "tol"]
+
+    def test_judge_overrides_every_tolerance_but_none(self):
+        rows = [cli.check("a", "x", 0.5, 0.0, 1.0),
+                cli.check("b", "x", {"note": "text"}, None, None)]
+        assert cli._judge(rows) == [{**row, "pass": True} for row in rows]
+        judged = cli._judge(rows, 0.1)
+        assert [row["tol"] for row in judged] == [0.1, None]
+        assert [row["pass"] for row in judged] == [False, True]
+        assert list(judged[0]) == ["id", "paper_anchor", "computed", "expected",
+                                   "tol", "pass"]
+        assert rows[0]["tol"] == 1.0 and "pass" not in rows[0]
+
+    def test_judge_fails_a_nan_row(self):
+        row = cli.check("a", "x", [0.0, math.nan], [0.0, 0.0], 1.0)
+        assert cli._judge([row])[0]["pass"] is False
+
+    def test_new_row_field_needs_one_edit(self, capsys, monkeypatch, tmp_path):
+        judge = cli._judge
+
+        def judge_with_field(rows, tol=None):
+            return [{**row, "extra": row["id"]} for row in judge(rows, tol)]
+
+        monkeypatch.setattr(cli, "_judge", judge_with_field)
+        assert main(["verify", "all", "--out", str(tmp_path / "r.json")] + FAST) == 0
+        reports = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("r-*.json"))]
+        assert len(reports) == 6
+        path = table_file(tmp_path, [qubit(0.4), qubit(-0.4)], [1.0, 1.0])
+        code, out = run(capsys, ["reconstruct", path, "--tol", "1e-6"])
+        assert code == 0
+        reports.append(json.loads(out))
+        for report in reports:
+            assert report["checks"]
+            for row in report["checks"]:
+                assert row["extra"] == row["id"]
+
+    def test_round_recurses_into_dicts(self):
+        value = {"a": 0.1 + 0.2, "b": [1 / 3, 2 / 3], "z": 2 / 3 + 1j / 7,
+                 "c": {"d": np.float64(2 / 7)}, "note": "text", "n": 6}
+        assert cli._round(value) == {
+            "a": round(0.1 + 0.2, 12), "b": [round(1 / 3, 12), round(2 / 3, 12)],
+            "z": [round(2 / 3, 12), round(1 / 7, 12)],
+            "c": {"d": round(2 / 7, 12)}, "note": "text", "n": 6}
+
+    def test_round_is_idempotent(self):
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal(2000) * 10.0 ** rng.integers(-14, 8, 2000)
+        once = cli._round({"v": values, "z": complex(values[0], values[1])})
+        assert cli._round(once) == once
 
 
 class TestTracerBindings:
@@ -232,13 +343,20 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("flag,value", [("--restarts", "0"),
                                             ("--restarts", "-1"),
-                                            ("--tol", "-1"), ("--tol", "0")])
-    def test_bad_solver_setting_exit_2(self, capsys, tmp_path, flag, value):
+                                            ("--tol", "-1"), ("--tol", "0"),
+                                            ("--tol", "nan"), ("--tol", "inf")])
+    def test_bad_solver_setting_exit_2(self, capsys, tmp_path, monkeypatch, flag, value):
+        def never(*args, **kwargs):
+            raise AssertionError("solver ran")
+
+        monkeypatch.setattr(finite, "reconstruct", never)
         path = table_file(tmp_path, [qubit(0.4), qubit(-0.4)], [1.0, 1.0])
-        code = main(["reconstruct", path, flag, value])
+        out = tmp_path / "report.json"
+        code = main(["reconstruct", path, flag, value, "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
+        assert not out.exists()
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("configuration error")

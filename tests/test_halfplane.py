@@ -164,6 +164,11 @@ class TestBasis:
         with pytest.raises(ValueError):
             halfplane.AffineParams(alpha=1.0, t=0.1, dim=0)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_alpha_must_be_positive_and_finite(self, alpha):
+        with pytest.raises(ValueError, match="0 < alpha < inf"):
+            halfplane.AffineParams(alpha=alpha, t=0.1, dim=4)
+
     def test_basis_domain(self):
         with pytest.raises(ValueError):
             halfplane.basis_fn(0, 1.5, -0.1)

@@ -1,4 +1,5 @@
-"""Density-matrix checks, eigensolver guard, distances, mixtures."""
+"""Density-matrix checks, eigensolver guard, distances, mixtures, the max-norm
+defect."""
 
 import math
 
@@ -7,7 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from povmint.operators import (MixtureSpec, eig_hermitian, hs_distance,
-                               is_density, mix, pseudo_distance, purity)
+                               is_density, max_defect, mix, pseudo_distance,
+                               purity)
 
 
 def diag_density(*populations):
@@ -111,3 +113,32 @@ class TestMixture:
                            np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex))
         with pytest.raises(ValueError):
             spec.validate()
+
+
+class TestMaxDefect:
+    RNG = np.random.default_rng(7)
+    CASES = {
+        "real": (RNG.standard_normal((5, 5)), np.eye(5)),
+        "complex": (RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4)),
+                    1.0j * np.eye(4)),
+        "list": ([0.5 * (7 - math.sqrt(25)), 6.0], [1.0, 6.0]),
+        "broadcast": (RNG.standard_normal(6) + 1.0, 1.0),
+        "complex-scalar": (0.3 - 0.7j, 0.25),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bit_identical_to_spelled_out_form(self, name):
+        a, b = self.CASES[name]
+        want = float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+        got = max_defect(a, b)
+        assert type(got) is float
+        assert got == want
+
+    def test_default_compares_with_zero(self):
+        m = np.array([[-2.5, 1.0], [0.5j, 0.0]])
+        assert max_defect(m) == float(np.max(np.abs(m))) == 2.5
+
+    def test_nan_propagates(self):
+        got = max_defect([0.0, math.nan], 0.0)
+        assert math.isnan(got)
+        assert not got <= 1e300
