@@ -132,9 +132,10 @@ def overlap_block(q, p, alpha: float, rows: int, cols: int) -> np.ndarray:
                   2F1(-i, -n; a+1; zeta),      a = alpha,
 
     with the connection-formula partner 2F1(-i, -n; -i-n-a; 1-zeta) (carrying
-    Gamma(i+n+a+1)/sqrt(...) in place of the Gamma ratio above) used as a
-    fallback: the two sums lose accuracy in complementary (q, p) regions, so
-    each element keeps whichever route cancelled less.
+    Gamma(i+n+a+1)/sqrt(...) in place of the Gamma ratio above) as a fallback:
+    the two sums lose accuracy in complementary (q, p) regions. The partner is
+    evaluated only at nodes where the primary sum's largest term exceeds 1e6
+    times the sum, and there each element keeps whichever route cancelled less.
 
     q and p may be arrays (broadcast together): the result then has shape
     q.shape + (rows, cols), and each element runs over all nodes at once.
@@ -148,7 +149,6 @@ def overlap_block(q, p, alpha: float, rows: int, cols: int) -> np.ndarray:
     s = 0.5 * (1.0 + 1.0 / q) - 1j * p
     log_s, log_s1, log_sq = np.log(s), np.log(s - 1.0), np.log(s - 1.0 / q)
     zeta = (1.0 / q) / ((s - 1.0) * (s - 1.0 / q))
-    z = 1.0 - zeta
     lf = np.array([math.lgamma(k + 1.0) for k in range(rows + cols)])
     lg = np.array([math.lgamma(k + alpha + 1.0) for k in range(rows + cols)])
     lga1 = math.lgamma(alpha + 1.0)
@@ -161,17 +161,19 @@ def overlap_block(q, p, alpha: float, rows: int, cols: int) -> np.ndarray:
                       - (i + n + alpha + 1.0) * log_s)
             half = 0.5 * (lg[i] - lf[i] + lg[n] - lf[n])
             f21, big = _f21_tracked(lo, -float(hi), alpha + 1.0, zeta)
-            val = f21 * np.exp(half - lga1 + powers)
+            elem = out[..., i, n]
+            elem[...] = f21 * np.exp(half - lga1 + powers)
+            fb = big > 1e6 * np.maximum(np.abs(f21), 1e-300)
+            if not fb.any():
+                continue
             # predicted cancellation error = max term * route amplitude
-            err_a = np.log(big) + half - lga1 + powers.real
-            fallback = big > 1e6 * np.maximum(np.abs(f21), 1e-300)
+            err_a = np.log(big[fb]) + half - lga1 + powers.real[fb]
             # the partner route may overflow at nodes that do not take it
             with np.errstate(over="ignore", invalid="ignore"):
-                f21b, bigb = _f21_tracked(lo, -float(hi), -(i + n + alpha), z)
-                err_b = np.log(bigb) + lg[i + n] - half + powers.real
-                out[..., i, n] = np.where(
-                    fallback & (err_b < err_a),
-                    f21b * np.exp(lg[i + n] - half + powers), val)
+                f21b, bigb = _f21_tracked(lo, -float(hi), -(i + n + alpha), 1.0 - zeta[fb])
+                err_b = np.log(bigb) + lg[i + n] - half + powers.real[fb]
+                elem[fb] = np.where(err_b < err_a,
+                                    f21b * np.exp(lg[i + n] - half + powers[fb]), elem[fb])
     out[identity] = np.eye(rows, cols)
     return out
 

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive, roots_genlaguerre
 
 
 class DomainError(ValueError):
@@ -71,6 +70,8 @@ def bessel_i(nu: float, x):
         raise OverflowError(
             f"I_nu({np.max(x)}) overflows a double; use bessel_i_scaled instead"
         )
+    from scipy.special import ive  # deferred: scipy.special costs ~0.3 s of import
+
     out = ive(nu, x) * np.exp(x)
     return out if out.ndim else float(out)
 
@@ -81,6 +82,8 @@ def bessel_i_scaled(nu: float, x: float) -> tuple[float, float]:
         raise DomainError(f"argument must be nonnegative, got {x}")
     if nu < 0:
         raise DomainError(f"order must be nonnegative, got {nu}")
+    from scipy.special import ive
+
     return float(ive(nu, x)), float(x)
 
 
@@ -167,6 +170,8 @@ def laguerre_rule(n: int, alpha: float = 0.0) -> QuadratureRule:
         raise DomainError(f"node count must be >= 1, got {n}")
     if alpha <= -1:
         raise DomainError(f"Gauss-Laguerre rule needs alpha > -1, got {alpha}")
+    from scipy.special import roots_genlaguerre
+
     return QuadratureRule(*roots_genlaguerre(n, alpha))
 
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .core import DensityFamily
 from .numerics import (DomainError, PoleError, QuadratureRule, bessel_i,
@@ -66,6 +65,8 @@ def _real_displacements(x, dim: int) -> np.ndarray:
     Entry (m, n), m >= n: sqrt(n!/m!) x^{(m-n)/2} L_n^{(m-n)}(x) from one
     Laguerre table, its prefactor in log space; entry (n, m) adds (-1)^{m-n}.
     """
+    from scipy.special import xlogy  # xlogy(0, 0) = 0 on the diagonal at x = 0
+
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError(f"|z|^2 must be nonnegative, got {np.min(x)}")

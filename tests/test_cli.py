@@ -318,6 +318,18 @@ class TestImport:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"
 
+    def test_cli_import_defers_scipy(self):
+        # scipy.special loads inside the functions that use it, so no
+        # scipy module is part of the CLI's start-up
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import sys, povmint.cli\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
 
 class TestReconstruct:
     def test_round_trip_exit_0(self, capsys, tmp_path):

@@ -269,6 +269,30 @@ class TestBatchedOverlap:
             assert_allclose(block, halfplane.overlap_block(q, p, 2.0, 6, 9),
                             rtol=0, atol=1e-15)
 
+    def test_partner_route_nodes(self, monkeypatch):
+        # at these nodes of the default rule some 16 x 16 elements at alpha 2
+        # fail the primary route's cancellation test; batched with central
+        # nodes, the partner 2F1 runs on those nodes only
+        fallback = [1881, 1894, 1935, 1968, 2133, 2136, 2142, 2145, 2151, 2154]
+        nodes = np.concatenate([halfplane.affine_group_rule().nodes[fallback],
+                                central_nodes(6)])
+        partner_sizes, f21 = [], halfplane._f21_tracked
+
+        def recording(m, b, c, x):
+            if c < 0:
+                partner_sizes.append(np.size(x))
+            return f21(m, b, c, x)
+
+        monkeypatch.setattr(halfplane, "_f21_tracked", recording)
+        got = halfplane.overlap_block(nodes[:, 0], nodes[:, 1], 2.0, 16, 16)
+        assert partner_sizes and max(partner_sizes) <= len(fallback)
+        for (q, p), block in zip(nodes[:len(fallback)], got):
+            assert_allclose(block, overlap_block_mpmath(q, p, 2.0, 16, 16),
+                            rtol=0, atol=1e-12)
+        for (q, p), block in zip(nodes, got):
+            assert_allclose(block, halfplane.overlap_block(q, p, 2.0, 16, 16),
+                            rtol=0, atol=1e-12)
+
     def test_broadcast_shape(self):
         q = np.array([[0.5], [2.0]])
         p = np.array([-1.0, 0.0, 1.0])
@@ -373,6 +397,22 @@ class TestOrbitEngine:
         want = u @ np.diag(PARAMS.weights()) @ np.swapaxes(u.conj(), -1, -2)
         assert_allclose(full.evaluate(nodes), want, rtol=0, atol=1e-15)
         assert_allclose(part.evaluate(nodes), want[:, :3, :3], rtol=0, atol=1e-15)
+
+    def test_suite_defaults_run_the_primary_route_only(self, monkeypatch):
+        # no node of the default rule falls back at the suite's parameters,
+        # so each of the 16 + 48 overlap elements is one 2F1 over 4,096 nodes
+        sizes, f21 = [], halfplane._f21_tracked
+
+        def counting(m, b, c, x):
+            sizes.append(np.size(x))
+            return f21(m, b, c, x)
+
+        monkeypatch.setattr(halfplane, "_f21_tracked", counting)
+        params = halfplane.AffineParams(2.0, 0.2, 16)
+        rule = halfplane.affine_group_rule(64, 14.0, 64)
+        c = halfplane.c_rho_quadrature(params, rule)
+        halfplane.affine_resolution_check(params, block=3, rule=rule, c_rho=c)
+        assert sum(sizes) == 64 * 4096
 
     def test_c_rho_needs_one_row(self):
         rule = halfplane.affine_group_rule(12, 8.0, 12)
