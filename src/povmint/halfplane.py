@@ -115,8 +115,9 @@ def _f21_tracked(m: int, b: float, c: float, x: np.ndarray):
     The max term bounds the cancellation suffered by the alternating sum,
     so the caller can pick the better-conditioned of two representations.
     """
-    terms = np.array(_f21_terms(m, b, c, x))
-    return terms.sum(axis=0), np.abs(terms).max(axis=0)
+    terms = _f21_terms(m, b, c, x)
+    # summed term by term, so a 0-d x and a node array round alike
+    return sum(terms[1:], terms[0]), np.abs(np.array(terms)).max(axis=0)
 
 
 def overlap_block(q, p, alpha: float, rows: int, cols: int) -> np.ndarray:

@@ -65,8 +65,6 @@ def _real_displacements(x, dim: int) -> np.ndarray:
     Entry (m, n), m >= n: sqrt(n!/m!) x^{(m-n)/2} L_n^{(m-n)}(x) from one
     Laguerre table, its prefactor in log space; entry (n, m) adds (-1)^{m-n}.
     """
-    from scipy.special import xlogy  # xlogy(0, 0) = 0 on the diagonal at x = 0
-
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError(f"|z|^2 must be nonnegative, got {np.min(x)}")
@@ -74,7 +72,9 @@ def _real_displacements(x, dim: int) -> np.ndarray:
     m, n = np.tril_indices(dim)
     lf = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, dim)))])
     vals = laguerre_table(dim - 1, np.arange(dim), flat)[n, :, m - n].T
-    vals *= np.exp(0.5 * (lf[n] - lf[m]) + xlogy(0.5 * (m - n), flat))
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf at x = 0
+        power = np.where(m == n, 0.0, 0.5 * (m - n) * np.log(flat))  # x^0 = 1 at x = 0
+    vals *= np.exp(0.5 * (lf[n] - lf[m]) + power)
     out = np.zeros((flat.shape[0], dim, dim))
     out[:, m, n] = vals
     out[:, n, m] = vals * (-1.0) ** (m - n)

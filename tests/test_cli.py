@@ -330,6 +330,23 @@ class TestImport:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
 
+    def test_plane_family_loads_no_scipy(self):
+        # the Gauss-Laguerre rule and the displacement entries are numpy, so
+        # building and quantizing on a plane family never imports scipy
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import sys\n"
+                "from povmint import core, plane\n"
+                "params = plane.ThermalParams(0.2, 48)\n"
+                "fam = plane.plane_family(params)\n"
+                "core.quantize(fam, lambda nd: nd[0])\n"
+                "plane._radial_integrals(params)\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
 
 class TestReconstruct:
     def test_round_trip_exit_0(self, capsys, tmp_path):

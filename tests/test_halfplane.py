@@ -291,7 +291,7 @@ class TestBatchedOverlap:
                             rtol=0, atol=1e-12)
         for (q, p), block in zip(nodes, got):
             assert_allclose(block, halfplane.overlap_block(q, p, 2.0, 16, 16),
-                            rtol=0, atol=1e-12)
+                            rtol=0, atol=1e-15)
 
     def test_broadcast_shape(self):
         q = np.array([[0.5], [2.0]])

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import eval_genlaguerre, iv
+from scipy.special import eval_genlaguerre, iv, roots_genlaguerre
 
 from povmint.numerics import (DomainError, PoleError, bessel_i,
                               bessel_i_scaled, hyp2f1_terminating, laguerre,
@@ -188,3 +188,45 @@ class TestRules:
         rule = periodic_rule(8, 1.0)
         mats = np.stack([np.eye(2) * math.cos(t) ** 2 for t in rule.nodes])
         assert_allclose(rule.integrate(mats), math.pi * np.eye(2), rtol=1e-13)
+
+
+def mpmath_laguerre_weights(n, alpha, nodes):
+    """Gauss-Laguerre weights Gamma(n+a+1) x / (n! (n+1)^2 L_{n+1}(x)^2) at
+    the nodes refined by Newton steps in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        a, out = mpmath.mpf(alpha), []
+        for x0 in nodes:
+            x = mpmath.mpf(x0)
+            for _ in range(6):  # L_n' = -L_{n-1}^(a+1)
+                x += mpmath.laguerre(n, a, x) / mpmath.laguerre(n - 1, a + 1, x)
+            out.append(float(mpmath.gamma(n + a + 1) * x / (
+                mpmath.factorial(n) * (n + 1) ** 2 * mpmath.laguerre(n + 1, a, x) ** 2)))
+    return np.array(out)
+
+
+class TestLaguerreRule:
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 2.0, 3.5])
+    def test_matches_scipy(self, alpha):
+        # from n = 200 the weight's two factors overflow a double when
+        # multiplied uncentred, and the overflow warning fails the test
+        for n in (1, 2, 3, 16, 20, 56, 64, 100, 150, 200, 256):
+            rule = laguerre_rule(n, alpha)
+            x, w = roots_genlaguerre(n, alpha)
+            assert_allclose(rule.nodes, x, rtol=1e-15, atol=0)
+            # weights below the normal range (n >= 200) carry no relative digits
+            assert_allclose(rule.weights, w, rtol=5e-12, atol=np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("n, alpha", [(64, 0.0), (56, 0.5), (20, 2.0)])
+    def test_weights_match_mpmath(self, n, alpha):
+        rule = laguerre_rule(n, alpha)
+        assert_allclose(rule.weights, mpmath_laguerre_weights(n, alpha, rule.nodes),
+                        rtol=1e-13, atol=0)
+
+    def test_arrays_are_read_only(self):
+        rule = laguerre_rule(12, 0.5)
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_repeated_call_returns_same_rule(self):
+        assert laguerre_rule(24, 1.5) is laguerre_rule(24, 1.5)
