@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -177,17 +176,16 @@ def _normalized_laguerre(n: int, alpha: float, x: np.ndarray):
     return prev, p, d
 
 
-@functools.lru_cache
 def laguerre_rule(n: int, alpha: float = 0.0) -> QuadratureRule:
-    """n-point Gauss-Laguerre rule for x^alpha e^(-x) dx on [0, inf), alpha > -1;
-    memoized per (n, alpha), so its arrays are read-only.
+    """n-point Gauss-Laguerre rule for x^alpha e^(-x) dx on [0, inf), alpha > -1.
 
     Golub-Welsch: Jacobi-matrix eigenvalues, each polished by one Newton step;
     weights x / (p_{n-1} d_n) at the polished nodes (DECISIONS.md entry 15)."""
-    if n < 1:
-        raise DomainError(f"node count must be >= 1, got {n}")
+    if n < 1 or n % 1:  # an integral float is accepted, as scipy did
+        raise DomainError(f"node count must be an integer >= 1, got {n}")
     if alpha <= -1:
         raise DomainError(f"Gauss-Laguerre rule needs alpha > -1, got {alpha}")
+    n = int(n)
     k = np.arange(n, dtype=float)
     jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(np.sqrt(k[1:] * (k[1:] + alpha)), -1)
     x = np.linalg.eigvalsh(jacobi)
@@ -200,7 +198,6 @@ def laguerre_rule(n: int, alpha: float = 0.0) -> QuadratureRule:
         f /= np.exp(0.5 * (log_f.max() + log_f.min()))
     w = x / (prev * d)
     w *= math.gamma(alpha + 1.0) / w.sum()
-    x.flags.writeable = w.flags.writeable = False
     return QuadratureRule(x, w)
 
 

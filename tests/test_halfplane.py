@@ -245,7 +245,6 @@ class TestOverlap:
             halfplane.overlap_block(-1.0, 0.0, 2.0, 4, 4)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBatchedOverlap:
     def test_matches_mpmath_closed_form(self):
         nodes = central_nodes()

@@ -169,6 +169,9 @@ class TestRules:
         for alpha in (-1.0, -2.0):
             with pytest.raises(DomainError):
                 laguerre_rule(4, alpha)
+        for n in (10.5, math.nan):
+            with pytest.raises(DomainError):
+                laguerre_rule(n)
 
     def test_product_rule_tensor_integral(self):
         ra = legendre_rule(5, 0.0, 1.0)
@@ -222,11 +225,8 @@ class TestLaguerreRule:
         assert_allclose(rule.weights, mpmath_laguerre_weights(n, alpha, rule.nodes),
                         rtol=1e-13, atol=0)
 
-    def test_arrays_are_read_only(self):
-        rule = laguerre_rule(12, 0.5)
-        for arr in (rule.nodes, rule.weights):
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
-
-    def test_repeated_call_returns_same_rule(self):
-        assert laguerre_rule(24, 1.5) is laguerre_rule(24, 1.5)
+    def test_integral_float_node_count(self):
+        # scipy's roots_genlaguerre took an integral float too
+        rule, ref = laguerre_rule(10.0), laguerre_rule(10)
+        assert_allclose(rule.nodes, ref.nodes, rtol=0, atol=0)
+        assert_allclose(rule.weights, ref.weights, rtol=0, atol=0)
