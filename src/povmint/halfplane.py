@@ -21,9 +21,9 @@ import numpy as np
 from .core import (CsBasis, DensityFamily, GroupOrbitSpec, check_resolution,
                    covariant_c_rho, orbit_family)
 # hyp2f1_terminating is unused here; perfbench/tracer.py rebinds it (ROADMAP item 1)
-from .numerics import (QuadratureRule, _f21_terms, bessel_i, hyp2f1_terminating,
-                       laguerre, laguerre_rule, laguerre_table, legendre_rule,
-                       product_rule)
+from .numerics import (DomainError, QuadratureRule, _f21_terms, bessel_i,
+                       hyp2f1_terminating, laguerre, laguerre_rule, laguerre_table,
+                       legendre_rule, product_rule)
 
 
 @dataclass(frozen=True)
@@ -138,43 +138,57 @@ def overlap_block(q, p, alpha: float, rows: int, cols: int) -> np.ndarray:
     evaluated only at nodes where the primary sum's largest term exceeds 1e6
     times the sum, and there each element keeps whichever route cancelled less.
 
+    The prefactor is q^{-a/2-1/2} s^{-a-1} x^i y^n, x = (s-1)/s, y = (s-1/q)/s,
+    by running products in x and y; row 0 and column 0 need no 2F1 sum.
+
     q and p may be arrays (broadcast together): the result then has shape
     q.shape + (rows, cols), and each element runs over all nodes at once.
+    Raises DomainError unless q > 0, p and 1/q are finite.
     """
     q, p = np.broadcast_arrays(np.asarray(q, dtype=float),
                                np.asarray(p, dtype=float))
-    if np.any(q <= 0.0):
-        raise ValueError(f"q must be positive, got {np.min(q)}")
+    with np.errstate(divide="ignore", over="ignore"):
+        if not np.all((q > 0.0) & np.isfinite(q + 1.0 / q) & np.isfinite(p)):
+            raise DomainError("q must be positive with q, 1/q and p finite")
     identity = (q == 1.0) & (p == 0.0)
     q = np.where(identity, 2.0, q)  # s - 1 vanishes there; block set below
     s = 0.5 * (1.0 + 1.0 / q) - 1j * p
-    log_s, log_s1, log_sq = np.log(s), np.log(s - 1.0), np.log(s - 1.0 / q)
+    log_s, base = np.log(s), -np.log(q) * (0.5 * alpha + 0.5)
     zeta = (1.0 / q) / ((s - 1.0) * (s - 1.0 / q))
     lf = np.array([math.lgamma(k + 1.0) for k in range(rows + cols)])
     lg = np.array([math.lgamma(k + alpha + 1.0) for k in range(rows + cols)])
     lga1 = math.lgamma(alpha + 1.0)
-    base = -np.log(q) * (0.5 * alpha + 0.5)
+    half = 0.5 * (lg - lf)
     out = np.empty(q.shape + (rows, cols), dtype=complex)
-    for i in range(rows):
-        for n in range(cols):
+    if rows and cols:
+        out[..., 0, 0] = np.exp(base - (alpha + 1.0) * log_s)
+        y = (s - 1.0 / q) / s
+        for n in range(1, cols):
+            np.multiply(out[..., 0, n - 1], y, out=out[..., 0, n])
+        x = ((s - 1.0) / s)[..., None]
+        for i in range(1, rows):
+            np.multiply(out[..., i - 1, :], x, out=out[..., i, :])
+        out *= np.exp(half[:rows, None] + half[:cols] - lga1)
+    for i in range(1, rows):
+        for n in range(1, cols):
             lo, hi = (i, n) if i <= n else (n, i)
-            powers = (base + i * log_s1 + n * log_sq
-                      - (i + n + alpha + 1.0) * log_s)
-            half = 0.5 * (lg[i] - lf[i] + lg[n] - lf[n])
             f21, big = _f21_tracked(lo, -float(hi), alpha + 1.0, zeta)
             elem = out[..., i, n]
-            elem[...] = f21 * np.exp(half - lga1 + powers)
+            elem *= f21
             fb = big > 1e6 * np.maximum(np.abs(f21), 1e-300)
             if not fb.any():
                 continue
+            s_fb, amp = s[fb], half[i] + half[n]
+            powers = (base[fb] + i * np.log(s_fb - 1.0) + n * np.log(s_fb - 1.0 / q[fb])
+                      - (i + n + alpha + 1.0) * log_s[fb])
             # predicted cancellation error = max term * route amplitude
-            err_a = np.log(big[fb]) + half - lga1 + powers.real[fb]
+            err_a = np.log(big[fb]) + amp - lga1 + powers.real
             # the partner route may overflow at nodes that do not take it
             with np.errstate(over="ignore", invalid="ignore"):
                 f21b, bigb = _f21_tracked(lo, -float(hi), -(i + n + alpha), 1.0 - zeta[fb])
-                err_b = np.log(bigb) + lg[i + n] - half + powers.real[fb]
+                err_b = np.log(bigb) + lg[i + n] - amp + powers.real
                 elem[fb] = np.where(err_b < err_a,
-                                    f21b * np.exp(lg[i + n] - half + powers[fb]), elem[fb])
+                                    f21b * np.exp(lg[i + n] - amp + powers), elem[fb])
     out[identity] = np.eye(rows, cols)
     return out
 

@@ -36,7 +36,7 @@ def laguerre_table(n_max: int, alpha, x) -> np.ndarray:
     alpha, x = np.asarray(alpha, dtype=float), np.asarray(x, dtype=float)
     if np.any((alpha <= -1.0) & (alpha != np.round(alpha))):
         raise DomainError(f"alpha must be > -1 or a negative integer, got {alpha}")
-    if n_max > LAGUERRE_MAX_N or np.any(np.abs(x) > LAGUERRE_MAX_X):
+    if n_max > LAGUERRE_MAX_N or not np.all(np.abs(x) <= LAGUERRE_MAX_X):  # NaN fails too
         raise DomainError(f"n = {n_max}, max |x| = {np.max(np.abs(x), initial=0.0):.6g}"
                           " is outside the validated range n <= 256, |x| <= 600")
     table = np.ones((n_max + 1,) + np.broadcast_shapes(alpha.shape, x.shape))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -146,6 +147,11 @@ def resolution_block_einsum(params, block, rule, c_rho):
     return (g[0, 0] + g[1, 1] + 1j * (g[1, 0] - g[0, 1])) / c_rho
 
 
+# nodes of the default group rule where some 16 x 16 elements at alpha 2 fail
+# the primary route's cancellation test
+FALLBACK_NODES = [1881, 1894, 1935, 1968, 2133, 2136, 2142, 2145, 2151, 2154]
+
+
 def central_nodes(count=20, seed=5):
     """Seeded nodes of the default group rule with |log q| < 3 and
     |arctan p| < 1.2, where the 16 x 16 blocks are not negligible."""
@@ -269,11 +275,9 @@ class TestBatchedOverlap:
                             rtol=0, atol=1e-15)
 
     def test_partner_route_nodes(self, monkeypatch):
-        # at these nodes of the default rule some 16 x 16 elements at alpha 2
-        # fail the primary route's cancellation test; batched with central
-        # nodes, the partner 2F1 runs on those nodes only
-        fallback = [1881, 1894, 1935, 1968, 2133, 2136, 2142, 2145, 2151, 2154]
-        nodes = np.concatenate([halfplane.affine_group_rule().nodes[fallback],
+        # batched with central nodes, the partner 2F1 runs on the fallback
+        # nodes only
+        nodes = np.concatenate([halfplane.affine_group_rule().nodes[FALLBACK_NODES],
                                 central_nodes(6)])
         partner_sizes, f21 = [], halfplane._f21_tracked
 
@@ -284,8 +288,8 @@ class TestBatchedOverlap:
 
         monkeypatch.setattr(halfplane, "_f21_tracked", recording)
         got = halfplane.overlap_block(nodes[:, 0], nodes[:, 1], 2.0, 16, 16)
-        assert partner_sizes and max(partner_sizes) <= len(fallback)
-        for (q, p), block in zip(nodes[:len(fallback)], got):
+        assert partner_sizes and max(partner_sizes) <= len(FALLBACK_NODES)
+        for (q, p), block in zip(nodes[:len(FALLBACK_NODES)], got):
             assert_allclose(block, overlap_block_mpmath(q, p, 2.0, 16, 16),
                             rtol=0, atol=1e-12)
         for (q, p), block in zip(nodes, got):
@@ -309,6 +313,58 @@ class TestBatchedOverlap:
     def test_rejects_bad_q_anywhere(self):
         with pytest.raises(ValueError):
             halfplane.overlap_block(np.array([0.5, 2.0, 0.0]), 0.1, 2.0, 4, 4)
+
+    @pytest.mark.parametrize("q, p", [(math.nan, 0.3), (0.5, math.nan),
+                                      (0.5, math.inf), (1e-320, 0.3)],
+                             ids=["nan-q", "nan-p", "inf-p", "1/q-overflows"])
+    def test_rejects_non_finite_input(self, q, p):
+        with pytest.raises(DomainError):
+            halfplane.overlap_block(np.array([0.7, q]), np.array([0.1, p]), 2.0, 3, 4)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.7])
+    def test_corner_and_fallback_nodes_match_mpmath(self, alpha):
+        rule = halfplane.affine_group_rule()
+        q, p = rule.nodes[:, 0], rule.nodes[:, 1]
+        corners = [np.flatnonzero((q == qq) & (p == pp))[0]
+                   for qq in (q.min(), q.max()) for pp in (p.min(), p.max())]
+        nodes = rule.nodes[corners + FALLBACK_NODES]
+        got = halfplane.overlap_block(nodes[:, 0], nodes[:, 1], alpha, 16, 16)
+        for (qq, pp), block in zip(nodes, got):
+            assert_allclose(block, overlap_block_mpmath(qq, pp, alpha, 16, 16),
+                            rtol=0, atol=1e-12)
+
+    def test_single_row_runs_no_2f1(self, monkeypatch):
+        # row 0 has min(i, n) = 0, where 2F1 = 1
+        calls = []
+        monkeypatch.setattr(halfplane, "_f21_tracked",
+                            lambda *args: calls.append(args))
+        nodes = central_nodes()
+        got = halfplane.overlap_block(nodes[:, 0], nodes[:, 1], 2.0, 1, 16)
+        assert not calls
+        for (q, p), block in zip(nodes, got):
+            assert_allclose(block, overlap_block_mpmath(q, p, 2.0, 1, 16),
+                            rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 4), (3, 0), (0, 0)])
+    def test_empty_block(self, rows, cols):
+        nodes = central_nodes(5)
+        got = halfplane.overlap_block(nodes[:, 0], nodes[:, 1], 2.0, rows, cols)
+        assert got.shape == (5, rows, cols)
+        assert halfplane.overlap_block(1.0, 0.0, 2.0, rows, cols).shape == (rows, cols)
+
+    @pytest.mark.parametrize("rows, bound", [(1, 1.8), (3, 1.5), (16, 1.5)])
+    def test_peak_memory_near_output_size(self, rows, bound):
+        # the prefactor is built inside the output, with no outer product of
+        # the per-node factors
+        nodes = halfplane.affine_group_rule(160, n_v=160).nodes
+        tracemalloc.start()
+        try:
+            got = halfplane.overlap_block(nodes[:, 0], nodes[:, 1], 2.0, rows, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (25_600, rows, 16)
+        assert peak <= bound * got.nbytes
 
     def test_wide_block_raises_no_warning(self):
         # the partner route overflows at some of these nodes, where it is
@@ -399,11 +455,14 @@ class TestOrbitEngine:
 
     def test_suite_defaults_run_the_primary_route_only(self, monkeypatch):
         # no node of the default rule falls back at the suite's parameters,
-        # so each of the 16 + 48 overlap elements is one 2F1 over 4,096 nodes
-        sizes, f21 = [], halfplane._f21_tracked
+        # and row 0 and column 0 need no 2F1, so the rows=1 block runs none
+        # and each of the 2 x 15 other elements of the rows=3 block is one
+        # primary 2F1 over 4,096 nodes
+        sizes, cs, f21 = [], [], halfplane._f21_tracked
 
         def counting(m, b, c, x):
             sizes.append(np.size(x))
+            cs.append(c)
             return f21(m, b, c, x)
 
         monkeypatch.setattr(halfplane, "_f21_tracked", counting)
@@ -411,7 +470,8 @@ class TestOrbitEngine:
         rule = halfplane.affine_group_rule(64, 14.0, 64)
         c = halfplane.c_rho_quadrature(params, rule)
         halfplane.affine_resolution_check(params, block=3, rule=rule, c_rho=c)
-        assert sum(sizes) == 64 * 4096
+        assert sum(sizes) == 30 * 4096
+        assert min(cs) > 0
 
     def test_c_rho_needs_one_row(self):
         rule = halfplane.affine_group_rule(12, 8.0, 12)

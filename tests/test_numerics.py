@@ -55,6 +55,10 @@ class TestLaguerre:
             laguerre(300, 0.0, 1.0)
         with pytest.raises(DomainError):
             laguerre(3, 0.0, 1e4)
+        with pytest.raises(DomainError):
+            laguerre(3, 0.5, math.nan)
+        with pytest.raises(DomainError):
+            laguerre_table(3, 0.5, np.array([1.0, math.nan]))
 
     def test_range_guard_survives_optimized_mode(self):
         # python -O strips assert statements; the guard must not rely on them

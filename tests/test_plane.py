@@ -58,6 +58,8 @@ class TestParamsAndStates:
     def test_strict_truncation_guard(self):
         with pytest.raises(ValueError):
             plane.displaced_thermal(4.0, plane.ThermalParams(t=0.2, dim=16))
+        with pytest.raises(numerics.DomainError):
+            plane.displaced_thermal(complex(math.nan, 1.0), PARAMS)
 
     def test_purity_closed_form(self):
         for t in (0.0, 0.2, 0.5):
