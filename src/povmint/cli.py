@@ -203,8 +203,8 @@ def suite_halfplane(args) -> tuple[dict, list[dict]]:
     checks.append(check("inverse-moment", "croexpl",
                         halfplane.inverse_moment(0, alpha), 1.0 / alpha, 1e-12))
     grid = max(args.grid, 64)
-    rule = halfplane.affine_group_rule(n_u=grid, n_v=grid)
-    c_quad = halfplane.c_rho_quadrature(params, rule)
+    c_quad, block = halfplane.affine_resolution_check(
+        params, block=3, rule=halfplane.affine_group_rule(grid))
     checks.append(check(
         "admissibility-constant", "croexpl",
         {"quadrature": c_quad,
@@ -220,8 +220,6 @@ def suite_halfplane(args) -> tuple[dict, list[dict]]:
                   for n_ in range(3)]
         checks.append(check("kernel-eigenvalues", "intkerLag", ratios,
                             [(1.0 - t) * t ** n_ for n_ in range(3)], 1e-8))
-    block = halfplane.affine_resolution_check(params, block=3, rule=rule,
-                                              c_rho=c_quad)
     checks.append(check("resolution-block", "residrhoTqpF",
                         operators.max_defect(block, np.eye(3)), 0.0, 1e-3))
     return {"t": t, "alpha": alpha, "dim": dim, "grid": grid}, checks

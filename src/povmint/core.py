@@ -232,13 +232,19 @@ class GroupOrbitSpec:
         return np.conjugate(rho, out=rho)
 
 
-def covariant_c_rho(spec: GroupOrbitSpec) -> float:
-    """Admissibility constant c_rho = integral of tr(probe * rho(g)) dmu(g)."""
+def orbit_integral(spec: GroupOrbitSpec) -> tuple[float, Array]:
+    """(c_rho, int rho(g) dmu(g)) from one reduction over the group rule, with
+    the admissibility constant c_rho = tr(probe * integral) finite and positive."""
     total = _accumulate(orbit_family(spec, c_rho=1.0))
     c = float(np.trace(np.asarray(spec.probe, dtype=complex) @ total).real)
     if not math.isfinite(c) or c <= 0.0:
         raise ValueError(f"admissibility constant must be positive, got {c}")
-    return c
+    return c, total
+
+
+def covariant_c_rho(spec: GroupOrbitSpec) -> float:
+    """Admissibility constant c_rho = integral of tr(probe * rho(g)) dmu(g)."""
+    return orbit_integral(spec)[0]
 
 
 def orbit_family(spec: GroupOrbitSpec, c_rho: float | None = None) -> DensityFamily:

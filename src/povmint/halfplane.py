@@ -18,12 +18,12 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (CsBasis, DensityFamily, GroupOrbitSpec, check_resolution,
-                   covariant_c_rho, orbit_family)
+from .core import (CsBasis, DensityFamily, GroupOrbitSpec, covariant_c_rho,
+                   orbit_family, orbit_integral)
 # hyp2f1_terminating is unused here; perfbench/tracer.py rebinds it (ROADMAP item 1)
-from .numerics import (DomainError, QuadratureRule, _f21_terms, bessel_i,
-                       hyp2f1_terminating, laguerre, laguerre_rule, laguerre_table,
-                       legendre_rule, product_rule)
+from .numerics import (BESSEL_OVERFLOW_X, DomainError, QuadratureRule, _f21_terms,
+                       bessel_i_scaled, hyp2f1_terminating, laguerre, laguerre_rule,
+                       laguerre_table, legendre_rule, product_rule)
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,10 @@ def inverse_moment(n: int, alpha: float) -> float:
 
 
 def affine_action(q: float, p: float, psi: Callable) -> Callable:
-    """The UIR action (U(q,p) psi)(x) = e^{ipx} psi(x/q) / sqrt(q)."""
-    if q <= 0.0:
-        raise ValueError(f"q must be positive, got {q}")
+    """The UIR action (U(q,p) psi)(x) = e^{ipx} psi(x/q) / sqrt(q); DomainError
+    unless 0 < q < inf and p is finite."""
+    if not (0.0 < q < math.inf and math.isfinite(p)):
+        raise DomainError(f"q must be positive and q, p finite, got q={q}, p={p}")
 
     def out(x):
         x = np.asarray(x, dtype=float)
@@ -143,8 +144,10 @@ def overlap_block(q, p, alpha: float, rows: int, cols: int) -> np.ndarray:
 
     q and p may be arrays (broadcast together): the result then has shape
     q.shape + (rows, cols), and each element runs over all nodes at once.
-    Raises DomainError unless q > 0, p and 1/q are finite.
+    Raises DomainError unless 0 < alpha < inf, q > 0, and p and 1/q are finite.
     """
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must lie in (0, inf), got {alpha}")
     q, p = np.broadcast_arrays(np.asarray(q, dtype=float),
                                np.asarray(p, dtype=float))
     with np.errstate(divide="ignore", over="ignore"):
@@ -193,15 +196,14 @@ def overlap_block(q, p, alpha: float, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def affine_group_rule(n_u: int = 64, u_max: float = 14.0,
-                      n_v: int = 64) -> QuadratureRule:
-    """Rule for dq dp on the half-plane; nodes are (q, p) pairs.
+def affine_group_rule(n: int = 64, u_max: float = 14.0) -> QuadratureRule:
+    """Rule for dq dp on the half-plane; nodes are n x n (q, p) pairs.
 
     q = e^u with Gauss-Legendre in u over [-u_max, u_max]; p = tan(v) with
     Gauss-Legendre in v over (-pi/2, pi/2).  Weights carry the Jacobians.
     """
-    ru = legendre_rule(n_u, -u_max, u_max)
-    rv = legendre_rule(n_v, -0.5 * math.pi, 0.5 * math.pi)
+    ru = legendre_rule(n, -u_max, u_max)
+    rv = legendre_rule(n, -0.5 * math.pi, 0.5 * math.pi)
     qs = np.exp(ru.nodes)
     return product_rule(QuadratureRule(qs, ru.weights * qs),
                         QuadratureRule(np.tan(rv.nodes),
@@ -270,7 +272,8 @@ def thermal_kernel(x, y, params: AffineParams, printed: bool = False):
         K_T(x,y) = t^{-alpha/2} e^{-(1+t)(x+y)/(2(1-t))}
                    I_alpha(2 sqrt(t x y)/(1-t)).
     The printed variant keeps a (1-t) prefactor and the exponent
-    -t(x+y)/(2(1-t)); it fails the trace and eigenfunction checks.
+    -t(x+y)/(2(1-t)); it fails the trace and eigenfunction checks, and
+    raises OverflowError where its exponent passes a double's range.
     """
     t, alpha = params.t, params.alpha
     if not 0.0 < t < 1.0:
@@ -280,8 +283,11 @@ def thermal_kernel(x, y, params: AffineParams, printed: bool = False):
         raise ValueError("kernel arguments must be nonnegative")
     arg = 2.0 * np.sqrt(t * x * y) / (1.0 - t)
     pre, decay = (1.0 - t, t) if printed else (1.0, 1.0 + t)
-    out = (pre * t ** (-0.5 * alpha) * np.exp(-0.5 * decay * (x + y) / (1.0 - t))
-           * bessel_i(alpha, arg))
+    # I_alpha(arg) e^{-arg} times e^expo: the corrected form's expo is <= 0
+    expo = arg - 0.5 * decay * (x + y) / (1.0 - t)
+    if np.any(expo > BESSEL_OVERFLOW_X):
+        raise OverflowError(f"the kernel exponent {np.max(expo):.6g} overflows a double")
+    out = pre * t ** (-0.5 * alpha) * np.exp(expo) * bessel_i_scaled(alpha, arg)[0]
     return out if out.ndim else float(out)
 
 
@@ -313,14 +319,10 @@ def affine_family(params: AffineParams,
 
 
 def affine_resolution_check(params: AffineParams, block: int = 4,
-                            rule: QuadratureRule | None = None,
-                            c_rho: float | None = None) -> np.ndarray:
-    """Leading block of int rho_T(q,p) dq dp / c_rho; should be the identity.
-
-    Each element is a double group integral; only the first `block` overlap
-    rows are computed per node.
+                            rule: QuadratureRule | None = None) -> tuple[float, np.ndarray]:
+    """(c_rho, leading block of int rho_T(q,p) dq dp / c_rho); the block should
+    be the identity. One orbit reduction over the first `block` overlap rows
+    per node gives both: c_rho is the (0, 0) entry of the integral it normalises.
     """
-    spec = affine_orbit_spec(params, rule, rows=block)
-    if c_rho is None:
-        c_rho = c_rho_quadrature(params, spec.group_rule)
-    return check_resolution(orbit_family(spec, c_rho)).operator
+    c_rho, total = orbit_integral(affine_orbit_spec(params, rule, rows=block))
+    return c_rho, total / c_rho

@@ -61,30 +61,27 @@ def bessel_i(nu: float, x):
 
     Raises OverflowError beyond x = 700; use :func:`bessel_i_scaled` there.
     """
+    m, x = bessel_i_scaled(nu, x)
+    if np.any(x > BESSEL_OVERFLOW_X):
+        raise OverflowError(
+            f"I_nu({np.max(x)}) overflows a double; use bessel_i_scaled instead"
+        )
+    out = m * np.exp(x)
+    return out if np.ndim(out) else float(out)
+
+
+def bessel_i_scaled(nu: float, x):
+    """Overflow-safe Bessel evaluation: (m, e) with I_nu(x) = m * exp(e),
+    elementwise over an array x; a scalar x gives two floats."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError(f"argument must be nonnegative, got {np.min(x)}")
     if nu < 0:
         raise DomainError(f"order must be nonnegative, got {nu}")
-    if np.any(x > BESSEL_OVERFLOW_X):
-        raise OverflowError(
-            f"I_nu({np.max(x)}) overflows a double; use bessel_i_scaled instead"
-        )
     from scipy.special import ive  # deferred: scipy.special costs ~0.3 s of import
 
-    out = ive(nu, x) * np.exp(x)
-    return out if out.ndim else float(out)
-
-
-def bessel_i_scaled(nu: float, x: float) -> tuple[float, float]:
-    """Overflow-safe Bessel evaluation: returns (m, e) with I_nu(x) = m * exp(e)."""
-    if x < 0:
-        raise DomainError(f"argument must be nonnegative, got {x}")
-    if nu < 0:
-        raise DomainError(f"order must be nonnegative, got {nu}")
-    from scipy.special import ive
-
-    return float(ive(nu, x)), float(x)
+    m = ive(nu, x)
+    return (m, x) if m.ndim else (float(m), float(x))
 
 
 def _f21_terms(m: int, b: float, c: float, x) -> list:

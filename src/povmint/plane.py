@@ -59,7 +59,7 @@ def fock_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return a, a.conj().T
 
 
-def _real_displacements(x, dim: int) -> np.ndarray:
+def _displacement_scaled_real(x, dim: int) -> np.ndarray:
     """e^{x/2} D(sqrt(x)) for an array of x >= 0, shape x.shape + (dim, dim).
 
     Entry (m, n), m >= n: sqrt(n!/m!) x^{(m-n)/2} L_n^{(m-n)}(x) from one
@@ -91,14 +91,8 @@ def displacement(z: complex, dim: int) -> np.ndarray:
     z = complex(z)
     phases = np.exp(1.0j * np.arange(dim) * np.angle(z))
     x = abs(z) ** 2
-    real = _real_displacements(x, dim) * math.exp(-0.5 * x)
+    real = _displacement_scaled_real(x, dim) * math.exp(-0.5 * x)
     return phases[:, None] * real * phases.conj()[None, :]
-
-
-# a separate name only so perfbench/tracer.py can time it (ROADMAP item 1)
-def _displacement_scaled_real(sqrt_j_squared: float, dim: int) -> np.ndarray:
-    """D(sqrt(J)) without its e^{-J/2} factor (entries in _real_displacements)."""
-    return _real_displacements(sqrt_j_squared, dim)
 
 
 def displaced_thermal(z: complex, params: ThermalParams) -> np.ndarray:

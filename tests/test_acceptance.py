@@ -257,10 +257,10 @@ def test_criterion_09_halfplane_admissibility_and_runtime(tmp_path):
         for n in range(5):
             ratio = halfplane.kernel_eigen_ratio(n, params, x=2.1)
             assert abs(ratio - 0.8 * 0.2 ** n) < 1e-8
-        coarse = halfplane.affine_resolution_check(
-            params, block=3, rule=halfplane.affine_group_rule(32, 12.0, 32))
-        fine = halfplane.affine_resolution_check(
-            params, block=3, rule=halfplane.affine_group_rule(64, 14.0, 64))
+        _, coarse = halfplane.affine_resolution_check(
+            params, block=3, rule=halfplane.affine_group_rule(32, 12.0))
+        _, fine = halfplane.affine_resolution_check(
+            params, block=3, rule=halfplane.affine_group_rule(64, 14.0))
         d_fine = float(np.max(np.abs(np.diag(fine).real - 1.0)))
         assert d_fine < 1e-3
         assert d_fine <= float(np.max(np.abs(np.diag(coarse).real - 1.0)))
@@ -330,7 +330,7 @@ def test_criterion_11_core_properties_every_geometry():
         # weight rapidly for strong modulations |p| > 1
         fam_h = halfplane.affine_family(
             halfplane.AffineParams(alpha=2.0, t=0.25, dim=8),
-            halfplane.affine_group_rule(32, 10.0, 32))
+            halfplane.affine_group_rule(32, 10.0))
         geoms.append(("halfplane", fam_h, 3, 1e-2, 5e-2, 1e-1,
                       lambda: (math.exp(RNG.uniform(-0.4, 0.4)),
                                RNG.uniform(-0.6, 0.6)),

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from povmint import cli, core, finite
+from povmint import cli, core, finite, halfplane
 from povmint.cli import main
 
 FAST = ["--dim", "16", "--grid", "24"]
@@ -126,9 +126,18 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite,t", [("plane", "0.999"), ("halfplane", "0.9")])
     def test_bessel_overflow_exit_2(self, capsys, suite, t):
-        # at these t the Bessel closed forms need I_nu(x) beyond x = 700
+        # at these t the Bessel closed forms need I_nu(x) beyond x = 700: the
+        # plane's I_0 overflows, while the half-plane kernel takes I_alpha
+        # scaled by e^{-x} and so still writes its report
         code = main(["verify", suite, "--t", t])
         captured = capsys.readouterr()
+        if suite == "halfplane":
+            assert code in (0, 1)
+            assert captured.err == ""
+            report = json.loads(captured.out)
+            assert report["params"]["t"] == 0.9
+            assert "kernel-trace" in [chk["id"] for chk in report["checks"]]
+            return
         assert code == 2
         assert captured.out == ""
         lines = captured.err.splitlines()
@@ -182,6 +191,18 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["params"] == {"t": 0.2, "alpha": 2.0, "dim": 16,
                                              "grid": 64}
+
+    def test_halfplane_integrates_the_orbit_once(self, monkeypatch):
+        # c_rho and the resolution block come from one rows=3 reduction
+        calls, overlap = [], halfplane.overlap_block
+
+        def recording(q, p, alpha, rows, cols):
+            calls.append((np.size(q), rows))
+            return overlap(q, p, alpha, rows, cols)
+
+        monkeypatch.setattr(halfplane, "overlap_block", recording)
+        cli.suite_halfplane(cli.build_parser().parse_args(["verify", "halfplane"]))
+        assert calls == [(4096, 3)]
 
 
 class TestRows:

@@ -284,7 +284,7 @@ GEOMETRIES = {
     "torus-orbit": lambda: core.orbit_family(torus_orbit_spec()),
     "affine": lambda: halfplane.affine_family(
         halfplane.AffineParams(alpha=2.0, t=0.25, dim=6),
-        halfplane.affine_group_rule(8, 6.0, 8)),
+        halfplane.affine_group_rule(8, 6.0)),
     "plane-shuffled": lambda: _plane_rule("shuffled"),
     "plane-hand": lambda: _plane_rule("hand"),
 }

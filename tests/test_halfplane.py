@@ -214,6 +214,13 @@ class TestGroup:
         with pytest.raises(ValueError):
             halfplane.affine_action(0.0, 0.0, lambda x: x)
 
+    @pytest.mark.parametrize("q, p", [(math.nan, 0.3), (math.inf, 0.3), (-3.0, 0.3),
+                                      (0.5, math.nan), (0.5, math.inf)],
+                             ids=["nan-q", "inf-q", "negative-q", "nan-p", "inf-p"])
+    def test_action_rejects_bad_input(self, q, p):
+        with pytest.raises(DomainError):
+            halfplane.affine_action(q, p, lambda x: x)
+
 
 class TestOverlap:
     def test_identity_element(self):
@@ -249,6 +256,11 @@ class TestOverlap:
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             halfplane.overlap_block(-1.0, 0.0, 2.0, 4, 4)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -3.0])
+    def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(DomainError):
+            halfplane.overlap_block(0.7, 0.1, alpha, 3, 4)
 
 
 class TestBatchedOverlap:
@@ -356,7 +368,7 @@ class TestBatchedOverlap:
     def test_peak_memory_near_output_size(self, rows, bound):
         # the prefactor is built inside the output, with no outer product of
         # the per-node factors
-        nodes = halfplane.affine_group_rule(160, n_v=160).nodes
+        nodes = halfplane.affine_group_rule(160).nodes
         tracemalloc.start()
         try:
             got = halfplane.overlap_block(nodes[:, 0], nodes[:, 1], 2.0, rows, 16)
@@ -394,17 +406,17 @@ class TestAdmissibility:
         assert_allclose(got, halfplane.c_rho_printed(2.0, 0.25), rtol=1e-6)
 
     def test_resolution_block_refines(self):
-        coarse = halfplane.affine_resolution_check(
-            PARAMS, block=3, rule=halfplane.affine_group_rule(24, 10.0, 24))
-        fine = halfplane.affine_resolution_check(
-            PARAMS, block=3, rule=halfplane.affine_group_rule(64, 14.0, 64))
+        _, coarse = halfplane.affine_resolution_check(
+            PARAMS, block=3, rule=halfplane.affine_group_rule(24, 10.0))
+        _, fine = halfplane.affine_resolution_check(
+            PARAMS, block=3, rule=halfplane.affine_group_rule(64, 14.0))
         d_coarse = np.max(np.abs(coarse - np.eye(3)))
         d_fine = np.max(np.abs(fine - np.eye(3)))
         assert d_fine < 1e-3
         assert d_fine < d_coarse
 
     def test_affine_family_density_nodes(self):
-        rule = halfplane.affine_group_rule(16, 8.0, 16)
+        rule = halfplane.affine_group_rule(16, 8.0)
         fam = halfplane.affine_family(PARAMS, rule)
         assert fam.dim == PARAMS.dim
         # evaluate near the identity element, where the basis truncation
@@ -427,17 +439,18 @@ class TestOrbitEngine:
     def test_matches_reference_reductions(self, alpha, t):
         params = halfplane.AffineParams(alpha, t, dim=16)
         for grid in (32, 64):
-            rule = halfplane.affine_group_rule(n_u=grid, n_v=grid)
+            rule = halfplane.affine_group_rule(grid)
             c_rho = halfplane.c_rho_quadrature(params, rule)
             assert abs(c_rho - c_rho_first_row(params, rule)) < 1e-12
             for block in (1, 3, 6):
-                got = halfplane.affine_resolution_check(params, block, rule, c_rho)
+                got_c, got = halfplane.affine_resolution_check(params, block, rule)
+                assert abs(got_c - c_rho) < 1e-12
                 want = resolution_block_einsum(params, block, rule, c_rho)
                 assert got.shape == (block, block)
                 assert np.max(np.abs(got - want)) < 1e-12
 
     def test_rows_family_is_leading_block(self):
-        rule = halfplane.affine_group_rule(12, 8.0, 12)
+        rule = halfplane.affine_group_rule(12, 8.0)
         c_rho = halfplane.c_rho_quadrature(PARAMS, rule)
         full = core.orbit_family(halfplane.affine_orbit_spec(PARAMS, rule), c_rho)
         part = core.orbit_family(
@@ -467,14 +480,14 @@ class TestOrbitEngine:
 
         monkeypatch.setattr(halfplane, "_f21_tracked", counting)
         params = halfplane.AffineParams(2.0, 0.2, 16)
-        rule = halfplane.affine_group_rule(64, 14.0, 64)
-        c = halfplane.c_rho_quadrature(params, rule)
-        halfplane.affine_resolution_check(params, block=3, rule=rule, c_rho=c)
+        rule = halfplane.affine_group_rule(64, 14.0)
+        halfplane.c_rho_quadrature(params, rule)
+        halfplane.affine_resolution_check(params, block=3, rule=rule)
         assert sum(sizes) == 30 * 4096
         assert min(cs) > 0
 
     def test_c_rho_needs_one_row(self):
-        rule = halfplane.affine_group_rule(12, 8.0, 12)
+        rule = halfplane.affine_group_rule(12, 8.0)
         one = core.covariant_c_rho(halfplane.affine_orbit_spec(PARAMS, rule, rows=1))
         full = core.covariant_c_rho(halfplane.affine_orbit_spec(PARAMS, rule))
         assert abs(one - full) < 1e-13
@@ -527,6 +540,20 @@ class TestThermalKernel:
             bessel_i(1.0, np.array([1.0, 700.5, 2.0]))
         assert isinstance(bessel_i(1.0, 2.0), float)
         assert bessel_i(1.0, np.array([2.0, 700.0])).shape == (2,)
+
+    def test_large_bessel_argument(self):
+        # at t 0.9 the I_alpha argument reaches ~3036 on KERNEL_RULE, far past
+        # where I_alpha itself overflows a double
+        t, x = 0.9, 150.0
+        params = halfplane.AffineParams(2.0, t, 4)
+        nodes = halfplane.KERNEL_RULE.nodes
+        assert np.all(np.isfinite(halfplane.thermal_kernel(nodes, nodes, params)))
+        with mpmath.workdps(30):
+            want = (mpmath.mpf(t) ** -1 * mpmath.exp(-(1 + t) * x / (1 - t))
+                    * mpmath.besseli(2, 2 * mpmath.sqrt(t) * x / (1 - t)))
+        assert_allclose(halfplane.thermal_kernel(x, x, params), float(want), rtol=1e-12)
+        with pytest.raises(OverflowError):
+            halfplane.thermal_kernel(160.0, 160.0, params, printed=True)
 
     def test_kernel_guards(self):
         with pytest.raises(ValueError):

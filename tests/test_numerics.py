@@ -98,6 +98,16 @@ class TestBessel:
         got = mpmath.mpf(mant) * mpmath.exp(expo)
         assert abs(got / want - 1) < 1e-10
 
+    def test_scaled_form_over_arrays(self):
+        x = np.array([[0.0, 2.0], [300.0, 900.0]])
+        mant, expo = bessel_i_scaled(2.5, x)
+        assert mant.shape == expo.shape == x.shape
+        for m, e, xi in zip(mant.ravel(), expo.ravel(), x.ravel()):
+            assert (m, e) == bessel_i_scaled(2.5, float(xi))
+        assert isinstance(bessel_i_scaled(2.5, 2.0)[0], float)
+        with pytest.raises(DomainError):
+            bessel_i_scaled(2.5, np.array([1.0, -1.0]))
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             bessel_i(0.0, -1.0)
