@@ -6,18 +6,41 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .operators import is_density, max_defect
 
 
-def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported on first use."""
-    # scipy.optimize adds ~23 MB and ~0.3 s to every import of the CLI
-    from scipy.optimize import least_squares as solve
-
-    return solve(*args, **kwargs)
+def least_squares(fun, x0, jac, max_nfev: int = 4000):
+    """Levenberg-Marquardt minimization of ||fun(x)||^2 from x0, Jacobian
+    jac(x): steps solve (J^T J + lam D^2) dx = -J^T r with More's scaling D
+    (LNM 630, 1978); update and stopping rules in DECISIONS.md entry 17."""
+    x = np.array(x0, dtype=float)
+    r = fun(x)
+    cost, nfev, njev, lam, grow, d, jm = r @ r, 1, 0, 1e-3, 2.0, 0.0, None
+    while cost > 0 and nfev < max_nfev:
+        if jm is None:  # first pass, or a step was accepted
+            jm = jac(x)
+            njev += 1
+            d = np.maximum(d, np.linalg.norm(jm, axis=0))
+            a, g, d2 = jm.T @ jm, jm.T @ r, np.where(d > 0, d * d, 1.0)
+        step = np.linalg.solve(a + np.diag(lam * d2), -g)
+        if step @ (d2 * step) <= 1e-24 * (x @ (d2 * x)):
+            break
+        r_new = fun(x + step)
+        nfev += 1
+        new = r_new @ r_new
+        rho = (cost - new) / (step @ (a @ step) + 2.0 * lam * step @ (d2 * step))
+        if not rho > 0:  # rejected, a NaN residual included
+            lam, grow = lam * grow, 2.0 * grow
+            continue
+        x, r, cost, drop, jm, grow = x + step, r_new, new, cost - new, None, 2.0
+        if drop <= 1e-12 * (cost + drop):
+            break
+        lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+    return SimpleNamespace(x=x, nfev=nfev, njev=njev)
 
 
 @dataclass(frozen=True)
@@ -252,14 +275,11 @@ def reconstruct(table: ProbTable, rank_one: bool = False, seed: int = 0,
     residuals, jacobian = _objective(target, nu, n, k, 10.0)
 
     rng = np.random.default_rng(seed)
-    n_res = len(iu[0]) + n * (n + 1) // 2 + n * (n - 1) // 2
-    method = "lm" if n_res >= size * 2 * n * k else "trf"
     best = None
     used = 0
     for attempt in range(restarts):
         x0 = rng.standard_normal(size * 2 * n * k)
-        sol = least_squares(residuals, x0, jac=jacobian, method=method,
-                            max_nfev=4000)
+        sol = least_squares(residuals, x0, jac=jacobian, max_nfev=4000)
         rho, _, _ = _params_to_rhos(sol.x, size, n, k)
         table_res = float(np.sqrt(np.sum((_gram(rho) - target)[iu] ** 2)))
         defect = resolution_defect(rho, table.measure)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,8 @@ class PoleError(ValueError):
 
 # Largest argument for which I_nu(x) still fits in a double.
 BESSEL_OVERFLOW_X = 700.0
+# Largest order of the validated Bessel routine: x_h(nu) passes 700 above it.
+BESSEL_MAX_NU = 60.0
 
 # Validated range of the upward Laguerre recurrence.
 LAGUERRE_MAX_N = 256
@@ -56,8 +59,8 @@ def laguerre(n: int, alpha: float, x):
 
 
 def bessel_i(nu: float, x):
-    """Modified Bessel function I_nu(x) for nu >= 0, x >= 0, elementwise over
-    an array x; a scalar x gives a float.
+    """Modified Bessel function I_nu(x) for 0 <= nu <= 60, x >= 0, elementwise
+    over an array x; a scalar x gives a float.
 
     Raises OverflowError beyond x = 700; use :func:`bessel_i_scaled` there.
     """
@@ -70,17 +73,50 @@ def bessel_i(nu: float, x):
     return out if np.ndim(out) else float(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _bessel_plan(nu: float):
+    """Hankel coefficients (-1)^k a_k(nu), threshold x_h and series divisors
+    k(k + nu).  From x_h on the first omitted coefficient is below 2^-54 and
+    every kept one below 4; the series terms fall below 2^-54 of the sum at x_h."""
+    c = [1.0]
+    for k in range(1, 22 + int(nu) // 2):
+        c.append(-c[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
+    omitted = abs(c.pop())
+    x_h = max([20.0, (omitted * 2.0 ** 54) ** (1.0 / len(c))]
+              + [(abs(a) / 4.0) ** (1.0 / k) for k, a in enumerate(c[1:], 1)])
+    y, t, s, n = 0.25 * x_h * x_h, 1.0, 1.0, 0
+    while t >= 2.0 ** -54 * s or n * (n + nu) < y:
+        n += 1
+        t *= y / (n * (n + nu))
+        s += t
+    k = np.arange(1.0, n + 1.0)
+    return c, x_h, k * (k + nu)
+
+
 def bessel_i_scaled(nu: float, x):
     """Overflow-safe Bessel evaluation: (m, e) with I_nu(x) = m * exp(e),
-    elementwise over an array x; a scalar x gives two floats."""
+    elementwise over an array x; a scalar x gives two floats.  m = e^-x I_nu(x)
+    is the Hankel expansion (DLMF 10.40.1) from x_h(nu) >= 20 on and the power
+    series (DLMF 10.25.2) below, both of a length fixed by nu, so an array
+    element equals the scalar call (DECISIONS.md entry 17).  nu <= 60."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError(f"argument must be nonnegative, got {np.min(x)}")
-    if nu < 0:
-        raise DomainError(f"order must be nonnegative, got {nu}")
-    from scipy.special import ive  # deferred: scipy.special costs ~0.3 s of import
-
-    m = ive(nu, x)
+    if not 0 <= nu <= BESSEL_MAX_NU:
+        raise DomainError(f"order must lie in [0, {BESSEL_MAX_NU:g}], got {nu}")
+    c, x_h, div = _bessel_plan(float(nu))
+    m = np.empty_like(x)
+    big = x >= x_h
+    xb = x[big]
+    acc = np.full_like(xb, c[-1])
+    for a in c[-2::-1]:
+        acc /= xb
+        acc += a
+    m[big] = acc / np.sqrt(2.0 * math.pi * xb)
+    xs = x[~big]
+    lead = np.exp(-xs) * (0.5 * xs) ** nu / math.gamma(nu + 1.0)
+    terms = np.cumprod((0.25 * xs * xs)[:, None] / div, axis=1)
+    m[~big] = lead * (1.0 + terms.sum(axis=1))
     return (m, x) if m.ndim else (float(m), float(x))
 
 

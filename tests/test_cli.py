@@ -329,7 +329,7 @@ class TestTracerBindings:
 
 class TestImport:
     def test_cli_import_defers_scipy_optimize(self):
-        # only the finite solver needs scipy.optimize; it loads on first use
+        # importing the CLI loads no scipy.optimize
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         code = ("import sys, povmint.cli\n"
@@ -340,8 +340,7 @@ class TestImport:
         assert out.stdout.strip() == "False"
 
     def test_cli_import_defers_scipy(self):
-        # scipy.special loads inside the functions that use it, so no
-        # scipy module is part of the CLI's start-up
+        # no scipy module is part of the CLI's start-up
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         code = ("import sys, povmint.cli\n"
@@ -367,6 +366,28 @@ class TestImport:
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
+
+    def test_verify_all_and_reconstruct_load_no_scipy(self, tmp_path):
+        # the Bessel routine and the Levenberg-Marquardt solver are numpy, so
+        # every suite and both reconstruct shapes run without scipy
+        full = table_file(tmp_path, [qubit(0.4), qubit(-0.4)], [1.0, 1.0])
+        third = 2.0 * math.pi / 3.0
+        vecs = [np.array([math.cos(a), math.sin(a)]) for a in (0.0, third, 2 * third)]
+        rank_one = table_file(tmp_path, [np.outer(v, v).astype(complex) for v in vecs],
+                              [2.0 / 3.0] * 3, name="rank_one.json")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import contextlib, io, sys\n"
+                "from povmint import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    codes = [cli.main(['verify', 'all']),\n"
+                "             cli.main(['reconstruct', sys.argv[1]]),\n"
+                "             cli.main(['reconstruct', sys.argv[2], '--rank-one'])]\n"
+                "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        out = subprocess.run([sys.executable, "-c", code, full, rank_one], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[0, 0, 0] []"
 
 
 class TestReconstruct:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from povmint import finite
+from povmint import cli, finite
 from povmint.cli import main
 
 SIGMA = [np.array([[0, 1], [1, 0]], dtype=complex),
@@ -179,20 +179,11 @@ class TestReconstruct:
         assert out.residual < 1e-8
         assert out.converged is False
 
-    def test_round_trip_rank_one_six_points_lm(self, monkeypatch):
-        # 25 residuals for 24 variables: the Levenberg-Marquardt route
+    def test_round_trip_rank_one_six_points_lm(self):
+        # 25 residuals for 24 variables: an over-determined solve
         rhos, measure = octahedron_family()
         table = finite.gram_probabilities(rhos, measure)
-        methods = []
-        solve = finite.least_squares
-
-        def spy(*args, **kwargs):
-            methods.append(kwargs["method"])
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(finite, "least_squares", spy)
         out = finite.reconstruct(table, rank_one=True, seed=0)
-        assert set(methods) == {"lm"}
         assert out.converged
         assert out.residual < 1e-8
 
@@ -215,6 +206,61 @@ class TestReconstruct:
         table = finite.ProbTable(p, m, 2)
         with pytest.raises(ValueError, match="infeasible"):
             finite.reconstruct(table)
+
+
+class TestLeastSquares:
+    """The Levenberg-Marquardt solver behind reconstruct."""
+
+    @staticmethod
+    def problem(rank_one=False):
+        # a random full-rank qubit family (N = 4), or the octahedron (N = 6)
+        rng = np.random.default_rng(3)
+        rhos, measure = (octahedron_family() if rank_one
+                         else cli._random_resolving_family(rng, 2, 4))
+        table = finite.gram_probabilities(rhos, measure)
+        k = 1 if rank_one else 2
+        residuals, jacobian = finite._objective(table.p, measure.weights,
+                                                2, k, 10.0)
+        return residuals, jacobian, rng.standard_normal(len(rhos) * 4 * k)
+
+    @staticmethod
+    def counted(fn, calls):
+        def wrapper(x):
+            calls.append(1)
+            return fn(x)
+        return wrapper
+
+    @pytest.mark.parametrize("max_nfev", [1, 2, 5])
+    def test_max_nfev_caps_nfev(self, max_nfev):
+        residuals, jacobian, x0 = self.problem()
+        calls = []
+        sol = finite.least_squares(self.counted(residuals, calls), x0,
+                                   jac=jacobian, max_nfev=max_nfev)
+        assert sol.nfev == len(calls) == max_nfev
+
+    @pytest.mark.parametrize("rank_one", [False, True])
+    def test_counts_jacobian_evaluations(self, rank_one):
+        residuals, jacobian, x0 = self.problem(rank_one)
+        fun_calls, jac_calls = [], []
+        sol = finite.least_squares(self.counted(residuals, fun_calls), x0,
+                                   jac=self.counted(jacobian, jac_calls))
+        assert sol.njev == len(jac_calls) >= 1
+        assert sol.nfev == len(fun_calls) >= sol.njev
+        assert np.sum(residuals(sol.x) ** 2) < 1e-20
+
+    def test_gauge_degenerate_start(self):
+        # a zero second column in every factor B_i leaves the Jacobian with
+        # zero columns, so J^T J is singular with a zero diagonal entry
+        residuals, jacobian, x0 = self.problem()
+        x0 = x0.reshape(4, 2, 2, 2)
+        x0[..., 1] = 0.0
+        x0 = x0.ravel()
+        jac = jacobian(x0)
+        assert np.any(np.all(jac == 0.0, axis=0))
+        assert np.linalg.matrix_rank(jac.T @ jac) < len(x0)
+        sol = finite.least_squares(residuals, x0, jac=jacobian)
+        assert np.all(np.isfinite(sol.x))
+        assert np.sum(residuals(sol.x) ** 2) <= np.sum(residuals(x0) ** 2)
 
 
 def loop_params_to_rhos(x, size, n, k):
@@ -248,7 +294,7 @@ def loop_residuals(x, target, nu, n, k, penalty):
 class TestObjective:
     """The batched residual and the closed-form Jacobian of reconstruct."""
 
-    # (n, N, rank one); the last case takes the Levenberg-Marquardt route
+    # (n, N, rank one); the last case has more residuals than variables
     CASES = [(2, 4, False), (2, 3, True), (3, 5, False), (2, 2, False),
              (2, 6, True)]
 

@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre, iv, roots_genlaguerre
 
+from povmint import numerics
 from povmint.numerics import (DomainError, PoleError, bessel_i,
                               bessel_i_scaled, hyp2f1_terminating, laguerre,
                               laguerre_rule, laguerre_table, legendre_rule,
@@ -113,6 +114,27 @@ class TestBessel:
             bessel_i(0.0, -1.0)
         with pytest.raises(DomainError):
             bessel_i(-1.0, 1.0)
+        with pytest.raises(DomainError):
+            bessel_i_scaled(60.5, 1.0)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.1, 0.5, 2.0, 3.7, 10.0, 20.0, 40.0, 60.0])
+    def test_matches_mpmath(self, nu):
+        # both sides of the series/Hankel threshold, x in [0, 700] for
+        # bessel_i, up to 1e5 for the scaled form; for nu = 40 the band
+        # (700, 1920), where a series started at exp(nu log(x/2) - x)
+        # underflows; nu = 60 is the largest order accepted
+        x_h = numerics._bessel_plan(nu)[1]
+        x = np.concatenate([np.linspace(0.0, 700.0, 36), np.geomspace(1e-3, 1e5, 25),
+                            [np.nextafter(x_h, 0.0), x_h, 20.5, 179.0],
+                            np.linspace(700.5, 1919.5, 13) if nu == 40.0 else []])
+        with mpmath.workdps(30):
+            for xi, mant in zip(x, bessel_i_scaled(nu, x)[0]):
+                want = mpmath.besseli(nu, xi)
+                if want < 1e-290:  # true underflow
+                    continue
+                assert abs(mant / (want * mpmath.exp(-xi)) - 1) < 1e-13, xi
+                if xi <= 700.0:
+                    assert abs(bessel_i(nu, xi) / want - 1) < 1e-13, xi
 
 
 class TestHyp2f1:
