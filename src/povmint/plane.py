@@ -18,11 +18,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DensityFamily
-from .numerics import (DomainError, PoleError, QuadratureRule, bessel_i,
-                       hyp2f1_terminating, laguerre, laguerre_rule, laguerre_table,
-                       periodic_rule, product_rule)
+# hyp2f1_terminating is unused here; perfbench/tracer.py rebinds it (ROADMAP item 1)
+from .numerics import (DomainError, QuadratureRule, bessel_i, hyp2f1_terminating,
+                       laguerre, laguerre_rule, laguerre_table, periodic_rule,
+                       product_rule)
 from .operators import max_defect
 
 
@@ -239,7 +241,9 @@ def plane_family(params: ThermalParams,
     matrix, except on a tensor-grid rule: there the weighted sum reduces each
     radius's coefficients to angular harmonics
     S_j(m-n) = sum_gamma c(J_j, gamma) e^{i(m-n) gamma} and contracts them
-    with rho(J_j, 0), one matrix per radius built at construction.
+    with the real rho(J_j, 0), one matrix per radius built at construction.
+    The Toeplitz operand S_j(m-n) is a zero-copy window view of S_j, and its
+    real and imaginary parts are contracted by one real einsum each.
     """
     if rule is None:
         rule = plane_rule(params.dim)
@@ -252,15 +256,18 @@ def plane_family(params: ThermalParams,
     weighted_sum = None
     angles = _grid_angles(rule.nodes)
     if angles is not None:
-        stack = thermal_density(rule.nodes[::len(angles), 0], 0.0, params)
+        radii = rule.nodes[::len(angles), 0]
+        stack = rho_scaled_real(radii, params) * np.exp(-radii)[:, None, None]
         # harmonic column m - n + dim - 1 holds e^{i(m-n) gamma}; a matmul, not
         # an FFT, so any angle set (offset, odd count) is summed exactly
         harmonics = np.exp(1.0j * np.outer(angles, np.arange(1 - dim, dim)))
-        column = np.subtract.outer(np.arange(dim), np.arange(dim)) + dim - 1
 
         def weighted_sum(coeffs):
             s = np.reshape(coeffs, (len(stack), -1)) @ harmonics
-            return np.einsum("jmn,jmn->mn", stack, s[:, column])
+            # toeplitz[j, m, n] = s[j, m - n + dim - 1]
+            toeplitz = sliding_window_view(s[:, ::-1], dim, axis=1)[:, ::-1]
+            return (np.einsum("jmn,jmn->mn", stack, toeplitz.real)
+                    + 1j * np.einsum("jmn,jmn->mn", stack, toeplitz.imag))
 
     return DensityFamily(dim, evaluate, rule, weighted_sum=weighted_sum)
 
@@ -349,22 +356,27 @@ def phase_operator_printed(params: ThermalParams) -> np.ndarray:
     The quadrature route is the normative one.
     """
     t, dim = params.t, params.dim
-    out = (math.pi * np.eye(dim)).astype(complex)
-    for m in range(dim):
-        for mp in range(dim):
-            if m == mp:
-                continue
-            if m == 0 or mp == 0:
-                out[m, mp] = complex(math.nan, math.nan)
-                continue
-            try:
-                f21 = hyp2f1_terminating(m, (mp - m) / 2.0, -(m + mp) / 2.0, t)
-            except PoleError:
-                out[m, mp] = complex(math.nan, math.nan)
-                continue
-            f = ((1.0 - t) * math.gamma((m + mp) / 2.0 + 1.0)
-                 / math.sqrt(m * mp) * (1.0 - t) ** ((mp - m) / 2.0) * f21)
-            out[m, mp] = 1.0j * f / (mp - m)
+    m, mp = np.indices((dim, dim))
+    b, c = (mp - m) / 2.0, -(m + mp) / 2.0
+    # the 2F1 terms of every entry, in hyp2f1_terminating's operation order;
+    # at a pole b is a negative integer, so an exact 0 / 0 makes the entry NaN
+    terms = [np.ones((dim, dim))]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(dim - 1):
+            step = terms[-1] * (k - m) * (b + k) * t / ((c + k) * (k + 1))
+            terms.append(np.where(k < m, step, 0.0))
+        entries = np.reshape(terms, (dim, -1)).T.tolist()
+        f21 = np.reshape([math.fsum(e) for e in entries], (dim, dim))
+        # Gamma((m+m')/2 + 1); m + m' = 2 dim - 2 falls on the diagonal only, so
+        # it is not evaluated (math.gamma(dim) overflows from dim 172 on)
+        gam = [math.gamma(s / 2.0 + 1.0) for s in range(2 * dim - 2)] + [math.nan]
+        pw = [(1.0 - t) ** (d / 2.0) for d in range(1 - dim, dim)]
+        f = ((1.0 - t) * np.take(gam, m + mp) / np.sqrt(m * mp)
+             * np.take(pw, mp - m + dim - 1) * f21)
+        # f / d before 1j: numpy divides a complex by a real via a reciprocal
+        out = 1j * (f / (mp - m))
+    out[0, :] = out[:, 0] = complex(math.nan, math.nan)
+    np.fill_diagonal(out, math.pi)
     return out
 
 

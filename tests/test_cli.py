@@ -205,6 +205,23 @@ class TestVerify:
         assert calls == [(4096, 3)]
 
 
+class TestGoldenReports:
+    """Plane reports byte for byte against files written by an earlier build:
+    a speed-up of the plane's numerics must not move a printed digit."""
+
+    GOLDEN = Path(__file__).resolve().parent / "golden"
+
+    @pytest.mark.parametrize("name, argv, exit_code", [
+        ("plane-default.json", [], 0),
+        ("plane-dim16-t0.5.json", ["--dim", "16", "--t", "0.5"], 1),
+        ("plane-dim32-t0.json", ["--dim", "32", "--t", "0"], 0),
+    ])
+    def test_plane_report_bytes(self, capsys, name, argv, exit_code):
+        code, out = run(capsys, ["verify", "plane"] + argv)
+        assert code == exit_code
+        assert out.encode() == (self.GOLDEN / name).read_bytes()
+
+
 class TestRows:
     """Suites return rows as data; ``_judge`` alone decides ``pass`` and applies
     ``--tol``, and ``render`` alone rounds."""

@@ -271,6 +271,10 @@ WEIGHTED_RULES = {
     "legendre-radial": (16, lambda: _legendre_radial_rule(32, 40.0, 64)),
     "odd-n_gamma": (16, lambda: plane.plane_rule(16, n_gamma=65)),
     "offset-trapezoid": (16, lambda: _offset_trapezoid_rule(16)),
+    # the narrowest Toeplitz windows: dim harmonics wide out of 2 dim - 1
+    "default-1": (1, lambda: plane.plane_rule(1)),
+    "default-2": (2, lambda: plane.plane_rule(2)),
+    "default-5": (5, lambda: plane.plane_rule(5)),
 }
 
 SYMBOLS = {
@@ -382,6 +386,38 @@ class TestPhaseOperator:
         pa = plane.phase_operator_printed(PARAMS)
         assert np.all(np.isnan(pa[0, 1:].real))  # 1/sqrt(m m') at m = 0
         assert_allclose(np.diag(pa).real, math.pi, atol=1e-13)
+
+    @staticmethod
+    def printed_route_per_entry(params):
+        """The published route one entry at a time, one scalar 2F1 each."""
+        t, dim = params.t, params.dim
+        out = (math.pi * np.eye(dim)).astype(complex)
+        for m in range(dim):
+            for mp in range(dim):
+                if m == mp:
+                    continue
+                if m == 0 or mp == 0:
+                    out[m, mp] = complex(math.nan, math.nan)
+                    continue
+                try:
+                    f21 = numerics.hyp2f1_terminating(m, (mp - m) / 2.0,
+                                                      -(m + mp) / 2.0, t)
+                except numerics.PoleError:
+                    out[m, mp] = complex(math.nan, math.nan)
+                    continue
+                f = ((1.0 - t) * math.gamma((m + mp) / 2.0 + 1.0)
+                     / math.sqrt(m * mp) * (1.0 - t) ** ((mp - m) / 2.0) * f21)
+                out[m, mp] = 1.0j * f / (mp - m)
+        return out
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32, 48])
+    @pytest.mark.parametrize("t", [0.0, 0.2, 0.5, 0.9])
+    def test_published_route_matches_per_entry_oracle(self, t, dim):
+        # same terms in the same order, each entry summed by fsum: bit for bit
+        params = plane.ThermalParams(t=t, dim=dim)
+        got = plane.phase_operator_printed(params)
+        want = self.printed_route_per_entry(params)
+        assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.xfail(strict=True, reason="published matrix-element route "
                        "disagrees with the quadrature route even away from "
