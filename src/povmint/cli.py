@@ -138,8 +138,7 @@ def suite_plane(args) -> tuple[dict, list[dict]]:
     t, dim = args.t, args.dim
     params = plane.ThermalParams(t, dim)
     checks = []
-    pur = float(np.trace(np.linalg.matrix_power(
-        plane.displaced_thermal(0.8 + 0.3j, params), 2)).real)
+    pur = operators.purity(plane.displaced_thermal(0.8 + 0.3j, params))
     checks.append(check("purity", "pz0z0", pur, plane.purity_closed(t), 1e-9))
     x = 1.3
     checks.append(check("bessel-identity", "1termsum",

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import QuadratureRule
-from .operators import is_density, max_defect
+from .operators import max_defect
 
 Array = np.ndarray
 
@@ -40,18 +40,6 @@ class DensityFamily:
     rule: QuadratureRule
     # optional fast route: coeffs -> sum_k coeffs_k rho(x_k) over rule.nodes
     weighted_sum: Callable[[Array], Array] | None = None
-
-    def node_matrices(self) -> Array:
-        """Stack of rho(x_k) over the rule nodes, shape (n_nodes, dim, dim)."""
-        return _on_nodes(self.evaluate, self.rule.nodes, (self.dim,) * 2).astype(complex)
-
-    def validate_nodes(self, sample: int | None = 16) -> bool:
-        """Spot-check that evaluate() yields densities at (a sample of) nodes."""
-        idx = np.arange(self.rule.size)
-        if sample is not None and len(idx) > sample:
-            idx = np.linspace(0, len(idx) - 1, sample).astype(int)
-        return all(is_density(m, tol=1e-9).ok
-                   for _, mats in _batches(self, idx) for m in mats)
 
 
 @dataclass(frozen=True)

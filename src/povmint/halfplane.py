@@ -18,8 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (CsBasis, DensityFamily, GroupOrbitSpec, covariant_c_rho,
-                   orbit_family, orbit_integral)
+from .core import CsBasis, GroupOrbitSpec, covariant_c_rho, orbit_integral
 # hyp2f1_terminating is unused here; perfbench/tracer.py rebinds it (ROADMAP item 1)
 from .numerics import (BESSEL_OVERFLOW_X, DomainError, QuadratureRule, _f21_terms,
                        bessel_i_scaled, hyp2f1_terminating, laguerre, laguerre_rule,
@@ -309,13 +308,6 @@ def kernel_eigen_ratio(n: int, params: AffineParams, x: float,
     y = KERNEL_RULE.nodes
     vals = thermal_kernel(x, y, params, printed) * basis_fn(n, params.alpha, y)
     return float(KERNEL_RULE.integrate(vals)) / basis_fn(n, params.alpha, x)
-
-
-def affine_family(params: AffineParams,
-                  rule: QuadratureRule | None = None) -> DensityFamily:
-    """The thermal orbit family rho_T(q,p) with measure dq dp / c_rho."""
-    spec = affine_orbit_spec(params, rule)
-    return orbit_family(spec, c_rho_quadrature(params, spec.group_rule))
 
 
 def affine_resolution_check(params: AffineParams, block: int = 4,

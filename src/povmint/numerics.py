@@ -120,32 +120,33 @@ def bessel_i_scaled(nu: float, x):
     return (m, x) if m.ndim else (float(m), float(x))
 
 
-def _f21_terms(m: int, b: float, c: float, x) -> list:
-    """The terms of the terminating series 2F1(-m, b; c; x).
+def _f21_terms(m, b, c, x) -> list:
+    """The terms k = 0..max(m) of the terminating series 2F1(-m, b; c; x).
 
-    The first parameter -m (m a nonnegative integer) makes the series a
-    polynomial with m+1 terms.  x may be a real or complex scalar or an
-    array; each term then has its type or shape.  Raises PoleError when a
-    denominator Pochhammer factor (c)_k vanishes before the series
-    terminates.
+    The degrees m (nonnegative integers) broadcast with b, c and x, and each
+    term after the first has their broadcast type or shape; the series of
+    degree m has m+1 terms and is zero-padded past them.  A vanishing (c)_k
+    is not checked: it makes the terms inf or NaN, or raises ZeroDivisionError
+    on Python scalars.
     """
-    if m < 0 or int(m) != m:
+    degrees = set(np.ravel(m).tolist())
+    if any(d < 0 or int(d) != d for d in degrees):
         raise DomainError(f"m must be a nonnegative integer, got {m}")
     terms = [1.0 * x ** 0]
-    term = terms[0]
-    for k in range(m):
-        if c + k == 0.0:
-            raise PoleError(
-                f"(c)_k vanishes at k={k} before the series terminates (c={c})"
-            )
-        term = term * (k - m) * (b + k) * x / ((c + k) * (k + 1))
-        terms.append(term)
+    for k in range(int(max(degrees))):
+        term = terms[-1] * (k - m) * (b + k) * x / ((c + k) * (k + 1))
+        # a scalar m ends the loop at k = m - 1, so only arrays need the mask
+        terms.append(np.where(k < m, term, 0.0) if np.ndim(m) else term)
     return terms
 
 
 def hyp2f1_terminating(m: int, b: float, c: float, x):
     """Terminating Gauss hypergeometric sum 2F1(-m, b; c; x) for a real or
-    complex scalar x: the terms of :func:`_f21_terms`, summed exactly rounded."""
+    complex scalar x: the terms of :func:`_f21_terms`, summed exactly rounded.
+    Raises PoleError when a denominator Pochhammer factor (c)_k vanishes
+    before the series terminates, that is c = -k for some k < m."""
+    if float(c).is_integer() and 0 <= -c < m:
+        raise PoleError(f"(c)_k vanishes at k={-c:g} before the series terminates (c={c})")
     terms = _f21_terms(m, b, c, x)
     if isinstance(terms[0], complex):
         return complex(math.fsum(t.real for t in terms),

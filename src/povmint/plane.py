@@ -22,9 +22,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DensityFamily
 # hyp2f1_terminating is unused here; perfbench/tracer.py rebinds it (ROADMAP item 1)
-from .numerics import (DomainError, QuadratureRule, bessel_i, hyp2f1_terminating,
-                       laguerre, laguerre_rule, laguerre_table, periodic_rule,
-                       product_rule)
+from .numerics import (DomainError, QuadratureRule, _f21_terms, bessel_i,
+                       hyp2f1_terminating, laguerre, laguerre_rule, laguerre_table,
+                       periodic_rule, product_rule)
 from .operators import max_defect
 
 
@@ -242,8 +242,8 @@ def plane_family(params: ThermalParams,
     radius's coefficients to angular harmonics
     S_j(m-n) = sum_gamma c(J_j, gamma) e^{i(m-n) gamma} and contracts them
     with the real rho(J_j, 0), one matrix per radius built at construction.
-    The Toeplitz operand S_j(m-n) is a zero-copy window view of S_j, and its
-    real and imaginary parts are contracted by one real einsum each.
+    The Toeplitz operands Re S_j(m-n) and Im S_j(m-n) are window views of
+    contiguous copies of Re S_j and Im S_j, contracted by one real einsum each.
     """
     if rule is None:
         rule = plane_rule(params.dim)
@@ -264,10 +264,11 @@ def plane_family(params: ThermalParams,
 
         def weighted_sum(coeffs):
             s = np.reshape(coeffs, (len(stack), -1)) @ harmonics
-            # toeplitz[j, m, n] = s[j, m - n + dim - 1]
-            toeplitz = sliding_window_view(s[:, ::-1], dim, axis=1)[:, ::-1]
-            return (np.einsum("jmn,jmn->mn", stack, toeplitz.real)
-                    + 1j * np.einsum("jmn,jmn->mn", stack, toeplitz.imag))
+            # toeplitz[j, m, n] = s[j, m - n + dim - 1], windowed from contiguous copies
+            re, im = (sliding_window_view(part[:, ::-1].copy(), dim, axis=1)[:, ::-1]
+                      for part in (s.real, s.imag))
+            return (np.einsum("jmn,jmn->mn", stack, re)
+                    + 1j * np.einsum("jmn,jmn->mn", stack, im))
 
     return DensityFamily(dim, evaluate, rule, weighted_sum=weighted_sum)
 
@@ -358,13 +359,9 @@ def phase_operator_printed(params: ThermalParams) -> np.ndarray:
     t, dim = params.t, params.dim
     m, mp = np.indices((dim, dim))
     b, c = (mp - m) / 2.0, -(m + mp) / 2.0
-    # the 2F1 terms of every entry, in hyp2f1_terminating's operation order;
     # at a pole b is a negative integer, so an exact 0 / 0 makes the entry NaN
-    terms = [np.ones((dim, dim))]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(dim - 1):
-            step = terms[-1] * (k - m) * (b + k) * t / ((c + k) * (k + 1))
-            terms.append(np.where(k < m, step, 0.0))
+        terms = np.broadcast_arrays(*_f21_terms(m, b, c, t))
         entries = np.reshape(terms, (dim, -1)).T.tolist()
         f21 = np.reshape([math.fsum(e) for e in entries], (dim, dim))
         # Gamma((m+m')/2 + 1); m + m' = 2 dim - 2 falls on the diagonal only, so

@@ -328,16 +328,17 @@ def test_criterion_11_core_properties_every_geometry():
                       lambda nd: math.tanh(nd[0]) * math.sin(nd[1])))
         # draws stay near the group identity: the basis truncation sheds
         # weight rapidly for strong modulations |p| > 1
-        fam_h = halfplane.affine_family(
-            halfplane.AffineParams(alpha=2.0, t=0.25, dim=8),
-            halfplane.affine_group_rule(32, 10.0))
+        params_h = halfplane.AffineParams(alpha=2.0, t=0.25, dim=8)
+        spec_h = halfplane.affine_orbit_spec(params_h, halfplane.affine_group_rule(32, 10.0))
+        fam_h = core.orbit_family(
+            spec_h, halfplane.c_rho_quadrature(params_h, spec_h.group_rule))
         geoms.append(("halfplane", fam_h, 3, 1e-2, 5e-2, 1e-1,
                       lambda: (math.exp(RNG.uniform(-0.4, 0.4)),
                                RNG.uniform(-0.6, 0.6)),
                       lambda nd: math.cos(nd[1]),
                       lambda nd: math.tanh(math.log(nd[0]))))
         for (name, fam, blk, tol_id, tol_row, tol_sup, draw, f, g) in geoms:
-            mats = fam.node_matrices()
+            mats = fam.evaluate(fam.rule.nodes).astype(complex)
             w = fam.rule.weights
             fvals = np.array([f(x) for x in fam.rule.nodes])
             gvals = np.array([g(x) for x in fam.rule.nodes])

@@ -1,6 +1,7 @@
 """CLI: suite execution, report schema, row judging, determinism, exit codes."""
 
 import ast
+import hashlib
 import importlib.util
 import json
 import math
@@ -220,6 +221,20 @@ class TestGoldenReports:
         code, out = run(capsys, ["verify", "plane"] + argv)
         assert code == exit_code
         assert out.encode() == (self.GOLDEN / name).read_bytes()
+
+    # command line -> exit code and sha256 of stdout and stderr: every suite at
+    # the defaults and at seeds 0..9, and the non-default parameters below,
+    # each in JSON and CSV
+    DIGESTS = json.loads((GOLDEN / "report-digests.json").read_text())
+
+    @pytest.mark.parametrize("command", sorted(DIGESTS))
+    def test_report_digests(self, capsys, command):
+        code = main(command.split())
+        captured = capsys.readouterr()
+        assert {"exit": code,
+                "stdout_sha256": hashlib.sha256(captured.out.encode()).hexdigest(),
+                "stderr_sha256": hashlib.sha256(captured.err.encode()).hexdigest(),
+                } == self.DIGESTS[command]
 
 
 class TestRows:

@@ -19,19 +19,9 @@ def fam():
 
 
 class TestDensityFamily:
-    def test_node_matrices_shape(self, fam):
-        mats = fam.node_matrices()
-        assert mats.shape == (16, 2, 2)
-
-    def test_validate_nodes(self, fam):
-        assert fam.validate_nodes()
-
-    def test_validate_nodes_catches_bad_family(self, fam):
-        bad = core.DensityFamily(
-            2, lambda th: np.broadcast_to(np.diag([2.0, -1.0]), np.shape(th) + (2, 2)),
-            fam.rule)
-        assert not bad.validate_nodes()
-
+    def test_nodes_are_densities(self, fam):
+        assert all(operators.is_density(rho, tol=1e-9).ok
+                   for rho in fam.evaluate(fam.rule.nodes))
 
     def test_weighted_sum_replaces_the_node_loop(self, fam):
         # the engine hands the family weight * coefficient per node
@@ -39,7 +29,7 @@ class TestDensityFamily:
 
         def weighted_sum(coeffs):
             seen.append(np.asarray(coeffs))
-            return np.einsum("k,kij->ij", coeffs, fam.node_matrices())
+            return np.einsum("k,kij->ij", coeffs, fam.evaluate(fam.rule.nodes))
 
         fast = dataclasses.replace(fam, weighted_sum=weighted_sum)
         f = lambda th: math.cos(th) + 2.0
@@ -277,14 +267,18 @@ def _plane_rule(kind):
     return plane.plane_family(params, rule)
 
 
+def _affine_family():
+    params = halfplane.AffineParams(alpha=2.0, t=0.25, dim=6)
+    spec = halfplane.affine_orbit_spec(params, halfplane.affine_group_rule(8, 6.0))
+    return core.orbit_family(spec, halfplane.c_rho_quadrature(params, spec.group_rule))
+
+
 GEOMETRIES = {
     "circle": lambda: circle.circle_family(0.7, 0.3, n=16),
     "sphere": lambda: sphere.sphere_family(0.8, 6, 7),
     "fourier-cs": lambda: core.cs_family(fourier_basis(4)),
     "torus-orbit": lambda: core.orbit_family(torus_orbit_spec()),
-    "affine": lambda: halfplane.affine_family(
-        halfplane.AffineParams(alpha=2.0, t=0.25, dim=6),
-        halfplane.affine_group_rule(8, 6.0)),
+    "affine": _affine_family,
     "plane-shuffled": lambda: _plane_rule("shuffled"),
     "plane-hand": lambda: _plane_rule("hand"),
 }
@@ -333,9 +327,6 @@ class TestNodeArrayContract:
         got = core._accumulate(counted, c)
         assert calls and max(calls) == 3 and sum(calls) == np.count_nonzero(c)
         assert np.max(np.abs(got - loop_accumulate(fam, c))) < self.TOL
-        calls.clear()
-        assert counted.validate_nodes(sample=None) == fam.validate_nodes(sample=None)
-        assert max(calls) == 3
 
 
 class TestPlaneBatches:
@@ -379,8 +370,7 @@ class TestNonBroadcastingCallables:
 
     def test_evaluate_returning_one_matrix(self, fam):
         bad = core.DensityFamily(2, lambda th: circle.rho_circle(0.5, 0.0), fam.rule)
-        for call in (bad.node_matrices, bad.validate_nodes,
-                     lambda: core.check_resolution(bad),
+        for call in (lambda: core.check_resolution(bad),
                      lambda: core.quantize(bad, lambda th: 1.0)):
             with pytest.raises(ValueError, match="broadcast over node arrays"):
                 call()

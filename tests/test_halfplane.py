@@ -417,7 +417,8 @@ class TestAdmissibility:
 
     def test_affine_family_density_nodes(self):
         rule = halfplane.affine_group_rule(16, 8.0)
-        fam = halfplane.affine_family(PARAMS, rule)
+        spec = halfplane.affine_orbit_spec(PARAMS, rule)
+        fam = core.orbit_family(spec, halfplane.c_rho_quadrature(PARAMS, spec.group_rule))
         assert fam.dim == PARAMS.dim
         # evaluate near the identity element, where the basis truncation
         # loses almost no weight; extreme-q nodes leak out of the block

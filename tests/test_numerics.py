@@ -164,6 +164,27 @@ class TestHyp2f1:
         with pytest.raises(DomainError):
             hyp2f1_terminating(-3, 1.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("x", [[0.7, -1.3], [0.4 - 1.1j, 2.5j]])
+    def test_terms_over_an_array_of_degrees(self, x):
+        # one series per degree, zero-padded past it, equal bit for bit to the
+        # calls of one degree each (x is an array in both, so both divide alike)
+        rng = np.random.default_rng(5)
+        m, x = np.arange(13), np.array(x)
+        b, c = rng.uniform(-3.0, 3.0, 13), rng.uniform(0.5, 4.0, 13)
+        got = np.broadcast_arrays(*numerics._f21_terms(m[:, None], b[:, None],
+                                                       c[:, None], x))
+        for k in m:
+            want = numerics._f21_terms(k, b[k], c[k], x) + [np.zeros(len(x))] * (12 - k)
+            assert np.array_equal(np.array(got)[:, k], np.array(want))
+
+    def test_pole_gives_nan_terms(self):
+        # b = -1 zeroes the terms from k = 2 on, and (c)_2 = 0: 0 / 0 at k = 2
+        with pytest.raises(PoleError):
+            hyp2f1_terminating(5, -1.0, -2.0, 0.5)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = numerics._f21_terms(np.array([5]), -1.0, -2.0, 0.5)
+        assert np.isnan(sum(terms)).all()
+
 
 class TestRules:
     def test_trapezoid_exact_for_trig(self):

@@ -130,7 +130,8 @@ class TestDisplacementOracles:
         # radial nodes stay where truncation leaves a unit-trace density
         params = plane.ThermalParams(t=0.2, dim=48)
         fam = plane.plane_family(params, _legendre_radial_rule(12, 6.0, 16))
-        assert fam.validate_nodes(sample=None)
+        assert all(operators.is_density(rho, tol=1e-9).ok
+                   for rho in fam.evaluate(fam.rule.nodes))
         for j, gamma in fam.rule.nodes[::7]:
             want = plane.displaced_thermal(math.sqrt(j) * np.exp(1j * gamma),
                                            params)
