@@ -213,9 +213,9 @@ class GroupOrbitSpec:
     translate: Callable[[object, object], object] | None = None
 
     def orbit_density(self, g) -> Array:
-        # U F U^dag as conj(conj(U F) U^T): at most two (..., r, dim) arrays live
+        # U F U^dag as conj(conj(U F) U^T), U F one GEMM: two (..., r, dim) arrays live
         u = np.asarray(self.unitary(g), dtype=complex)
-        uf = u @ self.fiducial
+        uf = (u.reshape(-1, u.shape[-1]) @ self.fiducial).reshape(u.shape)
         rho = np.conjugate(uf, out=uf) @ np.swapaxes(u, -1, -2)
         return np.conjugate(rho, out=rho)
 

@@ -116,8 +116,8 @@ def _f21_tracked(m: int, b: float, c: float, x: np.ndarray):
     so the caller can pick the better-conditioned of two representations.
     """
     terms = _f21_terms(m, b, c, x)
-    # summed term by term, so a 0-d x and a node array round alike
-    return sum(terms[1:], terms[0]), np.abs(np.array(terms)).max(axis=0)
+    # summed term by term, so a 0-d x and a node array round alike; the first term is 1
+    return sum(terms[1:], terms[0]), np.abs(terms[1:]).max(axis=0, initial=1.0)
 
 
 def overlap_block(q, p, alpha: float, rows: int, cols: int) -> np.ndarray:
@@ -198,15 +198,16 @@ def overlap_block(q, p, alpha: float, rows: int, cols: int) -> np.ndarray:
 def affine_group_rule(n: int = 64, u_max: float = 14.0) -> QuadratureRule:
     """Rule for dq dp on the half-plane; nodes are n x n (q, p) pairs.
 
-    q = e^u with Gauss-Legendre in u over [-u_max, u_max]; p = tan(v) with
-    Gauss-Legendre in v over (-pi/2, pi/2).  Weights carry the Jacobians.
+    q = e^u and p = tan(v), with u and v on one Gauss-Legendre rule for [-1, 1]
+    scaled to [-u_max, u_max] and (-pi/2, pi/2).  Weights carry the Jacobians.
+    DomainError unless 0 < u_max < inf.
     """
-    ru = legendre_rule(n, -u_max, u_max)
-    rv = legendre_rule(n, -0.5 * math.pi, 0.5 * math.pi)
-    qs = np.exp(ru.nodes)
-    return product_rule(QuadratureRule(qs, ru.weights * qs),
-                        QuadratureRule(np.tan(rv.nodes),
-                                       rv.weights / np.cos(rv.nodes) ** 2))
+    if not 0.0 < u_max < math.inf:
+        raise DomainError(f"u_max must lie in (0, inf), got {u_max}")
+    r = legendre_rule(n, -1.0, 1.0)
+    qs, v = np.exp(u_max * r.nodes), 0.5 * math.pi * r.nodes
+    return product_rule(QuadratureRule(qs, u_max * r.weights * qs),
+                        QuadratureRule(np.tan(v), 0.5 * math.pi * r.weights / np.cos(v) ** 2))
 
 
 def affine_orbit_spec(params: AffineParams, rule: QuadratureRule | None = None,

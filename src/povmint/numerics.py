@@ -132,7 +132,8 @@ def _f21_terms(m, b, c, x) -> list:
     degrees = set(np.ravel(m).tolist())
     if any(d < 0 or int(d) != d for d in degrees):
         raise DomainError(f"m must be a nonnegative integer, got {m}")
-    terms = [1.0 * x ** 0]
+    # ones, not x ** 0: a complex power per node; scalars keep Python types
+    terms = [np.ones_like(x, np.result_type(x, 1.0)) if np.ndim(x) else 1.0 * x ** 0]
     for k in range(int(max(degrees))):
         term = terms[-1] * (k - m) * (b + k) * x / ((c + k) * (k + 1))
         # a scalar m ends the loop at k = m - 1, so only arrays need the mask
@@ -191,10 +192,12 @@ def periodic_rule(n: int, scale: float, offset: float = 0.0) -> QuadratureRule:
 
 
 def legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
-    """n-point Gauss-Legendre rule for dx on [a, b]."""
-    if n < 1:
-        raise DomainError(f"node count must be >= 1, got {n}")
-    x, w = np.polynomial.legendre.leggauss(n)
+    """n-point Gauss-Legendre rule for dx on [a, b], a < b finite."""
+    if n < 1 or n % 1:  # an integral float is accepted; NaN fails
+        raise DomainError(f"node count must be an integer >= 1, got {n}")
+    if not -math.inf < a < b < math.inf:
+        raise DomainError(f"interval needs finite bounds a < b, got [{a}, {b}]")
+    x, w = np.polynomial.legendre.leggauss(int(n))
     return QuadratureRule(0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w)
 
 

@@ -233,6 +233,25 @@ class TestGroupOrbit:
         with pytest.raises(ValueError):
             core.covariance_check(spec, fam, lambda th: 1.0, 0.5)
 
+    @pytest.mark.parametrize("fiducial", ["own", "random-hermitian"])
+    @pytest.mark.parametrize("build", [
+        lambda: torus_orbit_spec(),
+        lambda: halfplane.affine_orbit_spec(halfplane.AffineParams(2.0, 0.2, 16), rows=3),
+        lambda: halfplane.affine_orbit_spec(halfplane.AffineParams(2.0, 0.2, 16), rows=16),
+    ], ids=["torus", "halfplane-rows3", "halfplane-rows16"])
+    def test_orbit_density_matches_stacked_products(self, build, fiducial):
+        # U F as one GEMM over all rows equals the per-node products bit for bit
+        spec = build()
+        if fiducial == "random-hermitian":
+            rng = np.random.default_rng(20)
+            dim = spec.fiducial.shape[0]
+            h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            spec = dataclasses.replace(spec, fiducial=h + h.conj().T)
+        nodes = spec.group_rule.nodes
+        u = np.asarray(spec.unitary(nodes), dtype=complex)
+        want = np.conj(np.conj(u @ spec.fiducial) @ np.swapaxes(u, -1, -2))
+        assert np.array_equal(spec.orbit_density(nodes), want)
+
     def test_rejects_nonpositive_admissibility(self):
         spec = torus_orbit_spec()
         spec.probe = np.zeros((2, 2), dtype=complex)

@@ -10,7 +10,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from povmint import core, halfplane
-from povmint.numerics import DomainError, bessel_i, legendre_rule
+from povmint.numerics import (DomainError, QuadratureRule, bessel_i, legendre_rule,
+                              product_rule)
 
 PARAMS = halfplane.AffineParams(alpha=2.0, t=0.25, dim=6)
 
@@ -220,6 +221,43 @@ class TestGroup:
     def test_action_rejects_bad_input(self, q, p):
         with pytest.raises(DomainError):
             halfplane.affine_action(q, p, lambda x: x)
+
+
+def two_rule_group_rule(n, u_max):
+    """affine_group_rule as first written: one Gauss-Legendre rule for u and
+    another for v, each built on its own interval."""
+    ru = legendre_rule(n, -u_max, u_max)
+    rv = legendre_rule(n, -0.5 * math.pi, 0.5 * math.pi)
+    qs = np.exp(ru.nodes)
+    return product_rule(QuadratureRule(qs, ru.weights * qs),
+                        QuadratureRule(np.tan(rv.nodes),
+                                       rv.weights / np.cos(rv.nodes) ** 2))
+
+
+class TestGroupRule:
+    # odd n puts a node at u = v = 0, the group identity
+    @pytest.mark.parametrize("n, u_max", [(64, 14.0), (96, 14.0), (32, 10.0),
+                                          (8, 6.0), (65, 3.0)])
+    def test_equals_two_rule_construction(self, n, u_max):
+        rule, want = halfplane.affine_group_rule(n, u_max), two_rule_group_rule(n, u_max)
+        assert np.array_equal(rule.nodes, want.nodes)
+        assert np.array_equal(rule.weights, want.weights)
+
+    def test_builds_one_legendre_rule(self, monkeypatch):
+        calls, leggauss = [], np.polynomial.legendre.leggauss
+
+        def counting(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        halfplane.affine_group_rule(64, 14.0)
+        assert calls == [64]
+
+    @pytest.mark.parametrize("u_max", [-14.0, 0.0, math.inf, math.nan])
+    def test_rejects_bad_u_max(self, u_max):
+        with pytest.raises(DomainError):
+            halfplane.affine_group_rule(16, u_max)
 
 
 class TestOverlap:

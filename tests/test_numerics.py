@@ -177,6 +177,23 @@ class TestHyp2f1:
             want = numerics._f21_terms(k, b[k], c[k], x) + [np.zeros(len(x))] * (12 - k)
             assert np.array_equal(np.array(got)[:, k], np.array(want))
 
+    @pytest.mark.parametrize("x", [0.3, 0.4 - 1.1j, np.array(0.7),
+                                   np.array([0.7, -1.3]), np.array([0.4 - 1.1j, 2.5j]),
+                                   np.array([2, -3]), np.array([0.5], dtype=np.float32)],
+                             ids=["float", "complex", "0-d", "float-array",
+                                  "complex-array", "int-array", "float32-array"])
+    def test_first_term_is_unit_power(self, x):
+        # arrays start from ones rather than x ** 0; both give the same first term
+        first, want = numerics._f21_terms(3, 1.5, 2.0, x)[0], 1.0 * x ** 0
+        assert type(first) is type(want)
+        assert np.asarray(first).dtype == np.asarray(want).dtype
+        assert np.array_equal(first, want)
+
+    @pytest.mark.parametrize("x, kind", [(0.3, float), (np.array(0.3), float),
+                                         (0.4 - 1.1j, complex)])
+    def test_scalar_argument_gives_python_scalar(self, x, kind):
+        assert type(hyp2f1_terminating(3, 1.5, 2.0, x)) is kind
+
     def test_pole_gives_nan_terms(self):
         # b = -1 zeroes the terms from k = 2 on, and (c)_2 = 0: 0 / 0 at k = 2
         with pytest.raises(PoleError):
@@ -229,6 +246,19 @@ class TestRules:
         for n in (10.5, math.nan):
             with pytest.raises(DomainError):
                 laguerre_rule(n)
+
+    def test_legendre_integral_float_node_count(self):
+        rule, ref = legendre_rule(10.0, 0.0, 1.0), legendre_rule(10, 0.0, 1.0)
+        assert np.array_equal(rule.nodes, ref.nodes)
+        assert np.array_equal(rule.weights, ref.weights)
+
+    @pytest.mark.parametrize("n, a, b", [
+        (10.5, 0.0, 1.0), (math.nan, 0.0, 1.0), (4, 0.0, math.inf),
+        (4, -math.inf, 0.0), (4, math.nan, 1.0), (4, 1.0, 0.0), (4, 1.0, 1.0),
+    ], ids=["fractional-n", "nan-n", "inf-b", "inf-a", "nan-a", "reversed", "empty"])
+    def test_legendre_bad_inputs(self, n, a, b):
+        with pytest.raises(DomainError):
+            legendre_rule(n, a, b)
 
     def test_product_rule_tensor_integral(self):
         ra = legendre_rule(5, 0.0, 1.0)
