@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CsBasis, GroupOrbitSpec, covariant_c_rho, orbit_integral
+from .core import CsBasis, GroupOrbitSpec, orbit_integral
 # hyp2f1_terminating is unused here; perfbench/tracer.py rebinds it (ROADMAP item 1)
 from .numerics import (BESSEL_OVERFLOW_X, DomainError, QuadratureRule, _f21_terms,
                        bessel_i_scaled, hyp2f1_terminating, laguerre, laguerre_rule,
@@ -53,7 +53,7 @@ def basis_fn(n: int, alpha: float, x) -> np.ndarray:
     """Laguerre basis function e_n(x) on the half-line."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
-        raise ValueError("basis functions live on x >= 0")
+        raise DomainError("basis functions live on x >= 0")
     return (basis_norm(n, alpha) * np.exp(-0.5 * x) * x ** (0.5 * alpha)
             * laguerre(n, alpha, x))
 
@@ -77,7 +77,7 @@ def inverse_moment(n: int, alpha: float) -> float:
     polynomial telescopes to Gamma(alpha)/Gamma(alpha+1) for every degree.
     """
     if alpha <= 0.0:
-        raise ValueError("the inverse moment diverges for alpha <= 0")
+        raise DomainError("the inverse moment diverges for alpha <= 0")
     rule = laguerre_rule(n + 4, alpha - 1.0)
     vals = laguerre(n, alpha, rule.nodes)
     return basis_norm(n, alpha) ** 2 * float(rule.weights @ vals ** 2)
@@ -246,7 +246,7 @@ def c_rho_quadrature(params: AffineParams,
     Only the first overlap row enters, so this is exact in the basis
     truncation up to the thermal tail t^dim.
     """
-    return covariant_c_rho(affine_orbit_spec(params, rule, rows=1))
+    return affine_resolution_check(params, 1, rule)[0]
 
 
 def c_rho_derived(alpha: float) -> float:
@@ -277,10 +277,10 @@ def thermal_kernel(x, y, params: AffineParams, printed: bool = False):
     """
     t, alpha = params.t, params.alpha
     if not 0.0 < t < 1.0:
-        raise ValueError("thermal kernel needs t in (0, 1)")
+        raise DomainError("thermal kernel needs t in (0, 1)")
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if np.any(x < 0) or np.any(y < 0):
-        raise ValueError("kernel arguments must be nonnegative")
+        raise DomainError("kernel arguments must be nonnegative")
     arg = 2.0 * np.sqrt(t * x * y) / (1.0 - t)
     pre, decay = (1.0 - t, t) if printed else (1.0, 1.0 + t)
     # I_alpha(arg) e^{-arg} times e^expo: the corrected form's expo is <= 0
@@ -316,6 +316,18 @@ def affine_resolution_check(params: AffineParams, block: int = 4,
     """(c_rho, leading block of int rho_T(q,p) dq dp / c_rho); the block should
     be the identity. One orbit reduction over the first `block` overlap rows
     per node gives both: c_rho is the (0, 0) entry of the integral it normalises.
+
+    rho_T(q, -p) = conj rho_T(q, p) bit for bit, so the reduction runs over the
+    p >= 0 nodes (p = 0 at half weight) and adds the conjugate. DomainError
+    unless the rule's nodes pair as (q, p), (q, -p) with equal weights.
     """
-    c_rho, total = orbit_integral(affine_orbit_spec(params, rule, rows=block))
-    return c_rho, total / c_rho
+    rule = affine_group_rule() if rule is None else rule
+    (q, p), w = rule.nodes.T, rule.weights
+    order, mirror = np.lexsort((p, q)), np.lexsort((-p, q))
+    if not (np.array_equal(q[order], q[mirror]) and np.array_equal(p[order], -p[mirror])
+            and np.array_equal(w[order], w[mirror])):
+        raise DomainError("the group rule must pair (q, p) with (q, -p) at equal weights")
+    keep = p >= 0
+    half = QuadratureRule(rule.nodes[keep], np.where(p == 0, 0.5 * w, w)[keep])
+    c_half, total = orbit_integral(affine_orbit_spec(params, half, rows=block))
+    return 2.0 * c_half, (total + total.conj()) / (2.0 * c_half)

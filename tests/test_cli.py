@@ -194,7 +194,8 @@ class TestVerify:
                                              "grid": 64}
 
     def test_halfplane_integrates_the_orbit_once(self, monkeypatch):
-        # c_rho and the resolution block come from one rows=3 reduction
+        # c_rho and the resolution block come from one rows=3 reduction over
+        # the 2,048 p > 0 nodes of the 64 x 64 rule
         calls, overlap = [], halfplane.overlap_block
 
         def recording(q, p, alpha, rows, cols):
@@ -203,7 +204,7 @@ class TestVerify:
 
         monkeypatch.setattr(halfplane, "overlap_block", recording)
         cli.suite_halfplane(cli.build_parser().parse_args(["verify", "halfplane"]))
-        assert calls == [(4096, 3)]
+        assert calls == [(2048, 3)]
 
 
 class TestGoldenReports:

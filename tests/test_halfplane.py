@@ -194,6 +194,12 @@ class TestBasis:
         with pytest.raises(ValueError):
             halfplane.inverse_moment(2, 0.0)
 
+    def test_domain_errors_are_typed(self):
+        with pytest.raises(DomainError, match="x >= 0"):
+            halfplane.basis_fn(0, 1.5, np.array([0.3, -0.1]))
+        with pytest.raises(DomainError, match="alpha <= 0"):
+            halfplane.inverse_moment(2, -0.5)
+
 
 class TestGroup:
     def test_product_and_inverse(self):
@@ -509,7 +515,7 @@ class TestOrbitEngine:
         # no node of the default rule falls back at the suite's parameters,
         # and row 0 and column 0 need no 2F1, so the rows=1 block runs none
         # and each of the 2 x 15 other elements of the rows=3 block is one
-        # primary 2F1 over 4,096 nodes
+        # primary 2F1 over the 2,048 nodes with p > 0
         sizes, cs, f21 = [], [], halfplane._f21_tracked
 
         def counting(m, b, c, x):
@@ -522,7 +528,7 @@ class TestOrbitEngine:
         rule = halfplane.affine_group_rule(64, 14.0)
         halfplane.c_rho_quadrature(params, rule)
         halfplane.affine_resolution_check(params, block=3, rule=rule)
-        assert sum(sizes) == 30 * 4096
+        assert sum(sizes) == 30 * 2048
         assert min(cs) > 0
 
     def test_c_rho_needs_one_row(self):
@@ -530,6 +536,45 @@ class TestOrbitEngine:
         one = core.covariant_c_rho(halfplane.affine_orbit_spec(PARAMS, rule, rows=1))
         full = core.covariant_c_rho(halfplane.affine_orbit_spec(PARAMS, rule))
         assert abs(one - full) < 1e-13
+
+
+class TestMirrorFold:
+    """rho_T(q, -p) = conj rho_T(q, p) bit for bit, so the half-plane
+    reductions run over the p >= 0 nodes and add the conjugate."""
+
+    @pytest.mark.parametrize("grid", [64, 65])
+    @pytest.mark.parametrize("rows", [3, 16])
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 20.0])
+    def test_overlap_block_mirrors_exactly(self, alpha, rows, grid):
+        # the default rule holds FALLBACK_NODES, the 65-node rule p = 0
+        q, p = halfplane.affine_group_rule(grid).nodes.T
+        got = halfplane.overlap_block(q, p, alpha, rows, 16)
+        assert np.array_equal(halfplane.overlap_block(q, -p, alpha, rows, 16),
+                              got.conj())
+
+    @pytest.mark.parametrize("grid", [32, 64, 65])
+    @pytest.mark.parametrize("t", [0.0, 0.2, 0.65])
+    def test_fold_matches_full_rule_references(self, t, grid):
+        params = halfplane.AffineParams(2.0, t, dim=16)
+        rule = halfplane.affine_group_rule(grid)
+        c_rho = c_rho_first_row(params, rule)
+        assert abs(halfplane.c_rho_quadrature(params, rule) - c_rho) < 1e-13
+        for block in (1, 3, 6):
+            got_c, got = halfplane.affine_resolution_check(params, block, rule)
+            assert abs(got_c - c_rho) < 1e-13
+            want = resolution_block_einsum(params, block, rule, c_rho)
+            assert np.max(np.abs(got - want)) < 1e-13
+
+    def test_unpaired_rule_raises(self):
+        rule = halfplane.affine_group_rule(16, 8.0)
+        shifted = QuadratureRule(rule.nodes + [0.0, 0.1], rule.weights)
+        weights = rule.weights.copy()
+        weights[3] *= 1.0 + 1e-12
+        for bad in (shifted, QuadratureRule(rule.nodes, weights)):
+            with pytest.raises(DomainError, match="pair"):
+                halfplane.affine_resolution_check(PARAMS, 3, bad)
+            with pytest.raises(DomainError, match="pair"):
+                halfplane.c_rho_quadrature(PARAMS, bad)
 
 
 class TestThermalKernel:
@@ -600,3 +645,10 @@ class TestThermalKernel:
         with pytest.raises(ValueError):
             halfplane.thermal_kernel(
                 0.5, 0.5, halfplane.AffineParams(alpha=2.0, t=0.0, dim=4))
+
+    def test_kernel_domain_errors_are_typed(self):
+        with pytest.raises(DomainError, match="t in"):
+            halfplane.thermal_kernel(
+                0.5, 0.5, halfplane.AffineParams(alpha=2.0, t=0.0, dim=4))
+        with pytest.raises(DomainError, match="nonnegative"):
+            halfplane.thermal_kernel(0.5, np.array([1.0, -2.0]), PARAMS)
