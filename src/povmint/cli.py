@@ -5,6 +5,8 @@ returns its rows as data, {id, paper_anchor, computed, expected, tol};
 ``_judge`` is the one place a row gets its ``pass`` (and its ``--tol``
 override), and ``render`` is the one place values are rounded.  Reports are
 deterministic byte-for-byte for a fixed configuration and seed.
+Geometry modules load on first use: each suite imports its own, and
+``cli.plane`` (or any other geometry attribute) imports that module.
 
 Exit codes: 0 all checks pass, 1 any check failed, 2 configuration error,
 3 infeasible reconstruction request, 4 reconstruction did not converge.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
@@ -22,7 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circle, core, finite, halfplane, operators, plane, sphere
+from . import core, operators
+
+
+def __getattr__(name: str):
+    """``cli.<geometry>`` imports that geometry module on first access."""
+    if name in ("circle", "finite", "halfplane", "plane", "sphere"):
+        return importlib.import_module(f"{__package__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _round(x, digits: int = 12):
@@ -61,6 +71,7 @@ def _judge(rows: list[dict], tol: float | None = None) -> list[dict]:
 
 
 def suite_circle(args) -> tuple[dict, list[dict]]:
+    from . import circle
     r, phi, n = args.r, 0.0, max(args.grid, 8)
     checks = []
     fam = circle.circle_family(r, phi, n=n)
@@ -97,6 +108,7 @@ def suite_circle(args) -> tuple[dict, list[dict]]:
 
 
 def suite_sphere(args) -> tuple[dict, list[dict]]:
+    from . import sphere
     r, n = args.r, max(args.grid, 8)
     checks = []
     fam = sphere.sphere_family(r, n_theta=n, n_phi=n)
@@ -135,6 +147,7 @@ def suite_sphere(args) -> tuple[dict, list[dict]]:
 
 
 def suite_plane(args) -> tuple[dict, list[dict]]:
+    from . import plane
     t, dim = args.t, args.dim
     params = plane.ThermalParams(t, dim)
     checks = []
@@ -191,6 +204,7 @@ def suite_plane(args) -> tuple[dict, list[dict]]:
 
 
 def suite_halfplane(args) -> tuple[dict, list[dict]]:
+    from . import halfplane
     alpha, t = args.alpha, args.t
     # fixed truncation: large enough that the thermal tail t^dim sits below
     # every tolerance here, small enough to keep the group quadrature cheap
@@ -225,6 +239,7 @@ def suite_halfplane(args) -> tuple[dict, list[dict]]:
 
 
 def suite_core(args) -> tuple[dict, list[dict]]:
+    from . import circle
     rng = np.random.default_rng(args.seed)
     r = 0.6
     fam = circle.circle_family(r, 0.0, n=16)
@@ -264,6 +279,7 @@ def suite_core(args) -> tuple[dict, list[dict]]:
 
 
 def suite_finite(args) -> tuple[dict, list[dict]]:
+    from . import finite
     checks = []
     fb = finite.feasibility_bounds(2)
     checks.append(check("feasibility-full-rank", "allowr", fb.n_max, 6, 0.0))
@@ -290,6 +306,7 @@ def suite_finite(args) -> tuple[dict, list[dict]]:
 
 def _random_resolving_family(rng, n: int, size: int):
     """Random density family with sum nu_i rho_i = I, nu_i = n/size."""
+    from . import finite
     nu = np.full(size, n / size)
     while True:
         raw = []
@@ -414,6 +431,7 @@ def run_verify(args) -> int:
 
 
 def run_reconstruct(args) -> int:
+    from . import finite
     if args.restarts < 1 or not 0.0 < args.tol < math.inf:
         sys.stderr.write(f"configuration error: --restarts must be >= 1 and --tol "
                          f"in (0, inf), got {args.restarts} and {args.tol}\n")

@@ -12,6 +12,7 @@ variables: q through the substitution q = e^u, p through p = tan(v).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -291,24 +292,28 @@ def thermal_kernel(x, y, params: AffineParams, printed: bool = False):
     return out if out.ndim else float(out)
 
 
-# the kernel checks' 200-node rule for dx on [0, 160], built once at import
-KERNEL_RULE = legendre_rule(200, 0.0, 160.0)
+@functools.cache
+def kernel_rule() -> QuadratureRule:
+    """The kernel checks' 200-node rule for dx on [0, 160], built on first use."""
+    return legendre_rule(200, 0.0, 160.0)
 
 
 def kernel_trace(params: AffineParams, printed: bool = False) -> float:
-    """Quadrature of int K_T(x, x) dx under KERNEL_RULE; equals tr rho_T = 1
+    """Quadrature of int K_T(x, x) dx under kernel_rule(); equals tr rho_T = 1
     for the corrected kernel."""
-    x = KERNEL_RULE.nodes
-    return float(KERNEL_RULE.integrate(thermal_kernel(x, x, params, printed)))
+    rule = kernel_rule()
+    x = rule.nodes
+    return float(rule.integrate(thermal_kernel(x, x, params, printed)))
 
 
 def kernel_eigen_ratio(n: int, params: AffineParams, x: float,
                        printed: bool = False) -> float:
-    """(int K_T(x, y) e_n(y) dy) / e_n(x) under KERNEL_RULE; equals
+    """(int K_T(x, y) e_n(y) dy) / e_n(x) under kernel_rule(); equals
     (1-t) t^n for the corrected kernel."""
-    y = KERNEL_RULE.nodes
+    rule = kernel_rule()
+    y = rule.nodes
     vals = thermal_kernel(x, y, params, printed) * basis_fn(n, params.alpha, y)
-    return float(KERNEL_RULE.integrate(vals)) / basis_fn(n, params.alpha, x)
+    return float(rule.integrate(vals)) / basis_fn(n, params.alpha, x)
 
 
 def affine_resolution_check(params: AffineParams, block: int = 4,

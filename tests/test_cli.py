@@ -361,33 +361,83 @@ class TestTracerBindings:
 
 
 class TestImport:
-    def test_cli_import_defers_scipy_optimize(self):
-        # importing the CLI loads no scipy.optimize
+    GEOMETRIES = ("circle", "finite", "halfplane", "plane", "sphere")
+    # prints the geometry modules loaded so far
+    LOADED = (f"print(sorted(m for m in sys.modules\n"
+              f"             if m.removeprefix('povmint.') in {GEOMETRIES!r}))\n")
+
+    @staticmethod
+    def fresh(code, *argv):
+        """Stdout lines of ``code`` run in a fresh interpreter on the sources."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
-        code = ("import sys, povmint.cli\n"
-                "print('scipy.optimize' in sys.modules)\n")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, timeout=120)
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip().splitlines()
+
+    def test_cli_import_loads_no_geometry(self):
+        # a cold start pays only for core and operators: no geometry module and
+        # no numpy.polynomial (the half-plane kernel rule is built on first use)
+        lines = self.fresh("import sys, povmint.cli\n" + self.LOADED
+                           + "print('numpy.polynomial' in sys.modules)\n")
+        assert lines == ["[]", "False"]
+
+    def test_verify_circle_loads_only_circle(self):
+        lines = self.fresh("import contextlib, io, sys\n"
+                           "from povmint import cli\n"
+                           "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           "    code = cli.main(['verify', 'circle'])\n"
+                           "print(code)\n" + self.LOADED)
+        assert lines == ["0", "['povmint.circle']"]
+
+    def test_reconstruct_then_verify_all_load_what_they_use(self, tmp_path):
+        path = table_file(tmp_path, [qubit(0.4), qubit(-0.4)], [1.0, 1.0])
+        lines = self.fresh("import contextlib, io, sys\n"
+                           "from povmint import cli\n"
+                           "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           "    code = cli.main(['reconstruct', sys.argv[1]])\n"
+                           "print(code)\n" + self.LOADED
+                           + "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           "    code = cli.main(['verify', 'all'])\n"
+                           "print(code)\n" + self.LOADED, path)
+        assert lines == ["0", "['povmint.finite']", "0",
+                         str(sorted(f"povmint.{name}" for name in self.GEOMETRIES))]
+
+    def test_geometry_attributes_load_on_first_access(self):
+        lines = self.fresh("import sys, povmint.cli as cli\n" + self.LOADED
+                           + "for name in sys.argv[1:]:\n"
+                           "    print(getattr(cli, name) is sys.modules['povmint.' + name])\n"
+                           "print(hasattr(cli, 'torus'))\n", *self.GEOMETRIES)
+        assert lines == ["[]"] + ["True"] * len(self.GEOMETRIES) + ["False"]
+
+    def test_tracer_attaches_before_any_suite_runs(self):
+        # the benchmark's tracer reads cli.plane, cli.halfplane, ... right after
+        # import; in-process tests cannot see this, every module being loaded
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        lines = self.fresh("import importlib.util, sys, povmint.cli as cli\n"
+                           "spec = importlib.util.spec_from_file_location('t', sys.argv[1])\n"
+                           "module = importlib.util.module_from_spec(spec)\n"
+                           "spec.loader.exec_module(module)\n"
+                           "tracer = module.Tracer()\n"
+                           "tracer.attach(cli)\n"
+                           "print(len(tracer._patches))\n", str(path))
+        assert lines == ["26"]
+
+    def test_cli_import_defers_scipy_optimize(self):
+        # importing the CLI loads no scipy.optimize
+        assert self.fresh("import sys, povmint.cli\n"
+                          "print('scipy.optimize' in sys.modules)\n") == ["False"]
 
     def test_cli_import_defers_scipy(self):
         # no scipy module is part of the CLI's start-up
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
         code = ("import sys, povmint.cli\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
+        assert self.fresh(code) == ["[]"]
 
     def test_plane_family_loads_no_scipy(self):
         # the Gauss-Laguerre rule and the displacement entries are numpy, so
         # building and quantizing on a plane family never imports scipy
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
         code = ("import sys\n"
                 "from povmint import core, plane\n"
                 "params = plane.ThermalParams(0.2, 48)\n"
@@ -395,10 +445,7 @@ class TestImport:
                 "core.quantize(fam, lambda nd: nd[0])\n"
                 "plane._radial_integrals(params)\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
+        assert self.fresh(code) == ["[]"]
 
     def test_verify_all_and_reconstruct_load_no_scipy(self, tmp_path):
         # the Bessel routine and the Levenberg-Marquardt solver are numpy, so
@@ -408,8 +455,6 @@ class TestImport:
         vecs = [np.array([math.cos(a), math.sin(a)]) for a in (0.0, third, 2 * third)]
         rank_one = table_file(tmp_path, [np.outer(v, v).astype(complex) for v in vecs],
                               [2.0 / 3.0] * 3, name="rank_one.json")
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
         code = ("import contextlib, io, sys\n"
                 "from povmint import cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -417,10 +462,7 @@ class TestImport:
                 "             cli.main(['reconstruct', sys.argv[1]]),\n"
                 "             cli.main(['reconstruct', sys.argv[2], '--rank-one'])]\n"
                 "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-        out = subprocess.run([sys.executable, "-c", code, full, rank_one], env=env,
-                             capture_output=True, text=True, timeout=300)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[0, 0, 0] []"
+        assert self.fresh(code, full, rank_one) == ["[0, 0, 0] []"]
 
 
 class TestReconstruct:

@@ -578,6 +578,14 @@ class TestMirrorFold:
 
 
 class TestThermalKernel:
+    def test_kernel_rule_is_the_200_node_rule_on_0_160(self):
+        rule, want = halfplane.kernel_rule(), legendre_rule(200, 0.0, 160.0)
+        assert np.array_equal(rule.nodes, want.nodes)
+        assert np.array_equal(rule.weights, want.weights)
+
+    def test_kernel_rule_is_built_once(self):
+        assert halfplane.kernel_rule() is halfplane.kernel_rule()
+
     def test_trace_is_one(self):
         assert_allclose(halfplane.kernel_trace(PARAMS), 1.0, rtol=1e-10)
 
@@ -626,11 +634,11 @@ class TestThermalKernel:
         assert bessel_i(1.0, np.array([2.0, 700.0])).shape == (2,)
 
     def test_large_bessel_argument(self):
-        # at t 0.9 the I_alpha argument reaches ~3036 on KERNEL_RULE, far past
+        # at t 0.9 the I_alpha argument reaches ~3036 on kernel_rule(), far past
         # where I_alpha itself overflows a double
         t, x = 0.9, 150.0
         params = halfplane.AffineParams(2.0, t, 4)
-        nodes = halfplane.KERNEL_RULE.nodes
+        nodes = halfplane.kernel_rule().nodes
         assert np.all(np.isfinite(halfplane.thermal_kernel(nodes, nodes, params)))
         with mpmath.workdps(30):
             want = (mpmath.mpf(t) ** -1 * mpmath.exp(-(1 + t) * x / (1 - t))
