@@ -2,14 +2,14 @@
 
 Displaced thermal states rho_T(z) = D(z) rho_T D(z)^dag over the complex
 plane with measure d^2 z / pi = dJ dgamma / (2 pi) in action-angle
-coordinates z = sqrt(J) e^{i gamma}.  Displacement matrix elements are
-analytic (associated Laguerre polynomials), so the truncated density is
-exact entrywise up to the thermal tail t^dim.
+coordinates z = sqrt(J) e^{i gamma}.  The densities are the exact
+compressions of rho_T(z) to dim Fock states, in closed form (associated
+Laguerre polynomials), short of the thermal tail t^dim of the trace.
 
-The default radial rule converts Gauss-Laguerre nodes to plain-dJ weights;
-since every matrix element of rho_T(sqrt(J)) is (polynomial) * e^{-J} (times
-sqrt(J) for odd-parity entries), these rules integrate the resolution of
-identity and polynomial symbols essentially exactly.
+Every entry of rho_T(sqrt(J)) is (polynomial) * e^{-(1-t)J} (times sqrt(J)
+for odd-parity entries), so radial Gauss-Laguerre rules in x = (1-t)J with
+plain-dJ weights integrate the resolution of identity and polynomial
+symbols exactly.
 """
 
 from __future__ import annotations
@@ -98,10 +98,11 @@ def displacement(z: complex, dim: int) -> np.ndarray:
 
 
 def displaced_thermal(z: complex, params: ThermalParams) -> np.ndarray:
-    """Displaced thermal density D(z) rho_T D(z)^dag.
+    """Displaced thermal density D(z) rho_T D(z)^dag, compressed to dim states.
 
-    The displacement is rejected once |z|^2 >= dim/4, where truncation
-    visibly corrupts the state.
+    The displacement is rejected once |z|^2 >= dim/4: past it the displaced
+    state's photon number reaches the truncation, and the compression
+    silently loses trace.
     """
     z = complex(z)
     if abs(z) ** 2 >= params.dim / 4.0:
@@ -110,21 +111,50 @@ def displaced_thermal(z: complex, params: ThermalParams) -> np.ndarray:
     return thermal_density(abs(z) ** 2, np.angle(z), params)
 
 
-def rho_scaled_real(j, params: ThermalParams) -> np.ndarray:
-    """rho_T(sqrt(J)) * e^J: every entry is a polynomial in J (times sqrt(J)
-    for odd-parity entries), which makes Gauss-Laguerre radial rules exact.
-    An array of J gives shape j.shape + (dim, dim)."""
-    d = _displacement_scaled_real(j, params.dim)
-    return (d * params.weights()) @ np.swapaxes(d, -1, -2)
+def radial_density(j, params: ThermalParams) -> np.ndarray:
+    """rho_T(sqrt(J)) compressed to dim Fock states, shape j.shape + (dim, dim).
+
+    Entries (n + k, n) and (n, n + k) are (Cahill & Glauber 1969)
+    (1-t)^{k+1} sqrt(n!/(n+k)!) J^{k/2} e^{-x} P_n with x = (1-t)J, y = (1-t)x
+    and P_n = t^n L_n^{(k)}(-y/t), from the stable forward recurrence
+    (n+1) P_{n+1} = (t(2n+k+1) + y) P_n - t^2 (n+k) P_{n-1} over n + k < dim.
+    Each step carries the prefactor, so it yields the entries themselves (at
+    most 1), from column n = 0: (1-t) e^{-x} prod_{i<=k} sqrt(y/i).  Validated
+    for dim <= 256 and 0 <= x <= 700, where e^{-x} stays normal: no overflow,
+    no NaN.  Outside that range, or for a NaN J, it raises DomainError.
+    """
+    j = np.asarray(j, dtype=float)
+    t, dim = params.t, params.dim
+    x = (1.0 - t) * j.reshape(-1, 1)
+    if dim > 256 or not np.all((x >= 0.0) & (x <= 700.0)):  # NaN fails too
+        raise DomainError(f"dim = {dim}, J in [{np.min(j)}, {np.max(j)}] is outside the"
+                          " validated range dim <= 256, 0 <= (1-t) J <= 700")
+    y = (1.0 - t) * x.T
+    k, n = np.ogrid[:dim, :dim]
+    s = 1.0 / np.sqrt((n + 1.0) * (n + k + 1.0))
+    c, g = t * (2 * n + k + 1) * s, -t * t * np.sqrt(n * (n + k)) * s
+    cur, prev = np.zeros((2, dim, len(x)))
+    np.sqrt(y / np.maximum(k, 1), out=cur)
+    cur[0] = (1.0 - t) * np.exp(-x[:, 0])
+    np.cumprod(cur, axis=0, out=cur)
+    out = np.empty((len(x), dim, dim))
+    out[:, :, 0] = out[:, 0, :] = cur.T
+    for n in range(1, dim):  # column n from n - 1 and n - 2, rows k < dim - n
+        new = prev[:dim - n]
+        new *= g[:dim - n, n - 1:n]
+        new += (y * s[:dim - n, n - 1:n] + c[:dim - n, n - 1:n]) * cur[:dim - n]
+        cur, prev = prev, cur
+        out[:, n:, n] = out[:, n, n:] = new.T
+    return out.reshape(j.shape + (dim, dim))
 
 
 def thermal_density(j, gamma, params: ThermalParams) -> np.ndarray:
     """rho_T(sqrt(J) e^{i gamma}) for arrays j and gamma that broadcast together:
-    rho_scaled_real(J) e^{-J} once per distinct J in the call, times the
-    rotation phases rho(J, gamma)_mn = rho(J, 0)_mn e^{i(m-n) gamma}."""
+    radial_density(J) once per distinct J in the call, times the rotation
+    phases rho(J, gamma)_mn = rho(J, 0)_mn e^{i(m-n) gamma}."""
     j = np.asarray(j, dtype=float)
     radii, inverse = np.unique(j, return_inverse=True)
-    radial = rho_scaled_real(radii, params) * np.exp(-radii)[:, None, None]
+    radial = radial_density(radii, params)
     phases = np.exp(1.0j * np.arange(params.dim) * np.asarray(gamma)[..., None])
     return (phases[..., :, None] * radial[inverse.reshape(j.shape)]
             * phases.conj()[..., None, :])
@@ -198,23 +228,31 @@ def plane_hs_closed(t: float, prob: float, printed: bool = False) -> float:
 # Quadrature over the plane and the POVM family.
 
 
-def plane_rule(dim: int, n_j: int | None = None,
+def _radial_rule(n: int, t: float, alpha: float = 0.0) -> QuadratureRule:
+    """n-point Gauss-Laguerre rule for x^alpha e^{-x} dx in x = (1-t)J, as a
+    rule for plain dJ on [0, inf): exact for polynomial(x) x^alpha e^{-x}."""
+    if not 0.0 <= t < 1.0:  # NaN fails too
+        raise DomainError(f"t must lie in [0, 1), got {t}")
+    base = laguerre_rule(n, alpha)
+    # in log space: w e^x overflows at the outermost nodes, the product does not
+    log_w = np.log(base.weights) + base.nodes - alpha * np.log(base.nodes)
+    return QuadratureRule(base.nodes / (1.0 - t), np.exp(log_w) / (1.0 - t))
+
+
+def plane_rule(dim: int, t: float, n_j: int | None = None,
                n_gamma: int | None = None) -> QuadratureRule:
     """Product rule for dJ dgamma / (2 pi); nodes are (J, gamma) pairs.
 
-    The radial factor converts Gauss-Laguerre nodes/weights to a plain-dJ
-    rule on [0, inf), exact for the (polynomial)*e^{-J} radial profiles of
-    the thermal family.
+    Radially dim + 16 Gauss-Laguerre nodes in x = (1-t)J with plain-dJ
+    weights, exact for the family's (polynomial)*e^{-(1-t)J} radial profiles;
+    angularly a trapezoid of max(2 dim + 32, 64) nodes.
     """
     if n_j is None:
         n_j = dim + 16
     if n_gamma is None:
         n_gamma = max(2 * dim + 32, 64)
-    base = laguerre_rule(n_j)
-    # convert weights to plain dJ in log space: w * e^J overflows at the
-    # outermost nodes even though the product is moderate
-    radial = QuadratureRule(base.nodes, np.exp(np.log(base.weights) + base.nodes))
-    return product_rule(radial, periodic_rule(n_gamma, 1.0 / (2.0 * math.pi)))
+    return product_rule(_radial_rule(n_j, t),
+                        periodic_rule(n_gamma, 1.0 / (2.0 * math.pi)))
 
 
 def _grid_angles(nodes: np.ndarray) -> np.ndarray | None:
@@ -246,7 +284,7 @@ def plane_family(params: ThermalParams,
     contiguous copies of Re S_j and Im S_j, contracted by one real einsum each.
     """
     if rule is None:
-        rule = plane_rule(params.dim)
+        rule = plane_rule(params.dim, params.t)
     dim = params.dim
 
     def evaluate(node):
@@ -257,7 +295,7 @@ def plane_family(params: ThermalParams,
     angles = _grid_angles(rule.nodes)
     if angles is not None:
         radii = rule.nodes[::len(angles), 0]
-        stack = rho_scaled_real(radii, params) * np.exp(-radii)[:, None, None]
+        stack = radial_density(radii, params)
         # harmonic column m - n + dim - 1 holds e^{i(m-n) gamma}; a matmul, not
         # an FFT, so any angle set (offset, odd count) is summed exactly
         harmonics = np.exp(1.0j * np.outer(angles, np.arange(1 - dim, dim)))
@@ -319,25 +357,23 @@ def parity_op(dim: int) -> np.ndarray:
 def _radial_integrals(params: ThermalParams) -> np.ndarray:
     """R[m, m'] = int_0^inf [rho_T(sqrt(J))]_{mm'} dJ, exactly per parity.
 
-    Even-parity entries are polynomial * e^{-J} (Gauss-Laguerre alpha=0
-    exact); odd-parity entries carry an extra sqrt(J) (alpha=1/2 exact);
-    dim + 8 nodes each.
+    In x = (1-t)J the entries are polynomials of degree <= dim - 1 times e^{-x}
+    (even parity: Gauss-Laguerre alpha = 0) or sqrt(x) e^{-x} (odd: alpha = 1/2),
+    so dim // 2 + 8 nodes per parity are exact.
     """
-    n_j = params.dim + 8
-    rule0 = laguerre_rule(n_j)
-    rule_h = laguerre_rule(n_j, 0.5)
-    rho = rho_scaled_real(np.concatenate([rule0.nodes, rule_h.nodes]), params)
-    acc0 = rule0.integrate(rho[:n_j])
-    acc_h = rule_h.integrate(rho[n_j:] / np.sqrt(rule_h.nodes)[:, None, None])
-    parity = (np.add.outer(np.arange(params.dim), np.arange(params.dim)) % 2)
-    return np.where(parity == 0, acc0, acc_h)
+    n_j = params.dim // 2 + 8
+    rule0, rule_h = (_radial_rule(n_j, params.t, alpha) for alpha in (0.0, 0.5))
+    rho = radial_density(np.concatenate([rule0.nodes, rule_h.nodes]), params)
+    parity = np.add.outer(np.arange(params.dim), np.arange(params.dim)) % 2
+    return np.where(parity == 0, rule0.integrate(rho[:n_j]), rule_h.integrate(rho[n_j:]))
 
 
 def phase_operator(params: ThermalParams) -> np.ndarray:
     """Quantized angle via exact angular integrals (the quadrature route).
 
     int_0^{2pi} gamma e^{i k gamma} dgamma equals 2 pi^2 at k=0 and
-    -2 pi i / k otherwise, so A_g = pi diag(R_mm) + i R_mm' / (m'-m).
+    -2 pi i / k otherwise, so A_g = pi diag(R_mm) + i R_mm' / (m'-m), with R
+    from _radial_integrals (exact on dim // 2 + 8 nodes per parity).
     """
     r = _radial_integrals(params)
     idx = np.arange(params.dim)
@@ -417,30 +453,14 @@ def covariance_defects(params: ThermalParams,
     def bump(z):
         return np.exp(-np.abs(z - center) ** 2)
 
-    def sub(m):
-        return m[:block, :block]
-
-    out: dict[str, float] = {}
-
     a_f = quantize_values(fam, bump(z))
-
-    d0 = displacement(complex(z0), dim)
-    lhs = d0 @ a_f @ d0.conj().T
-    rhs = quantize_values(fam, bump(z - z0))
-    out["translation"] = max_defect(sub(lhs - rhs))
-
-    u = torus_unitary(theta, dim)
-    lhs = u @ a_f @ u.conj().T
-    rhs = quantize_values(fam, bump(np.exp(-1.0j * theta) * z))
-    out["rotation"] = max_defect(sub(lhs - rhs))
-
-    p = parity_op(dim)
-    lhs = p @ a_f @ p
-    rhs = quantize_values(fam, bump(-z))
-    out["parity"] = max_defect(sub(lhs - rhs))
-
+    out: dict[str, float] = {}
+    for name, u, moved in [("translation", displacement(complex(z0), dim), z - z0),
+                           ("rotation", torus_unitary(theta, dim), np.exp(-1.0j * theta) * z),
+                           ("parity", parity_op(dim), -z)]:
+        lhs = u @ a_f @ u.conj().T
+        out[name] = max_defect((lhs - quantize_values(fam, bump(moved)))[:block, :block])
     cf = z ** 2 + 1.0j * np.exp(-np.abs(z) ** 2)
-    a_c = quantize_values(fam, cf)
     rhs = quantize_values(fam, np.conj(cf))
-    out["conjugation"] = max_defect(sub(a_c.conj().T - rhs))
+    out["conjugation"] = max_defect((quantize_values(fam, cf).conj().T - rhs)[:block, :block])
     return out

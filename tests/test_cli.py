@@ -116,14 +116,28 @@ class TestVerify:
         assert code == 2
 
     def test_plane_dim_beyond_laguerre_range_exit_2(self, capsys):
-        # the outermost default radial node is ~673 at dim 160, past |x| <= 600
-        code = main(["verify", "plane", "--dim", "160"])
+        # dim 167 is the first whose outermost default radial node, x = (1-t)J
+        # ~ 700.8, lies past the density builder's validated x <= 700
+        code = main(["verify", "plane", "--dim", "167"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("configuration error in suite plane")
+
+    def test_plane_exact_compressions_pass_at_t_07(self, capsys):
+        code, out = run(capsys, ["verify", "plane", "--t", "0.7"])
+        assert code == 0
+        assert all(c["pass"] for c in json.loads(out)["checks"])
+
+    @pytest.mark.parametrize("argv", [["--t", "0.9"], ["--dim", "8"],
+                                      ["--dim", "16", "--t", "0.5"]])
+    def test_plane_fails_only_purity_from_the_thermal_tail(self, capsys, argv):
+        # the compression loses t^dim of trace, which only the purity row sees
+        code, out = run(capsys, ["verify", "plane"] + argv)
+        assert code == 1
+        assert [c["id"] for c in json.loads(out)["checks"] if not c["pass"]] == ["purity"]
 
     @pytest.mark.parametrize("suite,t", [("plane", "0.999"), ("halfplane", "0.9")])
     def test_bessel_overflow_exit_2(self, capsys, suite, t):

@@ -118,7 +118,7 @@ QUANTIZE_VALUE_FAMILIES = {
     "sphere": (lambda: sphere.sphere_family(0.8, 6, 7),
                lambda nd: nd[..., 0] * nd[..., 1] + 1j * nd[..., 0]),
     "plane-grid": (lambda: plane.plane_family(plane.ThermalParams(t=0.2, dim=12),
-                                              plane.plane_rule(12, n_j=10, n_gamma=16)),
+                                              plane.plane_rule(12, 0.2, n_j=10, n_gamma=16)),
                    lambda nd: nd[..., 0] * nd[..., 1] - 1j * nd[..., 0]),
     "plane-scattered": (lambda: _plane_rule("shuffled"),
                         lambda nd: nd[..., 0] * nd[..., 1] - 1j * nd[..., 0]),
@@ -277,7 +277,7 @@ def loop_accumulate(fam, coeffs=None):
 def _plane_rule(kind):
     params = plane.ThermalParams(t=0.2, dim=12)
     if kind == "shuffled":
-        rule = plane.plane_rule(12, n_j=10, n_gamma=16)
+        rule = plane.plane_rule(12, 0.2, n_j=10, n_gamma=16)
         order = np.random.default_rng(3).permutation(rule.size)
         rule = QuadratureRule(rule.nodes[order], rule.weights[order])
     else:
@@ -348,6 +348,22 @@ class TestNodeArrayContract:
         assert np.max(np.abs(got - loop_accumulate(fam, c))) < self.TOL
 
 
+def _compressed_thermal(z, params):
+    """The displaced thermal state compressed to dim Fock states, entry by entry:
+    <m|rho|n> = (1-t)^{k+1} t^n sqrt(n!/m!) z^k e^{-(1-t)|z|^2}
+    L_n^{(k)}(-|z|^2 (1-t)^2 / t) for k = m - n >= 0 (Cahill & Glauber 1969)."""
+    t, x = params.t, abs(z) ** 2
+    rho = np.zeros((params.dim, params.dim), dtype=complex)
+    for m in range(params.dim):
+        for n in range(m + 1):
+            k = m - n
+            rho[m, n] = ((1 - t) ** (k + 1) * t ** n * z ** k * math.exp(-(1 - t) * x)
+                         * math.sqrt(math.factorial(n) / math.factorial(m))
+                         * numerics.laguerre(n, k, -x * (1 - t) ** 2 / t))
+            rho[n, m] = rho[m, n].conjugate()
+    return rho
+
+
 class TestPlaneBatches:
     def test_on_and_off_rule_nodes_in_one_batch(self):
         fam = _plane_rule("hand")
@@ -357,8 +373,7 @@ class TestPlaneBatches:
         batch = fam.evaluate(nodes)
         for k, (j, gamma) in enumerate(nodes):
             # J = 3.0 sits on the dim/4 guard of displaced_thermal
-            d = plane.displacement(math.sqrt(j) * np.exp(1j * gamma), params.dim)
-            want = (d * params.weights()) @ d.conj().T
+            want = _compressed_thermal(math.sqrt(j) * np.exp(1j * gamma), params)
             assert_allclose(batch[k], want, atol=1e-13)
             assert_allclose(batch[k], fam.evaluate(nodes[k]), rtol=0, atol=1e-15)
 
@@ -371,7 +386,7 @@ class TestPlaneBatches:
         # evaluating off-rule nodes must not change what later calls on rule
         # nodes return, nor the radial stack the grid's weighted sum shares
         params = plane.ThermalParams(t=0.2, dim=12)
-        fam = plane.plane_family(params, plane.plane_rule(12, n_j=10, n_gamma=16))
+        fam = plane.plane_family(params, plane.plane_rule(12, 0.2, n_j=10, n_gamma=16))
         radii = np.unique(fam.rule.nodes[:, 0])
         neighbour = np.array([radii[np.searchsorted(radii, 2.345)], 0.3])
         f = lambda x: x[0] * math.cos(x[1]) + 0.5

@@ -69,9 +69,9 @@ class TestParamsAndStates:
                             atol=1e-9)
 
     def test_scaled_real_profile_consistent(self):
-        # rho(sqrt(J)) e^J must reproduce the displaced thermal state
+        # the radial builder must reproduce the displaced thermal state
         j = 1.7
-        lhs = plane.rho_scaled_real(j, PARAMS) * math.exp(-j)
+        lhs = plane.radial_density(j, PARAMS)
         rhs = plane.displaced_thermal(math.sqrt(j), PARAMS)
         assert_allclose(lhs, rhs.real, atol=1e-13)
 
@@ -142,6 +142,119 @@ class TestDisplacementOracles:
         assert_allclose(fam.evaluate(off_rule), want, atol=1e-13)
         with pytest.raises(numerics.DomainError):
             fam.evaluate((-0.5, 0.0))
+
+
+def compressed_mpmath(j, t, m, n):
+    """<m|rho_T(sqrt(J))|n> from the closed form of the displaced thermal
+    state in the Fock basis (Cahill & Glauber 1969), in 40-digit mpmath; at
+    t = 0 the coherent state's J^{(m+n)/2} e^{-J} / sqrt(m! n!)."""
+    m, n = int(max(m, n)), int(min(m, n))
+    k = m - n
+    with mpmath.workdps(40):
+        jm, tm = mpmath.mpf(j), mpmath.mpf(t)
+        if t == 0:
+            return (jm ** (mpmath.mpf(m + n) / 2) * mpmath.exp(-jm)
+                    / mpmath.sqrt(mpmath.factorial(m) * mpmath.factorial(n)))
+        return ((1 - tm) ** (k + 1) * tm ** n
+                * mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(m))
+                * jm ** (mpmath.mpf(k) / 2) * mpmath.exp(-(1 - tm) * jm)
+                * mpmath.laguerre(n, k, -jm * (1 - tm) ** 2 / tm))
+
+
+class TestCompressedDensity:
+    """radial_density, the plane family's densities, against the closed form,
+    a large truncated product and the coherent state."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.2, 0.7, 0.9])
+    def test_matches_mpmath_closed_form(self, t):
+        dim = 48
+        js = np.array([0.5, 3.0, 9.0, plane.plane_rule(dim, t).nodes[:, 0].max()])
+        got = plane.radial_density(js, plane.ThermalParams(t, dim))
+        m, n = np.tril_indices(dim)
+        for j, rho in zip(js, got):
+            want = np.array([float(compressed_mpmath(j, t, a, b)) for a, b in zip(m, n)])
+            assert np.max(np.abs(rho[m, n] - want) / want) <= 1e-13
+            assert np.array_equal(rho, rho.T)
+
+    @pytest.mark.parametrize("t", [0.0, 0.2, 0.7, 0.9])
+    def test_matches_large_truncated_product(self, t):
+        # D_N rho_T,N D_N^T at N = 200, restricted to 48 x 48, on the dim/2 block
+        js = np.array([0.5, 3.0, 9.0])
+        d = (plane._displacement_scaled_real(js, 200)
+             * np.exp(-0.5 * js)[:, None, None])
+        product = (d * plane.ThermalParams(t, 200).weights()) @ np.swapaxes(d, 1, 2)
+        got = plane.radial_density(js, plane.ThermalParams(t, 48))
+        assert np.max(np.abs(got - product[:, :48, :48])[:, :24, :24]) <= 1e-13
+
+    def test_coherent_state_at_t_zero(self):
+        z, dim = 1.3 - 0.8j, 32
+        rho = plane.thermal_density(abs(z) ** 2, np.angle(z),
+                                    plane.ThermalParams(0.0, dim))
+        k = np.arange(dim)
+        ket = (z ** k * np.exp(-0.5 * abs(z) ** 2)
+               / np.sqrt([float(math.factorial(i)) for i in k]))
+        assert_allclose(rho, np.outer(ket, ket.conj()), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("dim", [8, 32])
+    @pytest.mark.parametrize("t", [0.0, 0.2, 0.7, 0.9])
+    def test_radial_integrals_exact_at_half_the_nodes(self, t, dim):
+        # the e^{-(1-t)J} profiles have degree <= dim - 1 in x = (1-t)J, so
+        # dim // 2 + 8 nodes per parity agree with twice as many
+        params = plane.ThermalParams(t, dim)
+        got = plane._radial_integrals(params)
+        rules = [plane._radial_rule(2 * (dim // 2 + 8), t, alpha) for alpha in (0.0, 0.5)]
+        even, odd = (r.integrate(plane.radial_density(r.nodes, params)) for r in rules)
+        parity = np.add.outer(np.arange(dim), np.arange(dim)) % 2
+        assert np.max(np.abs(got - np.where(parity == 0, even, odd))) <= 1e-14
+        assert np.max(np.abs(np.diag(got) - 1.0)) <= 1e-14
+
+    def test_outside_validated_range_raises(self):
+        params = plane.ThermalParams(0.2, 16)
+        x_past = np.nextafter(700.0, math.inf) / 0.8
+        for j in (-0.5, math.nan, math.inf, x_past):
+            with pytest.raises(numerics.DomainError):
+                plane.radial_density(np.array([1.0, j]), params)
+        with pytest.raises(numerics.DomainError):
+            plane.radial_density(1.0, plane.ThermalParams(0.2, 257))
+
+    @pytest.mark.parametrize("t", [-0.1, 1.0, 1.5, math.nan])
+    def test_rules_reject_t_outside_0_1(self, t):
+        # past t = 1 the scaled nodes and weights would turn negative
+        with pytest.raises(numerics.DomainError):
+            plane.plane_rule(16, t)
+
+    @pytest.mark.parametrize("t", [0.0, 0.2, 0.9])
+    def test_validated_range_corners(self, t):
+        # at dim 256 and both ends of x = (1-t)J: no overflow, invalid value or
+        # division, and sampled entries within 2e-12 of the closed form where
+        # they exceed 1e-200 (within 1e-15 absolute everywhere); the relative
+        # error is largest on the J = 0 diagonal (1-t) t^n, ~1.5e-12 at n ~ 250
+        dim = 256
+        js = np.array([0.0, 1e-3, 699.0]) / (1.0 - t)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = plane.radial_density(js, plane.ThermalParams(t, dim))
+        assert np.all(np.isfinite(got))
+        m, n = (i[::23] for i in np.tril_indices(dim))
+        for j, rho in zip(js, got):
+            want = np.array([float(compressed_mpmath(j, t, a, b)) for a, b in zip(m, n)])
+            err = np.abs(rho[m, n] - want)
+            assert np.max(err) <= 1e-15
+            big = np.abs(want) > 1e-200
+            assert np.max(err[big] / np.abs(want[big]), initial=0.0) <= 2e-12
+
+    def test_family_build_peak_memory(self):
+        # the builder updates its temporaries in place: the default family peaks
+        # no higher than the 3,738,443 B of the truncated product D diag(w) D^T
+        params = plane.ThermalParams(0.2, 48)
+        plane.plane_family(params)
+        tracemalloc.start()
+        try:
+            fam = plane.plane_family(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fam.weighted_sum is not None
+        assert peak <= 3_738_443
 
 
 class TestProbabilityKernel:
@@ -267,15 +380,15 @@ def _offset_trapezoid_rule(dim):
 
 
 WEIGHTED_RULES = {
-    "default-16": (16, lambda: plane.plane_rule(16)),
-    "default-48": (48, lambda: plane.plane_rule(48)),
+    "default-16": (16, lambda: plane.plane_rule(16, 0.2)),
+    "default-48": (48, lambda: plane.plane_rule(48, 0.2)),
     "legendre-radial": (16, lambda: _legendre_radial_rule(32, 40.0, 64)),
-    "odd-n_gamma": (16, lambda: plane.plane_rule(16, n_gamma=65)),
+    "odd-n_gamma": (16, lambda: plane.plane_rule(16, 0.2, n_gamma=65)),
     "offset-trapezoid": (16, lambda: _offset_trapezoid_rule(16)),
     # the narrowest Toeplitz windows: dim harmonics wide out of 2 dim - 1
-    "default-1": (1, lambda: plane.plane_rule(1)),
-    "default-2": (2, lambda: plane.plane_rule(2)),
-    "default-5": (5, lambda: plane.plane_rule(5)),
+    "default-1": (1, lambda: plane.plane_rule(1, 0.2)),
+    "default-2": (2, lambda: plane.plane_rule(2, 0.2)),
+    "default-5": (5, lambda: plane.plane_rule(5, 0.2)),
 }
 
 SYMBOLS = {
@@ -374,7 +487,7 @@ class TestPhaseOperator:
     def test_matches_full_quadrature(self):
         # independent route: quantize the angle over a dense product rule
         p = plane.ThermalParams(t=0.2, dim=12)
-        rule = plane.plane_rule(12, n_j=40, n_gamma=512)
+        rule = plane.plane_rule(12, 0.2, n_j=40, n_gamma=512)
         fam = plane.plane_family(p, rule)
         quad = core.quantize(fam, lambda nd: nd[1])
         # equispaced angular nodes see the sawtooth jump at first order only
