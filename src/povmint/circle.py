@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityFamily
-from .numerics import periodic_rule
+from .numerics import DomainError, periodic_rule
 
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -31,7 +31,7 @@ class CircleDensityParams:
 
     def __post_init__(self):
         if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"r must lie in [0, 1], got {self.r}")
+            raise DomainError(f"r must lie in [0, 1], got {self.r}")
         phi = 0.0 if self.r == 0.0 else self.phi % math.pi
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "theta", self.theta % (2.0 * math.pi))
@@ -47,34 +47,10 @@ def rho_circle(r: float, phi: float, theta=0.0) -> np.ndarray:
     """2x2 real density (1/2)(I + r S(2(phi+theta))); theta may be an array,
     giving shape theta.shape + (2, 2)."""
     if not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must lie in [0, 1], got {r}")
+        raise DomainError(f"r must lie in [0, 1], got {r}")
     big_phi = 2.0 * (phi + np.asarray(theta, dtype=float))[..., None, None]
     return 0.5 * (np.eye(2) + r * (np.cos(big_phi) * _SIGMA_Z
                                    + np.sin(big_phi) * _SIGMA_X))
-
-
-def angle_ket(angle: float) -> np.ndarray:
-    """Unit vector (cos angle, sin angle); rho at r=1 is its projector."""
-    return np.array([math.cos(angle), math.sin(angle)])
-
-
-def from_ab(a: float, b: float) -> tuple[CircleDensityParams, float]:
-    """Parameters (r, phi) and top eigenvalue lambda of M(a,b)=[[a,b],[b,1-a]]."""
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"a must lie in [0, 1], got {a}")
-    delta = a * (1.0 - a) - b * b
-    if delta < -1e-14:
-        raise ValueError(f"det constraint violated: a(1-a) - b^2 = {delta} < 0")
-    lam = 0.5 * (1.0 + math.sqrt(max(1.0 - 4.0 * delta, 0.0)))
-    r = 2.0 * lam - 1.0
-    phi = 0.0 if r < 1e-14 else 0.5 * math.atan2(2.0 * b, 2.0 * a - 1.0)
-    return CircleDensityParams(r, phi), lam
-
-
-def to_ab(params: CircleDensityParams) -> tuple[float, float]:
-    """Inverse of from_ab (theta folded into the orientation)."""
-    m = rho_circle(params.r, params.phi, params.theta)
-    return float(m[0, 0]), float(m[0, 1])
 
 
 def product_and_algebra(p1: CircleDensityParams, p2: CircleDensityParams):

@@ -51,8 +51,8 @@ class FiniteMeasure:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or np.any(w <= 0):
-            raise ValueError("weights must be a 1-D array of positives")
+        if w.ndim != 1 or not np.all((w > 0) & (w < math.inf)):  # NaN fails too
+            raise ValueError("weights must be a 1-D array of finite positives")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -76,7 +76,7 @@ class ProbTable:
         nn = self.measure.count
         if p.shape != (nn, nn):
             raise ValueError(f"table must be {nn}x{nn}, got {p.shape}")
-        if np.any(p < -tol) or np.any(p > 1 + tol):
+        if not np.all((p >= -tol) & (p <= 1 + tol)):  # NaN fails too
             raise ValueError("probabilities must lie in [0, 1]")
         if max_defect(p, p.T) > tol:
             raise ValueError("table must be symmetric")
@@ -96,11 +96,19 @@ class ProbTable:
 
     @classmethod
     def from_json(cls, text: str) -> "ProbTable":
+        """The table written by to_json; ValueError (KeyError for a missing
+        key) on any other shape or type."""
         data = json.loads(text)
-        nu = np.asarray(data["nu"], dtype=float)
-        size = len(nu)
-        p = np.asarray(data["p"], dtype=float).reshape(size, size)
-        return cls(p, FiniteMeasure(nu), int(data["n"]))
+        if not isinstance(data, dict):
+            raise ValueError("the table must be a JSON object with keys p, nu and n")
+        if type(data["n"]) is not int:  # bool, float and null fail too
+            raise ValueError(f"n must be an integer, got {data['n']!r}")
+        try:
+            nu, p = (np.asarray(data[key], dtype=float) for key in ("nu", "p"))
+        except TypeError as exc:  # a JSON object where a number belongs
+            raise ValueError(f"p and nu must hold numbers: {exc}") from None
+        measure = FiniteMeasure(nu)
+        return cls(p.reshape(measure.count, measure.count), measure, data["n"])
 
 
 @dataclass(frozen=True)
@@ -129,13 +137,6 @@ def feasibility_bounds(n: int, rank_one: bool = False) -> FeasibilityReport:
     return FeasibilityReport(
         max(int(math.ceil(lo)), n), hi,
         "upper root carries +sqrt; both printed bounds share the -sqrt sign")
-
-
-def count_free_parameters(n: int, size: int, rank_one: bool = False) -> int:
-    """Free-variable ledger after the resolution constraint."""
-    if rank_one:
-        return 2 * size * (n - 1) - (n * n - 1)
-    return (size - 1) * (n * n - 1)
 
 
 def parseval_check(vectors, weights) -> float:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,11 +35,11 @@ class AffineParams:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"resolution requires 0 < alpha < inf, got {self.alpha}")
+            raise DomainError(f"resolution requires 0 < alpha < inf, got {self.alpha}")
         if not 0.0 <= self.t < 1.0:
-            raise ValueError(f"t must lie in [0, 1), got {self.t}")
+            raise DomainError(f"t must lie in [0, 1), got {self.t}")
         if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+            raise DomainError(f"dim must be >= 1, got {self.dim}")
 
     def weights(self) -> np.ndarray:
         return (1.0 - self.t) * self.t ** np.arange(self.dim)
@@ -82,19 +81,6 @@ def inverse_moment(n: int, alpha: float) -> float:
     rule = laguerre_rule(n + 4, alpha - 1.0)
     vals = laguerre(n, alpha, rule.nodes)
     return basis_norm(n, alpha) ** 2 * float(rule.weights @ vals ** 2)
-
-
-def affine_action(q: float, p: float, psi: Callable) -> Callable:
-    """The UIR action (U(q,p) psi)(x) = e^{ipx} psi(x/q) / sqrt(q); DomainError
-    unless 0 < q < inf and p is finite."""
-    if not (0.0 < q < math.inf and math.isfinite(p)):
-        raise DomainError(f"q must be positive and q, p finite, got q={q}, p={p}")
-
-    def out(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(1.0j * p * x) * np.asarray(psi(x / q)) / math.sqrt(q)
-
-    return out
 
 
 def group_product(g: tuple[float, float], g0: tuple[float, float]):
@@ -238,16 +224,6 @@ def affine_orbit_spec(params: AffineParams, rule: QuadratureRule | None = None,
         return group_product(group_inverse(tuple(g0)), tuple(g))
 
     return GroupOrbitSpec(unitary, fiducial, rule, probe, translate)
-
-
-def c_rho_quadrature(params: AffineParams,
-                     rule: QuadratureRule | None = None) -> float:
-    """Admissibility constant by direct group quadrature.
-
-    Only the first overlap row enters, so this is exact in the basis
-    truncation up to the thermal tail t^dim.
-    """
-    return affine_resolution_check(params, 1, rule)[0]
 
 
 def c_rho_derived(alpha: float) -> float:

@@ -37,9 +37,9 @@ class ThermalParams:
 
     def __post_init__(self):
         if not 0.0 <= self.t < 1.0:
-            raise ValueError(f"t must lie in [0, 1), got {self.t}")
+            raise DomainError(f"t must lie in [0, 1), got {self.t}")
         if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+            raise DomainError(f"dim must be >= 1, got {self.dim}")
 
     @property
     def truncation_deficit(self) -> float:
@@ -106,7 +106,7 @@ def displaced_thermal(z: complex, params: ThermalParams) -> np.ndarray:
     """
     z = complex(z)
     if abs(z) ** 2 >= params.dim / 4.0:
-        raise ValueError(
+        raise DomainError(
             f"|z|^2 = {abs(z) ** 2:.3g} exceeds the dim/4 truncation threshold")
     return thermal_density(abs(z) ** 2, np.angle(z), params)
 
@@ -166,14 +166,7 @@ def purity_closed(t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Probability kernel: matrix route, series route, and the Bessel compact form.
-
-
-def plane_prob_matrix(z0: complex, z: complex, params: ThermalParams) -> float:
-    """tr(rho_T(z0) rho_T(z)) on the truncated space."""
-    r0 = displaced_thermal(z0, params)
-    r1 = displaced_thermal(z, params)
-    return float(np.trace(r0 @ r1).real)
+# Probability kernel: the series route and the Bessel compact form.
 
 
 def plane_prob_series(z0: complex, z: complex, t: float,

@@ -1,19 +1,20 @@
-"""Sphere POVM from spin-1/2 transport: quaternions, SU(2), closed forms.
+"""Sphere POVM of spin-1/2 densities, in closed form.
 
 The family rho_r(theta, phi) is the SU(2) transport of diag((1+r)/2, (1-r)/2)
 to the direction (theta, phi), carried by the measure sin(theta) dtheta dphi
-/ (2 pi) on the 2-sphere (total measure 2).
+/ (2 pi) on the 2-sphere (total measure 2).  The library evaluates its closed
+form (I + r n.sigma) / 2; the tests check it against the transport.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DensityFamily
-from .numerics import QuadratureRule, legendre_rule, periodic_rule, product_rule
+from .numerics import (DomainError, QuadratureRule, legendre_rule, periodic_rule,
+                       product_rule)
 
 SIGMA = np.array([[[0.0, 1.0], [1.0, 0.0]],
                   [[0.0, -1.0j], [1.0j, 0.0]],
@@ -23,72 +24,6 @@ SIGMA = np.array([[[0.0, 1.0], [1.0, 0.0]],
 def _signed_pauli(v) -> np.ndarray:
     """v_x sigma_1 - v_y sigma_2 + v_z sigma_3 over the trailing axis of v."""
     return np.tensordot(np.multiply(v, (1.0, -1.0, 1.0)), SIGMA, axes=1)
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """Real quaternion (scalar, 3-vector) with the Hamilton product."""
-
-    q0: float
-    qv: tuple[float, float, float]
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        a0, av = self.q0, np.asarray(self.qv)
-        b0, bv = other.q0, np.asarray(other.qv)
-        s = a0 * b0 - float(av @ bv)
-        v = a0 * bv + b0 * av + np.cross(av, bv)
-        return Quaternion(s, tuple(v))
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.q0, tuple(-c for c in self.qv))
-
-    def norm(self) -> float:
-        return math.sqrt(self.q0 ** 2 + sum(c * c for c in self.qv))
-
-    def inverse(self) -> "Quaternion":
-        n2 = self.q0 ** 2 + sum(c * c for c in self.qv)
-        if n2 == 0.0:
-            raise ZeroDivisionError("zero quaternion has no inverse")
-        c = self.conjugate()
-        return Quaternion(c.q0 / n2, tuple(v / n2 for v in c.qv))
-
-    def to_matrix(self) -> np.ndarray:
-        """2x2 image under e_a -> (-1)^(a+1) i sigma_a."""
-        return self.q0 * np.eye(2) + 1.0j * _signed_pauli(self.qv)
-
-
-QUAT_ONE = Quaternion(1.0, (0.0, 0.0, 0.0))
-QUAT_E = [Quaternion(0.0, tuple(np.eye(3)[a])) for a in range(3)]
-
-
-def rotate_vector_rodrigues(omega: float, n_hat, v) -> np.ndarray:
-    """Rotate v about unit axis n_hat by omega via the Rodrigues formula."""
-    n = np.asarray(n_hat, dtype=float)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-        raise ValueError("axis must be a unit vector")
-    v = np.asarray(v, dtype=float)
-    return (math.cos(omega) * v + math.sin(omega) * np.cross(n, v)
-            + (1.0 - math.cos(omega)) * float(n @ v) * n)
-
-
-def rotate_vector_quaternion(omega: float, n_hat, v) -> np.ndarray:
-    """Same rotation through conjugation (0, v') = xi (0, v) xi_bar."""
-    n = np.asarray(n_hat, dtype=float)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-        raise ValueError("axis must be a unit vector")
-    xi = Quaternion(math.cos(0.5 * omega), tuple(math.sin(0.5 * omega) * n))
-    out = xi * Quaternion(0.0, tuple(np.asarray(v, dtype=float))) * xi.conjugate()
-    return np.asarray(out.qv)
-
-
-def xi_north(theta: float, phi: float) -> Quaternion:
-    """Unit quaternion rotating the north pole k to direction (theta, phi).
-
-    The rotation axis is u_phi = (-sin phi, cos phi, 0), the angle theta.
-    """
-    axis = (-math.sin(phi), math.cos(phi), 0.0)
-    return Quaternion(math.cos(0.5 * theta),
-                      tuple(math.sin(0.5 * theta) * c for c in axis))
 
 
 def direction(theta, phi) -> np.ndarray:
@@ -103,21 +38,8 @@ def rho_sphere(r: float, theta, phi) -> np.ndarray:
     """Closed-form sphere density (I + r _signed_pauli(n)) / 2, n = direction:
     entry (0, 1) is r sin(theta) e^{i phi} / 2; array angles broadcast."""
     if not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must lie in [0, 1], got {r}")
+        raise DomainError(f"r must lie in [0, 1], got {r}")
     return 0.5 * (np.eye(2) + r * _signed_pauli(direction(theta, phi)))
-
-
-def rho_sphere_transport(r: float, theta: float, phi: float) -> np.ndarray:
-    """Same density via SU(2) transport of the polar diagonal matrix."""
-    xi = xi_north(theta, phi).to_matrix()
-    polar = np.diag([(1.0 + r) / 2.0, (1.0 - r) / 2.0]).astype(complex)
-    return xi @ polar @ xi.conj().T
-
-
-def spin_state(theta: float, phi: float) -> np.ndarray:
-    """Spin-1/2 coherent state (cos(theta/2), sin(theta/2) e^{-i phi})."""
-    return np.array([math.cos(0.5 * theta),
-                     math.sin(0.5 * theta) * complex(math.cos(phi), -math.sin(phi))])
 
 
 def sphere_rule(n_theta: int = 8, n_phi: int = 8) -> QuadratureRule:

@@ -1,0 +1,142 @@
+"""Reference oracles that tests compare the library against.
+
+Each one builds by a second route what the library computes in closed form or
+in batched arrays: the sphere density by SU(2) transport through quaternions,
+the pure circle and sphere densities as projectors, the circle density from
+its matrix entries (a, b), the half-plane UIR acting on functions, the plane
+probability kernel as a trace of two matrices, and the finite free-parameter
+ledger. pytest imports this module but collects no tests from it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from povmint.circle import CircleDensityParams, rho_circle
+from povmint.numerics import DomainError
+from povmint.plane import ThermalParams, displaced_thermal
+from povmint.sphere import _signed_pauli
+
+# ---------------------------------------------------------------------------
+# Sphere: quaternions and SU(2) transport.
+
+
+@dataclass(frozen=True)
+class Quaternion:
+    """Real quaternion (scalar, 3-vector) with the Hamilton product."""
+
+    q0: float
+    qv: tuple[float, float, float]
+
+    def __mul__(self, other: "Quaternion") -> "Quaternion":
+        a0, av = self.q0, np.asarray(self.qv)
+        b0, bv = other.q0, np.asarray(other.qv)
+        s = a0 * b0 - float(av @ bv)
+        v = a0 * bv + b0 * av + np.cross(av, bv)
+        return Quaternion(s, tuple(v))
+
+    def conjugate(self) -> "Quaternion":
+        return Quaternion(self.q0, tuple(-c for c in self.qv))
+
+    def norm(self) -> float:
+        return math.sqrt(self.q0 ** 2 + sum(c * c for c in self.qv))
+
+    def inverse(self) -> "Quaternion":
+        n2 = self.q0 ** 2 + sum(c * c for c in self.qv)
+        if n2 == 0.0:
+            raise ZeroDivisionError("zero quaternion has no inverse")
+        c = self.conjugate()
+        return Quaternion(c.q0 / n2, tuple(v / n2 for v in c.qv))
+
+    def to_matrix(self) -> np.ndarray:
+        """2x2 image under e_a -> (-1)^(a+1) i sigma_a."""
+        return self.q0 * np.eye(2) + 1.0j * _signed_pauli(self.qv)
+
+
+QUAT_E = [Quaternion(0.0, tuple(np.eye(3)[a])) for a in range(3)]
+
+
+def xi_north(theta: float, phi: float) -> Quaternion:
+    """Unit quaternion rotating the north pole k to direction (theta, phi).
+
+    The rotation axis is u_phi = (-sin phi, cos phi, 0), the angle theta.
+    """
+    axis = (-math.sin(phi), math.cos(phi), 0.0)
+    return Quaternion(math.cos(0.5 * theta),
+                      tuple(math.sin(0.5 * theta) * c for c in axis))
+
+
+def rho_sphere_transport(r: float, theta: float, phi: float) -> np.ndarray:
+    """The sphere density via SU(2) transport of the polar diagonal matrix."""
+    xi = xi_north(theta, phi).to_matrix()
+    polar = np.diag([(1.0 + r) / 2.0, (1.0 - r) / 2.0]).astype(complex)
+    return xi @ polar @ xi.conj().T
+
+
+def spin_state(theta: float, phi: float) -> np.ndarray:
+    """Spin-1/2 coherent state (cos(theta/2), sin(theta/2) e^{-i phi})."""
+    return np.array([math.cos(0.5 * theta),
+                     math.sin(0.5 * theta) * complex(math.cos(phi), -math.sin(phi))])
+
+
+# ---------------------------------------------------------------------------
+# Circle: angle kets and the (a, b) parametrization.
+
+
+def angle_ket(angle: float) -> np.ndarray:
+    """Unit vector (cos angle, sin angle); rho at r=1 is its projector."""
+    return np.array([math.cos(angle), math.sin(angle)])
+
+
+def from_ab(a: float, b: float) -> tuple[CircleDensityParams, float]:
+    """Parameters (r, phi) and top eigenvalue lambda of M(a,b)=[[a,b],[b,1-a]]."""
+    if not 0.0 <= a <= 1.0:
+        raise ValueError(f"a must lie in [0, 1], got {a}")
+    delta = a * (1.0 - a) - b * b
+    if delta < -1e-14:
+        raise ValueError(f"det constraint violated: a(1-a) - b^2 = {delta} < 0")
+    lam = 0.5 * (1.0 + math.sqrt(max(1.0 - 4.0 * delta, 0.0)))
+    r = 2.0 * lam - 1.0
+    phi = 0.0 if r < 1e-14 else 0.5 * math.atan2(2.0 * b, 2.0 * a - 1.0)
+    return CircleDensityParams(r, phi), lam
+
+
+def to_ab(params: CircleDensityParams) -> tuple[float, float]:
+    """Inverse of from_ab (theta folded into the orientation)."""
+    m = rho_circle(params.r, params.phi, params.theta)
+    return float(m[0, 0]), float(m[0, 1])
+
+
+# ---------------------------------------------------------------------------
+# Half-plane, plane and finite sets.
+
+
+def affine_action(q: float, p: float, psi: Callable) -> Callable:
+    """The UIR action (U(q,p) psi)(x) = e^{ipx} psi(x/q) / sqrt(q); DomainError
+    unless 0 < q < inf and p is finite."""
+    if not (0.0 < q < math.inf and math.isfinite(p)):
+        raise DomainError(f"q must be positive and q, p finite, got q={q}, p={p}")
+
+    def out(x):
+        x = np.asarray(x, dtype=float)
+        return np.exp(1.0j * p * x) * np.asarray(psi(x / q)) / math.sqrt(q)
+
+    return out
+
+
+def plane_prob_matrix(z0: complex, z: complex, params: ThermalParams) -> float:
+    """tr(rho_T(z0) rho_T(z)) on the truncated space."""
+    r0 = displaced_thermal(z0, params)
+    r1 = displaced_thermal(z, params)
+    return float(np.trace(r0 @ r1).real)
+
+
+def count_free_parameters(n: int, size: int, rank_one: bool = False) -> int:
+    """Free-variable ledger after the resolution constraint."""
+    if rank_one:
+        return 2 * size * (n - 1) - (n * n - 1)
+    return (size - 1) * (n * n - 1)

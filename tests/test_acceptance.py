@@ -18,6 +18,8 @@ from povmint import circle, core, finite, halfplane, operators, plane, sphere
 from povmint.cli import main as cli_main
 from povmint.numerics import legendre_rule, periodic_rule
 
+import oracles
+
 RNG = np.random.default_rng(20260823)
 
 
@@ -60,7 +62,7 @@ def test_criterion_02_angle_operator_eigensystem():
             assert_allclose(vals, [math.pi - r / 2, math.pi + r / 2],
                             atol=1e-10)
             for col, ang in ((0, phi + math.pi / 4), (1, phi - math.pi / 4)):
-                overlap = abs(vecs[:, col].conj() @ circle.angle_ket(ang))
+                overlap = abs(vecs[:, col].conj() @ oracles.angle_ket(ang))
                 assert_allclose(overlap, 1.0, atol=1e-10)
 
 
@@ -252,7 +254,7 @@ def test_criterion_09_halfplane_admissibility_and_runtime(tmp_path):
         assert code == 0
         assert elapsed < 120.0
         params = halfplane.AffineParams(alpha=2.0, t=0.2, dim=16)
-        c_quad = halfplane.c_rho_quadrature(params)
+        c_quad = halfplane.affine_resolution_check(params, 1)[0]
         assert abs(c_quad - halfplane.c_rho_derived(2.0)) < 1e-8
         for n in range(5):
             ratio = halfplane.kernel_eigen_ratio(n, params, x=2.1)
@@ -271,7 +273,7 @@ def test_criterion_09_halfplane_admissibility_and_runtime(tmp_path):
                    "gives 2 pi / alpha; see the decisions ledger")
 def test_criterion_09_published_c_rho():
     params = halfplane.AffineParams(alpha=2.0, t=0.2, dim=16)
-    c_quad = halfplane.c_rho_quadrature(params)
+    c_quad = halfplane.affine_resolution_check(params, 1)[0]
     assert abs(c_quad - halfplane.c_rho_printed(2.0, 0.2)) < 1e-8
 
 
@@ -331,7 +333,7 @@ def test_criterion_11_core_properties_every_geometry():
         params_h = halfplane.AffineParams(alpha=2.0, t=0.25, dim=8)
         spec_h = halfplane.affine_orbit_spec(params_h, halfplane.affine_group_rule(32, 10.0))
         fam_h = core.orbit_family(
-            spec_h, halfplane.c_rho_quadrature(params_h, spec_h.group_rule))
+            spec_h, halfplane.affine_resolution_check(params_h, 1, spec_h.group_rule)[0])
         geoms.append(("halfplane", fam_h, 3, 1e-2, 5e-2, 1e-1,
                       lambda: (math.exp(RNG.uniform(-0.4, 0.4)),
                                RNG.uniform(-0.6, 0.6)),

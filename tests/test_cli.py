@@ -501,6 +501,27 @@ class TestReconstruct:
                                     "nu": [1.0, 1.0], "n": 2}))
         assert main(["reconstruct", str(path)]) == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"p": [1, 0, 0, 1], "nu": [1, 1], "n": null}',
+        '[1, 2]',
+        '{"p": [1, 0, 0, 1], "nu": 5, "n": 2}',
+        '{"p": [0.58, 0.42, 0.42, 0.58], "nu": [1, 1], "n": 2.5}',
+        '{"p": [NaN, 0.42, 0.42, 0.58], "nu": [1, 1], "n": 2}',
+        '{"p": [0.58, 0.42, 0.42, 0.58], "nu": [NaN, 1], "n": 2}',
+        '{"p": [0.58, 0.42, 0.42, 0.58], "nu": {"a": 1}, "n": 2}',
+    ], ids=["null-n", "top-level-list", "scalar-nu", "fractional-n", "nan-p", "nan-nu",
+            "object-nu"])
+    def test_malformed_table_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = main(["reconstruct", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("invalid table:")
+
     @pytest.mark.parametrize("flag,value", [("--restarts", "0"),
                                             ("--restarts", "-1"),
                                             ("--tol", "-1"), ("--tol", "0"),

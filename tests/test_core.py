@@ -289,7 +289,8 @@ def _plane_rule(kind):
 def _affine_family():
     params = halfplane.AffineParams(alpha=2.0, t=0.25, dim=6)
     spec = halfplane.affine_orbit_spec(params, halfplane.affine_group_rule(8, 6.0))
-    return core.orbit_family(spec, halfplane.c_rho_quadrature(params, spec.group_rule))
+    c_rho = halfplane.affine_resolution_check(params, 1, spec.group_rule)[0]
+    return core.orbit_family(spec, c_rho)
 
 
 GEOMETRIES = {
@@ -433,3 +434,22 @@ class TestNonBroadcastingCallables:
         one = dataclasses.replace(spec, unitary=lambda g: circle.rotation2(0.3) + 0j)
         with pytest.raises(ValueError, match="broadcast over node arrays"):
             core.covariant_c_rho(one)
+
+
+class TestGeometryDomainErrors:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: plane.ThermalParams(1.0, 8), r"t must lie in \[0, 1\)"),
+        (lambda: plane.ThermalParams(0.2, 0), "dim must be >= 1"),
+        (lambda: halfplane.AffineParams(0.0, 0.2, 4), "resolution requires 0 < alpha"),
+        (lambda: halfplane.AffineParams(2.0, 1.0, 4), r"t must lie in \[0, 1\)"),
+        (lambda: halfplane.AffineParams(2.0, 0.2, 0), "dim must be >= 1"),
+        (lambda: circle.CircleDensityParams(1.5, 0.0), r"r must lie in \[0, 1\]"),
+        (lambda: circle.rho_circle(1.5, 0.0), r"r must lie in \[0, 1\]"),
+        (lambda: sphere.rho_sphere(1.2, 0.1, 0.1), r"r must lie in \[0, 1\]"),
+        (lambda: plane.displaced_thermal(1.5, plane.ThermalParams(0.2, 8)),
+         "exceeds the dim/4 truncation threshold"),
+    ], ids=["thermal-t", "thermal-dim", "affine-alpha", "affine-t", "affine-dim",
+            "circle-params-r", "rho-circle-r", "rho-sphere-r", "displaced-thermal-dim4"])
+    def test_out_of_domain_raises_domain_error(self, build, message):
+        with pytest.raises(numerics.DomainError, match=message):
+            build()

