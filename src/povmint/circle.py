@@ -19,38 +19,44 @@ from .numerics import DomainError, periodic_rule
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+_ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
 class CircleDensityParams:
-    """Disk radius r in [0,1], orientation phi mod pi, transport angle theta."""
+    """Disk radius r in [0,1], orientation phi mod pi, transport angle theta;
+    the fields may be arrays, one parameter set per (broadcast) entry."""
 
     r: float
     phi: float
     theta: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.r <= 1.0:
+        r = np.asarray(self.r)
+        if not ((0.0 <= r) & (r <= 1.0)).all():
             raise DomainError(f"r must lie in [0, 1], got {self.r}")
-        phi = 0.0 if self.r == 0.0 else self.phi % math.pi
+        phi = np.where(r == 0.0, 0.0, np.mod(self.phi, math.pi))[()]
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "theta", self.theta % (2.0 * math.pi))
+        object.__setattr__(self, "theta", np.mod(self.theta, 2.0 * math.pi))
 
 
-def rotation2(omega: float) -> np.ndarray:
-    """Plane rotation matrix by angle omega."""
-    c, s = math.cos(omega), math.sin(omega)
-    return np.array([[c, -s], [s, c]])
+def rotation2(omega) -> np.ndarray:
+    """Plane rotation matrix by angle omega; an array omega gives shape
+    omega.shape + (2, 2)."""
+    omega = np.asarray(omega, dtype=float)[..., None, None]
+    return np.cos(omega) * np.eye(2) + np.sin(omega) * _ROT90
 
 
-def rho_circle(r: float, phi: float, theta=0.0) -> np.ndarray:
-    """2x2 real density (1/2)(I + r S(2(phi+theta))); theta may be an array,
-    giving shape theta.shape + (2, 2)."""
-    if not 0.0 <= r <= 1.0:
+def rho_circle(r, phi, theta=0.0) -> np.ndarray:
+    """2x2 real density (1/2)(I + r S(2(phi+theta))).  r, phi and theta may be
+    arrays; they broadcast, giving shape broadcast.shape + (2, 2).  DomainError
+    unless every r lies in [0, 1]."""
+    r = np.asarray(r)
+    if not ((0.0 <= r) & (r <= 1.0)).all():
         raise DomainError(f"r must lie in [0, 1], got {r}")
     big_phi = 2.0 * (phi + np.asarray(theta, dtype=float))[..., None, None]
-    return 0.5 * (np.eye(2) + r * (np.cos(big_phi) * _SIGMA_Z
-                                   + np.sin(big_phi) * _SIGMA_X))
+    return 0.5 * (np.eye(2) + r[..., None, None]
+                  * (np.cos(big_phi) * _SIGMA_Z + np.sin(big_phi) * _SIGMA_X))
 
 
 def product_and_algebra(p1: CircleDensityParams, p2: CircleDensityParams):
@@ -59,18 +65,18 @@ def product_and_algebra(p1: CircleDensityParams, p2: CircleDensityParams):
     With F = 2(phi+theta) the product is
         rho rho' = (1/2)[rho + rho' + (r r'/2) Rot(F - F') - I/2],
     the commutator is -i (r r'/2) sin(F - F') sigma_2 and the anticommutator
-    is rho + rho' + ((r r'/2) cos(F - F') - 1/2) I.
+    is rho + rho' + ((r r'/2) cos(F - F') - 1/2) I.  Array parameters give
+    one pair per broadcast entry: each result has shape broadcast.shape + (2, 2),
+    entry for entry the same bits as the pair on its own.
     """
-    f1 = 2.0 * (p1.phi + p1.theta)
-    f2 = 2.0 * (p2.phi + p2.theta)
-    r1, r2 = p1.r, p2.r
+    rr = (0.5 * np.multiply(p1.r, p2.r))[..., None, None]
     rho1 = rho_circle(p1.r, p1.phi, p1.theta)
     rho2 = rho_circle(p2.r, p2.phi, p2.theta)
-    delta = f1 - f2
-    product = 0.5 * (rho1 + rho2 + 0.5 * r1 * r2 * rotation2(delta)
-                     - 0.5 * np.eye(2))
-    commutator = -1.0j * (0.5 * r1 * r2) * math.sin(delta) * SIGMA2
-    anticommutator = rho1 + rho2 + (0.5 * r1 * r2 * math.cos(delta) - 0.5) * np.eye(2)
+    delta = 2.0 * (p1.phi + p1.theta) - 2.0 * (p2.phi + p2.theta)
+    product = 0.5 * (rho1 + rho2 + rr * rotation2(delta) - 0.5 * np.eye(2))
+    sin, cos = np.sin(delta)[..., None, None], np.cos(delta)[..., None, None]
+    commutator = -1.0j * rr * sin * SIGMA2
+    anticommutator = rho1 + rho2 + (rr * cos - 0.5) * np.eye(2)
     return product, commutator, anticommutator
 
 

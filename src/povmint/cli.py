@@ -81,18 +81,16 @@ def suite_circle(args) -> tuple[dict, list[dict]]:
     eig = np.sort(np.linalg.eigvalsh(circle.angle_operator(r, phi)))
     checks.append(check("angle-eigenvalues", "qtfrhor", list(eig),
                         [math.pi - r / 2.0, math.pi + r / 2.0], 1e-10))
+    # 20 random pairs, drawn r1, phi1, r2, phi2 per pair, checked as arrays
     rng = np.random.default_rng(args.seed)
-    worst_prod = worst_comm = 0.0
-    for _ in range(20):
-        p1 = circle.CircleDensityParams(rng.uniform(0, 1), rng.uniform(0, math.pi))
-        p2 = circle.CircleDensityParams(rng.uniform(0, 1), rng.uniform(0, math.pi))
-        m1 = circle.rho_circle(p1.r, p1.phi)
-        m2 = circle.rho_circle(p2.r, p2.phi)
-        prod, comm, _anti = circle.product_and_algebra(p1, p2)
-        worst_prod = max(worst_prod, operators.max_defect(m1 @ m2, prod))
-        worst_comm = max(worst_comm, operators.max_defect(m1 @ m2 - m2 @ m1, comm))
-    checks.append(check("product-formula", "multrho", worst_prod, 0.0, 1e-13))
-    checks.append(check("commutator-closed-form", "algrho", worst_comm, 0.0, 1e-13))
+    r1, phi1, r2, phi2 = rng.uniform(0.0, (1.0, math.pi, 1.0, math.pi), (20, 4)).T
+    p1, p2 = circle.CircleDensityParams(r1, phi1), circle.CircleDensityParams(r2, phi2)
+    m1, m2 = circle.rho_circle(p1.r, p1.phi), circle.rho_circle(p2.r, p2.phi)
+    prod, comm, _anti = circle.product_and_algebra(p1, p2)
+    checks.append(check("product-formula", "multrho",
+                        operators.max_defect(m1 @ m2, prod), 0.0, 1e-13))
+    checks.append(check("commutator-closed-form", "algrho",
+                        operators.max_defect(m1 @ m2 - m2 @ m1, comm), 0.0, 1e-13))
     theta0, theta = 0.3, 1.1
     checks.append(check("probability-kernel", "probdistcirc",
                         core.prob_kernel(fam, theta0, theta),
@@ -260,8 +258,8 @@ def suite_core(args) -> tuple[dict, list[dict]]:
     kernel = np.einsum("aij,bji->ab", mats, mats).real  # tr(rho(x_a) rho(x_b))
     row_defect = operators.max_defect(kernel @ fam.rule.weights, 1.0)
     checks.append(check("kernel-row-normalization", "probdist", row_defect, 0.0, 1e-12))
-    sup = max(abs(core.lower_symbol(fam, af, th).real)
-              for th in np.linspace(0, 2 * math.pi, 50))
+    lows = core.lower_symbol(fam, af, np.linspace(0, 2 * math.pi, 50))
+    sup = operators.max_defect(lows.real)
     checks.append(check("lower-symbol-contraction", "lowsymbmap",
                         max(sup - 1.0, 0.0), 0.0, 1e-12))
     rho_m = operators.mix(operators.MixtureSpec(

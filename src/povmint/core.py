@@ -58,8 +58,11 @@ def _on_nodes(fn: Callable, nodes: Array, tail: tuple) -> Array:
 
 
 def _batches(fam: DensityFamily, idx: Array):
-    """Yield (part, rho(rule.nodes[part])) over slices of idx within NODE_BATCH_BYTES."""
-    step = max(1, NODE_BATCH_BYTES // (16 * fam.dim * fam.dim))
+    """Yield (part, rho(rule.nodes[part])) over slices of idx within NODE_BATCH_BYTES:
+    a node costs its dim x dim matrix, plus an orbit family's two (dim, width) rows."""
+    spec = getattr(fam.evaluate, "__self__", None)
+    width = np.shape(spec.fiducial)[-1] if isinstance(spec, GroupOrbitSpec) else 0
+    step = max(1, NODE_BATCH_BYTES // (16 * fam.dim * (fam.dim + 2 * width)))
     for start in range(0, len(idx), step):
         part = idx[start:start + step]
         yield part, _on_nodes(fam.evaluate, fam.rule.nodes[part], (fam.dim,) * 2)
@@ -112,13 +115,16 @@ def quantize(fam: DensityFamily, f: Callable) -> Array:
     return quantize_values(fam, [complex(f(x)) for x in fam.rule.nodes])
 
 
-def lower_symbol(fam: DensityFamily, a: Array, x) -> complex:
-    """Lower (Berezin) symbol tr(rho(x) A)."""
+def lower_symbol(fam: DensityFamily, a: Array, x) -> complex | Array:
+    """Lower (Berezin) symbol tr(rho(x) A): a complex for one node, and for a
+    node array an array shaped like DensityFamily.evaluate's without the matrix
+    axes, each entry the same bits as that node on its own."""
     a = np.asarray(a, dtype=complex)
     rho = np.asarray(fam.evaluate(x), dtype=complex)
-    if rho.shape != a.shape:
+    if rho.shape[-2:] != a.shape:
         raise ValueError("dimension mismatch")
-    return complex(np.trace(rho @ a))
+    low = np.trace(rho @ a, axis1=-2, axis2=-1)
+    return complex(low) if low.ndim == 0 else low
 
 
 def measurement_expectation(rho_m: Array, fam: DensityFamily, f: Callable) -> complex:

@@ -34,12 +34,14 @@ def direction(theta, phi) -> np.ndarray:
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
-def rho_sphere(r: float, theta, phi) -> np.ndarray:
+def rho_sphere(r, theta, phi) -> np.ndarray:
     """Closed-form sphere density (I + r _signed_pauli(n)) / 2, n = direction:
-    entry (0, 1) is r sin(theta) e^{i phi} / 2; array angles broadcast."""
-    if not 0.0 <= r <= 1.0:
+    entry (0, 1) is r sin(theta) e^{i phi} / 2; array r and angles broadcast.
+    DomainError unless every r lies in [0, 1]."""
+    r = np.asarray(r)
+    if not ((0.0 <= r) & (r <= 1.0)).all():
         raise DomainError(f"r must lie in [0, 1], got {r}")
-    return 0.5 * (np.eye(2) + r * _signed_pauli(direction(theta, phi)))
+    return 0.5 * (np.eye(2) + r[..., None, None] * _signed_pauli(direction(theta, phi)))
 
 
 def sphere_rule(n_theta: int = 8, n_phi: int = 8) -> QuadratureRule:

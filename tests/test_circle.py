@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from povmint import circle, core, operators
-from povmint.numerics import legendre_rule, periodic_rule
+from povmint.numerics import DomainError, legendre_rule, periodic_rule
 
 import oracles
 
@@ -31,6 +31,21 @@ class TestParams:
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
             circle.CircleDensityParams(1.5, 0.0)
+
+    @pytest.mark.parametrize("r", [[0.5, 1.5], [0.5, -0.1], [0.5, math.nan], math.nan])
+    def test_rejects_any_bad_entry_of_r(self, r):
+        for build in (lambda: circle.CircleDensityParams(np.array(r), 0.0),
+                      lambda: circle.rho_circle(np.array(r), 0.0)):
+            with pytest.raises(DomainError, match=r"r must lie in \[0, 1\]"):
+                build()
+
+    def test_array_fields_match_scalar_params(self):
+        r, phi, theta = RNG.uniform(0.0, (1.0, 7.0, 7.0), (12, 3)).T
+        r[0] = 0.0
+        p = circle.CircleDensityParams(r, phi, theta)
+        for k in range(12):
+            q = circle.CircleDensityParams(r[k], phi[k], theta[k])
+            assert (p.r[k], p.phi[k], p.theta[k]) == (q.r, q.phi, q.theta)
 
 
 class TestDensity:
@@ -77,6 +92,20 @@ class TestAlgebra:
             assert_allclose(m1 @ m2, prod, atol=1e-13)
             assert_allclose(m1 @ m2 - m2 @ m1, comm, atol=1e-13)
             assert_allclose(m1 @ m2 + m2 @ m1, anti, atol=1e-13)
+
+    def test_broadcast_matches_each_pair_bit_for_bit(self):
+        r1, f1, t1, r2, f2, t2 = RNG.uniform(0.0, (1.0, 7.0, 7.0) * 2, (30, 6)).T
+        p1 = circle.CircleDensityParams(r1, f1, t1)
+        p2 = circle.CircleDensityParams(r2, f2, t2)
+        batch = circle.product_and_algebra(p1, p2)
+        assert [m.shape for m in batch] == [(30, 2, 2)] * 3
+        assert np.array_equal(circle.rho_circle(r1, f1, t1),
+                              [circle.rho_circle(r, f, t) for r, f, t in zip(r1, f1, t1)])
+        for k in range(30):
+            one = circle.product_and_algebra(circle.CircleDensityParams(r1[k], f1[k], t1[k]),
+                                             circle.CircleDensityParams(r2[k], f2[k], t2[k]))
+            for got, want in zip(batch, one):
+                assert np.array_equal(got[k], want)
 
     @pytest.mark.xfail(strict=True, reason="published commutator closed form "
                        "omits the factor 1/2 in r r'/2 sin; see the decisions "

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from povmint import cli, core, finite, halfplane
+from povmint import circle, cli, core, finite, halfplane
 from povmint.cli import main
 
 FAST = ["--dim", "16", "--grid", "24"]
@@ -219,6 +219,52 @@ class TestVerify:
         monkeypatch.setattr(halfplane, "overlap_block", recording)
         cli.suite_halfplane(cli.build_parser().parse_args(["verify", "halfplane"]))
         assert calls == [(2048, 3)]
+
+    def test_circle_checks_its_pairs_as_arrays(self, monkeypatch):
+        # the 20 product/commutator pairs take 4 rho_circle calls in all, not 4
+        # per pair; the resolution, kernel and distance checks take the rest
+        calls, rho = [], circle.rho_circle
+
+        def counting(*args):
+            calls.append(args)
+            return rho(*args)
+
+        monkeypatch.setattr(circle, "rho_circle", counting)
+        cli.suite_circle(cli.build_parser().parse_args(["verify", "circle"]))
+        assert len(calls) <= 8
+
+    def test_core_takes_the_lower_symbol_sup_in_one_call(self, monkeypatch):
+        shapes, lower = [], core.lower_symbol
+
+        def recording(fam, a, x):
+            shapes.append(np.shape(x))
+            return lower(fam, a, x)
+
+        monkeypatch.setattr(core, "lower_symbol", recording)
+        cli.suite_core(cli.build_parser().parse_args(["verify", "core"]))
+        assert shapes == [(50,)]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_circle_pairs_keep_the_per_pair_draws(self, monkeypatch, seed):
+        # one (20, 4) draw reads the stream as the loop did: r1, phi1, r2, phi2
+        # per pair, so the report does not move
+        pairs, algebra = [], circle.product_and_algebra
+
+        def recording(p1, p2):
+            pairs.append((p1, p2))
+            return algebra(p1, p2)
+
+        monkeypatch.setattr(circle, "product_and_algebra", recording)
+        cli.suite_circle(cli.build_parser().parse_args(
+            ["verify", "circle", "--seed", str(seed)]))
+        rng = np.random.default_rng(seed)
+        loop = [circle.CircleDensityParams(rng.uniform(0, 1), rng.uniform(0, math.pi))
+                for _ in range(40)]
+        [(p1, p2)] = pairs
+        assert np.array_equal(p1.r, [p.r for p in loop[0::2]])
+        assert np.array_equal(p1.phi, [p.phi for p in loop[0::2]])
+        assert np.array_equal(p2.r, [p.r for p in loop[1::2]])
+        assert np.array_equal(p2.phi, [p.phi for p in loop[1::2]])
 
 
 class TestGoldenReports:

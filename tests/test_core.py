@@ -97,6 +97,22 @@ class TestQuantize:
                   for th in np.linspace(0, 2 * math.pi, 64))
         assert sup <= 1.0 + 1e-12
 
+    def test_lower_symbol_over_nodes_matches_each_node_bit_for_bit(self, fam):
+        af = core.quantize(fam, lambda th: math.cos(2 * th) + 0.3 * math.sin(th))
+        thetas = np.linspace(0, 2 * math.pi, 50)
+        lows = core.lower_symbol(fam, af, thetas)
+        assert lows.shape == (50,)
+        singles = [core.lower_symbol(fam, af, th) for th in thetas]
+        assert all(type(low) is complex for low in singles)
+        assert np.array_equal(lows, singles)
+        sph = sphere.sphere_family(0.7)
+        a = sphere.aq_matrix(0.7) + 0.2j * sphere.ap_matrix(0.7)
+        nodes = np.stack(np.meshgrid(np.linspace(-1, 1, 7), np.linspace(0, 6, 5)), -1)
+        lows = core.lower_symbol(sph, a, nodes)
+        assert lows.shape == (5, 7)
+        assert np.array_equal(lows, [[core.lower_symbol(sph, a, nd) for nd in row]
+                                     for row in nodes])
+
     def test_lower_symbol_dimension_check(self, fam):
         with pytest.raises(ValueError):
             core.lower_symbol(fam, np.eye(3), 0.1)

@@ -534,6 +534,29 @@ class TestOrbitEngine:
         assert sum(sizes) == 30 * 2048
         assert min(cs) > 0
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_reduction_batches_stay_within_the_node_budget(self, monkeypatch, rows):
+        # an orbit node holds two (rows, dim) arrays of overlap rows besides its
+        # rows x rows density; batches sized by the density alone put all 2,048
+        # p > 0 nodes of the grid-64 rule in one batch, 13-18x a 64 KiB budget
+        budget, peaks, integral = 1 << 16, [], halfplane.orbit_integral
+
+        def measured(spec):
+            tracemalloc.start()
+            try:
+                out = integral(spec)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return out
+
+        monkeypatch.setattr(core, "NODE_BATCH_BYTES", budget)
+        monkeypatch.setattr(halfplane, "orbit_integral", measured)
+        params = halfplane.AffineParams(2.0, 0.2, 16)
+        halfplane.affine_resolution_check(params, rows, halfplane.affine_group_rule(64))
+        assert len(peaks) == 1
+        assert peaks[0] <= 2 * budget
+
     def test_c_rho_needs_one_row(self):
         rule = halfplane.affine_group_rule(12, 8.0)
         one = core.covariant_c_rho(halfplane.affine_orbit_spec(PARAMS, rule, rows=1))

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from povmint import core, operators, sphere
+from povmint.numerics import DomainError
 
 import oracles
 
@@ -84,6 +85,16 @@ class TestDensity:
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
             sphere.rho_sphere(1.2, 0.1, 0.1)
+
+    @pytest.mark.parametrize("r", [[0.5, 1.2], [0.5, -0.1], [0.5, math.nan], math.nan])
+    def test_rejects_any_bad_entry_of_r(self, r):
+        with pytest.raises(DomainError, match=r"r must lie in \[0, 1\]"):
+            sphere.rho_sphere(np.array(r), 0.1, 0.1)
+
+    def test_array_r_broadcasts_with_the_angles(self):
+        r, theta, phi = np.array([0.0, 0.4, 1.0]), np.array([0.3, 1.2, 2.9]), 0.7
+        want = [sphere.rho_sphere(rk, tk, phi) for rk, tk in zip(r, theta)]
+        assert np.array_equal(sphere.rho_sphere(r, theta, phi), want)
 
 
 class TestQuantization:
