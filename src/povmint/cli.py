@@ -354,38 +354,42 @@ def render(report: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser, with only ``command``'s sub-parser if given (its usage still names both)."""
     parser = argparse.ArgumentParser(
         prog="povmint",
         description="verification suites for POVM integral quantization")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else "{verify,reconstruct}")
 
-    ver = sub.add_parser("verify", help="run a geometry's check suite")
-    ver.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    ver.add_argument("--r", type=float, default=0.8,
-                     help="disk/ball radius parameter (circle, sphere)")
-    ver.add_argument("--t", type=float, default=0.2,
-                     help="Boltzmann factor (plane, halfplane)")
-    ver.add_argument("--alpha", type=float, default=2.0,
-                     help="Laguerre basis parameter (halfplane)")
-    ver.add_argument("--dim", type=int, default=48,
-                     help="Fock/basis truncation")
-    ver.add_argument("--grid", type=int, default=48, help="quadrature nodes")
-    ver.add_argument("--tol", type=float, default=None,
-                     help="override tolerance for all checks")
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--out", default=None, help="report path (default stdout)")
-    ver.add_argument("--format", choices=["json", "csv"], default="json")
+    if command in (None, "verify"):
+        ver = sub.add_parser("verify", help="run a geometry's check suite")
+        ver.add_argument("suite", choices=sorted(SUITES) + ["all"])
+        ver.add_argument("--r", type=float, default=0.8,
+                         help="disk/ball radius parameter (circle, sphere)")
+        ver.add_argument("--t", type=float, default=0.2,
+                         help="Boltzmann factor (plane, halfplane)")
+        ver.add_argument("--alpha", type=float, default=2.0,
+                         help="Laguerre basis parameter (halfplane)")
+        ver.add_argument("--dim", type=int, default=48,
+                         help="Fock/basis truncation")
+        ver.add_argument("--grid", type=int, default=48, help="quadrature nodes")
+        ver.add_argument("--tol", type=float, default=None,
+                         help="override tolerance for all checks")
+        ver.add_argument("--seed", type=int, default=0)
+        ver.add_argument("--out", default=None, help="report path (default stdout)")
+        ver.add_argument("--format", choices=["json", "csv"], default="json")
 
-    rec = sub.add_parser("reconstruct",
-                         help="reconstruct densities from a probability table")
-    rec.add_argument("table", help="ProbTable JSON file")
-    rec.add_argument("--rank-one", action="store_true")
-    rec.add_argument("--seed", type=int, default=0)
-    rec.add_argument("--restarts", type=int, default=8)
-    rec.add_argument("--tol", type=float, default=1e-8)
-    rec.add_argument("--out", default=None)
-    rec.add_argument("--format", choices=["json", "csv"], default="json")
+    if command in (None, "reconstruct"):
+        rec = sub.add_parser("reconstruct",
+                             help="reconstruct densities from a probability table")
+        rec.add_argument("table", help="ProbTable JSON file")
+        rec.add_argument("--rank-one", action="store_true")
+        rec.add_argument("--seed", type=int, default=0)
+        rec.add_argument("--restarts", type=int, default=8)
+        rec.add_argument("--tol", type=float, default=1e-8)
+        rec.add_argument("--out", default=None)
+        rec.add_argument("--format", choices=["json", "csv"], default="json")
     return parser
 
 
@@ -469,7 +473,9 @@ def run_reconstruct(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in ("verify", "reconstruct") else None
+    args = build_parser(command).parse_args(argv)
     if args.command == "verify":
         return run_verify(args)
     return run_reconstruct(args)

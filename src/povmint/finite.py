@@ -250,11 +250,21 @@ def reconstruct(table: ProbTable, rank_one: bool = False, seed: int = 0,
                 restarts: int = 8, tol: float = 1e-8) -> ReconstructionResult:
     """Recover densities reproducing the table, up to unitary gauge freedom.
 
-    Penalized nonlinear least squares over the factorized parametrization
-    rho_i = B_i B_i^dag / tr(B_i B_i^dag): residuals are the upper-triangle
-    trace mismatches plus 10 times the resolution defect entries, with the
-    closed-form Jacobian of `_objective` and at most 4000 evaluations per
-    restart.
+    Qubit tables (n = 2) try classical multidimensional scaling first
+    (Torgerson 1952): rho_i = (I + r_i.sigma)/2 has r_i.r_j = 2 p_ij - 1, so
+    the top min(3, N) eigenpairs of that Gram matrix give the Bloch vectors
+    up to O(3) (a rotation is a unitary, a reflection a transpose).  The
+    resolution holds: validate() gives sum nu_j = 2 and sum_j nu_j p_ij = 1,
+    so s = sum_j nu_j r_j has r_i.s = 0 for every i, and s, in the span of
+    the r_i, is 0.  That result (``restarts_used`` 0) stands if its residual
+    is below ``tol``, its resolution defect below 100 ``tol``, every matrix
+    is a density and, for ``rank_one``, every |r_i| = 1 within ``tol``.
+
+    Otherwise penalized nonlinear least squares runs over the factorized
+    parametrization rho_i = B_i B_i^dag / tr(B_i B_i^dag): residuals are the
+    upper-triangle trace mismatches plus 10 times the resolution defect
+    entries, with the closed-form Jacobian of `_objective` and at most 4000
+    evaluations per restart.
     Restarts are deterministic per (seed, restart index); the winner has the
     lowest residual, ties broken by resolution defect.  ``converged`` needs
     the residual below ``tol`` and every recovered matrix a density.
@@ -269,28 +279,40 @@ def reconstruct(table: ProbTable, rank_one: bool = False, seed: int = 0,
             f"infeasible configuration: N={size} outside "
             f"[{bounds.n_min}, {bounds.n_max}] for n={n}"
             + (" (rank one)" if rank_one else ""))
-    k = 1 if rank_one else n
-    nu = table.measure.weights
     target = np.asarray(table.p, dtype=float)
-    iu = np.triu_indices(size)
-    residuals, jacobian = _objective(target, nu, n, k, 10.0)
 
+    def score(rho):
+        return (float(np.sqrt(np.sum((_gram(rho) - target)[np.triu_indices(size)] ** 2))),
+                resolution_defect(rho, table.measure))
+
+    def densities(rhos):
+        return all(is_density(r, tol=1e-8, eig_slack=1e-7).ok for r in rhos)
+
+    if n == 2:
+        w, v = np.linalg.eigh(2.0 * target - 1.0, UPLO="U")
+        # rounding-level eigenvalues count as 0; zero columns pad N < 3
+        r = np.pad(v * np.sqrt(np.where(w > 1e-12, w, 0.0)), ((0, 0), (3, 0)))[:, :-4:-1]
+        x, y, z = r.T
+        rho = 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]).transpose(2, 0, 1)
+        table_res, defect = score(rho)
+        if (table_res < tol and defect < 100 * tol and densities(rho) and not
+                (rank_one and max_defect(np.linalg.norm(r, axis=1), 1.0) > tol)):
+            return ReconstructionResult(list(rho), table_res, defect, True, 0)
+
+    k = 1 if rank_one else n
+    residuals, jacobian = _objective(target, table.measure.weights, n, k, 10.0)
     rng = np.random.default_rng(seed)
     best = None
-    used = 0
     for attempt in range(restarts):
         x0 = rng.standard_normal(size * 2 * n * k)
         sol = least_squares(residuals, x0, jac=jacobian, max_nfev=4000)
         rho, _, _ = _params_to_rhos(sol.x, size, n, k)
-        table_res = float(np.sqrt(np.sum((_gram(rho) - target)[iu] ** 2)))
-        defect = resolution_defect(rho, table.measure)
         used = attempt + 1
-        cand = (table_res, defect, list(rho))
+        cand = (*score(rho), list(rho))
         if best is None or cand[:2] < best[:2]:
             best = cand
         if best[0] < tol and best[1] < 100 * tol:
             break
     table_res, defect, rhos = best
-    densities = all(is_density(r, tol=1e-8, eig_slack=1e-7).ok for r in rhos)
     return ReconstructionResult(rhos, table_res, defect,
-                                table_res < tol and densities, used)
+                                table_res < tol and densities(rhos), used)

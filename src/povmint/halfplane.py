@@ -22,7 +22,7 @@ from .core import CsBasis, GroupOrbitSpec, orbit_integral
 # hyp2f1_terminating is unused here; perfbench/tracer.py rebinds it (ROADMAP item 1)
 from .numerics import (BESSEL_OVERFLOW_X, DomainError, QuadratureRule, _f21_terms,
                        bessel_i_scaled, hyp2f1_terminating, laguerre, laguerre_rule,
-                       laguerre_table, legendre_rule, product_rule)
+                       laguerre_table, legendre_rule, MAX_RULE_NODES, product_rule)
 
 
 @dataclass(frozen=True)
@@ -187,10 +187,12 @@ def affine_group_rule(n: int = 64, u_max: float = 14.0) -> QuadratureRule:
 
     q = e^u and p = tan(v), with u and v on one Gauss-Legendre rule for [-1, 1]
     scaled to [-u_max, u_max] and (-pi/2, pi/2).  Weights carry the Jacobians.
-    DomainError unless 0 < u_max < inf.
+    DomainError unless 0 < u_max < inf and n^2 <= MAX_RULE_NODES.
     """
     if not 0.0 < u_max < math.inf:
         raise DomainError(f"u_max must lie in (0, inf), got {u_max}")
+    if n * n > MAX_RULE_NODES:
+        raise DomainError(f"{n} x {n} nodes exceed the budget of {MAX_RULE_NODES}")
     r = legendre_rule(n, -1.0, 1.0)
     qs, v = np.exp(u_max * r.nodes), 0.5 * math.pi * r.nodes
     return product_rule(QuadratureRule(qs, u_max * r.weights * qs),

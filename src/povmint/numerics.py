@@ -26,6 +26,9 @@ BESSEL_MAX_NU = 60.0
 LAGUERRE_MAX_N = 256
 LAGUERRE_MAX_X = 600.0
 
+# Node budget of a sphere or half-plane product rule: --grid 512, which runs in < 1 s.
+MAX_RULE_NODES = 2 ** 18
+
 
 def laguerre_table(n_max: int, alpha, x) -> np.ndarray:
     """Table L[n] = L_n^(alpha)(x), n = 0..n_max, by upward recurrence in n.

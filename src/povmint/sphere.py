@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import DensityFamily
 from .numerics import (DomainError, QuadratureRule, legendre_rule, periodic_rule,
-                       product_rule)
+                       MAX_RULE_NODES, product_rule)
 
 SIGMA = np.array([[[0.0, 1.0], [1.0, 0.0]],
                   [[0.0, -1.0j], [1.0j, 0.0]],
@@ -45,8 +45,10 @@ def rho_sphere(r, theta, phi) -> np.ndarray:
 
 
 def sphere_rule(n_theta: int = 8, n_phi: int = 8) -> QuadratureRule:
-    """Product rule for sin(theta) dtheta dphi / (2 pi): Gauss-Legendre in
-    cos(theta) times a trapezoid in phi.  Nodes are (u, phi) pairs, u = cos theta."""
+    """Product rule for sin(theta) dtheta dphi / (2 pi): Gauss-Legendre in cos(theta)
+    times a trapezoid in phi, nodes (u = cos theta, phi); DomainError past MAX_RULE_NODES."""
+    if n_theta * n_phi > MAX_RULE_NODES:
+        raise DomainError(f"{n_theta} x {n_phi} nodes exceed the budget of {MAX_RULE_NODES}")
     return product_rule(legendre_rule(n_theta, -1.0, 1.0),
                         periodic_rule(n_phi, 1.0 / (2.0 * math.pi), offset=0.5))
 

@@ -8,13 +8,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from povmint import circle, cli, core, finite, halfplane
+from povmint import DomainError, circle, cli, core, finite, halfplane, sphere
 from povmint.cli import main
 
 FAST = ["--dim", "16", "--grid", "24"]
@@ -125,6 +126,35 @@ class TestVerify:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("configuration error in suite plane")
+
+    @pytest.mark.parametrize("suite", ["sphere", "halfplane"])
+    def test_grid_over_node_budget_exit_2_before_the_rule(self, capsys, monkeypatch, suite):
+        # with the budget one node short of a 128 x 128 rule, the suite stops
+        # with one line before it allocates the rule's 128^2 (q, p) pairs (256 KiB)
+        grid = 128
+        monkeypatch.setattr({"sphere": sphere, "halfplane": halfplane}[suite],
+                            "MAX_RULE_NODES", grid * grid - 1)
+        tracemalloc.start()
+        try:
+            code = main(["verify", suite, "--grid", str(grid)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"configuration error in suite {suite}: {grid} x {grid} "
+                                f"nodes exceed the budget of {grid * grid - 1}\n")
+        assert peak < grid * grid * 2 * 8
+
+    def test_node_budget_admits_the_rule_that_fills_it(self, monkeypatch):
+        for module in (sphere, halfplane):
+            monkeypatch.setattr(module, "MAX_RULE_NODES", 12 * 12)
+        assert sphere.sphere_rule(12, 12).size == halfplane.affine_group_rule(12).size == 144
+        with pytest.raises(DomainError, match="12 x 13 nodes"):
+            sphere.sphere_rule(12, 13)
+        with pytest.raises(DomainError, match="13 x 13 nodes"):
+            halfplane.affine_group_rule(13)
 
     def test_plane_exact_compressions_pass_at_t_07(self, capsys):
         code, out = run(capsys, ["verify", "plane", "--t", "0.7"])
@@ -418,6 +448,68 @@ class TestTracerBindings:
             tracer.uninstall()
         assert got == want
         assert want[0] == 0
+
+
+class TestParser:
+    """`main` builds only the sub-parser of the command in argv[0], and prints
+    what the full parser printed."""
+
+    # argv -> exit code and sha256 of stdout and stderr at COLUMNS=80, as
+    # printed when every `main` call built the full parser
+    USAGE = {
+        "": (2,
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "7d099992c7b93e0dcb2a6d7618e6f0ed245c921c478a83e97f696db7e3ecf763"),
+        "--help": (0,
+            "55cf1fde4b0ffdc5836fef3c32f29d0d5a6235da5c7f98f44aad8a44931867d6",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "bogus": (2,
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "4e5fd07def0ce480e0c5e9e630942fa09a7f463b30b6403fc4291ebc87136bda"),
+        "verify --help": (0,
+            "0fcbeeedfa9fbb0f3d4b5315737223128825de0af8230dbc8c78021af500dc33",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "reconstruct --help": (0,
+            "6ad1bd17e3e4d67478735bc45d015c707fa9cd9f6f08eb3ee8670499c97d2ddb",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "verify nosuch": (2,
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "59eb8600412fb5d35bd4ff2b024bb29a8a5839b44d4cb9c26f86e8dc76d9d368"),
+        "verify circle --bogus": (2,
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "c33dbc9011c0e500cdd481184cb5594cdd32443a1113a0d28d3e742f8cd2d51d"),
+        "reconstruct": (2,
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "277cf2384066d136decb5c40cecfed73ddee4cba04b6e0e1f787a0e06873eb1f"),
+    }
+
+    @staticmethod
+    def outcome(capsys, parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return (exc.value.code, hashlib.sha256(captured.out.encode()).hexdigest(),
+                hashlib.sha256(captured.err.encode()).hexdigest())
+
+    @pytest.mark.parametrize("argv", sorted(USAGE))
+    def test_help_and_usage_errors_are_unchanged(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = self.outcome(capsys, main, argv.split())
+        assert got == self.outcome(capsys, cli.build_parser().parse_args, argv.split())
+        assert got == self.USAGE[argv]
+
+    @pytest.mark.parametrize("argv, command", [
+        ([], None), (["--help"], None), (["bogus"], None), (["verify", "core"], "verify"),
+        (["reconstruct", "nosuch.json"], "reconstruct"), (["circle", "verify"], None)])
+    def test_main_builds_the_parser_of_argv0(self, capsys, monkeypatch, argv, command):
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda c=None: built.append(c) or build(c))
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        assert built == [command]
 
 
 class TestImport:

@@ -1,5 +1,6 @@
 """Finite measure spaces: counting bounds, frames, table reconstruction."""
 
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from povmint import cli, finite
+from povmint import cli, finite, operators
 from povmint.cli import main
 
 import oracles
@@ -208,6 +209,137 @@ class TestReconstruct:
         table = finite.ProbTable(p, m, 2)
         with pytest.raises(ValueError, match="infeasible"):
             finite.reconstruct(table)
+
+
+def haar_unitary(rng):
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rank_one_family(size):
+    """Rank-one qubit families resolving the identity with nu_i = 2/N: the
+    +-z pair, the Mercedes star, the tetrahedron and the octahedron."""
+    if size == 3:
+        _, rhos, measure = mercedes_family()
+        return rhos, measure
+    if size == 6:
+        return octahedron_family()
+    axes = ([(0, 0, 1), (0, 0, -1)] if size == 2 else
+            np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]) / math.sqrt(3))
+    return [bloch(a) for a in axes], finite.FiniteMeasure(np.full(size, 2.0 / size))
+
+
+def noisy_table(seed):
+    """A full-rank N = 6 qubit table moved by 1e-3 along Q E Q (Q projects out
+    nu, E symmetric): row sums and symmetry hold, and the Gram rank is 5, so
+    no qubit family has this table.  (At N = 4 the nu-complement is only
+    3-dimensional, so such a move keeps the table exact.)"""
+    rng = np.random.default_rng(seed)
+    rhos, measure = cli._random_resolving_family(rng, 2, 6)
+    table = finite.gram_probabilities(rhos, measure)
+    nu = measure.weights
+    q = np.eye(6) - np.outer(nu, nu) / (nu @ nu)
+    e = rng.standard_normal((6, 6))
+    return finite.ProbTable(table.p + 1e-3 * q @ (e + e.T) @ q, measure, 2)
+
+
+def result_sha256(out):
+    h = hashlib.sha256(np.asarray(out.rhos).tobytes())
+    h.update(np.array([out.residual, out.resolution, out.restarts_used]).tobytes())
+    return h.hexdigest()
+
+
+class TestClosedForm:
+    """Qubit tables by classical multidimensional scaling (DECISIONS.md entry 20)."""
+
+    @staticmethod
+    def counted_solver(monkeypatch):
+        calls = []
+        solve = finite.least_squares
+
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(finite, "least_squares", wrapper)
+        return calls
+
+    @pytest.mark.parametrize("rank_one", [False, True])
+    @pytest.mark.parametrize("size", [2, 3, 4, 6])
+    def test_reproduces_qubit_tables(self, monkeypatch, size, rank_one):
+        calls = self.counted_solver(monkeypatch)
+        for seed in range(5):
+            rng = np.random.default_rng([seed, size])
+            if rank_one:
+                u = haar_unitary(rng)
+                rhos, measure = rank_one_family(size)
+                rhos = [u @ r @ u.conj().T for r in rhos]
+            else:
+                rhos, measure = cli._random_resolving_family(rng, 2, size)
+            table = finite.gram_probabilities(rhos, measure)
+            out = finite.reconstruct(table, rank_one=rank_one, seed=seed)
+            assert out.converged and out.restarts_used == 0
+            got = np.array(out.rhos)
+            assert np.max(np.abs(finite._gram(got) - table.p)) <= 1e-13
+            assert out.resolution <= 1e-13
+            for rho in got:
+                assert operators.is_density(rho).ok
+                if rank_one:
+                    assert abs(operators.purity(rho) - 1.0) <= 1e-13
+        assert not calls
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 6])
+    def test_invariant_under_unitary_and_transpose(self, size):
+        # both maps leave the table unchanged, and the closed form reads only the table
+        for seed in range(5):
+            rng = np.random.default_rng([seed, size])
+            rhos, measure = cli._random_resolving_family(rng, 2, size)
+            u = haar_unitary(rng)
+            want = np.array(finite.reconstruct(finite.gram_probabilities(rhos, measure)).rhos)
+            for moved in ([u @ r @ u.conj().T for r in rhos], [r.T for r in rhos]):
+                got = finite.reconstruct(finite.gram_probabilities(moved, measure))
+                assert got.restarts_used == 0
+                assert np.max(np.abs(np.array(got.rhos) - want)) <= 1e-12
+
+    def test_inexact_tables_reach_least_squares(self, monkeypatch):
+        calls = self.counted_solver(monkeypatch)
+        out = finite.reconstruct(noisy_table(0), restarts=1)
+        assert len(calls) == 1 and out.restarts_used == 1
+        assert out.residual > 1e-4
+        # a full-rank table has |r_i| < 1, so no rank-one closed form
+        rhos, measure = cli._random_resolving_family(np.random.default_rng(0), 2, 4)
+        out = finite.reconstruct(finite.gram_probabilities(rhos, measure),
+                                 rank_one=True, restarts=1)
+        assert len(calls) == 2 and out.restarts_used == 1
+        assert not out.converged
+
+    # sha256 of the densities, residual, resolution and restarts: Levenberg-
+    # Marquardt results, pinned from the solver before the closed form existed
+    SOLVER_PINS = {
+        "n3-seed0": "40205d49f997f8130da73f0ea2cab83c977721848560e041948332851e43e212",
+        "n3-seed1": "0fd305828ac22e5d51dfdca44e63775ab8700d3a45f4c57d7603a3ccc0d0a10a",
+        "noisy-seed0": "21998224977098bbae74c0a5e0dd15468d3b617af9f3b71fe728dc123c7abf83",
+    }
+
+    @pytest.mark.parametrize("case", sorted(SOLVER_PINS))
+    def test_solver_results_bit_identical(self, case):
+        kind, seed = case.split("-seed")
+        seed = int(seed)
+        if kind == "n3":
+            rhos, measure = cli._random_resolving_family(np.random.default_rng(seed), 3, 5)
+            table = finite.gram_probabilities(rhos, measure)
+        else:
+            table = noisy_table(seed)
+        out = finite.reconstruct(table, seed=seed, restarts=2)
+        assert result_sha256(out) == self.SOLVER_PINS[case]
+
+    def test_verify_finite_never_calls_least_squares(self, capsys, monkeypatch):
+        calls = self.counted_solver(monkeypatch)
+        for seed in range(50):
+            assert main(["verify", "finite", "--seed", str(seed)]) == 0, seed
+        capsys.readouterr()
+        assert not calls
 
 
 class TestLeastSquares:
