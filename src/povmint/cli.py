@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib
+import inspect
 import io
 import json
 import math
@@ -67,22 +68,20 @@ def _judge(rows: list[dict], tol: float | None = None) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Suites.
+# Suites.  A suite's keyword parameters are the verify flags it reads.
 
 
-def suite_circle(args) -> tuple[dict, list[dict]]:
+def suite_circle(r, grid, seed) -> tuple[dict, list[dict]]:
     from . import circle
-    r, phi, n = args.r, 0.0, max(args.grid, 8)
-    checks = []
+    phi, n = 0.0, max(grid, 8)
     fam = circle.circle_family(r, phi, n=n)
-    rep = core.check_resolution(fam)
-    checks.append(check("circle-resolution", "margomegamain", rep.defect,
-                        0.0, 1e-13))
+    checks = [check("circle-resolution", "margomegamain",
+                    core.check_resolution(fam).defect, 0.0, 1e-13)]
     eig = np.sort(np.linalg.eigvalsh(circle.angle_operator(r, phi)))
     checks.append(check("angle-eigenvalues", "qtfrhor", list(eig),
                         [math.pi - r / 2.0, math.pi + r / 2.0], 1e-10))
     # 20 random pairs, drawn r1, phi1, r2, phi2 per pair, checked as arrays
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     r1, phi1, r2, phi2 = rng.uniform(0.0, (1.0, math.pi, 1.0, math.pi), (20, 4)).T
     p1, p2 = circle.CircleDensityParams(r1, phi1), circle.CircleDensityParams(r2, phi2)
     m1, m2 = circle.rho_circle(p1.r, p1.phi), circle.rho_circle(p2.r, p2.phi)
@@ -102,16 +101,15 @@ def suite_circle(args) -> tuple[dict, list[dict]]:
         checks.append(check("pseudo-distance", "psdistS1",
                             operators.pseudo_distance(rho0, rho1),
                             circle.circle_pseudo_distance(r, theta0, theta), 1e-12))
-    return {"r": r, "grid": n, "seed": args.seed}, checks
+    return {"r": r, "grid": n, "seed": seed}, checks
 
 
-def suite_sphere(args) -> tuple[dict, list[dict]]:
+def suite_sphere(r, grid) -> tuple[dict, list[dict]]:
     from . import sphere
-    r, n = args.r, max(args.grid, 8)
-    checks = []
+    n = max(grid, 8)
     fam = sphere.sphere_family(r, n_theta=n, n_phi=n)
-    rep = core.check_resolution(fam)
-    checks.append(check("sphere-resolution", "S2resun", rep.defect, 0.0, 1e-12))
+    checks = [check("sphere-resolution", "S2resun", core.check_resolution(fam).defect,
+                    0.0, 1e-12)]
     aq = sphere.quantize_azimuth(r)
     checks.append(check("quantized-q", "qtfrhorS2",
                         operators.max_defect(aq, sphere.aq_matrix(r)), 0.0, 1e-10))
@@ -124,8 +122,7 @@ def suite_sphere(args) -> tuple[dict, list[dict]]:
     checks.append(check("commutator-qp", "crqpS2",
                         operators.max_defect(comm, expect), 0.0, 1e-10))
     theta, phi = 1.1, 0.7
-    low = core.lower_symbol(
-        fam, sphere.aq_matrix(r), (math.cos(theta), phi)).real
+    low = core.lower_symbol(fam, sphere.aq_matrix(r), (math.cos(theta), phi)).real
     checks.append(check("lower-symbol-q", "lowsqS2", low,
                         math.pi - math.pi * r * r / 4.0
                         * math.sin(theta) * math.sin(phi), 1e-10))
@@ -144,13 +141,11 @@ def suite_sphere(args) -> tuple[dict, list[dict]]:
     return {"r": r, "grid": n}, checks
 
 
-def suite_plane(args) -> tuple[dict, list[dict]]:
+def suite_plane(t, dim) -> tuple[dict, list[dict]]:
     from . import plane
-    t, dim = args.t, args.dim
     params = plane.ThermalParams(t, dim)
-    checks = []
     pur = operators.purity(plane.displaced_thermal(0.8 + 0.3j, params))
-    checks.append(check("purity", "pz0z0", pur, plane.purity_closed(t), 1e-9))
+    checks = [check("purity", "pz0z0", pur, plane.purity_closed(t), 1e-9)]
     x = 1.3
     checks.append(check("bessel-identity", "1termsum",
                         plane.laguerre_square_sum(t, x),
@@ -184,16 +179,13 @@ def suite_plane(args) -> tuple[dict, list[dict]]:
     checks.append(check("phase-covariance", "covquantaa",
                         plane.phase_covariance_defect(ph, 0.9), 0.0, 1e-6))
     pa = plane.phase_operator_printed(pp)
-    guard = np.zeros_like(pa, dtype=bool)
-    guard[1:, 1:] = True
-    np.fill_diagonal(guard, False)
-    finite_mask = guard & np.isfinite(pa)
-    diff = operators.max_defect((pa - ph)[finite_mask])
+    guard = ~np.eye(len(pa), dtype=bool)  # off the diagonal, row 0 and column 0
+    guard[0] = guard[:, 0] = False
+    diff = operators.max_defect((pa - ph)[guard & np.isfinite(pa)])
     checks.append(check("phase-route-comparison", "Fmm'",
                         {"max_abs_route_difference_guarded": diff,
                          "note": "printed-matrix route deviates; the "
-                                 "quadrature route is normative"},
-                        None, None))
+                                 "quadrature route is normative"}, None, None))
     cov = plane.covariance_defects(params, fam=fam)
     for name, anchor in [("translation", "covtrans"), ("rotation", "rotcovAf"),
                          ("parity", "parcov"), ("conjugation", "conjcov")]:
@@ -201,19 +193,16 @@ def suite_plane(args) -> tuple[dict, list[dict]]:
     return {"t": t, "dim": dim}, checks
 
 
-def suite_halfplane(args) -> tuple[dict, list[dict]]:
+def suite_halfplane(alpha, t, grid) -> tuple[dict, list[dict]]:
     from . import halfplane
-    alpha, t = args.alpha, args.t
     # fixed truncation: large enough that the thermal tail t^dim sits below
     # every tolerance here, small enough to keep the group quadrature cheap
     dim = 16
     params = halfplane.AffineParams(alpha, t, dim)
-    checks = []
-    checks.append(check("basis-gram", "LagOB",
-                        halfplane.gram_defect(alpha, dim), 0.0, 1e-10))
-    checks.append(check("inverse-moment", "croexpl",
-                        halfplane.inverse_moment(0, alpha), 1.0 / alpha, 1e-12))
-    grid = max(args.grid, 64)
+    checks = [check("basis-gram", "LagOB", halfplane.gram_defect(alpha, dim), 0.0, 1e-10),
+              check("inverse-moment", "croexpl",
+                    halfplane.inverse_moment(0, alpha), 1.0 / alpha, 1e-12)]
+    grid = max(grid, 64)
     c_quad, block = halfplane.affine_resolution_check(
         params, block=3, rule=halfplane.affine_group_rule(grid))
     checks.append(check(
@@ -227,8 +216,7 @@ def suite_halfplane(args) -> tuple[dict, list[dict]]:
     if t > 0:
         checks.append(check("kernel-trace", "intkerLag",
                             halfplane.kernel_trace(params), 1.0, 1e-9))
-        ratios = [halfplane.kernel_eigen_ratio(n_, params, 2.1)
-                  for n_ in range(3)]
+        ratios = [halfplane.kernel_eigen_ratio(n_, params, 2.1) for n_ in range(3)]
         checks.append(check("kernel-eigenvalues", "intkerLag", ratios,
                             [(1.0 - t) * t ** n_ for n_ in range(3)], 1e-8))
     checks.append(check("resolution-block", "residrhoTqpF",
@@ -236,15 +224,14 @@ def suite_halfplane(args) -> tuple[dict, list[dict]]:
     return {"t": t, "alpha": alpha, "dim": dim, "grid": grid}, checks
 
 
-def suite_core(args) -> tuple[dict, list[dict]]:
+def suite_core(seed) -> tuple[dict, list[dict]]:
     from . import circle
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     r = 0.6
     fam = circle.circle_family(r, 0.0, n=16)
-    checks = []
     one = core.quantize_values(fam, np.ones(fam.rule.size))
-    checks.append(check("quantize-identity", "povmquantf",
-                        operators.max_defect(one, np.eye(2)), 0.0, 1e-13))
+    checks = [check("quantize-identity", "povmquantf",
+                    operators.max_defect(one, np.eye(2)), 0.0, 1e-13)]
     f = lambda th: np.cos(2 * th)
     fv, gv = f(fam.rule.nodes), np.sin(2 * fam.rule.nodes) + 0.5
     af, ag = core.quantize_values(fam, fv), core.quantize_values(fam, gv)
@@ -273,33 +260,31 @@ def suite_core(args) -> tuple[dict, list[dict]]:
     other = core.povm_region(fam, lambda th: th >= math.pi)
     checks.append(check("povm-complementarity", "povmap",
                         operators.max_defect(half + other, one), 0.0, 1e-13))
-    return {"seed": args.seed}, checks
+    return {"seed": seed}, checks
 
 
-def suite_finite(args) -> tuple[dict, list[dict]]:
+def suite_finite(seed) -> tuple[dict, list[dict]]:
     from . import finite
-    checks = []
-    fb = finite.feasibility_bounds(2)
-    checks.append(check("feasibility-full-rank", "allowr", fb.n_max, 6, 0.0))
+    checks = [check("feasibility-full-rank", "allowr",
+                    finite.feasibility_bounds(2).n_max, 6, 0.0)]
     fb1 = finite.feasibility_bounds(2, rank_one=True)
     checks.append(check("feasibility-rank-one-roots", "condNncs",
-                        [0.5 * (7 - math.sqrt(25)), fb1.n_max],
-                        [1.0, 6.0], 1e-12))
+                        [0.5 * (7 - math.sqrt(25)), fb1.n_max], [1.0, 6.0], 1e-12))
     third = 2.0 * math.pi / 3.0
     mb = np.array([[1.0, 0.0],
                    [math.cos(third), math.sin(third)],
                    [math.cos(2 * third), math.sin(2 * third)]])
     checks.append(check("parseval-mercedes", "finresNn1",
                         finite.parseval_check(mb, [2 / 3] * 3), 0.0, 1e-14))
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     rhos, measure = _random_resolving_family(rng, n=2, size=4)
     table = finite.gram_probabilities(rhos, measure)
-    result = finite.reconstruct(table, seed=args.seed)
+    result = finite.reconstruct(table, seed=seed)
     checks.append(check("round-trip-residual", "relprho", result.residual, 0.0, 1e-6))
     rec_table = finite.gram_probabilities(result.rhos, measure, tol=1e-6)
     checks.append(check("round-trip-table", "relprho",
                         operators.max_defect(rec_table.p, table.p), 0.0, 1e-6))
-    return {"seed": args.seed}, checks
+    return {"seed": seed}, checks
 
 
 def _random_resolving_family(rng, n: int, size: int):
@@ -326,6 +311,23 @@ SUITES = {
     "core": suite_core,
     "finite": suite_finite,
 }
+
+
+# verify's flags in --help order, as add_argument keywords.  Each parses to
+# None, so that a given flag can be told from one left at its default.  The run
+# flags belong to the run and every suite accepts them.
+FLAGS = {
+    "r": dict(type=float, default=0.8, help="disk/ball radius parameter (circle, sphere)"),
+    "t": dict(type=float, default=0.2, help="Boltzmann factor (plane, halfplane)"),
+    "alpha": dict(type=float, default=2.0, help="Laguerre basis parameter (halfplane)"),
+    "dim": dict(type=int, default=48, help="Fock/basis truncation"),
+    "grid": dict(type=int, default=48, help="quadrature nodes"),
+    "tol": dict(type=float, default=None, help="override tolerance for all checks"),
+    "seed": dict(type=int, default=0),
+    "out": dict(default=None, help="report path (default stdout)"),
+    "format": dict(choices=["json", "csv"], default="json"),
+}
+RUN_FLAGS = ("tol", "seed", "out", "format")
 
 
 # ---------------------------------------------------------------------------
@@ -365,20 +367,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if command in (None, "verify"):
         ver = sub.add_parser("verify", help="run a geometry's check suite")
         ver.add_argument("suite", choices=sorted(SUITES) + ["all"])
-        ver.add_argument("--r", type=float, default=0.8,
-                         help="disk/ball radius parameter (circle, sphere)")
-        ver.add_argument("--t", type=float, default=0.2,
-                         help="Boltzmann factor (plane, halfplane)")
-        ver.add_argument("--alpha", type=float, default=2.0,
-                         help="Laguerre basis parameter (halfplane)")
-        ver.add_argument("--dim", type=int, default=48,
-                         help="Fock/basis truncation")
-        ver.add_argument("--grid", type=int, default=48, help="quadrature nodes")
-        ver.add_argument("--tol", type=float, default=None,
-                         help="override tolerance for all checks")
-        ver.add_argument("--seed", type=int, default=0)
-        ver.add_argument("--out", default=None, help="report path (default stdout)")
-        ver.add_argument("--format", choices=["json", "csv"], default="json")
+        for flag, spec in FLAGS.items():
+            ver.add_argument(f"--{flag}", **{**spec, "default": None})
 
     if command in (None, "reconstruct"):
         rec = sub.add_parser("reconstruct",
@@ -407,25 +397,35 @@ def _emit(text: str, out: str | Path | None) -> bool:
 
 
 def run_verify(args) -> int:
-    if args.tol is not None and not 0.0 <= args.tol < math.inf:
+    """Run the chosen suites, each called with the flags its signature names."""
+    opts = {flag: spec["default"] if getattr(args, flag) is None else getattr(args, flag)
+            for flag, spec in FLAGS.items()}
+    if opts["tol"] is not None and not 0.0 <= opts["tol"] < math.inf:
         sys.stderr.write(f"configuration error: --tol must lie in [0, inf), "
-                         f"got {args.tol}\n")
+                         f"got {opts['tol']}\n")
         return 2
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    reads = {name: inspect.signature(SUITES[name]).parameters for name in names}
+    unread = [f"--{flag}" for flag in FLAGS if getattr(args, flag) is not None
+              and not any(flag in read for read in [RUN_FLAGS, *reads.values()])]
+    if unread:
+        sys.stderr.write(f"configuration error: verify {args.suite} does not read "
+                         f"{', '.join(unread)}\n")
+        return 2
     code = 0
     for name in names:
         try:
-            params, checks = SUITES[name](args)
+            params, checks = SUITES[name](**{flag: opts[flag] for flag in reads[name]})
         except (ValueError, OverflowError) as exc:
             sys.stderr.write(f"configuration error in suite {name}: {exc}\n")
             return 2
-        checks = _judge(checks, args.tol)
+        checks = _judge(checks, opts["tol"])
         report = {"suite": name, "params": params, "checks": checks}
-        path = args.out
+        path = opts["out"]
         if path and len(names) > 1:
             p = Path(path)
             path = p.parent / f"{p.stem}-{name}{p.suffix}"
-        if not _emit(render(report, args.format), path):
+        if not _emit(render(report, opts["format"]), path):
             return 2
         if not all(chk["pass"] for chk in checks):
             code = 1

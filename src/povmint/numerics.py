@@ -26,7 +26,7 @@ BESSEL_MAX_NU = 60.0
 LAGUERRE_MAX_N = 256
 LAGUERRE_MAX_X = 600.0
 
-# Node budget of a sphere or half-plane product rule: --grid 512, which runs in < 1 s.
+# Node budget of a circle rule and of a sphere or half-plane product rule (--grid 512, < 1 s).
 MAX_RULE_NODES = 2 ** 18
 
 
@@ -187,9 +187,11 @@ class QuadratureRule:
 
 def periodic_rule(n: int, scale: float, offset: float = 0.0) -> QuadratureRule:
     """Trapezoid rule for scale * dtheta on [0, 2pi): n equispaced nodes,
-    shifted by ``offset`` in units of the spacing."""
+    shifted by ``offset`` in units of the spacing; DomainError past MAX_RULE_NODES."""
     if n < 1:
         raise DomainError(f"node count must be >= 1, got {n}")
+    if n > MAX_RULE_NODES:
+        raise DomainError(f"{n} nodes exceed the budget of {MAX_RULE_NODES}")
     h = 2.0 * math.pi / n
     return QuadratureRule((np.arange(n) + offset) * h, np.full(n, h * scale))
 

@@ -1,8 +1,10 @@
 """CLI: suite execution, report schema, row judging, determinism, exit codes."""
 
 import ast
+import functools
 import hashlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -15,10 +17,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from povmint import DomainError, circle, cli, core, finite, halfplane, sphere
+from povmint import DomainError, circle, cli, core, finite, halfplane, numerics, sphere
 from povmint.cli import main
 
 FAST = ["--dim", "16", "--grid", "24"]
+# FAST cut down to the flags each suite reads; `verify all` takes FAST whole
+FAST_READ = {"circle": ["--grid", "24"], "sphere": ["--grid", "24"], "plane": ["--dim", "16"],
+             "core": [], "finite": []}
 
 
 def run(capsys, argv):
@@ -42,7 +47,7 @@ def qubit(az):
 class TestVerify:
     @pytest.mark.parametrize("suite", ["circle", "sphere", "core", "finite"])
     def test_fast_suites_pass(self, capsys, suite):
-        code, out = run(capsys, ["verify", suite] + FAST)
+        code, out = run(capsys, ["verify", suite] + FAST_READ[suite])
         assert code == 0
         report = json.loads(out)
         assert report["suite"] == suite
@@ -52,7 +57,7 @@ class TestVerify:
             assert chk["pass"]
 
     def test_plane_suite_passes(self, capsys):
-        code, out = run(capsys, ["verify", "plane"] + FAST)
+        code, out = run(capsys, ["verify", "plane"] + FAST_READ["plane"])
         assert code == 0
         assert all(c["pass"] for c in json.loads(out)["checks"])
 
@@ -68,25 +73,24 @@ class TestVerify:
         assert code == 0
 
     def test_halfplane_suite_passes(self, capsys):
-        code, out = run(capsys, ["verify", "halfplane", "--dim", "8",
-                                 "--grid", "48"])
+        code, out = run(capsys, ["verify", "halfplane", "--grid", "48"])
         assert code == 0
         ids = [c["id"] for c in json.loads(out)["checks"]]
         assert "admissibility-derived" in ids
 
     def test_reports_deterministic(self, capsys):
-        _, first = run(capsys, ["verify", "circle"] + FAST)
-        _, second = run(capsys, ["verify", "circle"] + FAST)
+        _, first = run(capsys, ["verify", "circle"] + FAST_READ["circle"])
+        _, second = run(capsys, ["verify", "circle"] + FAST_READ["circle"])
         assert first == second
 
     def test_csv_format(self, capsys):
-        code, out = run(capsys, ["verify", "circle", "--format", "csv"] + FAST)
+        code, out = run(capsys, ["verify", "circle", "--format", "csv"] + FAST_READ["circle"])
         assert code == 0
         header = out.splitlines()[0]
         assert header == "suite,id,paper_anchor,computed,expected,tol,pass"
 
     def test_tol_override_forces_failure(self, capsys):
-        code, out = run(capsys, ["verify", "circle", "--tol", "1e-300"] + FAST)
+        code, out = run(capsys, ["verify", "circle", "--tol", "1e-300"] + FAST_READ["circle"])
         assert code == 1
         assert not all(c["pass"] for c in json.loads(out)["checks"])
 
@@ -127,13 +131,19 @@ class TestVerify:
         assert len(lines) == 1
         assert lines[0].startswith("configuration error in suite plane")
 
-    @pytest.mark.parametrize("suite", ["sphere", "halfplane"])
+    # suite -> (module read for the budget, --grid one rule node over it, its nodes)
+    OVER_BUDGET = {"sphere": (sphere, 128, "128 x 128"),
+                   "halfplane": (halfplane, 128, "128 x 128"),
+                   "circle": (numerics, 128 * 128, "16384")}
+
+    @pytest.mark.parametrize("suite", ["sphere", "halfplane", "circle"])
     def test_grid_over_node_budget_exit_2_before_the_rule(self, capsys, monkeypatch, suite):
-        # with the budget one node short of a 128 x 128 rule, the suite stops
-        # with one line before it allocates the rule's 128^2 (q, p) pairs (256 KiB)
-        grid = 128
-        monkeypatch.setattr({"sphere": sphere, "halfplane": halfplane}[suite],
-                            "MAX_RULE_NODES", grid * grid - 1)
+        # with the budget one node short of the rule (128 x 128 product nodes,
+        # or 128^2 circle nodes), the suite stops with one line before it
+        # allocates the rule's 2 x 128^2 doubles (256 KiB)
+        owner, grid, nodes = self.OVER_BUDGET[suite]
+        budget = 128 * 128 - 1
+        monkeypatch.setattr(owner, "MAX_RULE_NODES", budget)
         tracemalloc.start()
         try:
             code = main(["verify", suite, "--grid", str(grid)])
@@ -143,9 +153,9 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == (f"configuration error in suite {suite}: {grid} x {grid} "
-                                f"nodes exceed the budget of {grid * grid - 1}\n")
-        assert peak < grid * grid * 2 * 8
+        assert captured.err == (f"configuration error in suite {suite}: {nodes} "
+                                f"nodes exceed the budget of {budget}\n")
+        assert peak < 128 * 128 * 2 * 8
 
     def test_node_budget_admits_the_rule_that_fills_it(self, monkeypatch):
         for module in (sphere, halfplane):
@@ -215,7 +225,7 @@ class TestVerify:
         assert lines[0].startswith("configuration error: --tol must lie in [0, inf)")
 
     def test_zero_tol_is_valid(self, capsys):
-        code, out = run(capsys, ["verify", "finite", "--tol", "0"] + FAST)
+        code, out = run(capsys, ["verify", "finite", "--tol", "0"] + FAST_READ["finite"])
         assert code in (0, 1)
         assert {c["tol"] for c in json.loads(out)["checks"]} == {0.0}
 
@@ -231,11 +241,18 @@ class TestVerify:
                             f"requires 0 < alpha < inf, got {float(alpha)}")
 
     def test_halfplane_reports_parameters_used(self, capsys):
-        code, out = run(capsys, ["verify", "halfplane", "--dim", "48",
-                                 "--grid", "48", "--r", "0.3"])
+        code, out = run(capsys, ["verify", "halfplane", "--grid", "48"])
         assert code == 0
         assert json.loads(out)["params"] == {"t": 0.2, "alpha": 2.0, "dim": 16,
                                              "grid": 64}
+
+    @pytest.mark.parametrize("flag,value", [("--dim", "48"), ("--r", "0.3")])
+    def test_halfplane_rejects_the_flags_it_does_not_read(self, capsys, flag, value):
+        code = main(["verify", "halfplane", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"configuration error: verify halfplane does not read {flag}\n"
 
     def test_halfplane_integrates_the_orbit_once(self, monkeypatch):
         # c_rho and the resolution block come from one rows=3 reduction over
@@ -247,7 +264,7 @@ class TestVerify:
             return overlap(q, p, alpha, rows, cols)
 
         monkeypatch.setattr(halfplane, "overlap_block", recording)
-        cli.suite_halfplane(cli.build_parser().parse_args(["verify", "halfplane"]))
+        cli.suite_halfplane(alpha=2.0, t=0.2, grid=48)
         assert calls == [(2048, 3)]
 
     def test_circle_checks_its_pairs_as_arrays(self, monkeypatch):
@@ -260,7 +277,7 @@ class TestVerify:
             return rho(*args)
 
         monkeypatch.setattr(circle, "rho_circle", counting)
-        cli.suite_circle(cli.build_parser().parse_args(["verify", "circle"]))
+        cli.suite_circle(r=0.8, grid=48, seed=0)
         assert len(calls) <= 8
 
     def test_core_takes_the_lower_symbol_sup_in_one_call(self, monkeypatch):
@@ -271,7 +288,7 @@ class TestVerify:
             return lower(fam, a, x)
 
         monkeypatch.setattr(core, "lower_symbol", recording)
-        cli.suite_core(cli.build_parser().parse_args(["verify", "core"]))
+        cli.suite_core(seed=0)
         assert shapes == [(50,)]
 
     @pytest.mark.parametrize("seed", range(10))
@@ -285,8 +302,7 @@ class TestVerify:
             return algebra(p1, p2)
 
         monkeypatch.setattr(circle, "product_and_algebra", recording)
-        cli.suite_circle(cli.build_parser().parse_args(
-            ["verify", "circle", "--seed", str(seed)]))
+        cli.suite_circle(r=0.8, grid=48, seed=seed)
         rng = np.random.default_rng(seed)
         loop = [circle.CircleDensityParams(rng.uniform(0, 1), rng.uniform(0, math.pi))
                 for _ in range(40)]
@@ -295,6 +311,101 @@ class TestVerify:
         assert np.array_equal(p1.phi, [p.phi for p in loop[0::2]])
         assert np.array_equal(p2.r, [p.r for p in loop[1::2]])
         assert np.array_equal(p2.phi, [p.phi for p in loop[1::2]])
+
+
+SUITE_FLAGS = ("r", "t", "alpha", "dim", "grid")
+# suite -> the flags it reads
+READS = {"circle": {"r", "grid", "seed"}, "sphere": {"r", "grid"}, "plane": {"t", "dim"},
+         "halfplane": {"alpha", "t", "grid"}, "core": {"seed"}, "finite": {"seed"}}
+
+
+class TestSuiteFlags:
+    """A suite's keyword parameters are the verify flags it reads.  A suite flag
+    given to a suite that does not read it exits 2 before any work; the run
+    flags --tol, --seed, --out and --format are accepted by every suite."""
+
+    # a value of each suite flag away from its default (halfplane's grid floor is 64)
+    VALUES = {"r": 0.5, "t": 0.3, "alpha": 3.0, "dim": 16, "grid": 72}
+    DEFAULT_PARAMS = {"circle": {"r": 0.8, "grid": 48, "seed": 0},
+                      "sphere": {"r": 0.8, "grid": 48}, "plane": {"t": 0.2, "dim": 48},
+                      "halfplane": {"t": 0.2, "alpha": 2.0, "dim": 16, "grid": 64}}
+
+    @staticmethod
+    def stub(monkeypatch, suite, calls):
+        """Swap SUITES[suite] for a stand-in with its signature (as the
+        benchmark's tracer wraps it) that records its keyword arguments and
+        returns one row."""
+        @functools.wraps(cli.SUITES[suite])
+        def stand_in(**kwargs):
+            calls.append((suite, kwargs))
+            return {}, [cli.check("row", "anchor", 0.0, 0.0, 1.0)]
+
+        monkeypatch.setitem(cli.SUITES, suite, stand_in)
+
+    def test_signatures_are_the_declarations(self):
+        assert {name: set(inspect.signature(fn).parameters)
+                for name, fn in cli.SUITES.items()} == READS
+        assert set(cli.FLAGS) == set(SUITE_FLAGS) | set(cli.RUN_FLAGS)
+
+    @pytest.mark.parametrize("suite,flag", [(suite, flag) for suite in sorted(READS)
+                                            for flag in SUITE_FLAGS if flag in READS[suite]])
+    def test_a_read_flag_changes_the_params(self, capsys, suite, flag):
+        # halfplane --t 0.3 exits 1 on admissibility-derived (ROADMAP item 9);
+        # the verdict is not this test's subject, the written params are
+        code, out = run(capsys, ["verify", suite, f"--{flag}", str(self.VALUES[flag])])
+        assert code in (0, 1)
+        assert json.loads(out)["params"] == {**self.DEFAULT_PARAMS[suite],
+                                             flag: self.VALUES[flag]}
+
+    @pytest.mark.parametrize("suite,flag", [(suite, flag) for suite in sorted(READS)
+                                            for flag in SUITE_FLAGS
+                                            if flag not in READS[suite]])
+    def test_an_unread_flag_exits_2_before_the_suite(self, capsys, monkeypatch, tmp_path,
+                                                     suite, flag):
+        calls = []
+        self.stub(monkeypatch, suite, calls)
+        out = tmp_path / "report.json"
+        code = main(["verify", suite, f"--{flag}", str(self.VALUES[flag]),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"configuration error: verify {suite} does not read --{flag}\n"
+        assert not out.exists()
+        assert calls == []
+
+    @pytest.mark.parametrize("suite", sorted(READS))
+    def test_run_flags_are_accepted_by_every_suite(self, capsys, monkeypatch, tmp_path, suite):
+        calls = []
+        self.stub(monkeypatch, suite, calls)
+        out = tmp_path / "report.csv"
+        code = main(["verify", suite, "--tol", "0.5", "--seed", "7", "--out", str(out),
+                     "--format", "csv"])
+        assert code == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_text().splitlines()[1] == f"{suite},row,anchor,0.0,0.0,0.5,True"
+        defaults = {"r": 0.8, "t": 0.2, "alpha": 2.0, "dim": 48, "grid": 48, "seed": 7}
+        assert calls == [(suite, {flag: defaults[flag] for flag in READS[suite]})]
+
+    def test_all_applies_each_flag_to_the_suites_that_read_it(self, capsys, monkeypatch,
+                                                              tmp_path):
+        calls = []
+        for suite in cli.SUITES:
+            self.stub(monkeypatch, suite, calls)
+        flags = [arg for flag in SUITE_FLAGS
+                 for arg in (f"--{flag}", str(self.VALUES[flag]))]
+        code = main(["verify", "all", "--seed", "3", "--out", str(tmp_path / "r.json")]
+                    + flags)
+        assert code == 0
+        values = {**self.VALUES, "seed": 3}
+        assert calls == [(suite, {flag: values[flag] for flag in READS[suite]})
+                         for suite in sorted(READS)]
+
+    def test_sphere_ignores_the_run_seed(self, capsys):
+        # the benchmark's small-suites workload runs `verify sphere --seed N`
+        seeded = run(capsys, ["verify", "sphere", "--seed", "7"])
+        assert seeded == run(capsys, ["verify", "sphere"])
+        assert seeded[0] == 0
 
 
 class TestGoldenReports:
@@ -448,6 +559,34 @@ class TestTracerBindings:
             tracer.uninstall()
         assert got == want
         assert want[0] == 0
+
+
+def _workloads():
+    """perfbench/workloads.py's WORKLOADS, loaded from its file as TestTracerBindings
+    loads the tracer (registered first: its dataclasses look their module up)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+class TestBenchmarkWorkloads:
+    """Every benchmark workload's first ops pass on the current library: a
+    change that would fail them, and so zero the benchmark's pass_rate, fails
+    here too."""
+
+    WORKLOADS = _workloads()
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_first_ops_pass(self, capsys, name):
+        workload = self.WORKLOADS[name]
+        state = workload.setup(cli, 0)
+        assert state.get("setup_checks", (1, 0))[1] == 0
+        for i in (0, 1):
+            outcome = workload.op(state, i)
+            assert outcome.attempted > 0
+            assert outcome.failed == 0
 
 
 class TestParser:

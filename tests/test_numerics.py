@@ -230,6 +230,12 @@ class TestRules:
         rule = periodic_rule(16, 1.0 / math.pi)
         assert_allclose(rule.integrate(np.ones(16)), 2.0, rtol=1e-14)
 
+    def test_periodic_node_budget_admits_the_rule_that_fills_it(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MAX_RULE_NODES", 12)
+        assert periodic_rule(12, 1.0).size == 12
+        with pytest.raises(DomainError, match="13 nodes exceed the budget of 12"):
+            periodic_rule(13, 1.0)
+
     @pytest.mark.parametrize("build", [
         lambda n: periodic_rule(n, 1.0),
         lambda n: legendre_rule(n, -1.0, 1.0),
