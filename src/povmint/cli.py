@@ -404,6 +404,9 @@ def run_verify(args) -> int:
         sys.stderr.write(f"configuration error: --tol must lie in [0, inf), "
                          f"got {opts['tol']}\n")
         return 2
+    if opts["seed"] < 0:
+        sys.stderr.write(f"configuration error: --seed must be >= 0, got {opts['seed']}\n")
+        return 2
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     reads = {name: inspect.signature(SUITES[name]).parameters for name in names}
     unread = [f"--{flag}" for flag in FLAGS if getattr(args, flag) is not None
@@ -412,7 +415,7 @@ def run_verify(args) -> int:
         sys.stderr.write(f"configuration error: verify {args.suite} does not read "
                          f"{', '.join(unread)}\n")
         return 2
-    code = 0
+    code, reports = 0, []
     for name in names:
         try:
             params, checks = SUITES[name](**{flag: opts[flag] for flag in reads[name]})
@@ -425,18 +428,20 @@ def run_verify(args) -> int:
         if path and len(names) > 1:
             p = Path(path)
             path = p.parent / f"{p.stem}-{name}{p.suffix}"
-        if not _emit(render(report, opts["format"]), path):
-            return 2
+        reports.append((render(report, opts["format"]), path))
         if not all(chk["pass"] for chk in checks):
             code = 1
+    # written only once every suite has run, so an exit 2 leaves no report
+    if not all(_emit(text, path) for text, path in reports):
+        return 2
     return code
 
 
 def run_reconstruct(args) -> int:
     from . import finite
-    if args.restarts < 1 or not 0.0 < args.tol < math.inf:
-        sys.stderr.write(f"configuration error: --restarts must be >= 1 and --tol "
-                         f"in (0, inf), got {args.restarts} and {args.tol}\n")
+    if args.restarts < 1 or args.seed < 0 or not 0.0 < args.tol < math.inf:
+        sys.stderr.write(f"configuration error: --restarts must be >= 1, --seed >= 0 and "
+                         f"--tol in (0, inf), got {args.restarts}, {args.seed} and {args.tol}\n")
         return 2
     try:
         with open(args.table) as fh:

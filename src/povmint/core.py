@@ -23,8 +23,8 @@ from .operators import max_defect
 Array = np.ndarray
 
 
-# Bytes of node matrices stacked per evaluate call in a reduction (a non-grid
-# dim-48 plane rule would otherwise stack ~300 MB at once).
+# Bytes of node matrices stacked per evaluate call in a reduction (8,192
+# dim-48 plane densities evaluated at once would take ~300 MB).
 NODE_BATCH_BYTES = 1 << 23
 
 

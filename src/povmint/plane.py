@@ -38,8 +38,8 @@ class ThermalParams:
     def __post_init__(self):
         if not 0.0 <= self.t < 1.0:
             raise DomainError(f"t must lie in [0, 1), got {self.t}")
-        if self.dim < 1:
-            raise DomainError(f"dim must be >= 1, got {self.dim}")
+        if not 1 <= self.dim <= 256:  # radial_density's validated range
+            raise DomainError(f"dim must be >= 1 and <= 256, got {self.dim}")
 
     @property
     def truncation_deficit(self) -> float:
@@ -120,15 +120,16 @@ def radial_density(j, params: ThermalParams) -> np.ndarray:
     (n+1) P_{n+1} = (t(2n+k+1) + y) P_n - t^2 (n+k) P_{n-1} over n + k < dim.
     Each step carries the prefactor, so it yields the entries themselves (at
     most 1), from column n = 0: (1-t) e^{-x} prod_{i<=k} sqrt(y/i).  Validated
-    for dim <= 256 and 0 <= x <= 700, where e^{-x} stays normal: no overflow,
-    no NaN.  Outside that range, or for a NaN J, it raises DomainError.
+    for dim <= 256 (ThermalParams holds that bound) and 0 <= x <= 700, where
+    e^{-x} stays normal: no overflow, no NaN.  For x outside it, or a NaN J,
+    it raises DomainError.
     """
     j = np.asarray(j, dtype=float)
     t, dim = params.t, params.dim
     x = (1.0 - t) * j.reshape(-1, 1)
-    if dim > 256 or not np.all((x >= 0.0) & (x <= 700.0)):  # NaN fails too
-        raise DomainError(f"dim = {dim}, J in [{np.min(j)}, {np.max(j)}] is outside the"
-                          " validated range dim <= 256, 0 <= (1-t) J <= 700")
+    if not np.all((x >= 0.0) & (x <= 700.0)):  # NaN fails too
+        raise DomainError(f"J in [{np.min(j)}, {np.max(j)}] is outside the"
+                          " validated range 0 <= (1-t) J <= 700")
     y = (1.0 - t) * x.T
     k, n = np.ogrid[:dim, :dim]
     s = 1.0 / np.sqrt((n + 1.0) * (n + k + 1.0))
@@ -232,74 +233,43 @@ def _radial_rule(n: int, t: float, alpha: float = 0.0) -> QuadratureRule:
     return QuadratureRule(base.nodes / (1.0 - t), np.exp(log_w) / (1.0 - t))
 
 
-def plane_rule(dim: int, t: float, n_j: int | None = None,
-               n_gamma: int | None = None) -> QuadratureRule:
-    """Product rule for dJ dgamma / (2 pi); nodes are (J, gamma) pairs.
+def plane_family(params: ThermalParams, radial: QuadratureRule | None = None,
+                 angular: QuadratureRule | None = None) -> DensityFamily:
+    """The displaced-thermal POVM family on the (J, gamma) nodes of
+    product_rule(radial, angular), for dJ dgamma / (2 pi).
 
-    Radially dim + 16 Gauss-Laguerre nodes in x = (1-t)J with plain-dJ
-    weights, exact for the family's (polynomial)*e^{-(1-t)J} radial profiles;
-    angularly a trapezoid of max(2 dim + 32, 64) nodes.
-    """
-    if n_j is None:
-        n_j = dim + 16
-    if n_gamma is None:
-        n_gamma = max(2 * dim + 32, 64)
-    return product_rule(_radial_rule(n_j, t),
-                        periodic_rule(n_gamma, 1.0 / (2.0 * math.pi)))
-
-
-def _grid_angles(nodes: np.ndarray) -> np.ndarray | None:
-    """The shared angle set when the (J, gamma) nodes are, in row-major order,
-    a grid of strictly ascending radii times one angle set; else None."""
-    if len(nodes) == 0:
-        return None
-    n_gamma = int(np.argmax(nodes[:, 0] != nodes[0, 0])) or len(nodes)
-    if len(nodes) % n_gamma:
-        return None
-    grid = nodes.reshape(-1, n_gamma, 2)
-    radii, angles = grid[:, 0, 0], grid[0, :, 1]
-    if (np.any(grid[..., 0] != radii[:, None]) or np.any(grid[..., 1] != angles)
-            or np.any(np.diff(radii) <= 0)):
-        return None
-    return angles
-
-
-def plane_family(params: ThermalParams,
-                 rule: QuadratureRule | None = None) -> DensityFamily:
-    """The displaced-thermal POVM family on (J, gamma) nodes.
-
-    ``evaluate`` calls thermal_density when asked; the family stores no node
-    matrix, except on a tensor-grid rule: there the weighted sum reduces each
-    radius's coefficients to angular harmonics
+    By default radially dim + 16 Gauss-Laguerre nodes in x = (1-t)J with
+    plain-dJ weights, exact for the family's (polynomial)*e^{-(1-t)J} radial
+    profiles, and angularly a trapezoid of max(2 dim + 32, 64) nodes.
+    ``evaluate`` calls thermal_density when asked.  The weighted sum reduces
+    each radius's coefficients to angular harmonics
     S_j(m-n) = sum_gamma c(J_j, gamma) e^{i(m-n) gamma} and contracts them
     with the real rho(J_j, 0), one matrix per radius built at construction.
     The Toeplitz operands Re S_j(m-n) and Im S_j(m-n) are window views of
     contiguous copies of Re S_j and Im S_j, contracted by one real einsum each.
     """
-    if rule is None:
-        rule = plane_rule(params.dim, params.t)
     dim = params.dim
+    if radial is None:
+        radial = _radial_rule(dim + 16, params.t)
+    if angular is None:
+        angular = periodic_rule(max(2 * dim + 32, 64), 1.0 / (2.0 * math.pi))
+    rule = product_rule(radial, angular)
+    stack = radial_density(radial.nodes, params)
+    # harmonic column m - n + dim - 1 holds e^{i(m-n) gamma}; a matmul, not
+    # an FFT, so any angle set (offset, odd count) is summed exactly
+    harmonics = np.exp(1.0j * np.outer(angular.nodes, np.arange(1 - dim, dim)))
 
     def evaluate(node):
         j, gamma = np.moveaxis(np.asarray(node, dtype=float), -1, 0)
         return thermal_density(j, gamma, params)
 
-    weighted_sum = None
-    angles = _grid_angles(rule.nodes)
-    if angles is not None:
-        radii = rule.nodes[::len(angles), 0]
-        stack = radial_density(radii, params)
-        # harmonic column m - n + dim - 1 holds e^{i(m-n) gamma}; a matmul, not
-        # an FFT, so any angle set (offset, odd count) is summed exactly
-        harmonics = np.exp(1.0j * np.outer(angles, np.arange(1 - dim, dim)))
-
-        def weighted_sum(coeffs):
-            s = np.reshape(coeffs, (len(stack), -1)) @ harmonics
-            # toeplitz[j, m, n] = s[j, m - n + dim - 1], windowed from contiguous copies
-            re, im = (sliding_window_view(part[:, ::-1].copy(), dim, axis=1)[:, ::-1]
-                      for part in (s.real, s.imag))
-            return (np.einsum("jmn,jmn->mn", stack, re)
-                    + 1j * np.einsum("jmn,jmn->mn", stack, im))
+    def weighted_sum(coeffs):
+        s = np.reshape(coeffs, (len(stack), -1)) @ harmonics
+        # toeplitz[j, m, n] = s[j, m - n + dim - 1], windowed from contiguous copies
+        re, im = (sliding_window_view(part[:, ::-1].copy(), dim, axis=1)[:, ::-1]
+                  for part in (s.real, s.imag))
+        return (np.einsum("jmn,jmn->mn", stack, re)
+                + 1j * np.einsum("jmn,jmn->mn", stack, im))
 
     return DensityFamily(dim, evaluate, rule, weighted_sum=weighted_sum)
 

@@ -224,6 +224,41 @@ class TestVerify:
         assert len(lines) == 1
         assert lines[0].startswith("configuration error: --tol must lie in [0, inf)")
 
+    @pytest.mark.parametrize("suite", sorted(cli.SUITES) + ["all"])
+    def test_negative_seed_exit_2(self, capsys, monkeypatch, tmp_path, suite):
+        def never(**kwargs):
+            raise AssertionError("suite ran")
+
+        for name, fn in list(cli.SUITES.items()):
+            monkeypatch.setitem(cli.SUITES, name, functools.wraps(fn)(never))
+        out = tmp_path / "report.json"
+        code = main(["verify", suite, "--seed", "-1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+        assert captured.err == "configuration error: --seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    def test_all_writes_nothing_when_a_later_suite_fails(self, capsys, tmp_path, out):
+        # circle, core and finite run before halfplane rejects t = 1.5
+        argv = ["verify", "all", "--t", "1.5"]
+        code = main(argv + ["--out", str(tmp_path / "r.json")] if out else argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+        assert captured.err == ("configuration error in suite halfplane: "
+                                "t must lie in [0, 1), got 1.5\n")
+
+    def test_plane_dim_past_the_validated_range_exit_2(self, capsys):
+        code = main(["verify", "plane", "--dim", "300"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("configuration error in suite plane: "
+                                "dim must be >= 1 and <= 256, got 300\n")
+
     def test_zero_tol_is_valid(self, capsys):
         code, out = run(capsys, ["verify", "finite", "--tol", "0"] + FAST_READ["finite"])
         assert code in (0, 1)
@@ -800,7 +835,7 @@ class TestReconstruct:
         assert lines[0].startswith("invalid table:")
 
     @pytest.mark.parametrize("flag,value", [("--restarts", "0"),
-                                            ("--restarts", "-1"),
+                                            ("--restarts", "-1"), ("--seed", "-1"),
                                             ("--tol", "-1"), ("--tol", "0"),
                                             ("--tol", "nan"), ("--tol", "inf")])
     def test_bad_solver_setting_exit_2(self, capsys, tmp_path, monkeypatch, flag, value):
@@ -818,6 +853,18 @@ class TestReconstruct:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("configuration error")
+
+    def test_negative_seed_exit_2_before_the_table_is_read(self, capsys, tmp_path):
+        # the check runs before the table file is opened, so none is needed
+        out = tmp_path / "report.json"
+        code = main(["reconstruct", str(tmp_path / "missing.json"), "--seed", "-1",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert not out.exists()
+        assert captured.err == ("configuration error: --restarts must be >= 1, --seed >= 0 "
+                                "and --tol in (0, inf), got 8, -1 and 1e-08\n")
 
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
         path = table_file(tmp_path, [qubit(0.4), qubit(-0.4)], [1.0, 1.0])

@@ -133,10 +133,8 @@ QUANTIZE_VALUE_FAMILIES = {
                lambda th: th * th - 0.5 * th + 1j * th),
     "sphere": (lambda: sphere.sphere_family(0.8, 6, 7),
                lambda nd: nd[..., 0] * nd[..., 1] + 1j * nd[..., 0]),
-    "plane-grid": (lambda: plane.plane_family(plane.ThermalParams(t=0.2, dim=12),
-                                              plane.plane_rule(12, 0.2, n_j=10, n_gamma=16)),
-                   lambda nd: nd[..., 0] * nd[..., 1] - 1j * nd[..., 0]),
-    "plane-scattered": (lambda: _plane_rule("shuffled"),
+    "plane-grid": (lambda: _plane_grid(), lambda nd: nd[..., 0] * nd[..., 1] - 1j * nd[..., 0]),
+    "plane-scattered": (lambda: _plane_composed("shuffled"),
                         lambda nd: nd[..., 0] * nd[..., 1] - 1j * nd[..., 0]),
 }
 
@@ -290,16 +288,25 @@ def loop_accumulate(fam, coeffs=None):
     return total
 
 
-def _plane_rule(kind):
+def _plane_grid():
+    """A dim-12 plane family on 10 radii x 16 angles."""
+    return plane.plane_family(plane.ThermalParams(t=0.2, dim=12), plane._radial_rule(10, 0.2),
+                              periodic_rule(16, 1.0 / (2.0 * math.pi)))
+
+
+def _plane_composed(kind):
+    """The plane's densities on a shuffled grid or hand-placed nodes, composed
+    as a plain DensityFamily: core's per-batch path reduces it."""
     params = plane.ThermalParams(t=0.2, dim=12)
     if kind == "shuffled":
-        rule = plane.plane_rule(12, 0.2, n_j=10, n_gamma=16)
+        rule = _plane_grid().rule
         order = np.random.default_rng(3).permutation(rule.size)
         rule = QuadratureRule(rule.nodes[order], rule.weights[order])
     else:
         nodes = np.array([[0.5, 0.0], [0.5, 1.0], [1.5, 0.3], [2.5, 4.0]])
         rule = QuadratureRule(nodes, np.array([0.2, 0.3, 0.4, 0.1]))
-    return plane.plane_family(params, rule)
+    return core.DensityFamily(
+        params.dim, lambda nd: plane.thermal_density(nd[..., 0], nd[..., 1], params), rule)
 
 
 def _affine_family():
@@ -315,8 +322,8 @@ GEOMETRIES = {
     "fourier-cs": lambda: core.cs_family(fourier_basis(4)),
     "torus-orbit": lambda: core.orbit_family(torus_orbit_spec()),
     "affine": _affine_family,
-    "plane-shuffled": lambda: _plane_rule("shuffled"),
-    "plane-hand": lambda: _plane_rule("hand"),
+    "plane-shuffled": lambda: _plane_composed("shuffled"),
+    "plane-hand": lambda: _plane_composed("hand"),
 }
 
 
@@ -383,7 +390,7 @@ def _compressed_thermal(z, params):
 
 class TestPlaneBatches:
     def test_on_and_off_rule_nodes_in_one_batch(self):
-        fam = _plane_rule("hand")
+        fam = _plane_composed("hand")
         params = plane.ThermalParams(t=0.2, dim=12)
         nodes = np.array([[0.5, 0.7], [2.345, 0.678], [1.5, -0.2],
                           [0.0, 0.1], [3.0, 2.0]])
@@ -395,15 +402,14 @@ class TestPlaneBatches:
             assert_allclose(batch[k], fam.evaluate(nodes[k]), rtol=0, atol=1e-15)
 
     def test_negative_radius_in_a_batch_raises(self):
-        fam = _plane_rule("hand")
+        fam = _plane_composed("hand")
         with pytest.raises(numerics.DomainError):
             fam.evaluate(np.array([[0.5, 0.0], [-0.5, 0.0]]))
 
     def test_off_rule_node_leaves_the_radial_stack_alone(self):
         # evaluating off-rule nodes must not change what later calls on rule
         # nodes return, nor the radial stack the grid's weighted sum shares
-        params = plane.ThermalParams(t=0.2, dim=12)
-        fam = plane.plane_family(params, plane.plane_rule(12, 0.2, n_j=10, n_gamma=16))
+        fam = _plane_grid()
         radii = np.unique(fam.rule.nodes[:, 0])
         neighbour = np.array([radii[np.searchsorted(radii, 2.345)], 0.3])
         f = lambda x: x[0] * math.cos(x[1]) + 0.5

@@ -24,6 +24,17 @@ class TestParamsAndStates:
         with pytest.raises(ValueError):
             plane.ThermalParams(t=0.2, dim=0)
 
+    def test_dim_bound_holds_before_any_rule_is_built(self, monkeypatch):
+        # radial_density is validated to dim 256; past it ThermalParams refuses
+        # the truncation before plane_family builds its (dim + 16)-node rule
+        def never(*args):
+            raise AssertionError("laguerre_rule ran")
+
+        monkeypatch.setattr(plane, "laguerre_rule", never)
+        assert plane.ThermalParams(t=0.2, dim=256).dim == 256
+        with pytest.raises(numerics.DomainError, match="dim must be >= 1 and <= 256, got 257"):
+            plane.plane_family(plane.ThermalParams(t=0.2, dim=257))
+
     def test_weights_sum_to_one_up_to_tail(self):
         p = plane.ThermalParams(t=0.3, dim=24)
         assert_allclose(p.weights().sum(), 1.0 - p.truncation_deficit,
@@ -131,7 +142,7 @@ class TestDisplacementOracles:
     def test_family_nodes_are_displaced_densities(self):
         # radial nodes stay where truncation leaves a unit-trace density
         params = plane.ThermalParams(t=0.2, dim=48)
-        fam = plane.plane_family(params, _legendre_radial_rule(12, 6.0, 16))
+        fam = plane.plane_family(params, numerics.legendre_rule(12, 0.0, 6.0), _angular(16))
         assert all(operators.is_density(rho, tol=1e-9).ok
                    for rho in fam.evaluate(fam.rule.nodes))
         for j, gamma in fam.rule.nodes[::7]:
@@ -170,7 +181,7 @@ class TestCompressedDensity:
     @pytest.mark.parametrize("t", [0.0, 0.2, 0.7, 0.9])
     def test_matches_mpmath_closed_form(self, t):
         dim = 48
-        js = np.array([0.5, 3.0, 9.0, plane.plane_rule(dim, t).nodes[:, 0].max()])
+        js = np.array([0.5, 3.0, 9.0, plane._radial_rule(dim + 16, t).nodes.max()])
         got = plane.radial_density(js, plane.ThermalParams(t, dim))
         m, n = np.tril_indices(dim)
         for j, rho in zip(js, got):
@@ -223,7 +234,7 @@ class TestCompressedDensity:
     def test_rules_reject_t_outside_0_1(self, t):
         # past t = 1 the scaled nodes and weights would turn negative
         with pytest.raises(numerics.DomainError):
-            plane.plane_rule(16, t)
+            plane._radial_rule(32, t)
 
     @pytest.mark.parametrize("t", [0.0, 0.2, 0.9])
     def test_validated_range_corners(self, t):
@@ -361,36 +372,37 @@ class TestQuantization:
         assert plane.energy_gap() == 0.5
 
     def test_legendre_radial_variant_converges(self):
-        rule = _legendre_radial_rule(32, 40.0, 64)
-        fam = plane.plane_family(plane.ThermalParams(t=0.2, dim=16), rule)
+        # Gauss-Legendre in J on [0, 40]: a radial rule for truncation-convergence studies
+        fam = plane.plane_family(plane.ThermalParams(t=0.2, dim=16),
+                                 numerics.legendre_rule(32, 0.0, 40.0), _angular(64))
         assert core.check_resolution(fam, block=8).defect < 1e-7
 
 
-def _legendre_radial_rule(n_j, j_top, n_gamma):
-    """Gauss-Legendre in J on [0, j_top] times the plane's angular rule: a
-    radial rule for truncation-convergence studies."""
-    return numerics.product_rule(
-        numerics.legendre_rule(n_j, 0.0, j_top),
-        numerics.periodic_rule(n_gamma, 1.0 / (2.0 * math.pi)))
+def _angular(n_gamma, offset=0.0):
+    """The plane's angular trapezoid for dgamma / (2 pi)."""
+    return numerics.periodic_rule(n_gamma, 1.0 / (2.0 * math.pi), offset=offset)
 
 
-def _offset_trapezoid_rule(dim):
-    radial = numerics.legendre_rule(dim + 8, 0.0, 40.0)
-    angular = numerics.periodic_rule(2 * dim + 33, 1.0 / (2.0 * math.pi),
-                                     offset=0.5)
-    return numerics.product_rule(radial, angular)
+def _composed_family(params, rule):
+    """The displaced thermal densities on any (J, gamma) rule, reduced by core's
+    generic per-batch path."""
+    return core.DensityFamily(
+        params.dim, lambda nd: plane.thermal_density(nd[..., 0], nd[..., 1], params), rule)
 
 
+# plane_family keyword arguments: radial and angular factors of its grid
 WEIGHTED_RULES = {
-    "default-16": (16, lambda: plane.plane_rule(16, 0.2)),
-    "default-48": (48, lambda: plane.plane_rule(48, 0.2)),
-    "legendre-radial": (16, lambda: _legendre_radial_rule(32, 40.0, 64)),
-    "odd-n_gamma": (16, lambda: plane.plane_rule(16, 0.2, n_gamma=65)),
-    "offset-trapezoid": (16, lambda: _offset_trapezoid_rule(16)),
+    "default-16": (16, dict),
+    "default-48": (48, dict),
+    "legendre-radial": (16, lambda: dict(radial=numerics.legendre_rule(32, 0.0, 40.0),
+                                         angular=_angular(64))),
+    "odd-n_gamma": (16, lambda: dict(angular=_angular(65))),
+    "offset-trapezoid": (16, lambda: dict(radial=numerics.legendre_rule(24, 0.0, 40.0),
+                                          angular=_angular(65, offset=0.5))),
     # the narrowest Toeplitz windows: dim harmonics wide out of 2 dim - 1
-    "default-1": (1, lambda: plane.plane_rule(1, 0.2)),
-    "default-2": (2, lambda: plane.plane_rule(2, 0.2)),
-    "default-5": (5, lambda: plane.plane_rule(5, 0.2)),
+    "default-1": (1, dict),
+    "default-2": (2, dict),
+    "default-5": (5, dict),
 }
 
 SYMBOLS = {
@@ -414,7 +426,7 @@ class TestWeightedSum:
     @pytest.mark.parametrize("name", sorted(WEIGHTED_RULES))
     def test_matches_per_node_loop(self, name):
         dim, make = WEIGHTED_RULES[name]
-        fam = plane.plane_family(plane.ThermalParams(t=0.2, dim=dim), make())
+        fam = plane.plane_family(plane.ThermalParams(t=0.2, dim=dim), **make())
         assert fam.weighted_sum is not None
         ref = dataclasses.replace(fam, weighted_sum=None)
         for key, f in SYMBOLS.items():
@@ -439,42 +451,25 @@ class TestWeightedSum:
         got = core.quantize(fam, lambda nd: nd[0])
         assert float(np.max(np.abs(got - want))) < self.TOL
 
-    def test_scattered_rule_builds_no_node_matrices(self):
-        # off a grid the family stores nothing: node matrices are built when
-        # a reduction asks for them, in core's bounded batches
-        rng = np.random.default_rng(3)
-        nodes = np.column_stack([rng.uniform(0.0, 4.0, 2000),
-                                 rng.uniform(0.0, 2.0 * math.pi, 2000)])
-        rule = numerics.QuadratureRule(nodes, np.full(2000, 1.0 / 2000))
-        params = plane.ThermalParams(t=0.2, dim=16)
-        tracemalloc.start()
-        try:
-            fam = plane.plane_family(params, rule)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert fam.weighted_sum is None
-        assert peak < 1 << 20
-
     def test_off_grid_rules_use_the_loop(self):
         params = plane.ThermalParams(t=0.2, dim=16)
         grid = plane.plane_family(params)
         rule = grid.rule
         shuffled = np.random.default_rng(5).permutation(rule.size)
-        # a grid whose radii descend is still a tensor grid, in another order
+        # the same grid with its radii descending
         n_radii = len(np.unique(rule.nodes[:, 0]))
         descending = np.arange(rule.size).reshape(n_radii, -1)[::-1].ravel()
         for order in (shuffled, descending):
             permuted = numerics.QuadratureRule(rule.nodes[order],
                                                rule.weights[order])
-            fam = plane.plane_family(params, permuted)
+            fam = _composed_family(params, permuted)
             assert fam.weighted_sum is None
             for key, f in SYMBOLS.items():
                 diff = core.quantize(fam, f) - core.quantize(grid, f)
                 assert np.max(np.abs(diff)) < self.TOL, key
         nodes = np.array([[0.5, 0.0], [0.5, 1.0], [1.5, 0.3]])
         three = numerics.QuadratureRule(nodes, np.array([0.2, 0.3, 0.5]))
-        fam = plane.plane_family(params, three)
+        fam = _composed_family(params, three)
         assert fam.weighted_sum is None
         want = sum(w * fam.evaluate(x) for w, x in zip(three.weights, nodes))
         assert np.max(np.abs(core.check_resolution(fam).operator - want)) < self.TOL
@@ -489,8 +484,7 @@ class TestPhaseOperator:
     def test_matches_full_quadrature(self):
         # independent route: quantize the angle over a dense product rule
         p = plane.ThermalParams(t=0.2, dim=12)
-        rule = plane.plane_rule(12, 0.2, n_j=40, n_gamma=512)
-        fam = plane.plane_family(p, rule)
+        fam = plane.plane_family(p, plane._radial_rule(40, 0.2), _angular(512))
         quad = core.quantize(fam, lambda nd: nd[1])
         # equispaced angular nodes see the sawtooth jump at first order only
         assert np.max(np.abs(quad - plane.phase_operator(p))[:6, :6]) < 2e-2
