@@ -48,9 +48,10 @@ def laguerre_table(n_max: int, alpha, x) -> np.ndarray:
     table = np.ones((n_max + 1,) + np.broadcast_shapes(alpha.shape, x.shape))
     if n_max >= 1:
         table[1] = 1.0 + alpha - x
+    ks = np.arange(2, n_max + 1).reshape((-1,) + (1,) * (table.ndim - 1))
+    a, b = 2 * ks - 1 + alpha - x, ks - 1 + alpha  # in the loop's operation order
     for k in range(2, n_max + 1):
-        table[k] = ((2 * k - 1 + alpha - x) * table[k - 1]
-                    - (k - 1 + alpha) * table[k - 2]) / k
+        table[k] = (a[k - 2] * table[k - 1] - b[k - 2] * table[k - 2]) / k
     return table
 
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DensityFamily
 # hyp2f1_terminating is unused here; perfbench/tracer.py rebinds it (ROADMAP item 1)
@@ -38,6 +37,8 @@ class ThermalParams:
     def __post_init__(self):
         if not 0.0 <= self.t < 1.0:
             raise DomainError(f"t must lie in [0, 1), got {self.t}")
+        if not isinstance(self.dim, (int, np.integer)):
+            raise DomainError(f"dim must be an integer, got {self.dim!r}")
         if not 1 <= self.dim <= 256:  # radial_density's validated range
             raise DomainError(f"dim must be >= 1 and <= 256, got {self.dim}")
 
@@ -241,12 +242,11 @@ def plane_family(params: ThermalParams, radial: QuadratureRule | None = None,
     By default radially dim + 16 Gauss-Laguerre nodes in x = (1-t)J with
     plain-dJ weights, exact for the family's (polynomial)*e^{-(1-t)J} radial
     profiles, and angularly a trapezoid of max(2 dim + 32, 64) nodes.
-    ``evaluate`` calls thermal_density when asked.  The weighted sum reduces
-    each radius's coefficients to angular harmonics
-    S_j(m-n) = sum_gamma c(J_j, gamma) e^{i(m-n) gamma} and contracts them
-    with the real rho(J_j, 0), one matrix per radius built at construction.
-    The Toeplitz operands Re S_j(m-n) and Im S_j(m-n) are window views of
-    contiguous copies of Re S_j and Im S_j, contracted by one real einsum each.
+    ``evaluate`` calls thermal_density when asked.  The weighted sum contracts
+    the harmonics sum_gamma c(J_j, gamma) e^{+-i d gamma} with the diagonals
+    d = m - n of the real, symmetric rho(J_j, 0): one real GEMM of [Re c; Im c]
+    with cos and sin(d gamma) for d < dim, one matmul per diagonal against the
+    lower triangle packed by diagonal at construction, and one scatter.
     """
     dim = params.dim
     if radial is None:
@@ -254,22 +254,33 @@ def plane_family(params: ThermalParams, radial: QuadratureRule | None = None,
     if angular is None:
         angular = periodic_rule(max(2 * dim + 32, 64), 1.0 / (2.0 * math.pi))
     rule = product_rule(radial, angular)
-    stack = radial_density(radial.nodes, params)
-    # harmonic column m - n + dim - 1 holds e^{i(m-n) gamma}; a matmul, not
-    # an FFT, so any angle set (offset, odd count) is summed exactly
-    harmonics = np.exp(1.0j * np.outer(angular.nodes, np.arange(1 - dim, dim)))
+    d, n = np.ogrid[:dim, :dim]
+    corner = n + d < dim
+    # packed[d, j, n] = rho(J_j, 0)[n + d, n] from one gather; past the corner
+    # it repeats row dim - 1, and the products there are never picked
+    flat = radial_density(radial.nodes, params).reshape(radial.size, -1)
+    packed = flat[:, np.minimum(n + d, dim - 1) * dim + n].transpose(1, 0, 2)
+    # rows 2d, 2d + 1: cos and sin(d gamma) on the rule's own angles, a matmul
+    # and not an FFT, so any angle set (offset, odd count) is summed exactly
+    angles = np.outer(np.arange(dim), angular.nodes)
+    trig = np.stack([np.cos(angles), np.sin(angles)], axis=1).reshape(2 * dim, -1)
+    # [RC, IC, RS, IS][d, n] sit at (4 d + q) dim + n of the product; entry (n + d, n) is
+    # RC - IS + i(RS + IC) and (n, n + d) RC + IS + i(IC - RS), equal at d = 0 (RS = IS = 0)
+    picks = ((4 * d + np.arange(4)[:, None, None]) * dim + n)[:, corner]
+    lower, upper = 2 * ((n + d) * dim + n)[corner], 2 * (n * dim + n + d)[corner]
+    slots = np.concatenate([lower, lower + 1, upper, upper + 1])
 
     def evaluate(node):
         j, gamma = np.moveaxis(np.asarray(node, dtype=float), -1, 0)
         return thermal_density(j, gamma, params)
 
     def weighted_sum(coeffs):
-        s = np.reshape(coeffs, (len(stack), -1)) @ harmonics
-        # toeplitz[j, m, n] = s[j, m - n + dim - 1], windowed from contiguous copies
-        re, im = (sliding_window_view(part[:, ::-1].copy(), dim, axis=1)[:, ::-1]
-                  for part in (s.real, s.imag))
-        return (np.einsum("jmn,jmn->mn", stack, re)
-                + 1j * np.einsum("jmn,jmn->mn", stack, im))
+        c = np.reshape(coeffs, (radial.size, -1))
+        h = (trig @ np.concatenate([c.real, c.imag]).T).reshape(dim, 4, radial.size)
+        rc, ic, rs, is_ = np.take(h @ packed, picks)
+        out = np.empty(2 * dim * dim)
+        out[slots] = np.concatenate([rc - is_, rs + ic, rc + is_, ic - rs])
+        return out.view(complex).reshape(dim, dim)
 
     return DensityFamily(dim, evaluate, rule, weighted_sum=weighted_sum)
 
@@ -360,9 +371,10 @@ def phase_operator_printed(params: ThermalParams) -> np.ndarray:
     b, c = (mp - m) / 2.0, -(m + mp) / 2.0
     # at a pole b is a negative integer, so an exact 0 / 0 makes the entry NaN
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = np.broadcast_arrays(*_f21_terms(m, b, c, t))
-        entries = np.reshape(terms, (dim, -1)).T.tolist()
-        f21 = np.reshape([math.fsum(e) for e in entries], (dim, dim))
+        terms = np.array([np.broadcast_to(e, (dim, dim)) for e in _f21_terms(m, b, c, t)])
+        # row m sums its m + 1 terms; fsum of the zero padding past them adds nothing
+        f21 = np.array([[math.fsum(e) for e in terms[:row + 1, row].T.tolist()]
+                        for row in range(dim)])
         # Gamma((m+m')/2 + 1); m + m' = 2 dim - 2 falls on the diagonal only, so
         # it is not evaluated (math.gamma(dim) overflows from dim 172 on)
         gam = [math.gamma(s / 2.0 + 1.0) for s in range(2 * dim - 2)] + [math.nan]

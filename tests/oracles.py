@@ -4,8 +4,10 @@ Each one builds by a second route what the library computes in closed form or
 in batched arrays: the sphere density by SU(2) transport through quaternions,
 the pure circle and sphere densities as projectors, the circle density from
 its matrix entries (a, b), the half-plane UIR acting on functions, the plane
-probability kernel as a trace of two matrices, and the finite free-parameter
-ledger. pytest imports this module but collects no tests from it.
+probability kernel as a trace of two matrices, the plane family's weighted sum
+by Toeplitz windows, the Laguerre table by its literal three-term recurrence,
+and the finite free-parameter ledger. pytest imports this module but collects
+no tests from it.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from povmint.circle import CircleDensityParams, rho_circle
-from povmint.numerics import DomainError
-from povmint.plane import ThermalParams, displaced_thermal
+from povmint.numerics import DomainError, QuadratureRule
+from povmint.plane import ThermalParams, displaced_thermal, radial_density
 from povmint.sphere import _signed_pauli
 
 # ---------------------------------------------------------------------------
@@ -133,6 +136,37 @@ def plane_prob_matrix(z0: complex, z: complex, params: ThermalParams) -> float:
     r0 = displaced_thermal(z0, params)
     r1 = displaced_thermal(z, params)
     return float(np.trace(r0 @ r1).real)
+
+
+def plane_toeplitz_sum(params: ThermalParams, radial: QuadratureRule,
+                       angular: QuadratureRule, coeffs) -> np.ndarray:
+    """sum_k c_k rho(J_k, gamma_k) over the grid product_rule(radial, angular),
+    by all 2 dim - 1 harmonics S_j(m - n) = sum_gamma c(J_j, gamma) e^{i(m-n) gamma}:
+    a Toeplitz window of each radius's harmonic row, contracted with the full
+    rho(J_j, 0) by one einsum for the real part and one for the imaginary part."""
+    dim = params.dim
+    stack = radial_density(radial.nodes, params)
+    harmonics = np.exp(1.0j * np.outer(angular.nodes, np.arange(1 - dim, dim)))
+    s = np.reshape(coeffs, (len(stack), -1)) @ harmonics
+    # toeplitz[j, m, n] = s[j, m - n + dim - 1]
+    re, im = (sliding_window_view(part[:, ::-1].copy(), dim, axis=1)[:, ::-1]
+              for part in (s.real, s.imag))
+    return (np.einsum("jmn,jmn->mn", stack, re)
+            + 1j * np.einsum("jmn,jmn->mn", stack, im))
+
+
+def laguerre_table_recurrence(n_max: int, alpha, x) -> np.ndarray:
+    """L_n^(alpha)(x) for n = 0..n_max by the three-term recurrence
+    k L_k = (2k - 1 + alpha - x) L_{k-1} - (k - 1 + alpha) L_{k-2},
+    its coefficients formed afresh at each step."""
+    alpha, x = np.asarray(alpha, dtype=float), np.asarray(x, dtype=float)
+    table = np.ones((n_max + 1,) + np.broadcast_shapes(alpha.shape, x.shape))
+    if n_max >= 1:
+        table[1] = 1.0 + alpha - x
+    for k in range(2, n_max + 1):
+        table[k] = ((2 * k - 1 + alpha - x) * table[k - 1]
+                    - (k - 1 + alpha) * table[k - 2]) / k
+    return table
 
 
 def count_free_parameters(n: int, size: int, rank_one: bool = False) -> int:

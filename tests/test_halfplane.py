@@ -173,6 +173,14 @@ class TestBasis:
         with pytest.raises(ValueError):
             halfplane.AffineParams(alpha=1.0, t=0.1, dim=0)
 
+    @pytest.mark.parametrize("dim", [2.5, 4.0, math.nan, "4", None])
+    def test_dim_must_be_an_integer(self, dim):
+        with pytest.raises(DomainError, match="dim must be an integer, got "):
+            halfplane.AffineParams(alpha=2.0, t=0.1, dim=dim)
+
+    def test_numpy_integer_dim(self):
+        assert halfplane.AffineParams(alpha=2.0, t=0.1, dim=np.int64(4)).dim == 4
+
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
     def test_alpha_must_be_positive_and_finite(self, alpha):
         with pytest.raises(ValueError, match="0 < alpha < inf"):

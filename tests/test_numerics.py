@@ -17,6 +17,8 @@ from povmint.numerics import (DomainError, PoleError, bessel_i,
                               laguerre_rule, laguerre_table, legendre_rule,
                               periodic_rule, product_rule)
 
+import oracles
+
 
 class TestLaguerre:
     def test_matches_scipy(self):
@@ -81,6 +83,16 @@ class TestLaguerre:
         for n in range(21):
             for k in range(8):
                 assert np.array_equal(table[n, k], laguerre(n, k, x))
+
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 200])
+    def test_table_matches_literal_recurrence(self, n_max):
+        # the step coefficients formed once as arrays give the same bits
+        x = np.random.default_rng(3).uniform(0.0, 60.0, 7)
+        for alpha, arg in [(0.0, 1.2345), (0.37, 1.2345), (0.37, x),
+                           (np.arange(12), x.reshape(-1, 1))]:  # displacement's broadcast
+            got = laguerre_table(n_max, alpha, arg)
+            assert np.array_equal(got, oracles.laguerre_table_recurrence(n_max, alpha, arg))
 
 
 class TestBessel:

@@ -24,6 +24,14 @@ class TestParamsAndStates:
         with pytest.raises(ValueError):
             plane.ThermalParams(t=0.2, dim=0)
 
+    @pytest.mark.parametrize("dim", [2.5, 10.0, math.nan, "8", None])
+    def test_rejects_non_integral_dim(self, dim):
+        with pytest.raises(numerics.DomainError, match="dim must be an integer, got "):
+            plane.ThermalParams(t=0.2, dim=dim)
+
+    def test_numpy_integer_dim(self):
+        assert plane.ThermalParams(t=0.2, dim=np.int64(8)).dim == 8
+
     def test_dim_bound_holds_before_any_rule_is_built(self, monkeypatch):
         # radial_density is validated to dim 256; past it ThermalParams refuses
         # the truncation before plane_family builds its (dim + 16)-node rule
@@ -473,6 +481,33 @@ class TestWeightedSum:
         assert fam.weighted_sum is None
         want = sum(w * fam.evaluate(x) for w, x in zip(three.weights, nodes))
         assert np.max(np.abs(core.check_resolution(fam).operator - want)) < self.TOL
+
+
+def _legendre_angular(n_gamma):
+    """Gauss-Legendre angles on [0, 2 pi) for dgamma / (2 pi): not a trapezoid."""
+    rule = numerics.legendre_rule(n_gamma, 0.0, 2.0 * math.pi)
+    return numerics.QuadratureRule(rule.nodes, rule.weights / (2.0 * math.pi))
+
+
+class TestPackedWeightedSum:
+    """The packed-diagonal weighted sum against the Toeplitz-window einsum sum."""
+
+    TOL = 1e-14  # absolute, on every entry
+
+    @pytest.mark.parametrize("angles", ["default", "odd-offset", "gauss-legendre"])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 48, 166])
+    def test_matches_toeplitz_oracle(self, dim, angles):
+        params = plane.ThermalParams(t=0.2, dim=dim)
+        radial = plane._radial_rule(dim + 16, params.t)
+        angular = {"default": _angular(max(2 * dim + 32, 64)),
+                   "odd-offset": _angular(2 * dim + 33, offset=0.5),
+                   "gauss-legendre": _legendre_angular(2 * dim + 32)}[angles]
+        fam = plane.plane_family(params, radial, angular)
+        rng = np.random.default_rng(dim)
+        values = [1.0, 1.0j] @ rng.standard_normal((2, fam.rule.size))
+        for coeffs in (fam.rule.weights, fam.rule.weights * values):
+            want = oracles.plane_toeplitz_sum(params, radial, angular, coeffs)
+            assert np.max(np.abs(fam.weighted_sum(coeffs) - want)) <= self.TOL
 
 
 class TestPhaseOperator:
