@@ -1,9 +1,10 @@
 """Batch verification front end.
 
 Runs per-geometry check suites and emits machine-readable reports.  A suite
-returns its rows as data, {id, paper_anchor, computed, expected, tol};
-``_judge`` is the one place a row gets its ``pass`` (and its ``--tol``
-override), and ``render`` is the one place values are rounded.  Reports are
+returns the values it derives from its flags, and its rows as data, {id,
+paper_anchor, computed, expected, tol}.  ``run_verify`` alone writes a
+report's ``params``, ``_judge`` alone gives a row its ``pass`` (and its
+``--tol`` override) and ``render`` alone rounds values.  Reports are
 deterministic byte-for-byte for a fixed configuration and seed.
 Geometry modules load on first use: each suite imports its own, and
 ``cli.plane`` (or any other geometry attribute) imports that module.
@@ -68,7 +69,7 @@ def _judge(rows: list[dict], tol: float | None = None) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Suites.  A suite's keyword parameters are the verify flags it reads.
+# Suites take the verify flags they read as keywords and return (derived, rows).
 
 
 def suite_circle(r, grid, seed) -> tuple[dict, list[dict]]:
@@ -101,7 +102,7 @@ def suite_circle(r, grid, seed) -> tuple[dict, list[dict]]:
         checks.append(check("pseudo-distance", "psdistS1",
                             operators.pseudo_distance(rho0, rho1),
                             circle.circle_pseudo_distance(r, theta0, theta), 1e-12))
-    return {"r": r, "grid": n, "seed": seed}, checks
+    return {"grid": n}, checks
 
 
 def suite_sphere(r, grid) -> tuple[dict, list[dict]]:
@@ -138,7 +139,7 @@ def suite_sphere(r, grid) -> tuple[dict, list[dict]]:
         checks.append(check("pseudo-distance", "psdistS2",
                             operators.pseudo_distance(rho0, rho1),
                             sphere.sphere_pseudo_distance(r, d0, d1), 1e-12))
-    return {"r": r, "grid": n}, checks
+    return {"grid": n}, checks
 
 
 def suite_plane(t, dim) -> tuple[dict, list[dict]]:
@@ -190,7 +191,7 @@ def suite_plane(t, dim) -> tuple[dict, list[dict]]:
     for name, anchor in [("translation", "covtrans"), ("rotation", "rotcovAf"),
                          ("parity", "parcov"), ("conjugation", "conjcov")]:
         checks.append(check(f"covariance-{name}", anchor, cov[name], 0.0, 1e-5))
-    return {"t": t, "dim": dim}, checks
+    return {}, checks
 
 
 def suite_halfplane(alpha, t, grid) -> tuple[dict, list[dict]]:
@@ -221,7 +222,7 @@ def suite_halfplane(alpha, t, grid) -> tuple[dict, list[dict]]:
                             [(1.0 - t) * t ** n_ for n_ in range(3)], 1e-8))
     checks.append(check("resolution-block", "residrhoTqpF",
                         operators.max_defect(block, np.eye(3)), 0.0, 1e-3))
-    return {"t": t, "alpha": alpha, "dim": dim, "grid": grid}, checks
+    return {"dim": dim, "grid": grid}, checks
 
 
 def suite_core(seed) -> tuple[dict, list[dict]]:
@@ -260,7 +261,7 @@ def suite_core(seed) -> tuple[dict, list[dict]]:
     other = core.povm_region(fam, lambda th: th >= math.pi)
     checks.append(check("povm-complementarity", "povmap",
                         operators.max_defect(half + other, one), 0.0, 1e-13))
-    return {"seed": seed}, checks
+    return {}, checks
 
 
 def suite_finite(seed) -> tuple[dict, list[dict]]:
@@ -284,7 +285,7 @@ def suite_finite(seed) -> tuple[dict, list[dict]]:
     rec_table = finite.gram_probabilities(result.rhos, measure, tol=1e-6)
     checks.append(check("round-trip-table", "relprho",
                         operators.max_defect(rec_table.p, table.p), 0.0, 1e-6))
-    return {"seed": seed}, checks
+    return {}, checks
 
 
 def _random_resolving_family(rng, n: int, size: int):
@@ -417,19 +418,21 @@ def run_verify(args) -> int:
         return 2
     code, reports = 0, []
     for name in names:
+        given = {flag: opts[flag] for flag in reads[name]}
         try:
-            params, checks = SUITES[name](**{flag: opts[flag] for flag in reads[name]})
+            derived, checks = SUITES[name](**given)
         except (ValueError, OverflowError) as exc:
             sys.stderr.write(f"configuration error in suite {name}: {exc}\n")
             return 2
-        checks = _judge(checks, opts["tol"])
-        report = {"suite": name, "params": params, "checks": checks}
+        used = {**given, **derived}
+        params = {key: used[key] for key in [*FLAGS, *used] if key in used}  # FLAGS order first
+        report = {"suite": name, "params": params, "checks": _judge(checks, opts["tol"])}
         path = opts["out"]
         if path and len(names) > 1:
             p = Path(path)
             path = p.parent / f"{p.stem}-{name}{p.suffix}"
         reports.append((render(report, opts["format"]), path))
-        if not all(chk["pass"] for chk in checks):
+        if not all(chk["pass"] for chk in report["checks"]):
             code = 1
     # written only once every suite has run, so an exit 2 leaves no report
     if not all(_emit(text, path) for text, path in reports):

@@ -189,12 +189,12 @@ class QuadratureRule:
 def periodic_rule(n: int, scale: float, offset: float = 0.0) -> QuadratureRule:
     """Trapezoid rule for scale * dtheta on [0, 2pi): n equispaced nodes,
     shifted by ``offset`` in units of the spacing; DomainError past MAX_RULE_NODES."""
-    if n < 1:
-        raise DomainError(f"node count must be >= 1, got {n}")
+    if n < 1 or n % 1:  # an integral float is accepted; NaN fails
+        raise DomainError(f"node count must be an integer >= 1, got {n}")
     if n > MAX_RULE_NODES:
         raise DomainError(f"{n} nodes exceed the budget of {MAX_RULE_NODES}")
     h = 2.0 * math.pi / n
-    return QuadratureRule((np.arange(n) + offset) * h, np.full(n, h * scale))
+    return QuadratureRule((np.arange(n) + offset) * h, np.full(int(n), h * scale))
 
 
 def legendre_rule(n: int, a: float, b: float) -> QuadratureRule:

@@ -405,20 +405,16 @@ def phase_covariance_defect(phase_op: np.ndarray, theta0: float) -> float:
 # Covariance suite.
 
 
-def covariance_defects(params: ThermalParams,
-                       fam: DensityFamily | None = None) -> dict[str, float]:
+def covariance_defects(params: ThermalParams, fam: DensityFamily) -> dict[str, float]:
     """Defects of the four covariance identities on test functions.
 
     Translation by z0 = 0.5 and rotation by 0.7 use a displaced Gaussian
     bump, parity an even pairing of the same bump, conjugation a complex
     mixture.  Defects are max-norm on the protected top-left dim/2 block.
-    ``fam`` is a plane family of ``params`` already built by the caller;
-    by default one is built on the default rule.
+    ``fam`` is a plane family of ``params`` already built by the caller.
     """
     from .core import quantize_values
 
-    if fam is None:
-        fam = plane_family(params)
     dim = params.dim
     z0, theta, block = 0.5, 0.7, dim // 2
     j, gamma = fam.rule.nodes.T

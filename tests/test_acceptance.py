@@ -220,8 +220,9 @@ def test_criterion_06_plane_identities_and_runtime(tmp_path):
 def test_criterion_07_plane_covariance_convergence():
     with criterion("7: plane covariance defects < 1e-5 at dim 48, improving "
                    "(or at floor) at dim 64"):
-        d48 = plane.covariance_defects(plane.ThermalParams(0.2, 48))
-        d64 = plane.covariance_defects(plane.ThermalParams(0.2, 64))
+        p48, p64 = plane.ThermalParams(0.2, 48), plane.ThermalParams(0.2, 64)
+        d48 = plane.covariance_defects(p48, plane.plane_family(p48))
+        d64 = plane.covariance_defects(p64, plane.plane_family(p64))
         for name in ("translation", "rotation", "parity", "conjugation"):
             assert d48[name] < 1e-5, name
             # floor rule: strict decrease, unless already at round-off

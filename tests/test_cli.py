@@ -23,7 +23,7 @@ from povmint.cli import main
 FAST = ["--dim", "16", "--grid", "24"]
 # FAST cut down to the flags each suite reads; `verify all` takes FAST whole
 FAST_READ = {"circle": ["--grid", "24"], "sphere": ["--grid", "24"], "plane": ["--dim", "16"],
-             "core": [], "finite": []}
+             "halfplane": ["--grid", "24"], "core": [], "finite": []}
 
 
 def run(capsys, argv):
@@ -361,19 +361,21 @@ class TestSuiteFlags:
 
     # a value of each suite flag away from its default (halfplane's grid floor is 64)
     VALUES = {"r": 0.5, "t": 0.3, "alpha": 3.0, "dim": 16, "grid": 72}
+    # each in FLAGS order
     DEFAULT_PARAMS = {"circle": {"r": 0.8, "grid": 48, "seed": 0},
                       "sphere": {"r": 0.8, "grid": 48}, "plane": {"t": 0.2, "dim": 48},
-                      "halfplane": {"t": 0.2, "alpha": 2.0, "dim": 16, "grid": 64}}
+                      "halfplane": {"t": 0.2, "alpha": 2.0, "dim": 16, "grid": 64},
+                      "core": {"seed": 0}, "finite": {"seed": 0}}
 
     @staticmethod
-    def stub(monkeypatch, suite, calls):
+    def stub(monkeypatch, suite, calls, derived=None):
         """Swap SUITES[suite] for a stand-in with its signature (as the
         benchmark's tracer wraps it) that records its keyword arguments and
-        returns one row."""
+        returns ``derived`` (default none) and one row."""
         @functools.wraps(cli.SUITES[suite])
         def stand_in(**kwargs):
             calls.append((suite, kwargs))
-            return {}, [cli.check("row", "anchor", 0.0, 0.0, 1.0)]
+            return derived or {}, [cli.check("row", "anchor", 0.0, 0.0, 1.0)]
 
         monkeypatch.setitem(cli.SUITES, suite, stand_in)
 
@@ -382,6 +384,20 @@ class TestSuiteFlags:
                 for name, fn in cli.SUITES.items()} == READS
         assert set(cli.FLAGS) == set(SUITE_FLAGS) | set(cli.RUN_FLAGS)
 
+    @staticmethod
+    def params(out):
+        """A report's params as (key, value) pairs in the order written: a dict
+        comparison would not see the key order."""
+        return dict(json.loads(out, object_pairs_hook=list))["params"]
+
+    @pytest.mark.parametrize("suite", sorted(READS))
+    def test_default_params_come_in_flags_order(self, capsys, suite):
+        code, out = run(capsys, ["verify", suite])
+        assert code == 0
+        want = self.DEFAULT_PARAMS[suite]
+        assert self.params(out) == list(want.items())
+        assert list(want) == [key for key in cli.FLAGS if key in want]
+
     @pytest.mark.parametrize("suite,flag", [(suite, flag) for suite in sorted(READS)
                                             for flag in SUITE_FLAGS if flag in READS[suite]])
     def test_a_read_flag_changes_the_params(self, capsys, suite, flag):
@@ -389,8 +405,28 @@ class TestSuiteFlags:
         # the verdict is not this test's subject, the written params are
         code, out = run(capsys, ["verify", suite, f"--{flag}", str(self.VALUES[flag])])
         assert code in (0, 1)
-        assert json.loads(out)["params"] == {**self.DEFAULT_PARAMS[suite],
-                                             flag: self.VALUES[flag]}
+        assert self.params(out) == list({**self.DEFAULT_PARAMS[suite],
+                                         flag: self.VALUES[flag]}.items())
+
+    def test_derived_values_override_in_place_and_follow_the_flags(self, capsys,
+                                                                   monkeypatch):
+        # a derived read flag keeps its slot, a derived unread flag takes its
+        # FLAGS slot, and keys that are no flag follow in the order returned
+        calls = []
+        self.stub(monkeypatch, "circle", calls,
+                  derived={"n_theta": 3, "grid": 99, "dim": 5, "extra": "x"})
+        code, out = run(capsys, ["verify", "circle", "--grid", "24"])
+        assert code == 0
+        assert calls == [("circle", {"r": 0.8, "grid": 24, "seed": 0})]
+        assert self.params(out) == [("r", 0.8), ("dim", 5), ("grid", 99), ("seed", 0),
+                                    ("n_theta", 3), ("extra", "x")]
+
+    def test_all_writes_the_params_of_the_single_suite_runs(self, capsys, tmp_path):
+        assert main(["verify", "all", "--out", str(tmp_path / "r.json")] + FAST) == 0
+        for suite in sorted(READS):
+            code, out = run(capsys, ["verify", suite] + FAST_READ[suite])
+            assert code == 0
+            assert self.params((tmp_path / f"r-{suite}.json").read_text()) == self.params(out)
 
     @pytest.mark.parametrize("suite,flag", [(suite, flag) for suite in sorted(READS)
                                             for flag in SUITE_FLAGS

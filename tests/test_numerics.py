@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre, iv, roots_genlaguerre
 
 from povmint import numerics
-from povmint.numerics import (DomainError, PoleError, bessel_i,
+from povmint.numerics import (DomainError, PoleError, QuadratureRule, bessel_i,
                               bessel_i_scaled, hyp2f1_terminating, laguerre,
                               laguerre_rule, laguerre_table, legendre_rule,
                               periodic_rule, product_rule)
@@ -257,6 +257,24 @@ class TestRules:
         with pytest.raises(DomainError):
             build(0)
 
+    @pytest.mark.parametrize("build", [
+        lambda n: periodic_rule(n, 1.0),
+        lambda n: legendre_rule(n, -1.0, 1.0),
+        laguerre_rule,
+    ], ids=["periodic", "legendre", "laguerre"])
+    @pytest.mark.parametrize("n", [0, 2.5, math.nan, 8.0], ids=["zero", "2.5", "nan", "8.0"])
+    def test_node_count_must_be_an_integer(self, build, n):
+        # every 1-D builder raises one DomainError for a count that is not a
+        # positive integer, and builds an integral float's rule bit for bit
+        if n == 8.0:
+            rule, ref = build(n), build(8)
+            assert np.array_equal(rule.nodes, ref.nodes)
+            assert np.array_equal(rule.weights, ref.weights)
+            return
+        with pytest.raises(DomainError,
+                           match=rf"^node count must be an integer >= 1, got {n}$"):
+            build(n)
+
     def test_bad_inputs(self):
         for alpha in (-1.0, -2.0):
             with pytest.raises(DomainError):
@@ -285,6 +303,11 @@ class TestRules:
         assert rule.nodes.shape == (30, 2)
         vals = rule.nodes[:, 0] ** 2 * np.cos(rule.nodes[:, 1]) ** 2
         assert_allclose(rule.integrate(vals), (1.0 / 3.0) * math.pi, rtol=1e-13)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rule_weights_must_be_finite(self, bad):
+        with pytest.raises(DomainError, match="quadrature weights must be finite"):
+            QuadratureRule(np.zeros(2), np.array([1.0, bad]))
 
     def test_product_rule_rejects_2d_factor(self):
         ra = legendre_rule(3, -1.0, 1.0)
