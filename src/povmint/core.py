@@ -101,8 +101,8 @@ def prob_kernel(fam: DensityFamily, x0, x) -> float:
 
 
 def quantize_values(fam: DensityFamily, vals: Array) -> Array:
-    """Quantized operator A_f = sum_k w_k f(x_k) rho(x_k) from the values f(x_k)."""
-    vals = np.asarray(vals, dtype=complex)
+    """A_f = sum_k w_k f(x_k) rho(x_k) from the values f(x_k), summed as float unless complex."""
+    vals = np.asarray(vals, dtype=complex if np.iscomplexobj(vals) else float)
     if vals.shape != (fam.rule.size,):
         raise ValueError(f"values need shape ({fam.rule.size},), got {vals.shape}")
     if not np.all(np.isfinite(vals)):
@@ -112,7 +112,7 @@ def quantize_values(fam: DensityFamily, vals: Array) -> Array:
 
 def quantize(fam: DensityFamily, f: Callable) -> Array:
     """Quantized operator A_f of a scalar symbol f, called once per node."""
-    return quantize_values(fam, [complex(f(x)) for x in fam.rule.nodes])
+    return quantize_values(fam, np.array([complex(f(x)) for x in fam.rule.nodes]))
 
 
 def lower_symbol(fam: DensityFamily, a: Array, x) -> complex | Array:

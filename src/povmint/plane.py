@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityFamily
+from .core import DensityFamily, quantize_values
 # hyp2f1_terminating is unused here; perfbench/tracer.py rebinds it (ROADMAP item 1)
 from .numerics import (DomainError, QuadratureRule, _f21_terms, bessel_i,
                        hyp2f1_terminating, laguerre, laguerre_rule, laguerre_table,
@@ -112,19 +112,17 @@ def displaced_thermal(z: complex, params: ThermalParams) -> np.ndarray:
     return thermal_density(abs(z) ** 2, np.angle(z), params)
 
 
-def radial_density(j, params: ThermalParams) -> np.ndarray:
-    """rho_T(sqrt(J)) compressed to dim Fock states, shape j.shape + (dim, dim).
-
-    Entries (n + k, n) and (n, n + k) are (Cahill & Glauber 1969)
+def _radial_packed(j, params: ThermalParams) -> np.ndarray:
+    """Diagonals of rho_T(sqrt(J)): packed[k, i, n] = [n + k, n] = [n, n + k] at
+    J = j.flat[i], zero past the corner n + k >= dim; a (dim, j.size, dim) view of
+    memory ordered [n, k, i], one block per column n.  Entries (Cahill & Glauber 1969)
     (1-t)^{k+1} sqrt(n!/(n+k)!) J^{k/2} e^{-x} P_n with x = (1-t)J, y = (1-t)x
     and P_n = t^n L_n^{(k)}(-y/t), from the stable forward recurrence
     (n+1) P_{n+1} = (t(2n+k+1) + y) P_n - t^2 (n+k) P_{n-1} over n + k < dim.
-    Each step carries the prefactor, so it yields the entries themselves (at
-    most 1), from column n = 0: (1-t) e^{-x} prod_{i<=k} sqrt(y/i).  Validated
-    for dim <= 256 (ThermalParams holds that bound) and 0 <= x <= 700, where
-    e^{-x} stays normal: no overflow, no NaN.  For x outside it, or a NaN J,
-    it raises DomainError.
-    """
+    Each step carries the prefactor, so it yields column n of every diagonal
+    (entries at most 1), from column 0: (1-t) e^{-x} prod_{i<=k} sqrt(y/i).
+    Validated for dim <= 256 (ThermalParams holds it) and 0 <= x <= 700, where
+    e^{-x} stays normal; outside it, or for a NaN J, it raises DomainError."""
     j = np.asarray(j, dtype=float)
     t, dim = params.t, params.dim
     x = (1.0 - t) * j.reshape(-1, 1)
@@ -135,19 +133,22 @@ def radial_density(j, params: ThermalParams) -> np.ndarray:
     k, n = np.ogrid[:dim, :dim]
     s = 1.0 / np.sqrt((n + 1.0) * (n + k + 1.0))
     c, g = t * (2 * n + k + 1) * s, -t * t * np.sqrt(n * (n + k)) * s
-    cur, prev = np.zeros((2, dim, len(x)))
-    np.sqrt(y / np.maximum(k, 1), out=cur)
-    cur[0] = (1.0 - t) * np.exp(-x[:, 0])
-    np.cumprod(cur, axis=0, out=cur)
-    out = np.empty((len(x), dim, dim))
-    out[:, :, 0] = out[:, 0, :] = cur.T
-    for n in range(1, dim):  # column n from n - 1 and n - 2, rows k < dim - n
-        new = prev[:dim - n]
-        new *= g[:dim - n, n - 1:n]
-        new += (y * s[:dim - n, n - 1:n] + c[:dim - n, n - 1:n]) * cur[:dim - n]
-        cur, prev = prev, cur
-        out[:, n:, n] = out[:, n, n:] = new.T
-    return out.reshape(j.shape + (dim, dim))
+    packed = np.zeros((dim, dim, len(x)))  # [n, k, i]: column n of diagonal k at J_i
+    np.sqrt(y / np.maximum(k, 1), out=packed[0])
+    packed[0, 0] = (1.0 - t) * np.exp(-x[:, 0])
+    np.cumprod(packed[0], axis=0, out=packed[0])
+    for n in range(1, dim):  # column n from n - 1 and n - 2 (g = 0 at n = 1), rows k < dim - n
+        new = np.multiply(packed[n - 2, :dim - n], g[:dim - n, n - 1:n], out=packed[n, :dim - n])
+        new += (y * s[:dim - n, n - 1:n] + c[:dim - n, n - 1:n]) * packed[n - 1, :dim - n]
+    return packed.transpose(1, 2, 0)
+
+
+def radial_density(j, params: ThermalParams) -> np.ndarray:
+    """rho_T(sqrt(J)) compressed to dim Fock states, shape j.shape + (dim, dim): the
+    real, symmetric squares [m, n] = packed[|m - n|, ..., min(m, n)] of _radial_packed."""
+    m, n = np.ogrid[:params.dim, :params.dim]
+    square = np.moveaxis(_radial_packed(j, params), 0, -2)[..., abs(m - n), np.minimum(m, n)]
+    return np.ascontiguousarray(square).reshape(np.shape(j) + (params.dim,) * 2)
 
 
 def thermal_density(j, gamma, params: ThermalParams) -> np.ndarray:
@@ -242,11 +243,11 @@ def plane_family(params: ThermalParams, radial: QuadratureRule | None = None,
     By default radially dim + 16 Gauss-Laguerre nodes in x = (1-t)J with
     plain-dJ weights, exact for the family's (polynomial)*e^{-(1-t)J} radial
     profiles, and angularly a trapezoid of max(2 dim + 32, 64) nodes.
-    ``evaluate`` calls thermal_density when asked.  The weighted sum contracts
-    the harmonics sum_gamma c(J_j, gamma) e^{+-i d gamma} with the diagonals
-    d = m - n of the real, symmetric rho(J_j, 0): one real GEMM of [Re c; Im c]
-    with cos and sin(d gamma) for d < dim, one matmul per diagonal against the
-    lower triangle packed by diagonal at construction, and one scatter.
+    ``evaluate`` calls thermal_density when asked.  The weighted sum of real c
+    contracts the harmonics sum_gamma c(J_j, gamma) e^{+-i d gamma} with the
+    diagonals d = m - n of the real, symmetric rho(J_j, 0), as _radial_packed
+    builds them: one GEMM with cos and sin(d gamma) for d < dim, one matmul per
+    diagonal and one scatter.  Complex c is summed as Re c + i Im c.
     """
     dim = params.dim
     if radial is None:
@@ -254,20 +255,16 @@ def plane_family(params: ThermalParams, radial: QuadratureRule | None = None,
     if angular is None:
         angular = periodic_rule(max(2 * dim + 32, 64), 1.0 / (2.0 * math.pi))
     rule = product_rule(radial, angular)
-    d, n = np.ogrid[:dim, :dim]
-    corner = n + d < dim
-    # packed[d, j, n] = rho(J_j, 0)[n + d, n] from one gather; past the corner
-    # it repeats row dim - 1, and the products there are never picked
-    flat = radial_density(radial.nodes, params).reshape(radial.size, -1)
-    packed = flat[:, np.minimum(n + d, dim - 1) * dim + n].transpose(1, 0, 2)
+    packed = _radial_packed(radial.nodes, params)
     # rows 2d, 2d + 1: cos and sin(d gamma) on the rule's own angles, a matmul
     # and not an FFT, so any angle set (offset, odd count) is summed exactly
     angles = np.outer(np.arange(dim), angular.nodes)
     trig = np.stack([np.cos(angles), np.sin(angles)], axis=1).reshape(2 * dim, -1)
-    # [RC, IC, RS, IS][d, n] sit at (4 d + q) dim + n of the product; entry (n + d, n) is
-    # RC - IS + i(RS + IC) and (n, n + d) RC + IS + i(IC - RS), equal at d = 0 (RS = IS = 0)
-    picks = ((4 * d + np.arange(4)[:, None, None]) * dim + n)[:, corner]
-    lower, upper = 2 * ((n + d) * dim + n)[corner], 2 * (n * dim + n + d)[corner]
+    # [RC, RS] of diagonal d at (2d + q) dim + n of part p's product, p = 0 for Re c and 1 for
+    # Im c ([IC, IS]); (n + d, n) gets RC - IS + i(RS + IC), (n, n + d) RC + IS + i(IC - RS)
+    m, n = np.tril_indices(dim)
+    picks = (2 * (m - n) + np.arange(2)[:, None]) * dim + n
+    lower, upper = 2 * (m * dim + n), 2 * (n * dim + m)
     slots = np.concatenate([lower, lower + 1, upper, upper + 1])
 
     def evaluate(node):
@@ -276,8 +273,11 @@ def plane_family(params: ThermalParams, radial: QuadratureRule | None = None,
 
     def weighted_sum(coeffs):
         c = np.reshape(coeffs, (radial.size, -1))
-        h = (trig @ np.concatenate([c.real, c.imag]).T).reshape(dim, 4, radial.size)
-        rc, ic, rs, is_ = np.take(h @ packed, picks)
+        # one GEMM per real part, each shaped as for real c, so Re c rounds the same either way
+        parts = np.stack([c.real, c.imag]) if np.iscomplexobj(c) else c[None]
+        h = (trig @ parts.transpose(0, 2, 1)).reshape(len(parts), dim, 2, radial.size)
+        sums = np.take((h @ packed).reshape(len(parts), -1), picks, axis=1)
+        (rc, rs), (ic, is_) = sums if len(parts) == 2 else (sums[0], (0.0, 0.0))
         out = np.empty(2 * dim * dim)
         out[slots] = np.concatenate([rc - is_, rs + ic, rc + is_, ic - rs])
         return out.view(complex).reshape(dim, dim)
@@ -333,13 +333,17 @@ def _radial_integrals(params: ThermalParams) -> np.ndarray:
 
     In x = (1-t)J the entries are polynomials of degree <= dim - 1 times e^{-x}
     (even parity: Gauss-Laguerre alpha = 0) or sqrt(x) e^{-x} (odd: alpha = 1/2),
-    so dim // 2 + 8 nodes per parity are exact.
+    so dim // 2 + 8 nodes per parity are exact.  Diagonal d = m - m' has the
+    parity of m + m', so each rule integrates every other packed diagonal.
     """
     n_j = params.dim // 2 + 8
     rule0, rule_h = (_radial_rule(n_j, params.t, alpha) for alpha in (0.0, 0.5))
-    rho = radial_density(np.concatenate([rule0.nodes, rule_h.nodes]), params)
-    parity = np.add.outer(np.arange(params.dim), np.arange(params.dim)) % 2
-    return np.where(parity == 0, rule0.integrate(rho[:n_j]), rule_h.integrate(rho[n_j:]))
+    stack = np.ascontiguousarray(  # [i, d, n], so that each sum runs over J in node order
+        _radial_packed(np.concatenate([rule0.nodes, rule_h.nodes]), params).swapaxes(0, 1))
+    r = np.empty((params.dim, params.dim))  # [d, n]
+    r[0::2], r[1::2] = rule0.integrate(stack[:n_j, 0::2]), rule_h.integrate(stack[n_j:, 1::2])
+    m, n = np.ogrid[:params.dim, :params.dim]
+    return r[abs(m - n), np.minimum(m, n)]
 
 
 def phase_operator(params: ThermalParams) -> np.ndarray:
@@ -413,8 +417,6 @@ def covariance_defects(params: ThermalParams, fam: DensityFamily) -> dict[str, f
     mixture.  Defects are max-norm on the protected top-left dim/2 block.
     ``fam`` is a plane family of ``params`` already built by the caller.
     """
-    from .core import quantize_values
-
     dim = params.dim
     z0, theta, block = 0.5, 0.7, dim // 2
     j, gamma = fam.rule.nodes.T

@@ -12,7 +12,8 @@ is killed when pytest reports a failing test.  No process pool is started.
 
 Exit status: 0 when every mutant is killed, 1 when one survives or errs,
 2 when a snippet is not unique or the unmutated copy fails.  pytest does
-not collect this file: its name does not match ``test_*.py``.
+not collect this file: its name does not match ``test_*.py``.  The snippet
+check alone runs in Tier-1 as ``tests/test_mutant_table.py``.
 
 The mutants come from the corrected forms of DECISIONS.md flipped back to
 the printed forms, from the DomainError guards (each dropped), from the
@@ -97,6 +98,24 @@ MUTANTS = [
            "np.concatenate([rc - is_, rs + ic, rc + is_, ic - rs])",
            "np.concatenate([rc + is_, rs + ic, rc + is_, ic - rs])",
            ("tests/test_plane.py::TestPackedWeightedSum::test_matches_toeplitz_oracle",)),
+    Mutant("real-branch-upper-sign (entry 25)", "plane.py",
+           "np.concatenate([rc - is_, rs + ic, rc + is_, ic - rs])",
+           "np.concatenate([rc - is_, rs + ic, rc + is_, ic + rs])",
+           ("tests/test_plane.py::TestPackedWeightedSum::test_matches_toeplitz_oracle",)),
+    Mutant("complex-parts-conjugated (entry 25)", "plane.py",
+           "parts = np.stack([c.real, c.imag])", "parts = np.stack([c.real, -c.imag])",
+           ("tests/test_plane.py::TestPackedWeightedSum::test_matches_toeplitz_oracle",)),
+    Mutant("real-values-made-complex (entry 25)", "core.py",
+           "vals = np.asarray(vals, dtype=complex if np.iscomplexobj(vals) else float)",
+           "vals = np.asarray(vals, dtype=complex)",
+           ("tests/test_core.py::TestQuantizeValues::test_real_values_reach_the_family_as_float",)),
+    Mutant("packed-builder-column-write (entry 25)", "plane.py",
+           "out=packed[n, :dim - n])",
+           "out=packed[n, 1:dim - n + 1])",
+           ("tests/test_plane.py::TestCompressedDensity::test_matches_mpmath_closed_form",)),
+    Mutant("radial-integrals-odd-on-even-nodes (entry 25)", "plane.py",
+           "rule_h.integrate(stack[n_j:, 1::2])", "rule_h.integrate(stack[:n_j, 1::2])",
+           ("tests/test_plane.py::TestCompressedDensity::test_radial_integrals_exact_at_half_the_nodes",)),
 
     # --- mutants recorded in CHANGES.md that still apply
     Mutant("laguerre-step-reassociated", "numerics.py",
@@ -215,10 +234,15 @@ def run_tests(src: Path, tests, stop_first: bool) -> tuple[int, str]:
     return proc.returncode, proc.stdout + proc.stderr
 
 
+def stale_snippets() -> list[str]:
+    """One line per mutant whose snippet does not occur exactly once in its file."""
+    counts = {m.name: (SRC / "povmint" / m.file).read_text().count(m.snippet) for m in MUTANTS}
+    return [f"{name}: snippet found {n} times, not once" for name, n in counts.items() if n != 1]
+
+
 def main() -> int:
     start = time.perf_counter()
-    counts = {m.name: (SRC / "povmint" / m.file).read_text().count(m.snippet) for m in MUTANTS}
-    bad = [f"{name}: snippet found {n} times, not once" for name, n in counts.items() if n != 1]
+    bad = stale_snippets()
     if bad:
         print("mutant table is stale:\n  " + "\n  ".join(bad))
         return 2

@@ -139,6 +139,16 @@ QUANTIZE_VALUE_FAMILIES = {
 }
 
 
+REAL_VALUE_FAMILIES = {
+    "plane": lambda: plane.plane_family(plane.ThermalParams(t=0.2, dim=48)),
+    # dim 16: one GEMM over [Re c; Im c] and one over Re c alone round differently here
+    "plane-dim16": lambda: plane.plane_family(plane.ThermalParams(t=0.5, dim=16)),
+    "circle": lambda: circle.circle_family(0.7, 0.3, n=16),
+    "sphere": lambda: sphere.sphere_family(0.8, 6, 7),
+    "halfplane-orbit": lambda: _affine_family(),
+}
+
+
 class TestQuantizeValues:
     @pytest.mark.parametrize("name", sorted(QUANTIZE_VALUE_FAMILIES))
     def test_quantize_is_quantize_values_of_the_node_values(self, name):
@@ -147,6 +157,34 @@ class TestQuantizeValues:
         assert (fam.weighted_sum is not None) == (name == "plane-grid")
         assert_allclose(core.quantize_values(fam, f(fam.rule.nodes)),
                         core.quantize(fam, f), rtol=0, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(REAL_VALUE_FAMILIES))
+    def test_real_values_sum_as_their_complex_copies(self, name):
+        # real values take the family's real route; only the signs of zeros may differ
+        fam = REAL_VALUE_FAMILIES[name]()
+        rng = np.random.default_rng(31)
+        vals = rng.standard_normal(fam.rule.size)
+        real, cplx = core.quantize_values(fam, vals), core.quantize_values(fam, vals + 0j)
+        assert real.dtype == cplx.dtype == complex
+        assert np.array_equal(real, cplx)
+        ints = rng.integers(-3, 4, fam.rule.size)
+        for other in (ints, ints > 0):
+            assert np.array_equal(core.quantize_values(fam, other),
+                                  core.quantize_values(fam, other.astype(float)))
+
+    def test_real_values_reach_the_family_as_float(self):
+        fam = _plane_grid()
+        seen = []
+
+        def weighted_sum(coeffs):
+            seen.append(coeffs.dtype)
+            return fam.weighted_sum(coeffs)
+
+        fast = dataclasses.replace(fam, weighted_sum=weighted_sum)
+        ones = np.ones(fam.rule.size)
+        for vals in (ones, ones.astype(int), ones.astype(bool), ones.tolist(), ones + 0j):
+            core.quantize_values(fast, vals)
+        assert seen == [np.float64] * 4 + [np.complex128]
 
     @pytest.mark.parametrize("vals", [np.ones(15), np.ones(17), np.ones((16, 1)),
                                       np.ones((1, 16)), 1.0, np.float64(2.0)],

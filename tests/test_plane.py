@@ -505,7 +505,9 @@ class TestPackedWeightedSum:
         fam = plane.plane_family(params, radial, angular)
         rng = np.random.default_rng(dim)
         values = [1.0, 1.0j] @ rng.standard_normal((2, fam.rule.size))
-        for coeffs in (fam.rule.weights, fam.rule.weights * values):
+        # real coefficients that are not radial, so RS does not vanish
+        real = fam.rule.weights * rng.standard_normal(fam.rule.size)
+        for coeffs in (fam.rule.weights, fam.rule.weights * values, real):
             want = oracles.plane_toeplitz_sum(params, radial, angular, coeffs)
             assert np.max(np.abs(fam.weighted_sum(coeffs) - want)) <= self.TOL
 
