@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityFamily
-from .numerics import DomainError, periodic_rule
+from .core import DensityFamily, affine_weighted_sum
+from .numerics import periodic_rule, unit_radius
 
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -32,9 +32,7 @@ class CircleDensityParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        r = np.asarray(self.r)
-        if not ((0.0 <= r) & (r <= 1.0)).all():
-            raise DomainError(f"r must lie in [0, 1], got {self.r}")
+        r = unit_radius(self.r)
         phi = np.where(r == 0.0, 0.0, np.mod(self.phi, math.pi))[()]
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "theta", np.mod(self.theta, 2.0 * math.pi))
@@ -51,9 +49,7 @@ def rho_circle(r, phi, theta=0.0) -> np.ndarray:
     """2x2 real density (1/2)(I + r S(2(phi+theta))).  r, phi and theta may be
     arrays; they broadcast, giving shape broadcast.shape + (2, 2).  DomainError
     unless every r lies in [0, 1]."""
-    r = np.asarray(r)
-    if not ((0.0 <= r) & (r <= 1.0)).all():
-        raise DomainError(f"r must lie in [0, 1], got {r}")
+    r = unit_radius(r)
     big_phi = 2.0 * (phi + np.asarray(theta, dtype=float))[..., None, None]
     return 0.5 * (np.eye(2) + r[..., None, None]
                   * (np.cos(big_phi) * _SIGMA_Z + np.sin(big_phi) * _SIGMA_X))
@@ -90,8 +86,13 @@ def circle_rule(n: int = 16):
 
 
 def circle_family(r: float, phi: float = 0.0, n: int = 16) -> DensityFamily:
-    """The circle POVM family theta -> rho_{r,phi}(theta) with dtheta/pi."""
-    return DensityFamily(2, lambda theta: rho_circle(r, phi, theta), circle_rule(n))
+    """The circle POVM family theta -> rho_{r,phi}(theta) with dtheta/pi, 0 <= r <= 1."""
+    r, rule = float(unit_radius(r)), circle_rule(n)
+    big_phi = 2.0 * (phi + rule.nodes)
+    feats = np.stack([np.ones(rule.size), np.cos(big_phi), np.sin(big_phi)], axis=-1)
+    basis = 0.5 * np.stack([np.eye(2), r * _SIGMA_Z, r * _SIGMA_X])
+    return DensityFamily(2, lambda theta: rho_circle(r, phi, theta), rule,
+                         affine_weighted_sum(feats, basis))
 
 
 def fourier_quantize(mean: float, cc: float, cs: float,

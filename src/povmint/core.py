@@ -42,6 +42,18 @@ class DensityFamily:
     weighted_sum: Callable[[Array], Array] | None = None
 
 
+def affine_weighted_sum(feats: Array, basis: Array) -> Callable[[Array], Array]:
+    """weighted_sum (c @ feats) @ basis of a qubit family rho(x_k) = feats[k] @ basis: no node
+    matrix built; complex c as two real parts, each by real c's calls (same bits)."""
+
+    def weighted_sum(c):
+        parts = np.stack([c.real, c.imag]) if np.iscomplexobj(c) else c[None]
+        sums = (parts[:, None] @ feats @ basis.reshape(len(basis), 4)).reshape(-1, 2, 2)
+        return sums[0] + 1j * sums[1] if len(parts) == 2 else sums[0] + 0j
+
+    return weighted_sum
+
+
 @dataclass(frozen=True)
 class ResolutionReport:
     defect: float

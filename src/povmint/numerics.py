@@ -30,6 +30,14 @@ LAGUERRE_MAX_X = 600.0
 MAX_RULE_NODES = 2 ** 18
 
 
+def unit_radius(r) -> np.ndarray:
+    """r as an array; DomainError unless every entry lies in [0, 1] (NaN fails)."""
+    r = np.asarray(r)
+    if not ((0.0 <= r) & (r <= 1.0)).all():
+        raise DomainError(f"r must lie in [0, 1], got {r}")
+    return r
+
+
 def laguerre_table(n_max: int, alpha, x) -> np.ndarray:
     """Table L[n] = L_n^(alpha)(x), n = 0..n_max, by upward recurrence in n.
 
@@ -197,51 +205,63 @@ def periodic_rule(n: int, scale: float, offset: float = 0.0) -> QuadratureRule:
     return QuadratureRule((np.arange(n) + offset) * h, np.full(int(n), h * scale))
 
 
+def _golub_welsch(diag: np.ndarray, off: np.ndarray, recurrence) -> tuple:
+    """Gauss nodes and weights by Golub-Welsch: the Jacobi matrix's eigenvalues, each polished
+    by one Newton step, and the weights there; recurrence(x) gives (Newton step, weights)."""
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    x -= recurrence(x)[0]
+    return x, recurrence(x)[1]
+
+
 def legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
-    """n-point Gauss-Legendre rule for dx on [a, b], a < b finite."""
+    """n-point Gauss-Legendre rule for dx on [a, b], a < b finite (DECISIONS.md entry 26)."""
     if n < 1 or n % 1:  # an integral float is accepted; NaN fails
         raise DomainError(f"node count must be an integer >= 1, got {n}")
     if not -math.inf < a < b < math.inf:
         raise DomainError(f"interval needs finite bounds a < b, got [{a}, {b}]")
-    x, w = np.polynomial.legendre.leggauss(int(n))
+    n, k = int(n), np.arange(1.0, n)
+
+    def recurrence(x):
+        prev, p = np.ones_like(x), x
+        for j in range(1, n):
+            prev, p = p, ((2 * j + 1) * x * p - j * prev) / (j + 1)
+        one_x2, dp = (1.0 - x) * (1.0 + x), n * (prev - x * p)  # dp = (1 - x^2) P_n'
+        step = p * one_x2 / dp
+        # dp is flat at a root (dp' = -n(n + 1) P_n): move only 1 - x^2 to the root, x - step
+        return step, 2.0 * (one_x2 + 2.0 * x * step) / (dp * dp)
+
+    x, w = _golub_welsch(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0), recurrence)
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
     return QuadratureRule(0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w)
 
 
-def _normalized_laguerre(n: int, alpha: float, x: np.ndarray):
-    """(p_{n-1}, p_n, d_n = p_n - p_{n-1}) at x, p_k = L_k^(alpha)(x) / C(k+alpha, k),
-    by scipy's difference recurrence: near the roots ~400x more accurate than
-    :func:`laguerre_table`'s three-term recurrence."""
-    p, d = np.ones_like(x), np.zeros_like(x)
-    for k in range(n):
-        prev = p
-        d = -x / (k + alpha + 1) * p + k / (k + alpha + 1) * d
-        p = p + d
-    return prev, p, d
-
-
 def laguerre_rule(n: int, alpha: float = 0.0) -> QuadratureRule:
-    """n-point Gauss-Laguerre rule for x^alpha e^(-x) dx on [0, inf), alpha > -1.
-
-    Golub-Welsch: Jacobi-matrix eigenvalues, each polished by one Newton step;
-    weights x / (p_{n-1} d_n) at the polished nodes (DECISIONS.md entry 15)."""
+    """n-point Gauss-Laguerre rule for x^alpha e^(-x) dx on [0, inf), alpha > -1, by
+    Golub-Welsch with weights x / (p_{n-1} d_n) at the polished nodes (DECISIONS.md entry 15)."""
     if n < 1 or n % 1:  # an integral float is accepted, as scipy did
         raise DomainError(f"node count must be an integer >= 1, got {n}")
     if alpha <= -1:
         raise DomainError(f"Gauss-Laguerre rule needs alpha > -1, got {alpha}")
-    n = int(n)
-    k = np.arange(n, dtype=float)
-    jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(np.sqrt(k[1:] * (k[1:] + alpha)), -1)
-    x = np.linalg.eigvalsh(jacobi)
-    _, p, d = _normalized_laguerre(n, alpha, x)
-    x -= x * p / (n * d)  # Newton: L_n / L_n' = x p_n / (n d_n)
-    prev, _, d = _normalized_laguerre(n, alpha, x)
-    # their product overflows from n = 200: centre each factor in log space
-    for f in (prev, d):
-        log_f = np.log(np.abs(f))
-        f /= np.exp(0.5 * (log_f.max() + log_f.min()))
-    w = x / (prev * d)
-    w *= math.gamma(alpha + 1.0) / w.sum()
-    return QuadratureRule(x, w)
+    n, k = int(n), np.arange(n, dtype=float)
+
+    def recurrence(x):
+        # p_j = L_j^(alpha)(x) / C(j+alpha, j), d_j = p_j - p_{j-1}, by scipy's difference
+        # recurrence: near the roots ~400x more accurate than laguerre_table's three-term one
+        p, d = np.ones_like(x), np.zeros_like(x)
+        for j in range(n):
+            prev = p
+            d = -x / (j + alpha + 1) * p + j / (j + alpha + 1) * d
+            p = p + d
+        step = x * p / (n * d)  # Newton: L_n / L_n' = x p_n / (n d_n)
+        # their product overflows from n = 200: centre each factor in log space
+        for f in (prev, d):
+            log_f = np.log(np.abs(f))
+            f /= np.exp(0.5 * (log_f.max() + log_f.min()))
+        w = x / (prev * d)
+        return step, w * (math.gamma(alpha + 1.0) / w.sum())
+
+    return QuadratureRule(*_golub_welsch(2.0 * k + alpha + 1.0,
+                                         np.sqrt(k[1:] * (k[1:] + alpha)), recurrence))
 
 
 def product_rule(rule_a: QuadratureRule, rule_b: QuadratureRule) -> QuadratureRule:

@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 
-from .core import DensityFamily
+from .core import DensityFamily, affine_weighted_sum
 from .numerics import (DomainError, QuadratureRule, legendre_rule, periodic_rule,
-                       MAX_RULE_NODES, product_rule)
+                       MAX_RULE_NODES, product_rule, unit_radius)
 
 SIGMA = np.array([[[0.0, 1.0], [1.0, 0.0]],
                   [[0.0, -1.0j], [1.0j, 0.0]],
@@ -38,9 +38,7 @@ def rho_sphere(r, theta, phi) -> np.ndarray:
     """Closed-form sphere density (I + r _signed_pauli(n)) / 2, n = direction:
     entry (0, 1) is r sin(theta) e^{i phi} / 2; array r and angles broadcast.
     DomainError unless every r lies in [0, 1]."""
-    r = np.asarray(r)
-    if not ((0.0 <= r) & (r <= 1.0)).all():
-        raise DomainError(f"r must lie in [0, 1], got {r}")
+    r = unit_radius(r)
     return 0.5 * (np.eye(2) + r[..., None, None] * _signed_pauli(direction(theta, phi)))
 
 
@@ -54,13 +52,17 @@ def sphere_rule(n_theta: int = 8, n_phi: int = 8) -> QuadratureRule:
 
 
 def sphere_family(r: float, n_theta: int = 8, n_phi: int = 8) -> DensityFamily:
-    """The sphere POVM family; nodes are (cos theta, phi) pairs."""
+    """The sphere POVM family on (cos theta, phi) nodes, 0 <= r <= 1."""
+    r, rule = float(unit_radius(r)), sphere_rule(n_theta, n_phi)
 
     def evaluate(node):
         u, phi = np.moveaxis(np.asarray(node, dtype=float), -1, 0)
         return rho_sphere(r, np.arccos(np.clip(u, -1.0, 1.0)), phi)
 
-    return DensityFamily(2, evaluate, sphere_rule(n_theta, n_phi))
+    feats = np.column_stack([np.ones(rule.size), direction(np.arccos(rule.nodes[:, 0]),
+                                                           rule.nodes[:, 1])])
+    basis = 0.5 * np.stack([np.eye(2), r * SIGMA[0], -r * SIGMA[1], r * SIGMA[2]])
+    return DensityFamily(2, evaluate, rule, affine_weighted_sum(feats, basis))
 
 
 def quantize_azimuth(r: float) -> np.ndarray:

@@ -116,6 +116,22 @@ MUTANTS = [
     Mutant("radial-integrals-odd-on-even-nodes (entry 25)", "plane.py",
            "rule_h.integrate(stack[n_j:, 1::2])", "rule_h.integrate(stack[:n_j, 1::2])",
            ("tests/test_plane.py::TestCompressedDensity::test_radial_integrals_exact_at_half_the_nodes",)),
+    Mutant("sphere-sum-sigma-y-sign (entry 26)", "sphere.py",
+           "-r * SIGMA[1]", "r * SIGMA[1]",
+           ("tests/test_core.py::TestClosedFormSums::test_matches_the_loop",)),
+    Mutant("circle-sum-cos-sin-swapped (entry 26)", "circle.py",
+           "np.cos(big_phi), np.sin(big_phi)]", "np.sin(big_phi), np.cos(big_phi)]",
+           ("tests/test_core.py::TestClosedFormSums::test_matches_the_loop",)),
+    Mutant("legendre-not-symmetrized (entry 26)", "numerics.py",
+           "x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])", "pass",
+           ("tests/test_numerics.py::TestLegendreRule::test_matches_mpmath",)),
+    Mutant("legendre-weight-off-the-root (entry 26)", "numerics.py",
+           "2.0 * (one_x2 + 2.0 * x * step)", "2.0 * one_x2",
+           ("tests/test_numerics.py::TestLegendreRule::test_matches_mpmath",)),
+    Mutant("golub-welsch-newton-step-dropped (entries 15, 26)", "numerics.py",
+           "x -= recurrence(x)[0]", "pass",
+           ("tests/test_numerics.py::TestLegendreRule::test_matches_mpmath",
+            "tests/test_numerics.py::TestLaguerreRule::test_matches_scipy")),
 
     # --- mutants recorded in CHANGES.md that still apply
     Mutant("laguerre-step-reassociated", "numerics.py",
@@ -211,9 +227,16 @@ MUTANTS = [
     Mutant("fold-pairing-guard (entry 18)", "halfplane.py",
            'raise DomainError("the group rule must pair (q, p) with (q, -p) at equal weights")', "pass",
            ("tests/test_halfplane.py::TestMirrorFold::test_unpaired_rule_raises",)),
-    Mutant("circle-density-r-guard", "circle.py",
+    Mutant("unit-radius-guard", "numerics.py",
            'raise DomainError(f"r must lie in [0, 1], got {r}")', "pass",
            ("tests/test_circle.py::TestParams::test_rejects_any_bad_entry_of_r",)),
+    Mutant("circle-family-r-guard (entry 26)", "circle.py",
+           "r, rule = float(unit_radius(r)), circle_rule(n)", "r, rule = float(r), circle_rule(n)",
+           ("tests/test_core.py::TestClosedFormSums::test_r_is_checked_when_the_family_is_built",)),
+    Mutant("sphere-family-r-guard (entry 26)", "sphere.py",
+           "r, rule = float(unit_radius(r)), sphere_rule(n_theta, n_phi)",
+           "r, rule = float(r), sphere_rule(n_theta, n_phi)",
+           ("tests/test_core.py::TestClosedFormSums::test_r_is_checked_when_the_family_is_built",)),
     Mutant("sphere-node-budget", "sphere.py",
            'raise DomainError(f"{n_theta} x {n_phi} nodes exceed the budget of {MAX_RULE_NODES}")', "pass",
            ("tests/test_cli.py::TestVerify::test_node_budget_admits_the_rule_that_fills_it",)),

@@ -753,6 +753,16 @@ class TestImport:
                            "print(code)\n" + self.LOADED)
         assert lines == ["0", "['povmint.circle']"]
 
+    @pytest.mark.parametrize("suite", ["sphere", "halfplane"])
+    def test_gauss_legendre_suites_load_no_numpy_polynomial(self, suite):
+        # legendre_rule is Golub-Welsch in plain numpy, not numpy's leggauss
+        lines = self.fresh("import contextlib, io, sys\n"
+                           "from povmint import cli\n"
+                           "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           "    code = cli.main(['verify', sys.argv[1]])\n"
+                           "print(code, 'numpy.polynomial' in sys.modules)\n", suite)
+        assert lines == ["0 False"]
+
     def test_reconstruct_then_verify_all_load_what_they_use(self, tmp_path):
         path = table_file(tmp_path, [qubit(0.4), qubit(-0.4)], [1.0, 1.0])
         lines = self.fresh("import contextlib, io, sys\n"

@@ -126,12 +126,17 @@ class TestQuantize:
         assert_allclose(lhs.real, fam.rule.integrate(vals), atol=1e-13)
 
 
+def _per_node(fam):
+    """The family without its weighted sum: core's per-batch path reduces it."""
+    return dataclasses.replace(fam, weighted_sum=None)
+
+
 QUANTIZE_VALUE_FAMILIES = {
     # (family, symbol written once as an array expression over the nodes;
     # + and * only, so it rounds the same on one node as on all of them)
-    "circle": (lambda: circle.circle_family(0.7, 0.3, n=16),
+    "circle": (lambda: _per_node(circle.circle_family(0.7, 0.3, n=16)),
                lambda th: th * th - 0.5 * th + 1j * th),
-    "sphere": (lambda: sphere.sphere_family(0.8, 6, 7),
+    "sphere": (lambda: _per_node(sphere.sphere_family(0.8, 6, 7)),
                lambda nd: nd[..., 0] * nd[..., 1] + 1j * nd[..., 0]),
     "plane-grid": (lambda: _plane_grid(), lambda nd: nd[..., 0] * nd[..., 1] - 1j * nd[..., 0]),
     "plane-scattered": (lambda: _plane_composed("shuffled"),
@@ -354,9 +359,15 @@ def _affine_family():
     return core.orbit_family(spec, c_rho)
 
 
-GEOMETRIES = {
+CLOSED_FORM_FAMILIES = {
     "circle": lambda: circle.circle_family(0.7, 0.3, n=16),
     "sphere": lambda: sphere.sphere_family(0.8, 6, 7),
+}
+
+
+GEOMETRIES = {
+    "circle": lambda: _per_node(CLOSED_FORM_FAMILIES["circle"]()),
+    "sphere": lambda: _per_node(CLOSED_FORM_FAMILIES["sphere"]()),
     "fourier-cs": lambda: core.cs_family(fourier_basis(4)),
     "torus-orbit": lambda: core.orbit_family(torus_orbit_spec()),
     "affine": _affine_family,
@@ -408,6 +419,41 @@ class TestNodeArrayContract:
         got = core._accumulate(counted, c)
         assert calls and max(calls) == 3 and sum(calls) == np.count_nonzero(c)
         assert np.max(np.abs(got - loop_accumulate(fam, c))) < self.TOL
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_FAMILIES))
+class TestClosedFormSums:
+    """The circle and sphere families sum sum_k c_k rho(x_k) from a feature table."""
+
+    def test_matches_the_loop(self, name):
+        fam = CLOSED_FORM_FAMILIES[name]()
+        assert fam.weighted_sum is not None
+        c = _coeffs(fam)
+        for coeffs in (None, c, c.real, c.imag):
+            got = core._accumulate(fam, coeffs)
+            assert got.dtype == complex
+            assert np.max(np.abs(got - loop_accumulate(fam, coeffs))) < TestNodeArrayContract.TOL
+
+    def test_builds_no_node_matrix(self, name):
+        fam = CLOSED_FORM_FAMILIES[name]()
+        blind = dataclasses.replace(fam, evaluate=lambda x: pytest.fail("evaluate called"))
+        c = _coeffs(fam)
+        assert np.array_equal(core._accumulate(blind, c), core._accumulate(fam, c))
+        assert np.array_equal(core.check_resolution(blind).operator,
+                              core.check_resolution(fam).operator)
+
+    @pytest.mark.parametrize("r", [1.5, -0.1, math.nan, np.array([0.5, 0.6])],
+                             ids=["1.5", "-0.1", "nan", "array"])
+    def test_r_is_checked_when_the_family_is_built(self, name, r):
+        # the closed-form sum never evaluates a density, so the build checks r; an
+        # array r would broadcast into the basis matrices and sum without an error
+        build = {"circle": circle.circle_family, "sphere": sphere.sphere_family}[name]
+        if np.ndim(r):
+            with pytest.raises(TypeError):
+                build(r)
+            return
+        with pytest.raises(numerics.DomainError, match=r"^r must lie in \[0, 1\], got "):
+            build(r)
 
 
 def _compressed_thermal(z, params):

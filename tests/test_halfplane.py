@@ -260,15 +260,15 @@ class TestGroupRule:
         assert np.array_equal(rule.weights, want.weights)
 
     def test_builds_one_legendre_rule(self, monkeypatch):
-        calls, leggauss = [], np.polynomial.legendre.leggauss
+        calls = []
 
-        def counting(n):
-            calls.append(n)
-            return leggauss(n)
+        def counting(n, a, b):
+            calls.append((n, a, b))
+            return legendre_rule(n, a, b)
 
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        monkeypatch.setattr(halfplane, "legendre_rule", counting)
         halfplane.affine_group_rule(64, 14.0)
-        assert calls == [64]
+        assert calls == [(64, -1.0, 1.0)]
 
     @pytest.mark.parametrize("u_max", [-14.0, 0.0, math.inf, math.nan])
     def test_rejects_bad_u_max(self, u_max):
