@@ -253,6 +253,15 @@ class TestRules:
         lambda n: legendre_rule(n, -1.0, 1.0),
         laguerre_rule,
     ], ids=["periodic", "legendre", "laguerre"])
+    def test_empty_rule_raises(self, build):
+        with pytest.raises(DomainError):
+            build(0)
+
+    @pytest.mark.parametrize("build", [
+        lambda n: periodic_rule(n, 1.0),
+        lambda n: legendre_rule(n, -1.0, 1.0),
+        laguerre_rule,
+    ], ids=["periodic", "legendre", "laguerre"])
     @pytest.mark.parametrize("n", [0, 2.5, math.nan, 8.0], ids=["zero", "2.5", "nan", "8.0"])
     def test_node_count_must_be_an_integer(self, build, n):
         # every 1-D builder raises one DomainError for a count that is not a
@@ -274,6 +283,11 @@ class TestRules:
         for n in (10.5, math.nan):
             with pytest.raises(DomainError):
                 laguerre_rule(n)
+
+    def test_legendre_integral_float_node_count(self):
+        rule, ref = legendre_rule(10.0, 0.0, 1.0), legendre_rule(10, 0.0, 1.0)
+        assert np.array_equal(rule.nodes, ref.nodes)
+        assert np.array_equal(rule.weights, ref.weights)
 
     @pytest.mark.parametrize("n, a, b", [
         (10.5, 0.0, 1.0), (math.nan, 0.0, 1.0), (4, 0.0, math.inf),
@@ -339,6 +353,12 @@ class TestLaguerreRule:
         rule = laguerre_rule(n, alpha)
         assert_allclose(rule.weights, mpmath_laguerre_weights(n, alpha, rule.nodes),
                         rtol=1e-13, atol=0)
+
+    def test_integral_float_node_count(self):
+        # scipy's roots_genlaguerre took an integral float too
+        rule, ref = laguerre_rule(10.0), laguerre_rule(10)
+        assert_allclose(rule.nodes, ref.nodes, rtol=0, atol=0)
+        assert_allclose(rule.weights, ref.weights, rtol=0, atol=0)
 
 
 def mpmath_legendre_rule(n, nodes):
