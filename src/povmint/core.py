@@ -38,20 +38,17 @@ class DensityFamily:
     dim: int
     evaluate: Callable[[object], Array]
     rule: QuadratureRule
-    # optional fast route: coeffs -> sum_k coeffs_k rho(x_k) over rule.nodes
+    # optional fast route: real coeffs -> sum_k coeffs_k rho(x_k) over rule.nodes, linear in
+    # coeffs; _accumulate passes Re c and Im c of complex c as contiguous float arrays, as real
+    # c is, so a real symbol and its complex copy run the same BLAS calls
     weighted_sum: Callable[[Array], Array] | None = None
 
 
 def affine_weighted_sum(feats: Array, basis: Array) -> Callable[[Array], Array]:
-    """weighted_sum (c @ feats) @ basis of a qubit family rho(x_k) = feats[k] @ basis: no node
-    matrix built; complex c as two real parts, each by real c's calls (same bits)."""
-
-    def weighted_sum(c):
-        parts = np.stack([c.real, c.imag]) if np.iscomplexobj(c) else c[None]
-        sums = (parts[:, None] @ feats @ basis.reshape(len(basis), 4)).reshape(-1, 2, 2)
-        return sums[0] + 1j * sums[1] if len(parts) == 2 else sums[0] + 0j
-
-    return weighted_sum
+    """weighted_sum (c @ feats) @ basis of real c for a qubit family rho(x_k) = feats[k] @ basis:
+    no node matrix built."""
+    basis4 = basis.reshape(len(basis), 4)
+    return lambda c: (c[None] @ feats @ basis4).reshape(2, 2) + 0j
 
 
 @dataclass(frozen=True)
@@ -81,9 +78,12 @@ def _batches(fam: DensityFamily, idx: Array):
 
 
 def _accumulate(fam: DensityFamily, coeffs=None) -> Array:
-    """Weighted sum of rho over nodes: the family's own weighted_sum when it
-    has one, else one einsum per batch of the nodes with nonzero coefficient."""
+    """Weighted sum of rho over nodes: the family's own weighted_sum when it has one, of complex
+    c as ws(Re c) + i ws(Im c); else one einsum per batch of the nodes with nonzero coefficient."""
     c = fam.rule.weights if coeffs is None else fam.rule.weights * coeffs
+    if fam.weighted_sum is not None and np.iscomplexobj(c):
+        re, im = np.stack([c.real, c.imag])
+        return fam.weighted_sum(re) + 1j * fam.weighted_sum(im)
     if fam.weighted_sum is not None:
         return fam.weighted_sum(c)
     total = np.zeros((fam.dim, fam.dim), dtype=complex)

@@ -207,7 +207,11 @@ def periodic_rule(n: int, scale: float, offset: float = 0.0) -> QuadratureRule:
 
 def _golub_welsch(diag: np.ndarray, off: np.ndarray, recurrence) -> tuple:
     """Gauss nodes and weights by Golub-Welsch: the Jacobi matrix's eigenvalues, each polished
-    by one Newton step, and the weights there; recurrence(x) gives (Newton step, weights)."""
+    by one Newton step, and the weights there; recurrence(x) gives (Newton step, weights).
+    DomainError when the dense n x n matrix has more than MAX_RULE_NODES entries (n > 512)."""
+    if len(diag) ** 2 > MAX_RULE_NODES:
+        n = len(diag)
+        raise DomainError(f"{n} x {n} Jacobi matrix exceeds the budget of {MAX_RULE_NODES}")
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
     x -= recurrence(x)[0]
     return x, recurrence(x)[1]

@@ -247,7 +247,7 @@ def plane_family(params: ThermalParams, radial: QuadratureRule | None = None,
     contracts the harmonics sum_gamma c(J_j, gamma) e^{+-i d gamma} with the
     diagonals d = m - n of the real, symmetric rho(J_j, 0), as _radial_packed
     builds them: one GEMM with cos and sin(d gamma) for d < dim, one matmul per
-    diagonal and one scatter.  Complex c is summed as Re c + i Im c.
+    diagonal and two writes, RC + i RS below the diagonal and RC - i RS above it.
     """
     dim = params.dim
     if radial is None:
@@ -260,27 +260,22 @@ def plane_family(params: ThermalParams, radial: QuadratureRule | None = None,
     # and not an FFT, so any angle set (offset, odd count) is summed exactly
     angles = np.outer(np.arange(dim), angular.nodes)
     trig = np.stack([np.cos(angles), np.sin(angles)], axis=1).reshape(2 * dim, -1)
-    # [RC, RS] of diagonal d at (2d + q) dim + n of part p's product, p = 0 for Re c and 1 for
-    # Im c ([IC, IS]); (n + d, n) gets RC - IS + i(RS + IC), (n, n + d) RC + IS + i(IC - RS)
+    # [RC, RS] of diagonal d at flat (2d + q) dim + n of the [d, (RC, RS), n] product;
+    # (n + d, n) gets RC + i RS and (n, n + d) RC - i RS, written through flat indices too
     m, n = np.tril_indices(dim)
     picks = (2 * (m - n) + np.arange(2)[:, None]) * dim + n
-    lower, upper = 2 * (m * dim + n), 2 * (n * dim + m)
-    slots = np.concatenate([lower, lower + 1, upper, upper + 1])
+    lower, upper = m * dim + n, n * dim + m
 
     def evaluate(node):
         j, gamma = np.moveaxis(np.asarray(node, dtype=float), -1, 0)
         return thermal_density(j, gamma, params)
 
     def weighted_sum(coeffs):
-        c = np.reshape(coeffs, (radial.size, -1))
-        # one GEMM per real part, each shaped as for real c, so Re c rounds the same either way
-        parts = np.stack([c.real, c.imag]) if np.iscomplexobj(c) else c[None]
-        h = (trig @ parts.transpose(0, 2, 1)).reshape(len(parts), dim, 2, radial.size)
-        sums = np.take((h @ packed).reshape(len(parts), -1), picks, axis=1)
-        (rc, rs), (ic, is_) = sums if len(parts) == 2 else (sums[0], (0.0, 0.0))
-        out = np.empty(2 * dim * dim)
-        out[slots] = np.concatenate([rc - is_, rs + ic, rc + is_, ic - rs])
-        return out.view(complex).reshape(dim, dim)
+        h = (trig @ np.reshape(coeffs, (radial.size, -1)).T).reshape(dim, 2, radial.size)
+        rc, rs = (h @ packed).ravel()[picks]
+        out = np.empty(dim * dim, dtype=complex)
+        out[lower], out[upper] = rc + 1j * rs, rc - 1j * rs
+        return out.reshape(dim, dim)
 
     return DensityFamily(dim, evaluate, rule, weighted_sum=weighted_sum)
 

@@ -11,9 +11,10 @@ subprocess with ``PYTHONPATH`` on the copy, and restores the file.  A mutant
 is killed when pytest reports a failing test.  No process pool is started.
 
 Exit status: 0 when every mutant is killed, 1 when one survives or errs,
-2 when a snippet is not unique or the unmutated copy fails.  pytest does
-not collect this file: its name does not match ``test_*.py``.  The snippet
-check alone runs in Tier-1 as ``tests/test_mutant_table.py``.
+2 when a snippet is not unique, a named test is not defined or the unmutated
+copy fails.  pytest does not collect this file: its name does not match
+``test_*.py``.  The snippet and test-id checks alone run in Tier-1 as
+``tests/test_mutant_table.py``.
 
 The mutants come from the corrected forms of DECISIONS.md flipped back to
 the printed forms, from the DomainError guards (each dropped), from the
@@ -23,6 +24,7 @@ that deletes a mutant's snippet updates or retires that mutant.
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -94,17 +96,6 @@ MUTANTS = [
     Mutant("qubit-rounding-eigenvalues-kept (entry 20)", "finite.py",
            "np.sqrt(np.where(w > 1e-12, w, 0.0))", "np.sqrt(np.maximum(w, 0.0))",
            ("tests/test_finite.py::TestClosedForm::test_invariant_under_unitary_and_transpose",)),
-    Mutant("packed-lower-scatter-sign (entry 23)", "plane.py",
-           "np.concatenate([rc - is_, rs + ic, rc + is_, ic - rs])",
-           "np.concatenate([rc + is_, rs + ic, rc + is_, ic - rs])",
-           ("tests/test_plane.py::TestPackedWeightedSum::test_matches_toeplitz_oracle",)),
-    Mutant("real-branch-upper-sign (entry 25)", "plane.py",
-           "np.concatenate([rc - is_, rs + ic, rc + is_, ic - rs])",
-           "np.concatenate([rc - is_, rs + ic, rc + is_, ic + rs])",
-           ("tests/test_plane.py::TestPackedWeightedSum::test_matches_toeplitz_oracle",)),
-    Mutant("complex-parts-conjugated (entry 25)", "plane.py",
-           "parts = np.stack([c.real, c.imag])", "parts = np.stack([c.real, -c.imag])",
-           ("tests/test_plane.py::TestPackedWeightedSum::test_matches_toeplitz_oracle",)),
     Mutant("real-values-made-complex (entry 25)", "core.py",
            "vals = np.asarray(vals, dtype=complex if np.iscomplexobj(vals) else float)",
            "vals = np.asarray(vals, dtype=complex)",
@@ -132,6 +123,23 @@ MUTANTS = [
            "x -= recurrence(x)[0]", "pass",
            ("tests/test_numerics.py::TestLegendreRule::test_matches_mpmath",
             "tests/test_numerics.py::TestLaguerreRule::test_matches_scipy")),
+
+    Mutant("plane-sum-lower-sign (entries 23, 27)", "plane.py",
+           "out[lower], out[upper] = rc + 1j * rs,", "out[lower], out[upper] = rc - 1j * rs,",
+           ("tests/test_plane.py::TestPackedWeightedSum::test_matches_toeplitz_oracle",)),
+    Mutant("plane-sum-upper-sign (entries 23, 27)", "plane.py",
+           "rc + 1j * rs, rc - 1j * rs", "rc + 1j * rs, rc + 1j * rs",
+           ("tests/test_plane.py::TestPackedWeightedSum::test_matches_toeplitz_oracle",)),
+    Mutant("complex-split-imaginary-sign (entry 27)", "core.py",
+           "fam.weighted_sum(re) + 1j * fam.weighted_sum(im)",
+           "fam.weighted_sum(re) - 1j * fam.weighted_sum(im)",
+           ("tests/test_core.py::TestClosedFormSums::test_matches_the_loop",)),
+    Mutant("complex-split-skipped (entry 27)", "core.py",
+           "if fam.weighted_sum is not None and np.iscomplexobj(c):", "if False:",
+           ("tests/test_core.py::TestQuantizeValues::test_real_values_reach_the_family_as_float",)),
+    Mutant("complex-split-strided (entry 27)", "core.py",
+           "re, im = np.stack([c.real, c.imag])", "re, im = c.real, c.imag",
+           ("tests/test_core.py::TestQuantizeValues::test_real_values_reach_the_family_as_float",)),
 
     # --- mutants recorded in CHANGES.md that still apply
     Mutant("laguerre-step-reassociated", "numerics.py",
@@ -237,6 +245,10 @@ MUTANTS = [
            "r, rule = float(unit_radius(r)), sphere_rule(n_theta, n_phi)",
            "r, rule = float(r), sphere_rule(n_theta, n_phi)",
            ("tests/test_core.py::TestClosedFormSums::test_r_is_checked_when_the_family_is_built",)),
+    Mutant("gauss-rule-matrix-budget", "numerics.py",
+           'raise DomainError(f"{n} x {n} Jacobi matrix exceeds the budget of {MAX_RULE_NODES}")',
+           "pass",
+           ("tests/test_numerics.py::TestRules::test_gauss_rule_budget_admits_the_matrix_that_fills_it",)),
     Mutant("sphere-node-budget", "sphere.py",
            'raise DomainError(f"{n_theta} x {n_phi} nodes exceed the budget of {MAX_RULE_NODES}")', "pass",
            ("tests/test_cli.py::TestVerify::test_node_budget_admits_the_rule_that_fills_it",)),
@@ -263,9 +275,25 @@ def stale_snippets() -> list[str]:
     return [f"{name}: snippet found {n} times, not once" for name, n in counts.items() if n != 1]
 
 
+def unresolved_tests(ids) -> list[str]:
+    """One line per pytest node id whose file is missing or does not define each of its
+    ``Class::test`` names (parametrize ids aside): read by ``ast``, nothing imported."""
+    bad = []
+    for test_id in ids:
+        path, *names = test_id.split("[")[0].split("::")
+        body = ast.parse((ROOT / path).read_text()).body if (ROOT / path).is_file() else None
+        for name in names:
+            defs = {node.name: node.body for node in body or ()
+                    if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+            body = defs.get(name)
+        if body is None:
+            bad.append(f"{test_id}: not defined")
+    return bad
+
+
 def main() -> int:
     start = time.perf_counter()
-    bad = stale_snippets()
+    bad = stale_snippets() + unresolved_tests(sorted({t for m in MUTANTS for t in m.tests}))
     if bad:
         print("mutant table is stale:\n  " + "\n  ".join(bad))
         return 2

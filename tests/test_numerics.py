@@ -242,6 +242,15 @@ class TestRules:
         rule = periodic_rule(16, 1.0 / math.pi)
         assert_allclose(rule.integrate(np.ones(16)), 2.0, rtol=1e-14)
 
+    def test_gauss_rule_budget_admits_the_matrix_that_fills_it(self, monkeypatch):
+        # Golub-Welsch builds a dense n x n Jacobi matrix: n = 512 at the real budget
+        monkeypatch.setattr(numerics, "MAX_RULE_NODES", 12 * 12)
+        assert legendre_rule(12, -1.0, 1.0).size == laguerre_rule(12).size == 12
+        for build in (lambda n: legendre_rule(n, -1.0, 1.0), laguerre_rule):
+            with pytest.raises(DomainError, match="13 x 13 Jacobi matrix exceeds the budget"
+                                                  " of 144"):
+                build(13)
+
     def test_periodic_node_budget_admits_the_rule_that_fills_it(self, monkeypatch):
         monkeypatch.setattr(numerics, "MAX_RULE_NODES", 12)
         assert periodic_rule(12, 1.0).size == 12
