@@ -123,8 +123,8 @@ def quantize_values(fam: DensityFamily, vals: Array) -> Array:
 
 
 def quantize(fam: DensityFamily, f: Callable) -> Array:
-    """Quantized operator A_f of a scalar symbol f, called once per node."""
-    return quantize_values(fam, np.array([complex(f(x)) for x in fam.rule.nodes]))
+    """Quantized operator A_f of a scalar symbol f, called once per node; real f sums as float."""
+    return quantize_values(fam, np.array([f(x) for x in fam.rule.nodes]))
 
 
 def lower_symbol(fam: DensityFamily, a: Array, x) -> complex | Array:

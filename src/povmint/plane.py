@@ -63,39 +63,28 @@ def fock_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _displacement_scaled_real(x, dim: int) -> np.ndarray:
-    """e^{x/2} D(sqrt(x)) for an array of x >= 0, shape x.shape + (dim, dim).
-
-    Entry (m, n), m >= n: sqrt(n!/m!) x^{(m-n)/2} L_n^{(m-n)}(x) from one
-    Laguerre table, its prefactor in log space; entry (n, m) adds (-1)^{m-n}.
-    """
+    """e^{x/2} D(sqrt(x)) for an array of x, shape x.shape + (dim, dim): entry (n + k, n)
+    sqrt(n!/(n+k)!) x^{k/2} L_n^{(k)}(x) from the diagonal recurrence at t = 1, y = -x and
+    column 0 prod_{i<=k} sqrt(x/i); entry (n, n + k) adds (-1)^k.  DomainError outside the
+    validated range dim <= 256, 0 <= x <= 600, and for a NaN x."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError(f"|z|^2 must be nonnegative, got {np.min(x)}")
-    flat = x.reshape(-1, 1)
-    m, n = np.tril_indices(dim)
-    lf = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, dim)))])
-    vals = laguerre_table(dim - 1, np.arange(dim), flat)[n, :, m - n].T
-    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf at x = 0
-        power = np.where(m == n, 0.0, 0.5 * (m - n) * np.log(flat))  # x^0 = 1 at x = 0
-    vals *= np.exp(0.5 * (lf[n] - lf[m]) + power)
-    out = np.zeros((flat.shape[0], dim, dim))
-    out[:, m, n] = vals
-    out[:, n, m] = vals * (-1.0) ** (m - n)
-    return out.reshape(x.shape + (dim, dim))
+    flat = x.reshape(1, -1)
+    if not (dim in range(1, 257) and np.all((flat >= 0.0) & (flat <= 600.0))):  # NaN fails too
+        raise DomainError(f"dim = {dim}, |z|^2 in [{np.min(x)}, {np.max(x)}] is outside"
+                          " the validated range dim <= 256, 0 <= |z|^2 <= 600")
+    k = np.arange(dim)
+    col0 = np.cumprod(np.vstack([np.ones_like(flat), np.sqrt(flat / k[1:, None])]), axis=0)
+    square = _square(_diagonal_recurrence(col0, 1.0, -flat).transpose(2, 1, 0))
+    return (square * (-1.0) ** np.triu(k - k[:, None])).reshape(x.shape + (dim, dim))
 
 
 def displacement(z: complex, dim: int) -> np.ndarray:
-    """Truncated displacement operator D(z) with analytic matrix elements.
-
-    D_mn(z) = sqrt(n!/m!) z^{m-n} e^{-|z|^2/2} L_n^{(m-n)}(|z|^2) for m >= n,
-    and D_mn(z) = conj(D_nm(-z)) below the diagonal; D(|z| e^{i phi}) is
-    P D(|z|) P^dag with P = diag(e^{i n phi}).
-    """
+    """Truncated displacement operator D(z): D_mn(z) = sqrt(n!/m!) z^{m-n} e^{-|z|^2/2}
+    L_n^{(m-n)}(|z|^2) for m >= n and D_nm(z) = conj(D_mn(-z)), the real D(|z|) rotated
+    by arg z."""
     z = complex(z)
-    phases = np.exp(1.0j * np.arange(dim) * np.angle(z))
     x = abs(z) ** 2
-    real = _displacement_scaled_real(x, dim) * math.exp(-0.5 * x)
-    return phases[:, None] * real * phases.conj()[None, :]
+    return _rotate(_displacement_scaled_real(x, dim) * math.exp(-0.5 * x), np.angle(z))
 
 
 def displaced_thermal(z: complex, params: ThermalParams) -> np.ndarray:
@@ -112,55 +101,67 @@ def displaced_thermal(z: complex, params: ThermalParams) -> np.ndarray:
     return thermal_density(abs(z) ** 2, np.angle(z), params)
 
 
-def _radial_packed(j, params: ThermalParams) -> np.ndarray:
-    """Diagonals of rho_T(sqrt(J)): packed[k, i, n] = [n + k, n] = [n, n + k] at
-    J = j.flat[i], zero past the corner n + k >= dim; a (dim, j.size, dim) view of
-    memory ordered [n, k, i], one block per column n.  Entries (Cahill & Glauber 1969)
-    (1-t)^{k+1} sqrt(n!/(n+k)!) J^{k/2} e^{-x} P_n with x = (1-t)J, y = (1-t)x
-    and P_n = t^n L_n^{(k)}(-y/t), from the stable forward recurrence
-    (n+1) P_{n+1} = (t(2n+k+1) + y) P_n - t^2 (n+k) P_{n-1} over n + k < dim.
-    Each step carries the prefactor, so it yields column n of every diagonal
-    (entries at most 1), from column 0: (1-t) e^{-x} prod_{i<=k} sqrt(y/i).
-    Validated for dim <= 256 (ThermalParams holds it) and 0 <= x <= 700, where
-    e^{-x} stays normal; outside it, or for a NaN J, it raises DomainError."""
-    j = np.asarray(j, dtype=float)
-    t, dim = params.t, params.dim
-    x = (1.0 - t) * j.reshape(-1, 1)
-    if not np.all((x >= 0.0) & (x <= 700.0)):  # NaN fails too
-        raise DomainError(f"J in [{np.min(j)}, {np.max(j)}] is outside the"
-                          " validated range 0 <= (1-t) J <= 700")
-    y = (1.0 - t) * x.T
+def _diagonal_recurrence(col0, t, y) -> np.ndarray:
+    """Columns n of the diagonals k of a Fock matrix, packed[n, k, i], zero past the
+    corner n + k >= dim = len(col0), from column 0 col0[k, i] by the stable forward
+    recurrence sqrt((n+1)(n+k+1)) Q_{n+1} = (t(2n+k+1) + y) Q_n - t^2 sqrt(n(n+k)) Q_{n-1}
+    (y broadcasts over i): Q_n / Q_0 = sqrt(k! n!/(n+k)!) t^n L_n^{(k)}(-y/t)."""
+    dim = len(col0)
     k, n = np.ogrid[:dim, :dim]
     s = 1.0 / np.sqrt((n + 1.0) * (n + k + 1.0))
     c, g = t * (2 * n + k + 1) * s, -t * t * np.sqrt(n * (n + k)) * s
-    packed = np.zeros((dim, dim, len(x)))  # [n, k, i]: column n of diagonal k at J_i
-    np.sqrt(y / np.maximum(k, 1), out=packed[0])
-    packed[0, 0] = (1.0 - t) * np.exp(-x[:, 0])
-    np.cumprod(packed[0], axis=0, out=packed[0])
+    packed = np.zeros((dim,) + col0.shape)  # [n, k, i]: column n of diagonal k at i
+    packed[0] = col0
     for n in range(1, dim):  # column n from n - 1 and n - 2 (g = 0 at n = 1), rows k < dim - n
         new = np.multiply(packed[n - 2, :dim - n], g[:dim - n, n - 1:n], out=packed[n, :dim - n])
         new += (y * s[:dim - n, n - 1:n] + c[:dim - n, n - 1:n]) * packed[n - 1, :dim - n]
-    return packed.transpose(1, 2, 0)
+    return packed
+
+
+def _square(diagonals) -> np.ndarray:
+    """The symmetric squares [..., m, n] = diagonals[..., |m - n|, min(m, n)]."""
+    m, n = np.ogrid[:diagonals.shape[-1], :diagonals.shape[-1]]
+    return diagonals[..., abs(m - n), np.minimum(m, n)]
+
+
+def _rotate(square, gamma) -> np.ndarray:
+    """P square P^dag, P = diag(e^{i n gamma}): square[..., m, n] e^{i(m-n) gamma}."""
+    phases = np.exp(1.0j * np.arange(square.shape[-1]) * np.asarray(gamma)[..., None])
+    return phases[..., :, None] * square * phases.conj()[..., None, :]
+
+
+def _radial_packed(j, params: ThermalParams) -> np.ndarray:
+    """Diagonals of rho_T(sqrt(J)): packed[k, i, n] = [n + k, n] = [n, n + k] at
+    J = j.flat[i], zero past the corner n + k >= dim; a (dim, j.size, dim) view of
+    memory ordered [n, k, i].  Entries (Cahill & Glauber 1969) (1-t)^{k+1} sqrt(n!/(n+k)!)
+    J^{k/2} e^{-x} t^n L_n^{(k)}(-y/t), at most 1, with x = (1-t)J and y = (1-t)x: the
+    diagonal recurrence at t, y from column 0 (1-t) e^{-x} prod_{i<=k} sqrt(y/i).  Validated
+    for dim <= 256 (ThermalParams holds it) and 0 <= x <= 700, where e^{-x} stays normal;
+    outside it, or for a NaN J, it raises DomainError."""
+    j = np.asarray(j, dtype=float)
+    t, dim = params.t, params.dim
+    x = (1.0 - t) * j.reshape(1, -1)
+    if not np.all((x >= 0.0) & (x <= 700.0)):  # NaN fails too
+        raise DomainError(f"J in [{np.min(j)}, {np.max(j)}] is outside the"
+                          " validated range 0 <= (1-t) J <= 700")
+    head, y = (1.0 - t) * np.exp(-x), (1.0 - t) * x
+    col0 = np.cumprod(np.vstack([head, np.sqrt(y / np.arange(1, dim)[:, None])]), axis=0)
+    return _diagonal_recurrence(col0, t, y).transpose(1, 2, 0)
 
 
 def radial_density(j, params: ThermalParams) -> np.ndarray:
     """rho_T(sqrt(J)) compressed to dim Fock states, shape j.shape + (dim, dim): the
-    real, symmetric squares [m, n] = packed[|m - n|, ..., min(m, n)] of _radial_packed."""
-    m, n = np.ogrid[:params.dim, :params.dim]
-    square = np.moveaxis(_radial_packed(j, params), 0, -2)[..., abs(m - n), np.minimum(m, n)]
+    real, symmetric squares of _radial_packed."""
+    square = _square(np.moveaxis(_radial_packed(j, params), 0, -2))
     return np.ascontiguousarray(square).reshape(np.shape(j) + (params.dim,) * 2)
 
 
 def thermal_density(j, gamma, params: ThermalParams) -> np.ndarray:
     """rho_T(sqrt(J) e^{i gamma}) for arrays j and gamma that broadcast together:
-    radial_density(J) once per distinct J in the call, times the rotation
-    phases rho(J, gamma)_mn = rho(J, 0)_mn e^{i(m-n) gamma}."""
+    radial_density(J) once per distinct J in the call, rotated by gamma."""
     j = np.asarray(j, dtype=float)
     radii, inverse = np.unique(j, return_inverse=True)
-    radial = radial_density(radii, params)
-    phases = np.exp(1.0j * np.arange(params.dim) * np.asarray(gamma)[..., None])
-    return (phases[..., :, None] * radial[inverse.reshape(j.shape)]
-            * phases.conj()[..., None, :])
+    return _rotate(radial_density(radii, params)[inverse.reshape(j.shape)], gamma)
 
 
 def purity_closed(t: float) -> float:
@@ -337,8 +338,7 @@ def _radial_integrals(params: ThermalParams) -> np.ndarray:
         _radial_packed(np.concatenate([rule0.nodes, rule_h.nodes]), params).swapaxes(0, 1))
     r = np.empty((params.dim, params.dim))  # [d, n]
     r[0::2], r[1::2] = rule0.integrate(stack[:n_j, 0::2]), rule_h.integrate(stack[n_j:, 1::2])
-    m, n = np.ogrid[:params.dim, :params.dim]
-    return r[abs(m - n), np.minimum(m, n)]
+    return _square(r)
 
 
 def phase_operator(params: ThermalParams) -> np.ndarray:

@@ -104,6 +104,22 @@ MUTANTS = [
            "out=packed[n, :dim - n])",
            "out=packed[n, 1:dim - n + 1])",
            ("tests/test_plane.py::TestCompressedDensity::test_matches_mpmath_closed_form",)),
+    Mutant("quantize-symbol-made-complex (entry 28)", "core.py",
+           "np.array([f(x) for x in fam.rule.nodes])",
+           "np.array([complex(f(x)) for x in fam.rule.nodes])",
+           ("tests/test_core.py::TestQuantizeValues::test_real_symbol_reaches_the_family_as_one_float_call",)),
+    Mutant("displacement-column-0 (entry 28)", "plane.py",
+           "np.sqrt(flat / k[1:, None])", "np.sqrt(flat / (k[1:, None] + 1))",
+           ("tests/test_plane.py::TestDisplacementOracles::test_matches_mpmath_and_loop",)),
+    Mutant("displacement-recurrence-y-sign (entry 28)", "plane.py",
+           "_diagonal_recurrence(col0, 1.0, -flat)", "_diagonal_recurrence(col0, 1.0, flat)",
+           ("tests/test_plane.py::TestDisplacementOracles::test_matches_mpmath_and_loop",)),
+    Mutant("displacement-recurrence-t (entry 28)", "plane.py",
+           "_diagonal_recurrence(col0, 1.0, -flat)", "_diagonal_recurrence(col0, 0.5, -flat)",
+           ("tests/test_plane.py::TestDisplacementOracles::test_matches_mpmath_and_loop",)),
+    Mutant("displacement-upper-sign-dropped (entry 28)", "plane.py",
+           "square * (-1.0) ** np.triu", "square * 1.0 ** np.triu",
+           ("tests/test_plane.py::TestDisplacementOracles::test_scaled_real_strips_gaussian",)),
     Mutant("radial-integrals-odd-on-even-nodes (entry 25)", "plane.py",
            "rule_h.integrate(stack[n_j:, 1::2])", "rule_h.integrate(stack[:n_j, 1::2])",
            ("tests/test_plane.py::TestCompressedDensity::test_radial_integrals_exact_at_half_the_nodes",)),
@@ -149,10 +165,6 @@ MUTANTS = [
     Mutant("bessel-overflow-guard-np-all", "numerics.py",
            "if np.any(x > BESSEL_OVERFLOW_X):", "if np.all(x > BESSEL_OVERFLOW_X):",
            ("tests/test_halfplane.py::TestThermalKernel::test_array_guards",)),
-    Mutant("displacement-log-without-errstate", "plane.py",
-           'with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf at x = 0',
-           "if True:",
-           ("tests/test_plane.py::TestDisplacementOracles",)),
     Mutant("orbit-probe-on-last-state", "halfplane.py",
            "probe[0, 0] = 1.0", "probe[-1, -1] = 1.0",
            ("tests/test_halfplane.py::TestOrbitEngine::test_c_rho_needs_one_row",)),
@@ -223,6 +235,10 @@ MUTANTS = [
            'raise DomainError(f"J in [{np.min(j)}, {np.max(j)}] is outside the"\n'
            '                          " validated range 0 <= (1-t) J <= 700")', "pass",
            ("tests/test_plane.py::TestCompressedDensity::test_outside_validated_range_raises",)),
+    Mutant("displacement-range-guard (entry 28)", "plane.py",
+           'raise DomainError(f"dim = {dim}, |z|^2 in [{np.min(x)}, {np.max(x)}] is outside"\n'
+           '                          " the validated range dim <= 256, 0 <= |z|^2 <= 600")', "pass",
+           ("tests/test_plane.py::TestDisplacementOracles::test_validated_range_raises",)),
     Mutant("halfplane-alpha-guard", "halfplane.py",
            'raise DomainError(f"resolution requires 0 < alpha < inf, got {self.alpha}")', "pass",
            ("tests/test_halfplane.py::TestBasis::test_alpha_must_be_positive_and_finite",)),

@@ -192,6 +192,19 @@ class TestQuantizeValues:
         # complex values reach the family as two contiguous float parts, Re c and Im c
         assert seen == [(np.float64, True)] * 6
 
+    def test_real_symbol_reaches_the_family_as_one_float_call(self):
+        # quantize sums a real callable's values once, as float, with no zero Im part
+        fam = _plane_grid()
+        seen = []
+
+        def weighted_sum(coeffs):
+            seen.append(coeffs.dtype)
+            return fam.weighted_sum(coeffs)
+
+        fast = dataclasses.replace(fam, weighted_sum=weighted_sum)
+        core.quantize(fast, lambda node: node[0] * math.cos(node[1]))
+        assert seen == [np.float64]
+
     @pytest.mark.parametrize("vals", [np.ones(15), np.ones(17), np.ones((16, 1)),
                                       np.ones((1, 16)), 1.0, np.float64(2.0)],
                              ids=["short", "long", "column", "row", "float", "scalar"])

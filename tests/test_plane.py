@@ -2,6 +2,7 @@
 space, probability kernel routes, quantized operators, phase operator."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -129,14 +130,46 @@ def displacement_mpmath(z, dim):
     return d
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_point(dim):
+    """A seeded z with |z|^2 < dim / 2 and D(z) from displacement_mpmath."""
+    radius = math.sqrt(dim / 4.0)
+    z = complex(*np.random.default_rng(dim).uniform(-radius, radius, 2))
+    return z, displacement_mpmath(z, dim)
+
+
 class TestDisplacementOracles:
     @pytest.mark.parametrize("dim", [48, 64, 128])
     def test_matches_mpmath_and_loop(self, dim):
-        radius = math.sqrt(dim / 4.0)
-        z = complex(*np.random.default_rng(dim).uniform(-radius, radius, 2))
+        z, oracle = oracle_point(dim)
         got = plane.displacement(z, dim)
-        for want in (displacement_mpmath(z, dim), displacement_loop(z, dim)):
+        for want in (oracle, displacement_loop(z, dim)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim", [96, 128, 160])
+    def test_within_3e_14_of_mpmath(self, dim):
+        # the normalised diagonal recurrence reads <= 1.4e-14 here; a Laguerre
+        # table with log-space factorial prefactors read 4.3e-14 at dim 128
+        z, want = oracle_point(dim)
+        got = plane.displacement(z, dim)
+        assert np.max(np.abs(got - want)) <= 3e-14 * np.max(np.abs(want))
+
+    def test_validated_range_raises(self):
+        # 0 <= |z|^2 <= 600 and integer 1 <= dim <= 256; a NaN |z|^2 is refused, not propagated
+        past = np.nextafter(600.0, math.inf)
+        for x in (math.nan, -0.5, past, math.inf):
+            with pytest.raises(numerics.DomainError):
+                plane._displacement_scaled_real(np.array([1.0, x]), 48)
+            with pytest.raises(numerics.DomainError):
+                plane._displacement_scaled_real(x, 48)
+        for z in (complex(math.nan, 1.0), complex(0.0, math.nan), 24.5, complex(math.inf, 0.0)):
+            with pytest.raises(numerics.DomainError):
+                plane.displacement(z, 48)
+        for dim in (0, 2.5, 300):
+            with pytest.raises(numerics.DomainError):
+                plane.displacement(0.5, dim)
+            with pytest.raises(numerics.DomainError):
+                plane._displacement_scaled_real(0.25, dim)
 
     @pytest.mark.parametrize("x", [0.0, 0.5, 10.0, 80.0, 235.0])
     def test_scaled_real_strips_gaussian(self, x):
