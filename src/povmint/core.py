@@ -123,8 +123,9 @@ def quantize_values(fam: DensityFamily, vals: Array) -> Array:
 
 
 def quantize(fam: DensityFamily, f: Callable) -> Array:
-    """Quantized operator A_f of a scalar symbol f, called once per node; real f sums as float."""
-    return quantize_values(fam, np.array([f(x) for x in fam.rule.nodes]))
+    """A_f of a scalar symbol f: complex(f(x)) at each node, summed as float when all real."""
+    vals = np.array([complex(f(x)) for x in fam.rule.nodes])
+    return quantize_values(fam, vals if vals.imag.any() else vals.real)
 
 
 def lower_symbol(fam: DensityFamily, a: Array, x) -> complex | Array:

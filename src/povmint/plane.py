@@ -75,16 +75,15 @@ def _displacement_scaled_real(x, dim: int) -> np.ndarray:
     k = np.arange(dim)
     col0 = np.cumprod(np.vstack([np.ones_like(flat), np.sqrt(flat / k[1:, None])]), axis=0)
     square = _square(_diagonal_recurrence(col0, 1.0, -flat).transpose(2, 1, 0))
-    return (square * (-1.0) ** np.triu(k - k[:, None])).reshape(x.shape + (dim, dim))
+    return np.where(np.triu(k - k[:, None]) % 2, -square, square).reshape(x.shape + (dim, dim))
 
 
 def displacement(z: complex, dim: int) -> np.ndarray:
     """Truncated displacement operator D(z): D_mn(z) = sqrt(n!/m!) z^{m-n} e^{-|z|^2/2}
     L_n^{(m-n)}(|z|^2) for m >= n and D_nm(z) = conj(D_mn(-z)), the real D(|z|) rotated
     by arg z."""
-    z = complex(z)
-    x = abs(z) ** 2
-    return _rotate(_displacement_scaled_real(x, dim) * math.exp(-0.5 * x), np.angle(z))
+    x = abs(complex(z)) ** 2
+    return _rotate(_displacement_scaled_real(x, dim) * math.exp(-0.5 * x), np.angle(complex(z)))
 
 
 def displaced_thermal(z: complex, params: ThermalParams) -> np.ndarray:

@@ -5,6 +5,7 @@ integrands are trigonometric polynomials (trapezoid rules are exact)."""
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -204,6 +205,17 @@ class TestQuantizeValues:
         fast = dataclasses.replace(fam, weighted_sum=weighted_sum)
         core.quantize(fast, lambda node: node[0] * math.cos(node[1]))
         assert seen == [np.float64]
+
+    @pytest.mark.parametrize("wrap", [mpmath.mpmathify, mpmath.mpc, np.asarray],
+                             ids=["mpf-or-mpc", "mpc", "0-d-array"])
+    def test_symbol_values_are_any_complex_convertible_number(self, wrap):
+        # quantize takes complex(f(x)), so a number type numpy cannot cast still works
+        fam = _plane_grid()
+        for f in (lambda node: node[0] * math.cos(node[1]),
+                  lambda node: node[0] * complex(math.cos(node[1]), math.sin(node[1]))):
+            expected = core.quantize(fam, f)
+            assert_allclose(core.quantize(fam, lambda node: wrap(f(node))), expected,
+                            rtol=0, atol=0)
 
     @pytest.mark.parametrize("vals", [np.ones(15), np.ones(17), np.ones((16, 1)),
                                       np.ones((1, 16)), 1.0, np.float64(2.0)],
