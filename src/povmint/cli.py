@@ -74,7 +74,7 @@ def _judge(rows: list[dict], tol: float | None = None) -> list[dict]:
 
 def suite_circle(r, grid, seed) -> tuple[dict, list[dict]]:
     from . import circle
-    phi, n = 0.0, max(grid, 8)
+    phi, n = 0.0, max(grid or 8, 8)  # rows of trigonometric degree <= 2: 8 nodes are exact
     fam = circle.circle_family(r, phi, n=n)
     checks = [check("circle-resolution", "margomegamain",
                     core.check_resolution(fam).defect, 0.0, 1e-13)]
@@ -107,7 +107,7 @@ def suite_circle(r, grid, seed) -> tuple[dict, list[dict]]:
 
 def suite_sphere(r, grid) -> tuple[dict, list[dict]]:
     from . import sphere
-    n = max(grid, 8)
+    n = max(grid or 8, 8)  # rows of degree <= 2 in cos(theta), order <= 1 in phi: exact
     fam = sphere.sphere_family(r, n_theta=n, n_phi=n)
     checks = [check("sphere-resolution", "S2resun", core.check_resolution(fam).defect,
                     0.0, 1e-12)]
@@ -203,7 +203,7 @@ def suite_halfplane(alpha, t, grid) -> tuple[dict, list[dict]]:
     checks = [check("basis-gram", "LagOB", halfplane.gram_defect(alpha, dim), 0.0, 1e-10),
               check("inverse-moment", "croexpl",
                     halfplane.inverse_moment(0, alpha), 1.0 / alpha, 1e-12)]
-    grid = max(grid, 64)
+    grid = max(grid or 64, 64)
     c_quad, block = halfplane.affine_resolution_check(
         params, block=3, rule=halfplane.affine_group_rule(grid))
     checks.append(check(
@@ -314,15 +314,15 @@ SUITES = {
 }
 
 
-# verify's flags in --help order, as add_argument keywords.  Each parses to
-# None, so that a given flag can be told from one left at its default.  The run
-# flags belong to the run and every suite accepts them.
+# verify's flags in --help order, as add_argument keywords.  Each parses to None, so
+# that a given flag can be told from one left at its default (a suite sizes its rule
+# when --grid is None).  The run flags belong to the run and every suite accepts them.
 FLAGS = {
     "r": dict(type=float, default=0.8, help="disk/ball radius parameter (circle, sphere)"),
     "t": dict(type=float, default=0.2, help="Boltzmann factor (plane, halfplane)"),
     "alpha": dict(type=float, default=2.0, help="Laguerre basis parameter (halfplane)"),
     "dim": dict(type=int, default=48, help="Fock/basis truncation"),
-    "grid": dict(type=int, default=48, help="quadrature nodes"),
+    "grid": dict(type=int, default=None, help="quadrature nodes"),
     "tol": dict(type=float, default=None, help="override tolerance for all checks"),
     "seed": dict(type=int, default=0),
     "out": dict(default=None, help="report path (default stdout)"),
@@ -357,6 +357,14 @@ def render(report: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
+def _verify_arguments(ver: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """``ver`` with verify's arguments: the suite and every FLAGS entry, parsing to None."""
+    ver.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    for flag, spec in FLAGS.items():
+        ver.add_argument(f"--{flag}", **{**spec, "default": None})
+    return ver
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser, with only ``command``'s sub-parser if given (its usage still names both)."""
     parser = argparse.ArgumentParser(
@@ -366,10 +374,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                                 metavar=None if command is None else "{verify,reconstruct}")
 
     if command in (None, "verify"):
-        ver = sub.add_parser("verify", help="run a geometry's check suite")
-        ver.add_argument("suite", choices=sorted(SUITES) + ["all"])
-        for flag, spec in FLAGS.items():
-            ver.add_argument(f"--{flag}", **{**spec, "default": None})
+        _verify_arguments(sub.add_parser("verify", help="run a geometry's check suite"))
 
     if command in (None, "reconstruct"):
         rec = sub.add_parser("reconstruct",
@@ -482,6 +487,11 @@ def run_reconstruct(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] == "verify":  # the full parser below reports an unrecognized argument
+        verify = _verify_arguments(argparse.ArgumentParser(prog="povmint verify"))
+        args, unrecognized = verify.parse_known_args(argv[1:])
+        if not unrecognized:
+            return run_verify(args)
     command = argv[0] if argv and argv[0] in ("verify", "reconstruct") else None
     args = build_parser(command).parse_args(argv)
     if args.command == "verify":

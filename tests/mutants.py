@@ -184,6 +184,18 @@ MUTANTS = [
            "used = {**given, **derived}", "used = dict(given)",
            ("tests/test_cli.py::TestGoldenReports::test_report_digests[verify halfplane --format json]",)),
 
+    # --- verify's default rules and its parser (entry 29)
+    Mutant("sphere-default-below-degree (entry 29)", "cli.py",
+           "n = max(grid or 8, 8)", "n = max(grid or 1, 1)",
+           ("tests/test_cli.py::TestVerify::test_default_rule_is_exact_for_every_row",)),
+    Mutant("halfplane-default-48 (entry 29)", "cli.py",
+           "grid = max(grid or 64, 64)", "grid = max(grid or 48, 48)",
+           ("tests/test_cli.py::TestSuiteFlags::test_default_params_come_in_flags_order[halfplane]",)),
+    Mutant("verify-reparse-dropped (entry 29)", "cli.py",
+           "        if not unrecognized:\n            return run_verify(args)",
+           "        return run_verify(args)",
+           ("tests/test_cli.py::TestParser::test_help_and_usage_errors_are_unchanged",)),
+
     # --- DomainError guards, each dropped
     Mutant("periodic-rule-accepts-fractions", "numerics.py",
            "    if n < 1 or n % 1:  # an integral float is accepted; NaN fails\n"

@@ -1,5 +1,6 @@
 """CLI: suite execution, report schema, row judging, determinism, exit codes."""
 
+import argparse
 import ast
 import functools
 import hashlib
@@ -55,6 +56,19 @@ class TestVerify:
             assert set(chk) == {"id", "paper_anchor", "computed", "expected",
                                 "tol", "pass"}
             assert chk["pass"]
+
+    @pytest.mark.parametrize("suite", ["circle", "sphere"])
+    @pytest.mark.parametrize("r", ["0", "0.3", "0.8", "1"])
+    def test_default_rule_is_exact_for_every_row(self, capsys, suite, r):
+        # the 8-node default integrates each row exactly (trigonometric degree
+        # <= 2 on the circle; degree <= 2 in cos(theta), order <= 1 on the sphere),
+        # so every reported value equals the 48-node one
+        for seed in map(str, range(10)):
+            small = json.loads(run(capsys, ["verify", suite, "--r", r, "--seed", seed])[1])
+            large = json.loads(run(capsys, ["verify", suite, "--r", r, "--seed", seed,
+                                            "--grid", "48"])[1])
+            assert (small["params"]["grid"], large["params"]["grid"]) == (8, 48)
+            assert small["checks"] == large["checks"]
 
     def test_plane_suite_passes(self, capsys):
         code, out = run(capsys, ["verify", "plane"] + FAST_READ["plane"])
@@ -362,8 +376,8 @@ class TestSuiteFlags:
     # a value of each suite flag away from its default (halfplane's grid floor is 64)
     VALUES = {"r": 0.5, "t": 0.3, "alpha": 3.0, "dim": 16, "grid": 72}
     # each in FLAGS order
-    DEFAULT_PARAMS = {"circle": {"r": 0.8, "grid": 48, "seed": 0},
-                      "sphere": {"r": 0.8, "grid": 48}, "plane": {"t": 0.2, "dim": 48},
+    DEFAULT_PARAMS = {"circle": {"r": 0.8, "grid": 8, "seed": 0},
+                      "sphere": {"r": 0.8, "grid": 8}, "plane": {"t": 0.2, "dim": 48},
                       "halfplane": {"t": 0.2, "alpha": 2.0, "dim": 16, "grid": 64},
                       "core": {"seed": 0}, "finite": {"seed": 0}}
 
@@ -455,7 +469,7 @@ class TestSuiteFlags:
         assert code == 0
         assert capsys.readouterr() == ("", "")
         assert out.read_text().splitlines()[1] == f"{suite},row,anchor,0.0,0.0,0.5,True"
-        defaults = {"r": 0.8, "t": 0.2, "alpha": 2.0, "dim": 48, "grid": 48, "seed": 7}
+        defaults = {"r": 0.8, "t": 0.2, "alpha": 2.0, "dim": 48, "grid": None, "seed": 7}
         assert calls == [(suite, {flag: defaults[flag] for flag in READS[suite]})]
 
     def test_all_applies_each_flag_to_the_suites_that_read_it(self, capsys, monkeypatch,
@@ -661,8 +675,9 @@ class TestBenchmarkWorkloads:
 
 
 class TestParser:
-    """`main` builds only the sub-parser of the command in argv[0], and prints
-    what the full parser printed."""
+    """`main` parses a verify argv with the verify sub-parser alone, builds only
+    the sub-parser of the command in argv[0] otherwise, and prints what the full
+    parser printed."""
 
     # argv -> exit code and sha256 of stdout and stderr at COLUMNS=80, as
     # printed when every `main` call built the full parser
@@ -710,8 +725,10 @@ class TestParser:
 
     @pytest.mark.parametrize("argv, command", [
         ([], None), (["--help"], None), (["bogus"], None), (["verify", "core"], "verify"),
-        (["reconstruct", "nosuch.json"], "reconstruct"), (["circle", "verify"], None)])
+        (["reconstruct", "nosuch.json"], "reconstruct"), (["circle", "verify"], None),
+        (["verify", "nosuch"], "verify"), (["verify", "circle", "--bogus"], "verify")])
     def test_main_builds_the_parser_of_argv0(self, capsys, monkeypatch, argv, command):
+        # verify builds it only to report an unrecognized argument in its usage
         built, build = [], cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda c=None: built.append(c) or build(c))
         try:
@@ -719,7 +736,30 @@ class TestParser:
         except SystemExit:
             pass
         capsys.readouterr()
-        assert built == [command]
+        assert built == ([] if command == "verify" and "--bogus" not in argv else [command])
+
+    @pytest.mark.parametrize("argv, progs", [
+        (["verify", "core"], ["povmint verify"]),
+        (["verify", "--help"], ["povmint verify"]),
+        (["verify", "nosuch"], ["povmint verify"]),
+        (["verify", "circle", "--bogus"], ["povmint verify", "povmint", "povmint verify"]),
+        (["reconstruct", "nosuch.json"], ["povmint", "povmint reconstruct"]),
+        ([], ["povmint", "povmint verify", "povmint reconstruct"]),
+        (["bogus"], ["povmint", "povmint verify", "povmint reconstruct"])])
+    def test_argument_parsers_constructed(self, capsys, monkeypatch, argv, progs):
+        made, init = [], argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        assert made == progs
 
 
 class TestImport:
