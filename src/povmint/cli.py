@@ -365,27 +365,21 @@ def _verify_arguments(ver: argparse.ArgumentParser) -> argparse.ArgumentParser:
     return ver
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser, with only ``command``'s sub-parser if given (its usage still names both)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of both commands; ``main`` parses a verify argv with verify's alone."""
     parser = argparse.ArgumentParser(
         prog="povmint",
         description="verification suites for POVM integral quantization")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=None if command is None else "{verify,reconstruct}")
-
-    if command in (None, "verify"):
-        _verify_arguments(sub.add_parser("verify", help="run a geometry's check suite"))
-
-    if command in (None, "reconstruct"):
-        rec = sub.add_parser("reconstruct",
-                             help="reconstruct densities from a probability table")
-        rec.add_argument("table", help="ProbTable JSON file")
-        rec.add_argument("--rank-one", action="store_true")
-        rec.add_argument("--seed", type=int, default=0)
-        rec.add_argument("--restarts", type=int, default=8)
-        rec.add_argument("--tol", type=float, default=1e-8)
-        rec.add_argument("--out", default=None)
-        rec.add_argument("--format", choices=["json", "csv"], default="json")
+    sub = parser.add_subparsers(dest="command", required=True)
+    _verify_arguments(sub.add_parser("verify", help="run a geometry's check suite"))
+    rec = sub.add_parser("reconstruct", help="reconstruct densities from a probability table")
+    rec.add_argument("table", help="ProbTable JSON file")
+    rec.add_argument("--rank-one", action="store_true")
+    rec.add_argument("--seed", type=int, default=0)
+    rec.add_argument("--restarts", type=int, default=8)
+    rec.add_argument("--tol", type=float, default=1e-8)
+    rec.add_argument("--out", default=None)
+    rec.add_argument("--format", choices=["json", "csv"], default="json")
     return parser
 
 
@@ -492,8 +486,7 @@ def main(argv=None) -> int:
         args, unrecognized = verify.parse_known_args(argv[1:])
         if not unrecognized:
             return run_verify(args)
-    command = argv[0] if argv and argv[0] in ("verify", "reconstruct") else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "verify":
         return run_verify(args)
     return run_reconstruct(args)

@@ -38,7 +38,7 @@ class AffineParams:
             raise DomainError(f"resolution requires 0 < alpha < inf, got {self.alpha}")
         if not 0.0 <= self.t < 1.0:
             raise DomainError(f"t must lie in [0, 1), got {self.t}")
-        if not isinstance(self.dim, (int, np.integer)):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
             raise DomainError(f"dim must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise DomainError(f"dim must be >= 1, got {self.dim}")

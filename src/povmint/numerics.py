@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -45,7 +44,7 @@ def laguerre_table(n_max: int, alpha, x) -> np.ndarray:
     Raises DomainError outside the validated range n <= 256, |x| <= 600, and
     for alpha <= -1 unless it is an integer (the reflection identity
     L_n^(m-n)(t) = (m!/n!)(-t)^(n-m) L_m^(n-m)(t) needs those)."""
-    if n_max < 0 or int(n_max) != n_max:
+    if not 0 <= n_max < math.inf or n_max % 1:  # NaN fails too
         raise DomainError(f"degree must be a nonnegative integer, got {n_max}")
     alpha, x = np.asarray(alpha, dtype=float), np.asarray(x, dtype=float)
     if np.any((alpha <= -1.0) & (alpha != np.round(alpha))):
@@ -85,7 +84,6 @@ def bessel_i(nu: float, x):
     return out if np.ndim(out) else float(out)
 
 
-@functools.lru_cache(maxsize=None)
 def _bessel_plan(nu: float):
     """Hankel coefficients (-1)^k a_k(nu), threshold x_h and series divisors
     k(k + nu).  From x_h on the first omitted coefficient is below 2^-54 and
@@ -142,7 +140,7 @@ def _f21_terms(m, b, c, x) -> list:
     on Python scalars.
     """
     degrees = set(np.ravel(m).tolist())
-    if any(d < 0 or int(d) != d for d in degrees):
+    if any(d < 0 or d % 1 for d in degrees):  # NaN and inf fail too
         raise DomainError(f"m must be a nonnegative integer, got {m}")
     # ones, not x ** 0: a complex power per node; scalars keep Python types
     terms = [np.ones_like(x, np.result_type(x, 1.0)) if np.ndim(x) else 1.0 * x ** 0]

@@ -37,7 +37,7 @@ class ThermalParams:
     def __post_init__(self):
         if not 0.0 <= self.t < 1.0:
             raise DomainError(f"t must lie in [0, 1), got {self.t}")
-        if not isinstance(self.dim, (int, np.integer)):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
             raise DomainError(f"dim must be an integer, got {self.dim!r}")
         if not 1 <= self.dim <= 256:  # radial_density's validated range
             raise DomainError(f"dim must be >= 1 and <= 256, got {self.dim}")
@@ -51,9 +51,6 @@ class ThermalParams:
     def s(self) -> float:
         """s = -coth(hbar omega / 2 k_B T) = -(1+t)/(1-t)."""
         return -(1.0 + self.t) / (1.0 - self.t)
-
-    def weights(self) -> np.ndarray:
-        return (1.0 - self.t) * self.t ** np.arange(self.dim)
 
 
 def fock_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -208,6 +208,12 @@ MUTANTS = [
     Mutant("laguerre-degree-guard", "numerics.py",
            'raise DomainError(f"degree must be a nonnegative integer, got {n_max}")', "pass",
            ("tests/test_numerics.py::TestLaguerre::test_rejects_bad_degree_and_alpha",)),
+    Mutant("laguerre-degree-accepts-nonfinite (entry 30)", "numerics.py",
+           "if not 0 <= n_max < math.inf or n_max % 1:", "if n_max < 0 or int(n_max) != n_max:",
+           ("tests/test_numerics.py::TestDegreeGuards::test_nonfinite_degree_is_a_domain_error",)),
+    Mutant("f21-degree-accepts-nonfinite (entry 30)", "numerics.py",
+           "any(d < 0 or d % 1 for d in degrees)", "any(d < 0 or int(d) != d for d in degrees)",
+           ("tests/test_numerics.py::TestDegreeGuards::test_nonfinite_degree_is_a_domain_error",)),
     Mutant("laguerre-alpha-guard", "numerics.py",
            'raise DomainError(f"alpha must be > -1 or a negative integer, got {alpha}")', "pass",
            ("tests/test_numerics.py::TestLaguerre::test_rejects_bad_degree_and_alpha",)),
@@ -239,6 +245,9 @@ MUTANTS = [
     Mutant("plane-t-guard", "plane.py",
            'raise DomainError(f"t must lie in [0, 1), got {self.t}")', "pass",
            ("tests/test_plane.py::TestParamsAndStates::test_rejects_bad_t_and_dim",)),
+    Mutant("plane-dim-accepts-bool (entry 30)", "plane.py",
+           "if isinstance(self.dim, bool) or not isinstance", "if not isinstance",
+           ("tests/test_plane.py::TestParamsAndStates::test_rejects_non_integral_dim[True]",)),
     Mutant("plane-dim-bound (entry 22)", "plane.py",
            'raise DomainError(f"dim must be >= 1 and <= 256, got {self.dim}")', "pass",
            ("tests/test_plane.py::TestParamsAndStates::test_dim_bound_holds_before_any_rule_is_built",)),
@@ -253,6 +262,9 @@ MUTANTS = [
     Mutant("halfplane-alpha-guard", "halfplane.py",
            'raise DomainError(f"resolution requires 0 < alpha < inf, got {self.alpha}")', "pass",
            ("tests/test_halfplane.py::TestBasis::test_alpha_must_be_positive_and_finite",)),
+    Mutant("halfplane-dim-accepts-bool (entry 30)", "halfplane.py",
+           "if isinstance(self.dim, bool) or not isinstance", "if not isinstance",
+           ("tests/test_halfplane.py::TestBasis::test_dim_must_be_an_integer[True]",)),
     Mutant("basis-domain-guard", "halfplane.py",
            'raise DomainError("basis functions live on x >= 0")', "pass",
            ("tests/test_halfplane.py::TestBasis::test_basis_domain",)),

@@ -675,9 +675,8 @@ class TestBenchmarkWorkloads:
 
 
 class TestParser:
-    """`main` parses a verify argv with the verify sub-parser alone, builds only
-    the sub-parser of the command in argv[0] otherwise, and prints what the full
-    parser printed."""
+    """`main` parses a verify argv with the verify sub-parser alone, builds the
+    full parser otherwise, and prints what the full parser printed."""
 
     # argv -> exit code and sha256 of stdout and stderr at COLUMNS=80, as
     # printed when every `main` call built the full parser
@@ -728,22 +727,24 @@ class TestParser:
         (["reconstruct", "nosuch.json"], "reconstruct"), (["circle", "verify"], None),
         (["verify", "nosuch"], "verify"), (["verify", "circle", "--bogus"], "verify")])
     def test_main_builds_the_parser_of_argv0(self, capsys, monkeypatch, argv, command):
-        # verify builds it only to report an unrecognized argument in its usage
+        # every command builds the full parser; verify builds it only to report
+        # an unrecognized argument in its usage
         built, build = [], cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda c=None: built.append(c) or build(c))
+        monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or build(*a))
         try:
             main(argv)
         except SystemExit:
             pass
         capsys.readouterr()
-        assert built == ([] if command == "verify" and "--bogus" not in argv else [command])
+        assert built == ([] if command == "verify" and "--bogus" not in argv else [()])
 
     @pytest.mark.parametrize("argv, progs", [
         (["verify", "core"], ["povmint verify"]),
         (["verify", "--help"], ["povmint verify"]),
         (["verify", "nosuch"], ["povmint verify"]),
-        (["verify", "circle", "--bogus"], ["povmint verify", "povmint", "povmint verify"]),
-        (["reconstruct", "nosuch.json"], ["povmint", "povmint reconstruct"]),
+        (["verify", "circle", "--bogus"],
+         ["povmint verify", "povmint", "povmint verify", "povmint reconstruct"]),
+        (["reconstruct", "nosuch.json"], ["povmint", "povmint verify", "povmint reconstruct"]),
         ([], ["povmint", "povmint verify", "povmint reconstruct"]),
         (["bogus"], ["povmint", "povmint verify", "povmint reconstruct"])])
     def test_argument_parsers_constructed(self, capsys, monkeypatch, argv, progs):

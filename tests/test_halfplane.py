@@ -173,7 +173,7 @@ class TestBasis:
         with pytest.raises(ValueError):
             halfplane.AffineParams(alpha=1.0, t=0.1, dim=0)
 
-    @pytest.mark.parametrize("dim", [2.5, 4.0, math.nan, "4", None])
+    @pytest.mark.parametrize("dim", [2.5, 4.0, math.nan, "4", None, True])
     def test_dim_must_be_an_integer(self, dim):
         with pytest.raises(DomainError, match="dim must be an integer, got "):
             halfplane.AffineParams(alpha=2.0, t=0.1, dim=dim)

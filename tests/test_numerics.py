@@ -215,6 +215,21 @@ class TestHyp2f1:
         assert np.isnan(sum(terms)).all()
 
 
+class TestDegreeGuards:
+    """A NaN or infinite degree is a DomainError, not int()'s ValueError or
+    OverflowError."""
+
+    @pytest.mark.parametrize("degree", [math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda m: laguerre_table(m, 0.0, 1.0), lambda m: laguerre(m, 0.0, 1.0),
+        lambda m: numerics._f21_terms(m, 1.0, 2.0, 0.5),
+        lambda m: hyp2f1_terminating(m, 1.0, 2.0, 0.5)],
+        ids=["laguerre_table", "laguerre", "_f21_terms", "hyp2f1_terminating"])
+    def test_nonfinite_degree_is_a_domain_error(self, call, degree):
+        with pytest.raises(DomainError, match="must be a nonnegative integer"):
+            call(degree)
+
+
 class TestRules:
     def test_trapezoid_exact_for_trig(self):
         rule = periodic_rule(8, 1.0)
