@@ -76,7 +76,7 @@ def product_and_algebra(p1: CircleDensityParams, p2: CircleDensityParams):
     return product, commutator, anticommutator
 
 
-def circle_rule(n: int = 16):
+def circle_rule(n: int):
     """Trapezoid rule on [0, 2pi) with weight 1/pi (total measure 2).
 
     The half-spacing offset keeps nodes away from the angle function's jump
@@ -95,8 +95,7 @@ def circle_family(r: float, phi: float = 0.0, n: int = 16) -> DensityFamily:
                          affine_weighted_sum(feats, basis))
 
 
-def fourier_quantize(mean: float, cc: float, cs: float,
-                     r: float, phi: float = 0.0) -> np.ndarray:
+def fourier_quantize(mean: float, cc: float, cs: float, r: float, phi: float) -> np.ndarray:
     """Quantized operator from doubled-angle Fourier data of f.
 
     mean = (1/2pi) int f dtheta, cc = (1/pi) int f cos 2theta dtheta,
@@ -110,7 +109,7 @@ def fourier_quantize(mean: float, cc: float, cs: float,
                                                   [cs_phi, -cc_phi]])
 
 
-def angle_operator(r: float, phi: float = 0.0) -> np.ndarray:
+def angle_operator(r: float, phi: float) -> np.ndarray:
     """Quantization of the angle function g(theta) = theta on [0, 2pi).
 
     The Fourier data (mean pi, cc 0, cs -1) is analytic; trapezoid sums

@@ -481,15 +481,12 @@ def run_reconstruct(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "verify":  # the full parser below reports an unrecognized argument
+    if argv and argv[0] == "verify":  # the full parser below exits on an unrecognized argument
         verify = _verify_arguments(argparse.ArgumentParser(prog="povmint verify"))
         args, unrecognized = verify.parse_known_args(argv[1:])
         if not unrecognized:
             return run_verify(args)
-    args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        return run_verify(args)
-    return run_reconstruct(args)
+    return run_reconstruct(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -229,7 +229,7 @@ class GroupOrbitSpec:
     fiducial: Array
     group_rule: QuadratureRule
     probe: Array
-    translate: Callable[[object, object], object] | None = None
+    translate: Callable[[object, object], object] | None
 
     def orbit_density(self, g) -> Array:
         # U F U^dag as conj(conj(U F) U^T), U F one GEMM: two (..., r, dim) arrays live
@@ -269,6 +269,8 @@ def covariance_check(spec: GroupOrbitSpec, fam: DensityFamily,
     if spec.translate is None:
         raise ValueError("GroupOrbitSpec.translate is required for covariance")
     u0 = np.asarray(spec.unitary(g0), dtype=complex)
+    if u0.shape != (fam.dim, fam.dim):
+        raise ValueError(f"covariance needs the full unitary, got U(g0) of shape {u0.shape}")
     lhs = u0 @ quantize(fam, f) @ u0.conj().T
     rhs = quantize(fam, lambda g: f(spec.translate(g0, g)))
     return max_defect(lhs, rhs)

@@ -43,9 +43,6 @@ class AffineParams:
         if self.dim < 1:
             raise DomainError(f"dim must be >= 1, got {self.dim}")
 
-    def weights(self) -> np.ndarray:
-        return (1.0 - self.t) * self.t ** np.arange(self.dim)
-
 
 def basis_norm(n: int, alpha: float) -> float:
     return math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(n + alpha + 1)))
@@ -216,7 +213,7 @@ def affine_orbit_spec(params: AffineParams, rule: QuadratureRule | None = None,
         rule = affine_group_rule()
     dim, alpha = params.dim, params.alpha
     rows = dim if rows is None else rows
-    fiducial = np.diag(params.weights()).astype(complex)
+    fiducial = np.diag((1.0 - params.t) * params.t ** np.arange(dim)).astype(complex)
     probe = np.zeros((rows, rows), dtype=complex)
     probe[0, 0] = 1.0
 
@@ -260,7 +257,7 @@ def thermal_kernel(x, y, params: AffineParams, printed: bool = False):
     if not 0.0 < t < 1.0:
         raise DomainError("thermal kernel needs t in (0, 1)")
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if np.any(x < 0) or np.any(y < 0):
+    if not (np.all(x >= 0) and np.all(y >= 0)):  # NaN fails too
         raise DomainError("kernel arguments must be nonnegative")
     arg = 2.0 * np.sqrt(t * x * y) / (1.0 - t)
     pre, decay = (1.0 - t, t) if printed else (1.0, 1.0 + t)
@@ -296,7 +293,7 @@ def kernel_eigen_ratio(n: int, params: AffineParams, x: float,
     return float(rule.integrate(vals)) / basis_fn(n, params.alpha, x)
 
 
-def affine_resolution_check(params: AffineParams, block: int = 4,
+def affine_resolution_check(params: AffineParams, block: int,
                             rule: QuadratureRule | None = None) -> tuple[float, np.ndarray]:
     """(c_rho, leading block of int rho_T(q,p) dq dp / c_rho); the block should
     be the identity. One orbit reduction over the first `block` overlap rows

@@ -42,12 +42,12 @@ def laguerre_table(n_max: int, alpha, x) -> np.ndarray:
 
     ``alpha`` and ``x`` broadcast, so one pass covers every order and argument.
     Raises DomainError outside the validated range n <= 256, |x| <= 600, and
-    for alpha <= -1 unless it is an integer (the reflection identity
+    for alpha NaN, infinite or <= -1 and not an integer (the reflection identity
     L_n^(m-n)(t) = (m!/n!)(-t)^(n-m) L_m^(n-m)(t) needs those)."""
     if not 0 <= n_max < math.inf or n_max % 1:  # NaN fails too
         raise DomainError(f"degree must be a nonnegative integer, got {n_max}")
-    alpha, x = np.asarray(alpha, dtype=float), np.asarray(x, dtype=float)
-    if np.any((alpha <= -1.0) & (alpha != np.round(alpha))):
+    n_max, alpha, x = int(n_max), np.asarray(alpha, dtype=float), np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(alpha) & ((alpha > -1.0) | (alpha == np.round(alpha)))):
         raise DomainError(f"alpha must be > -1 or a negative integer, got {alpha}")
     if n_max > LAGUERRE_MAX_N or not np.all(np.abs(x) <= LAGUERRE_MAX_X):  # NaN fails too
         raise DomainError(f"n = {n_max}, max |x| = {np.max(np.abs(x), initial=0.0):.6g}"
@@ -110,7 +110,7 @@ def bessel_i_scaled(nu: float, x):
     series (DLMF 10.25.2) below, both of a length fixed by nu, so an array
     element equals the scalar call (DECISIONS.md entry 17).  nu <= 60."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if not np.all(x >= 0):  # NaN fails too
         raise DomainError(f"argument must be nonnegative, got {np.min(x)}")
     if not 0 <= nu <= BESSEL_MAX_NU:
         raise DomainError(f"order must lie in [0, {BESSEL_MAX_NU:g}], got {nu}")
@@ -242,7 +242,7 @@ def laguerre_rule(n: int, alpha: float = 0.0) -> QuadratureRule:
     Golub-Welsch with weights x / (p_{n-1} d_n) at the polished nodes (DECISIONS.md entry 15)."""
     if n < 1 or n % 1:  # an integral float is accepted, as scipy did
         raise DomainError(f"node count must be an integer >= 1, got {n}")
-    if alpha <= -1:
+    if not -1 < alpha < math.inf:  # NaN fails too
         raise DomainError(f"Gauss-Laguerre rule needs alpha > -1, got {alpha}")
     n, k = int(n), np.arange(n, dtype=float)
 

@@ -61,17 +61,16 @@ def fock_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _displacement_scaled_real(x, dim: int) -> np.ndarray:
     """e^{x/2} D(sqrt(x)) for an array of x, shape x.shape + (dim, dim): entry (n + k, n)
-    sqrt(n!/(n+k)!) x^{k/2} L_n^{(k)}(x) from the diagonal recurrence at t = 1, y = -x and
-    column 0 prod_{i<=k} sqrt(x/i); entry (n, n + k) adds (-1)^k.  DomainError outside the
-    validated range dim <= 256, 0 <= x <= 600, and for a NaN x."""
+    sqrt(n!/(n+k)!) x^{k/2} L_n^{(k)}(x) from the diagonal recurrence at head 1, s = x, t = 1
+    and y = -x; entry (n, n + k) adds (-1)^k.  DomainError outside the validated range
+    dim <= 256, 0 <= x <= 600, and for a NaN x."""
     x = np.asarray(x, dtype=float)
     flat = x.reshape(1, -1)
     if not (dim in range(1, 257) and np.all((flat >= 0.0) & (flat <= 600.0))):  # NaN fails too
         raise DomainError(f"dim = {dim}, |z|^2 in [{np.min(x)}, {np.max(x)}] is outside"
                           " the validated range dim <= 256, 0 <= |z|^2 <= 600")
     k = np.arange(dim)
-    col0 = np.cumprod(np.vstack([np.ones_like(flat), np.sqrt(flat / k[1:, None])]), axis=0)
-    square = _square(_diagonal_recurrence(col0, 1.0, -flat).transpose(2, 1, 0))
+    square = _square(_diagonal_recurrence(1.0, flat, 1.0, -flat, dim).transpose(2, 1, 0))
     return np.where(np.triu(k - k[:, None]) % 2, -square, square).reshape(x.shape + (dim, dim))
 
 
@@ -97,20 +96,20 @@ def displaced_thermal(z: complex, params: ThermalParams) -> np.ndarray:
     return thermal_density(abs(z) ** 2, np.angle(z), params)
 
 
-def _diagonal_recurrence(col0, t, y) -> np.ndarray:
-    """Columns n of the diagonals k of a Fock matrix, packed[n, k, i], zero past the
-    corner n + k >= dim = len(col0), from column 0 col0[k, i] by the stable forward
+def _diagonal_recurrence(head, s, t, y, dim: int) -> np.ndarray:
+    """Columns n of the diagonals k of a dim x dim Fock matrix, packed[n, k, i], zero past
+    the corner n + k >= dim, from column 0 head prod_{j<=k} sqrt(s/j) by the stable forward
     recurrence sqrt((n+1)(n+k+1)) Q_{n+1} = (t(2n+k+1) + y) Q_n - t^2 sqrt(n(n+k)) Q_{n-1}
-    (y broadcasts over i): Q_n / Q_0 = sqrt(k! n!/(n+k)!) t^n L_n^{(k)}(-y/t)."""
-    dim = len(col0)
+    (s and y of shape (1, size), head broadcasting to it): Q_n / Q_0 = sqrt(k! n!/(n+k)!)
+    t^n L_n^{(k)}(-y/t)."""
     k, n = np.ogrid[:dim, :dim]
-    s = 1.0 / np.sqrt((n + 1.0) * (n + k + 1.0))
-    c, g = t * (2 * n + k + 1) * s, -t * t * np.sqrt(n * (n + k)) * s
-    packed = np.zeros((dim,) + col0.shape)  # [n, k, i]: column n of diagonal k at i
-    packed[0] = col0
+    packed = np.zeros((dim, dim, s.shape[-1]))  # [n, k, i]: column n of diagonal k at i
+    packed[0] = np.cumprod(np.vstack([np.broadcast_to(head, s.shape), np.sqrt(s / k[1:])]), 0)
+    h = 1.0 / np.sqrt((n + 1.0) * (n + k + 1.0))
+    c, g = t * (2 * n + k + 1) * h, -t * t * np.sqrt(n * (n + k)) * h
     for n in range(1, dim):  # column n from n - 1 and n - 2 (g = 0 at n = 1), rows k < dim - n
         new = np.multiply(packed[n - 2, :dim - n], g[:dim - n, n - 1:n], out=packed[n, :dim - n])
-        new += (y * s[:dim - n, n - 1:n] + c[:dim - n, n - 1:n]) * packed[n - 1, :dim - n]
+        new += (y * h[:dim - n, n - 1:n] + c[:dim - n, n - 1:n]) * packed[n - 1, :dim - n]
     return packed
 
 
@@ -131,7 +130,7 @@ def _radial_packed(j, params: ThermalParams) -> np.ndarray:
     J = j.flat[i], zero past the corner n + k >= dim; a (dim, j.size, dim) view of
     memory ordered [n, k, i].  Entries (Cahill & Glauber 1969) (1-t)^{k+1} sqrt(n!/(n+k)!)
     J^{k/2} e^{-x} t^n L_n^{(k)}(-y/t), at most 1, with x = (1-t)J and y = (1-t)x: the
-    diagonal recurrence at t, y from column 0 (1-t) e^{-x} prod_{i<=k} sqrt(y/i).  Validated
+    diagonal recurrence at head (1-t) e^{-x}, s = y, t and y.  Validated
     for dim <= 256 (ThermalParams holds it) and 0 <= x <= 700, where e^{-x} stays normal;
     outside it, or for a NaN J, it raises DomainError."""
     j = np.asarray(j, dtype=float)
@@ -140,9 +139,8 @@ def _radial_packed(j, params: ThermalParams) -> np.ndarray:
     if not np.all((x >= 0.0) & (x <= 700.0)):  # NaN fails too
         raise DomainError(f"J in [{np.min(j)}, {np.max(j)}] is outside the"
                           " validated range 0 <= (1-t) J <= 700")
-    head, y = (1.0 - t) * np.exp(-x), (1.0 - t) * x
-    col0 = np.cumprod(np.vstack([head, np.sqrt(y / np.arange(1, dim)[:, None])]), axis=0)
-    return _diagonal_recurrence(col0, t, y).transpose(1, 2, 0)
+    y = (1.0 - t) * x
+    return _diagonal_recurrence((1.0 - t) * np.exp(-x), y, t, y, dim).transpose(1, 2, 0)
 
 
 def radial_density(j, params: ThermalParams) -> np.ndarray:

@@ -42,7 +42,7 @@ def rho_sphere(r, theta, phi) -> np.ndarray:
     return 0.5 * (np.eye(2) + r[..., None, None] * _signed_pauli(direction(theta, phi)))
 
 
-def sphere_rule(n_theta: int = 8, n_phi: int = 8) -> QuadratureRule:
+def sphere_rule(n_theta: int, n_phi: int) -> QuadratureRule:
     """Product rule for sin(theta) dtheta dphi / (2 pi): Gauss-Legendre in cos(theta)
     times a trapezoid in phi, nodes (u = cos theta, phi); DomainError past MAX_RULE_NODES."""
     if n_theta * n_phi > MAX_RULE_NODES:

@@ -108,13 +108,15 @@ MUTANTS = [
            "vals if vals.imag.any() else vals.real", "vals",
            ("tests/test_core.py::TestQuantizeValues::test_real_symbol_reaches_the_family_as_one_float_call",)),
     Mutant("displacement-column-0 (entry 28)", "plane.py",
-           "np.sqrt(flat / k[1:, None])", "np.sqrt(flat / (k[1:, None] + 1))",
+           "np.sqrt(s / k[1:])", "np.sqrt(s / (k[1:] + 1))",
            ("tests/test_plane.py::TestDisplacementOracles::test_matches_mpmath_and_loop",)),
     Mutant("displacement-recurrence-y-sign (entry 28)", "plane.py",
-           "_diagonal_recurrence(col0, 1.0, -flat)", "_diagonal_recurrence(col0, 1.0, flat)",
+           "_diagonal_recurrence(1.0, flat, 1.0, -flat, dim)",
+           "_diagonal_recurrence(1.0, flat, 1.0, flat, dim)",
            ("tests/test_plane.py::TestDisplacementOracles::test_matches_mpmath_and_loop",)),
     Mutant("displacement-recurrence-t (entry 28)", "plane.py",
-           "_diagonal_recurrence(col0, 1.0, -flat)", "_diagonal_recurrence(col0, 0.5, -flat)",
+           "_diagonal_recurrence(1.0, flat, 1.0, -flat, dim)",
+           "_diagonal_recurrence(1.0, flat, 0.5, -flat, dim)",
            ("tests/test_plane.py::TestDisplacementOracles::test_matches_mpmath_and_loop",)),
     Mutant("displacement-upper-sign-dropped (entry 28)", "plane.py",
            "-square, square)", "square, square)",
@@ -214,6 +216,27 @@ MUTANTS = [
     Mutant("f21-degree-accepts-nonfinite (entry 30)", "numerics.py",
            "any(d < 0 or d % 1 for d in degrees)", "any(d < 0 or int(d) != d for d in degrees)",
            ("tests/test_numerics.py::TestDegreeGuards::test_nonfinite_degree_is_a_domain_error",)),
+    Mutant("laguerre-float-degree-kept (entry 31)", "numerics.py",
+           "n_max, alpha, x = int(n_max), np.asarray(", "n_max, alpha, x = n_max, np.asarray(",
+           ("tests/test_numerics.py::TestDegreeGuards::test_integral_float_degree_is_the_integer_degree",)),
+    Mutant("laguerre-alpha-accepts-nonfinite (entry 31)", "numerics.py",
+           "if not np.all(np.isfinite(alpha) & ((alpha > -1.0) | (alpha == np.round(alpha)))):",
+           "if np.any((alpha <= -1.0) & (alpha != np.round(alpha))):",
+           ("tests/test_numerics.py::TestLaguerre::test_nonfinite_alpha_is_a_domain_error",)),
+    Mutant("laguerre-rule-alpha-accepts-nan (entry 31)", "numerics.py",
+           "if not -1 < alpha < math.inf:  # NaN fails too", "if alpha <= -1:",
+           ("tests/test_numerics.py::TestRules::test_laguerre_rule_nonfinite_alpha",
+            "tests/test_halfplane.py::TestBasis::test_nan_alpha_is_a_domain_error")),
+    Mutant("bessel-argument-accepts-nan (entry 31)", "numerics.py",
+           "if not np.all(x >= 0):  # NaN fails too", "if np.any(x < 0):",
+           ("tests/test_numerics.py::TestBessel::test_nan_argument_is_a_domain_error",)),
+    Mutant("kernel-argument-accepts-nan (entry 31)", "halfplane.py",
+           "if not (np.all(x >= 0) and np.all(y >= 0)):", "if np.any(x < 0) or np.any(y < 0):",
+           ("tests/test_halfplane.py::TestThermalKernel::test_nan_argument_is_a_domain_error",)),
+    Mutant("covariance-unitary-shape-guard (entry 31)", "core.py",
+           'raise ValueError(f"covariance needs the full unitary, got U(g0) of shape {u0.shape}")',
+           "pass",
+           ("tests/test_core.py::TestGroupOrbit::test_covariance_needs_the_full_unitary",)),
     Mutant("laguerre-alpha-guard", "numerics.py",
            'raise DomainError(f"alpha must be > -1 or a negative integer, got {alpha}")', "pass",
            ("tests/test_numerics.py::TestLaguerre::test_rejects_bad_degree_and_alpha",)),

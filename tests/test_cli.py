@@ -894,6 +894,15 @@ class TestReconstruct:
         code, _out = run(capsys, ["reconstruct", path, "--tol", "1e-6"])
         assert code == 4
 
+    def test_weights_not_summing_to_n_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"p": [1.0, 0.0, 0.0, 1.0], "nu": [1.0, 1.0], "n": 3}))
+        code = main(["reconstruct", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "invalid table: weights must sum to the Hilbert dimension n\n"
+
     def test_invalid_table_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"p": [0.9, 0.9, 0.9, 0.9],

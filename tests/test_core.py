@@ -126,6 +126,10 @@ class TestQuantize:
                          for th in fam.rule.nodes])
         assert_allclose(lhs.real, fam.rule.integrate(vals), atol=1e-13)
 
+    def test_measurement_dimension_mismatch(self, fam):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            core.measurement_expectation(np.eye(3), fam, lambda th: 1.0)
+
 
 def _per_node(fam):
     """The family without its weighted sum: core's per-batch path reduces it."""
@@ -256,6 +260,11 @@ class TestCoherentStates:
         assert_allclose(np.linalg.norm(vec), 1.0, rtol=1e-13)
         assert norm > 0
 
+    def test_state_rejects_vanishing_norm(self):
+        basis = core.CsBasis(lambda x: np.zeros(np.shape(x) + (3,)), 3, periodic_rule(4, 1.0))
+        with pytest.raises(ValueError, match="N\\(x\\) vanishes"):
+            core.cs_state(basis, 0.5)
+
     def test_reproducing_kernel_diagonal(self):
         basis = fourier_basis(4)
         assert_allclose(core.reproducing_kernel(basis, 0.7, 0.7), 1.0,
@@ -315,6 +324,13 @@ class TestGroupOrbit:
         fam = core.orbit_family(spec)
         with pytest.raises(ValueError):
             core.covariance_check(spec, fam, lambda th: 1.0, 0.5)
+
+    def test_covariance_needs_the_full_unitary(self):
+        spec = halfplane.affine_orbit_spec(halfplane.AffineParams(2.0, 0.2, 16),
+                                           halfplane.affine_group_rule(8), rows=4)
+        fam = core.orbit_family(spec)
+        with pytest.raises(ValueError, match="covariance needs the full unitary"):
+            core.covariance_check(spec, fam, lambda g: 1.0, (1.5, 0.3))
 
     @pytest.mark.parametrize("fiducial", ["own", "random-hermitian"])
     @pytest.mark.parametrize("build", [

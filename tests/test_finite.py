@@ -61,6 +61,11 @@ class TestMeasureAndTable:
         with pytest.raises(ValueError, match="symmetric"):
             finite.ProbTable(p, m, 2).validate()
 
+    def test_table_validate_catches_wrong_shape(self):
+        m = finite.FiniteMeasure(np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="table must be 2x2, got \\(3, 3\\)"):
+            finite.ProbTable(np.eye(3) / 3.0, m, 2).validate()
+
     def test_json_round_trip(self):
         _, rhos, measure = mercedes_family()
         table = finite.gram_probabilities(rhos, measure)

@@ -130,12 +130,17 @@ def overlap_block_mpmath(q, p, alpha, rows, cols, dps=40):
     return out
 
 
+def thermal_weights(params):
+    """The fiducial's Fock weights (1 - t) t^n, n < dim."""
+    return (1.0 - params.t) * params.t ** np.arange(params.dim)
+
+
 def c_rho_first_row(params, rule):
     """Admissibility constant as the first-row sum
     sum_k w_k sum_n W_n |<e_0|U(q_k,p_k)|e_n>|^2."""
     row = halfplane.overlap_block(rule.nodes[:, 0], rule.nodes[:, 1],
                                   params.alpha, 1, params.dim)[:, 0]
-    return float(rule.integrate(np.abs(row) ** 2 @ params.weights()))
+    return float(rule.integrate(np.abs(row) ** 2 @ thermal_weights(params)))
 
 
 def resolution_block_einsum(params, block, rule, c_rho):
@@ -145,7 +150,7 @@ def resolution_block_einsum(params, block, rule, c_rho):
     m = halfplane.overlap_block(rule.nodes[:, 0], rule.nodes[:, 1],
                                 params.alpha, block, params.dim)
     parts = m.view(float).reshape(m.shape + (2,))
-    g = np.einsum("k,n,kinc,kjnd->cdij", rule.weights, params.weights(),
+    g = np.einsum("k,n,kinc,kjnd->cdij", rule.weights, thermal_weights(params),
                   parts, parts)
     return (g[0, 0] + g[1, 1] + 1j * (g[1, 0] - g[0, 1])) / c_rho
 
@@ -209,6 +214,13 @@ class TestBasis:
             halfplane.basis_fn(0, 1.5, np.array([0.3, -0.1]))
         with pytest.raises(DomainError, match="alpha <= 0"):
             halfplane.inverse_moment(2, -0.5)
+
+    @pytest.mark.parametrize("call", [lambda: halfplane.gram_defect(math.nan, 4),
+                                      lambda: halfplane.inverse_moment(2, math.nan)],
+                             ids=["gram_defect", "inverse_moment"])
+    def test_nan_alpha_is_a_domain_error(self, call):
+        with pytest.raises(DomainError, match="Gauss-Laguerre rule needs alpha > -1"):
+            call()
 
 
 class TestGroup:
@@ -490,6 +502,12 @@ class TestOrbitEngine:
     """c_rho and the resolution block run on core's orbit engine; the
     first-row sum and the einsum above are their references."""
 
+    def test_translate_is_the_left_quotient(self):
+        translate = halfplane.affine_orbit_spec(PARAMS, halfplane.affine_group_rule(4)).translate
+        g0, g = (1.7, -0.4), (0.6, 0.9)
+        assert_allclose(translate(g0, halfplane.group_product(g0, g)), g, rtol=0, atol=1e-14)
+        assert_allclose(translate(g0, g0), (1.0, 0.0), rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("t", [0.0, 0.2, 0.5])
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.5])
     def test_matches_reference_reductions(self, alpha, t):
@@ -518,7 +536,7 @@ class TestOrbitEngine:
         nodes = central_nodes(5)
         u = halfplane.overlap_block(nodes[:, 0], nodes[:, 1], PARAMS.alpha,
                                     PARAMS.dim, PARAMS.dim)
-        want = u @ np.diag(PARAMS.weights()) @ np.swapaxes(u.conj(), -1, -2)
+        want = u @ np.diag(thermal_weights(PARAMS)) @ np.swapaxes(u.conj(), -1, -2)
         assert_allclose(full.evaluate(nodes), want, rtol=0, atol=1e-15)
         assert_allclose(part.evaluate(nodes), want[:, :3, :3], rtol=0, atol=1e-15)
 
@@ -694,3 +712,9 @@ class TestThermalKernel:
                 0.5, 0.5, halfplane.AffineParams(alpha=2.0, t=0.0, dim=4))
         with pytest.raises(DomainError, match="nonnegative"):
             halfplane.thermal_kernel(0.5, np.array([1.0, -2.0]), PARAMS)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 1.0), (1.0, np.array([0.5, math.nan]))],
+                             ids=["nan-x", "nan-y"])
+    def test_nan_argument_is_a_domain_error(self, x, y):
+        with pytest.raises(DomainError, match="kernel arguments must be nonnegative"):
+            halfplane.thermal_kernel(x, y, PARAMS)

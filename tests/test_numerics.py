@@ -53,6 +53,12 @@ class TestLaguerre:
         with pytest.raises(DomainError):
             laguerre(2, -1.5, 1.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_alpha_is_a_domain_error(self, alpha):
+        for call in (lambda: laguerre(3, alpha, 1.0), lambda: laguerre_table(3, alpha, 1.0)):
+            with pytest.raises(DomainError, match="alpha must be > -1 or a negative integer"):
+                call()
+
     def test_validated_range_guard(self):
         with pytest.raises(DomainError):
             laguerre(300, 0.0, 1.0)
@@ -128,6 +134,12 @@ class TestBessel:
             bessel_i(-1.0, 1.0)
         with pytest.raises(DomainError):
             bessel_i_scaled(60.5, 1.0)
+
+    def test_nan_argument_is_a_domain_error(self):
+        for call in (lambda: bessel_i(0.0, math.nan),
+                     lambda: bessel_i_scaled(2.0, np.array([1.0, math.nan]))):
+            with pytest.raises(DomainError, match="argument must be nonnegative"):
+                call()
 
     @pytest.mark.parametrize("nu", [0.0, 0.1, 0.5, 2.0, 3.7, 10.0, 20.0, 40.0, 60.0])
     def test_matches_mpmath(self, nu):
@@ -229,6 +241,10 @@ class TestDegreeGuards:
         with pytest.raises(DomainError, match="must be a nonnegative integer"):
             call(degree)
 
+    def test_integral_float_degree_is_the_integer_degree(self):
+        assert np.array_equal(laguerre_table(3.0, 0.5, 1.0), laguerre_table(3, 0.5, 1.0))
+        assert laguerre(3.0, 0.5, 1.0) == laguerre(3, 0.5, 1.0)
+
 
 class TestRules:
     def test_trapezoid_exact_for_trig(self):
@@ -307,6 +323,11 @@ class TestRules:
         for n in (10.5, math.nan):
             with pytest.raises(DomainError):
                 laguerre_rule(n)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_laguerre_rule_nonfinite_alpha(self, alpha):
+        with pytest.raises(DomainError, match="Gauss-Laguerre rule needs alpha > -1"):
+            laguerre_rule(4, alpha)
 
     def test_legendre_integral_float_node_count(self):
         rule, ref = legendre_rule(10.0, 0.0, 1.0), legendre_rule(10, 0.0, 1.0)

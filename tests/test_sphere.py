@@ -187,6 +187,9 @@ class TestKernelsAndDistances:
                 r, sphere.direction(t0, p0), sphere.direction(t1, p1))
             assert_allclose(got, want, atol=1e-12)
 
+    def test_pseudo_distance_antipodal_pure_is_infinite(self):
+        assert sphere.sphere_pseudo_distance(1.0, (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)) == math.inf
+
     def test_small_separation_slope(self):
         # delta ~ r / sqrt(2 (1+r^2)) * separation as the points merge
         r, theta, eps = 0.8, 1.1, 1e-3
