@@ -151,7 +151,7 @@ def suite_plane(t, dim) -> tuple[dict, list[dict]]:
     checks.append(check("bessel-identity", "1termsum",
                         plane.laguerre_square_sum(t, x),
                         plane.laguerre_square_closed(t, x), 1e-10))
-    fam = plane.plane_family(params)
+    fam = plane.plane_family(params, *plane.sized_rules(params))
     # z = (q + ip)/sqrt(2), so q = sqrt(2J) cos gamma, p = sqrt(2J) sin gamma
     j, gamma = fam.rule.nodes.T
     aq = core.quantize_values(fam, np.sqrt(2.0 * j) * np.cos(gamma))

@@ -257,8 +257,8 @@ def thermal_kernel(x, y, params: AffineParams, printed: bool = False):
     if not 0.0 < t < 1.0:
         raise DomainError("thermal kernel needs t in (0, 1)")
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if not (np.all(x >= 0) and np.all(y >= 0)):  # NaN fails too
-        raise DomainError("kernel arguments must be nonnegative")
+    if not np.all((x >= 0) & (x < math.inf) & (y >= 0) & (y < math.inf)):  # NaN fails too
+        raise DomainError("kernel arguments must be nonnegative and finite")
     arg = 2.0 * np.sqrt(t * x * y) / (1.0 - t)
     pre, decay = (1.0 - t, t) if printed else (1.0, 1.0 + t)
     # I_alpha(arg) e^{-arg} times e^expo: the corrected form's expo is <= 0

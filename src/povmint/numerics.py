@@ -110,8 +110,8 @@ def bessel_i_scaled(nu: float, x):
     series (DLMF 10.25.2) below, both of a length fixed by nu, so an array
     element equals the scalar call (DECISIONS.md entry 17).  nu <= 60."""
     x = np.asarray(x, dtype=float)
-    if not np.all(x >= 0):  # NaN fails too
-        raise DomainError(f"argument must be nonnegative, got {np.min(x)}")
+    if not np.all((x >= 0) & (x < math.inf)):  # NaN fails too
+        raise DomainError(f"argument must be nonnegative and finite, got [{np.min(x)}, {np.max(x)}]")
     if not 0 <= nu <= BESSEL_MAX_NU:
         raise DomainError(f"order must lie in [0, {BESSEL_MAX_NU:g}], got {nu}")
     c, x_h, div = _bessel_plan(float(nu))

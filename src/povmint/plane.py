@@ -226,8 +226,22 @@ def _radial_rule(n: int, t: float, alpha: float = 0.0) -> QuadratureRule:
         raise DomainError(f"t must lie in [0, 1), got {t}")
     base = laguerre_rule(n, alpha)
     # in log space: w e^x overflows at the outermost nodes, the product does not
-    log_w = np.log(base.weights) + base.nodes - alpha * np.log(base.nodes)
+    with np.errstate(divide="ignore"):  # a w that underflowed to 0 (n >= 200) stays 0
+        log_w = np.log(base.weights) + base.nodes - alpha * np.log(base.nodes)
     return QuadratureRule(base.nodes / (1.0 - t), np.exp(log_w) / (1.0 - t))
+
+
+def _exact_radii(dim: int) -> int:
+    """Gauss-Laguerre nodes in x = (1-t)J exact to degree dim (2n - 1 >= dim) with a margin."""
+    return dim // 2 + 8
+
+
+def sized_rules(params: ThermalParams) -> tuple[QuadratureRule, QuadratureRule]:
+    """`verify plane`'s rules (DECISIONS.md entry 32): dim + 8 angles, and _exact_radii(dim)
+    radii plus ceil(4t/(1-t)) for the covariance rows' Gaussian bump, at most dim + 16."""
+    t, dim = params.t, params.dim
+    n_j = min(dim + 16, _exact_radii(dim) + math.ceil(4.0 * t / (1.0 - t)))
+    return _radial_rule(n_j, t), periodic_rule(dim + 8, 1.0 / (2.0 * math.pi))
 
 
 def plane_family(params: ThermalParams, radial: QuadratureRule | None = None,
@@ -237,7 +251,8 @@ def plane_family(params: ThermalParams, radial: QuadratureRule | None = None,
 
     By default radially dim + 16 Gauss-Laguerre nodes in x = (1-t)J with
     plain-dJ weights, exact for the family's (polynomial)*e^{-(1-t)J} radial
-    profiles, and angularly a trapezoid of max(2 dim + 32, 64) nodes.
+    profiles, and angularly a trapezoid of max(2 dim + 32, 64) nodes; `verify plane`
+    passes the smaller sized_rules(params).
     ``evaluate`` calls thermal_density when asked.  The weighted sum of real c
     contracts the harmonics sum_gamma c(J_j, gamma) e^{+-i d gamma} with the
     diagonals d = m - n of the real, symmetric rho(J_j, 0), as _radial_packed
@@ -326,7 +341,7 @@ def _radial_integrals(params: ThermalParams) -> np.ndarray:
     so dim // 2 + 8 nodes per parity are exact.  Diagonal d = m - m' has the
     parity of m + m', so each rule integrates every other packed diagonal.
     """
-    n_j = params.dim // 2 + 8
+    n_j = _exact_radii(params.dim)
     rule0, rule_h = (_radial_rule(n_j, params.t, alpha) for alpha in (0.0, 0.5))
     stack = np.ascontiguousarray(  # [i, d, n], so that each sum runs over J in node order
         _radial_packed(np.concatenate([rule0.nodes, rule_h.nodes]), params).swapaxes(0, 1))

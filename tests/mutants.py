@@ -193,6 +193,13 @@ MUTANTS = [
     Mutant("halfplane-default-48 (entry 29)", "cli.py",
            "grid = max(grid or 64, 64)", "grid = max(grid or 48, 48)",
            ("tests/test_cli.py::TestSuiteFlags::test_default_params_come_in_flags_order[halfplane]",)),
+    Mutant("plane-rule-t-term-dropped (entry 32)", "plane.py",
+           "_exact_radii(dim) + math.ceil(4.0 * t / (1.0 - t))", "_exact_radii(dim)",
+           ("tests/test_cli.py::TestPlaneSizedRules::test_rows_match_the_default_rules[0.9-16]",)),
+    Mutant("plane-radii-below-degree-exact (entry 32)", "plane.py",
+           "return dim // 2 + 8", "return dim // 2 - 2",
+           ("tests/test_cli.py::TestPlaneSizedRules::test_rows_match_the_default_rules[0.0-48]",
+            "tests/test_plane.py::TestCompressedDensity::test_radial_integrals_exact_at_half_the_nodes")),
     Mutant("verify-reparse-dropped (entry 29)", "cli.py",
            "        if not unrecognized:\n            return run_verify(args)",
            "        return run_verify(args)",
@@ -228,11 +235,22 @@ MUTANTS = [
            ("tests/test_numerics.py::TestRules::test_laguerre_rule_nonfinite_alpha",
             "tests/test_halfplane.py::TestBasis::test_nan_alpha_is_a_domain_error")),
     Mutant("bessel-argument-accepts-nan (entry 31)", "numerics.py",
-           "if not np.all(x >= 0):  # NaN fails too", "if np.any(x < 0):",
+           "if not np.all((x >= 0) & (x < math.inf)):", "if np.any((x < 0) | (x == math.inf)):",
            ("tests/test_numerics.py::TestBessel::test_nan_argument_is_a_domain_error",)),
+    Mutant("bessel-argument-accepts-inf (entry 32)", "numerics.py",
+           "if not np.all((x >= 0) & (x < math.inf)):", "if not np.all(x >= 0):",
+           ("tests/test_numerics.py::TestBessel::test_infinite_argument_is_a_domain_error",)),
     Mutant("kernel-argument-accepts-nan (entry 31)", "halfplane.py",
-           "if not (np.all(x >= 0) and np.all(y >= 0)):", "if np.any(x < 0) or np.any(y < 0):",
+           "if not np.all((x >= 0) & (x < math.inf) & (y >= 0) & (y < math.inf)):",
+           "if np.any((x < 0) | (x == math.inf) | (y < 0) | (y == math.inf)):",
            ("tests/test_halfplane.py::TestThermalKernel::test_nan_argument_is_a_domain_error",)),
+    Mutant("kernel-argument-accepts-inf (entry 32)", "halfplane.py",
+           "if not np.all((x >= 0) & (x < math.inf) & (y >= 0) & (y < math.inf)):",
+           "if not np.all((x >= 0) & (y >= 0)):",
+           ("tests/test_halfplane.py::TestThermalKernel::test_infinite_argument_is_a_domain_error",)),
+    Mutant("radial-rule-zero-weight-warns (entry 32)", "plane.py",
+           'with np.errstate(divide="ignore"):', "with np.errstate():",
+           ("tests/test_plane.py::TestCompressedDensity::test_rule_keeps_underflowed_weights_at_zero",)),
     Mutant("covariance-unitary-shape-guard (entry 31)", "core.py",
            'raise ValueError(f"covariance needs the full unitary, got U(g0) of shape {u0.shape}")',
            "pass",
@@ -245,7 +263,8 @@ MUTANTS = [
            "if n_max > LAGUERRE_MAX_N:",
            ("tests/test_numerics.py::TestLaguerre::test_validated_range_guard",)),
     Mutant("bessel-argument-guard", "numerics.py",
-           'raise DomainError(f"argument must be nonnegative, got {np.min(x)}")', "pass",
+           'raise DomainError(f"argument must be nonnegative and finite, got [{np.min(x)}, {np.max(x)}]")',
+           "pass",
            ("tests/test_numerics.py::TestBessel::test_domain_errors",)),
     Mutant("bessel-order-guard", "numerics.py",
            'raise DomainError(f"order must lie in [0, {BESSEL_MAX_NU:g}], got {nu}")', "pass",
@@ -292,7 +311,7 @@ MUTANTS = [
            'raise DomainError("basis functions live on x >= 0")', "pass",
            ("tests/test_halfplane.py::TestBasis::test_basis_domain",)),
     Mutant("kernel-argument-guard", "halfplane.py",
-           'raise DomainError("kernel arguments must be nonnegative")', "pass",
+           'raise DomainError("kernel arguments must be nonnegative and finite")', "pass",
            ("tests/test_halfplane.py::TestThermalKernel::test_kernel_guards",)),
     Mutant("fold-pairing-guard (entry 18)", "halfplane.py",
            'raise DomainError("the group rule must pair (q, p) with (q, -p) at equal weights")', "pass",

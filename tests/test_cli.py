@@ -18,7 +18,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from povmint import DomainError, circle, cli, core, finite, halfplane, numerics, sphere
+from povmint import (DomainError, circle, cli, core, finite, halfplane, numerics, plane,
+                     sphere)
 from povmint.cli import main
 
 FAST = ["--dim", "16", "--grid", "24"]
@@ -135,15 +136,20 @@ class TestVerify:
         assert code == 2
 
     def test_plane_dim_beyond_laguerre_range_exit_2(self, capsys):
-        # dim 167 is the first whose outermost default radial node, x = (1-t)J
-        # ~ 700.8, lies past the density builder's validated x <= 700
-        code = main(["verify", "plane", "--dim", "167"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("configuration error in suite plane")
+        # the suite's rule has dim // 2 + 8 + ceil(4t/(1-t)) radii; 183 is the first count
+        # whose outermost node, x = (1-t)J ~ 700.8, lies past the density builder's
+        # validated x <= 700: at dim 256 from t = 0.92 on (ceil(46.00000000000003) = 47),
+        # while t = 0.91 takes 177; past dim 256 ThermalParams refuses the truncation
+        assert main(["verify", "plane", "--dim", "256", "--t", "0.91"]) == 0
+        capsys.readouterr()
+        for argv in (["--dim", "256", "--t", "0.92"], ["--dim", "257"]):
+            code = main(["verify", "plane"] + argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("configuration error in suite plane")
 
     # suite -> (module read for the budget, --grid one rule node over it, its nodes)
     OVER_BUDGET = {"sphere": (sphere, 128, "128 x 128"),
@@ -491,6 +497,36 @@ class TestSuiteFlags:
         seeded = run(capsys, ["verify", "sphere", "--seed", "7"])
         assert seeded == run(capsys, ["verify", "sphere"])
         assert seeded[0] == 0
+
+
+class TestPlaneSizedRules:
+    """`verify plane` builds its family on plane.sized_rules; its rows agree with the
+    same suite on plane_family's default rules (dim + 16 radii, max(2 dim + 32, 64)
+    angles): the polynomial rows to 1e-12, each covariance defect within twice its
+    default-rule value or 1e-9."""
+
+    @staticmethod
+    def rows(t, dim):
+        return {row["id"]: row["computed"] for row in cli.suite_plane(t, dim)[1]}
+
+    @pytest.mark.parametrize("dim", [8, 16, 32, 48])
+    @pytest.mark.parametrize("t", [0.0, 0.2, 0.5, 0.7, 0.9])
+    def test_rows_match_the_default_rules(self, monkeypatch, t, dim):
+        sized = self.rows(t, dim)
+        monkeypatch.setattr(plane, "sized_rules", lambda params: ())
+        default = self.rows(t, dim)
+        for name in ("ccr-block", "quadratic-q2", "resolution-block"):
+            assert abs(sized[name] - default[name]) <= 1e-12, name
+        for name in ("translation", "rotation", "parity", "conjugation"):
+            name = f"covariance-{name}"
+            assert sized[name] <= max(2.0 * default[name], 1e-9), name
+
+    def test_rule_sizes(self):
+        # 24 + 8 + ceil(4 * 0.2 / 0.8) = 33 radii and 56 angles at the defaults;
+        # at t = 0.9 the bump term reaches plane_family's cap of dim + 16
+        radial, angular = plane.sized_rules(plane.ThermalParams(0.2, 48))
+        assert (radial.size, angular.size) == (33, 56)
+        assert plane.sized_rules(plane.ThermalParams(0.9, 48))[0].size == 64
 
 
 class TestGoldenReports:

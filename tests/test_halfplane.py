@@ -718,3 +718,10 @@ class TestThermalKernel:
     def test_nan_argument_is_a_domain_error(self, x, y):
         with pytest.raises(DomainError, match="kernel arguments must be nonnegative"):
             halfplane.thermal_kernel(x, y, PARAMS)
+
+    @pytest.mark.parametrize("x, y", [(math.inf, 1.0), (1.0, np.array([0.5, math.inf]))],
+                             ids=["inf-x", "inf-y"])
+    def test_infinite_argument_is_a_domain_error(self, x, y):
+        # inf passes x >= 0, and the exponent would be inf - inf
+        with pytest.raises(DomainError, match="kernel arguments must be nonnegative and finite"):
+            halfplane.thermal_kernel(x, y, PARAMS)

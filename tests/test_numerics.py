@@ -141,6 +141,14 @@ class TestBessel:
             with pytest.raises(DomainError, match="argument must be nonnegative"):
                 call()
 
+    def test_infinite_argument_is_a_domain_error(self):
+        # I_nu(inf) has no mantissa and exponent: (0, inf) would be 0 e^inf
+        for call in (lambda: bessel_i(0.0, math.inf),
+                     lambda: bessel_i_scaled(0.0, math.inf),
+                     lambda: bessel_i_scaled(2.0, np.array([1.0, math.inf]))):
+            with pytest.raises(DomainError, match="argument must be nonnegative and finite"):
+                call()
+
     @pytest.mark.parametrize("nu", [0.0, 0.1, 0.5, 2.0, 3.7, 10.0, 20.0, 40.0, 60.0])
     def test_matches_mpmath(self, nu):
         # both sides of the series/Hankel threshold, x in [0, 700] for

@@ -272,6 +272,19 @@ class TestCompressedDensity:
         with pytest.raises(numerics.DomainError):
             plane.radial_density(1.0, plane.ThermalParams(0.2, 257))
 
+    def test_rule_keeps_underflowed_weights_at_zero(self):
+        # from n = 200 on the outermost Gauss-Laguerre weights underflow to 0 (22 of
+        # them at n = 272, dim 256's default count); each stays 0, with no divide-by-zero
+        # warning, and the rule still integrates e^{-x} x^k in x = (1-t)J
+        t = 0.2
+        rule = plane._radial_rule(272, t)
+        assert np.count_nonzero(rule.weights == 0.0) == 22
+        assert np.all(rule.weights[-22:] == 0.0) and np.all(rule.weights[:-22] > 0.0)
+        x = (1.0 - t) * rule.nodes
+        for k in range(4):
+            assert_allclose(rule.integrate(x ** k * np.exp(-x)), math.factorial(k) / (1 - t),
+                            rtol=1e-12)
+
     @pytest.mark.parametrize("t", [-0.1, 1.0, 1.5, math.nan])
     def test_rules_reject_t_outside_0_1(self, t):
         # past t = 1 the scaled nodes and weights would turn negative
