@@ -217,7 +217,7 @@ def suite_halfplane(alpha, t, grid) -> tuple[dict, list[dict]]:
     if t > 0:
         checks.append(check("kernel-trace", "intkerLag",
                             halfplane.kernel_trace(params), 1.0, 1e-9))
-        ratios = [halfplane.kernel_eigen_ratio(n_, params, 2.1) for n_ in range(3)]
+        ratios = halfplane.kernel_eigen_ratio([0, 1, 2], params, 2.1)
         checks.append(check("kernel-eigenvalues", "intkerLag", ratios,
                             [(1.0 - t) * t ** n_ for n_ in range(3)], 1e-8))
     checks.append(check("resolution-block", "residrhoTqpF",

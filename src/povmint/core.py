@@ -4,7 +4,8 @@ A :class:`DensityFamily` bundles a map x -> density matrix with a quadrature
 rule realizing the measure; everything else (resolution checks, POVMs of
 regions, probability kernels, quantization of functions, lower symbols,
 coherent-state construction, covariant orbits) is built on top of it by
-weighted sums over the rule nodes.  A symbol is quantized from its values on
+weighted sums over the rule nodes: the family's ``weighted_sum`` (a group orbit's forms
+no density) or one einsum per batch of node densities.  A symbol is quantized from its values on
 the rule nodes (:func:`quantize_values`) or, as a scalar callable, one call
 per node (:func:`quantize`).
 """
@@ -66,14 +67,16 @@ def _on_nodes(fn: Callable, nodes: Array, tail: tuple) -> Array:
     return out
 
 
-def _batches(fam: DensityFamily, idx: Array):
-    """Yield (part, rho(rule.nodes[part])) over slices of idx within NODE_BATCH_BYTES:
-    a node costs its dim x dim matrix, plus an orbit family's two (dim, width) rows."""
-    spec = getattr(fam.evaluate, "__self__", None)
-    width = np.shape(spec.fiducial)[-1] if isinstance(spec, GroupOrbitSpec) else 0
-    step = max(1, NODE_BATCH_BYTES // (16 * fam.dim * (fam.dim + 2 * width)))
+def _slices(idx: Array, node_bytes: int):
+    """Consecutive slices of idx, each of at most NODE_BATCH_BYTES at node_bytes per node."""
+    step = max(1, NODE_BATCH_BYTES // node_bytes)
     for start in range(0, len(idx), step):
-        part = idx[start:start + step]
+        yield idx[start:start + step]
+
+
+def _batches(fam: DensityFamily, idx: Array):
+    """Yield (part, rho(rule.nodes[part])) over _slices of idx, a dim x dim matrix per node."""
+    for part in _slices(idx, 16 * fam.dim ** 2):
         yield part, _on_nodes(fam.evaluate, fam.rule.nodes[part], (fam.dim,) * 2)
 
 
@@ -255,12 +258,33 @@ def covariant_c_rho(spec: GroupOrbitSpec) -> float:
 
 
 def orbit_family(spec: GroupOrbitSpec, c_rho: float | None = None) -> DensityFamily:
-    """Orbit family with measure dnu = dmu / c_rho, normalized to resolve I."""
+    """Orbit family with measure dnu = dmu / c_rho, normalized to resolve I.  Its weighted sum
+    takes the Hermitian fiducial F = V diag(lam) V^dag (no V if F is diagonal) and W = U V:
+    sum_k c_k U_k F U_k^dag = sum_n lam_n (c o W[:, :, n])^T conj(W[:, :, n]), one r x r GEMM
+    per column and node batch, whose rows count twice against NODE_BATCH_BYTES (temporaries)."""
     if c_rho is None:
         c_rho = covariant_c_rho(spec)
     rule = QuadratureRule(spec.group_rule.nodes, spec.group_rule.weights / c_rho)
     dim = np.asarray(spec.probe).shape[0]
-    return DensityFamily(dim, spec.orbit_density, rule)
+    fid = np.asarray(spec.fiducial)
+    lam, vecs = ((np.diagonal(fid).real, None) if np.array_equal(fid, np.diag(np.diagonal(fid)))
+                 else np.linalg.eigh(fid))
+
+    def add_batch(total, cw, nodes):
+        u = _on_nodes(spec.unitary, nodes, (dim, len(lam)))
+        if vecs is not None:
+            u = u @ vecs
+        for n in np.flatnonzero(lam):
+            col = u[:, :, n]
+            total += (col * (lam[n] * cw)[:, None]).T @ col.conj()
+
+    def weighted_sum(c):
+        total = np.zeros((dim, dim), dtype=complex)
+        for part in _slices(np.flatnonzero(c), 32 * dim * len(lam)):
+            add_batch(total, c[part], rule.nodes[part])  # its rows die before the next batch's
+        return total
+
+    return DensityFamily(dim, spec.orbit_density, rule, weighted_sum)
 
 
 def covariance_check(spec: GroupOrbitSpec, fam: DensityFamily,

@@ -283,14 +283,15 @@ def kernel_trace(params: AffineParams, printed: bool = False) -> float:
     return float(rule.integrate(thermal_kernel(x, x, params, printed)))
 
 
-def kernel_eigen_ratio(n: int, params: AffineParams, x: float,
-                       printed: bool = False) -> float:
-    """(int K_T(x, y) e_n(y) dy) / e_n(x) under kernel_rule(); equals
-    (1-t) t^n for the corrected kernel."""
+def kernel_eigen_ratio(n: int | list[int], params: AffineParams, x: float,
+                       printed: bool = False) -> float | list[float]:
+    """(int K_T(x, y) e_n(y) dy) / e_n(x) under kernel_rule(), (1-t) t^n for the corrected
+    kernel; a list of orders n gives their ratios from one evaluation of K_T(x, .)."""
     rule = kernel_rule()
-    y = rule.nodes
-    vals = thermal_kernel(x, y, params, printed) * basis_fn(n, params.alpha, y)
-    return float(rule.integrate(vals)) / basis_fn(n, params.alpha, x)
+    kern = thermal_kernel(x, rule.nodes, params, printed)
+    ratios = [float(rule.integrate(kern * basis_fn(m, params.alpha, rule.nodes)))
+              / basis_fn(m, params.alpha, x) for m in (n if np.ndim(n) else [n])]
+    return ratios if np.ndim(n) else ratios[0]
 
 
 def affine_resolution_check(params: AffineParams, block: int,

@@ -249,10 +249,10 @@ def plane_family(params: ThermalParams, radial: QuadratureRule | None = None,
     """The displaced-thermal POVM family on the (J, gamma) nodes of
     product_rule(radial, angular), for dJ dgamma / (2 pi).
 
-    By default radially dim + 16 Gauss-Laguerre nodes in x = (1-t)J with
-    plain-dJ weights, exact for the family's (polynomial)*e^{-(1-t)J} radial
-    profiles, and angularly a trapezoid of max(2 dim + 32, 64) nodes; `verify plane`
-    passes the smaller sized_rules(params).
+    By default radially min(dim + 16, 182) Gauss-Laguerre nodes in x = (1-t)J (182 end at
+    x = 696.9, in radial_density's validated x <= 700) with plain-dJ weights, exact for the
+    family's (polynomial)*e^{-(1-t)J} radial profiles up to dim 256, and angularly a trapezoid
+    of max(2 dim + 32, 64) nodes; `verify plane` passes the smaller sized_rules(params).
     ``evaluate`` calls thermal_density when asked.  The weighted sum of real c
     contracts the harmonics sum_gamma c(J_j, gamma) e^{+-i d gamma} with the
     diagonals d = m - n of the real, symmetric rho(J_j, 0), as _radial_packed
@@ -261,7 +261,7 @@ def plane_family(params: ThermalParams, radial: QuadratureRule | None = None,
     """
     dim = params.dim
     if radial is None:
-        radial = _radial_rule(dim + 16, params.t)
+        radial = _radial_rule(min(dim + 16, 182), params.t)
     if angular is None:
         angular = periodic_rule(max(2 * dim + 32, 64), 1.0 / (2.0 * math.pi))
     rule = product_rule(radial, angular)

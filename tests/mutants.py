@@ -173,6 +173,18 @@ MUTANTS = [
            "for start in range(0, len(idx), step):",
            "for start in range(0, len(idx) - step + 1, step):",
            ("tests/test_core.py::TestNodeArrayContract::test_small_batch_budget_crosses_chunks",)),
+    Mutant("orbit-sum-conjugate-dropped", "core.py",
+           "@ col.conj()", "@ col",
+           ("tests/test_core.py::TestOrbitSums::test_matches_the_loop",)),
+    Mutant("orbit-sum-eigenbasis-skipped", "core.py",
+           "u = u @ vecs", "u = u",
+           ("tests/test_core.py::TestOrbitSums::test_matches_the_loop",)),
+    Mutant("orbit-sum-column-skipped", "core.py",
+           "for n in np.flatnonzero(lam):", "for n in np.flatnonzero(lam)[1:]:",
+           ("tests/test_core.py::TestOrbitSums::test_matches_the_loop",)),
+    Mutant("plane-default-radii-uncapped", "plane.py",
+           "_radial_rule(min(dim + 16, 182), params.t)", "_radial_rule(dim + 16, params.t)",
+           ("tests/test_plane.py::TestQuantization::test_default_rules_reach_dim_256",)),
     Mutant("seed-not-a-run-flag", "cli.py",
            'RUN_FLAGS = ("tol", "seed", "out", "format")', 'RUN_FLAGS = ("tol", "out", "format")',
            ("tests/test_cli.py::TestSuiteFlags::test_run_flags_are_accepted_by_every_suite",)),

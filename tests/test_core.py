@@ -411,8 +411,8 @@ GEOMETRIES = {
     "circle": lambda: _per_node(CLOSED_FORM_FAMILIES["circle"]()),
     "sphere": lambda: _per_node(CLOSED_FORM_FAMILIES["sphere"]()),
     "fourier-cs": lambda: core.cs_family(fourier_basis(4)),
-    "torus-orbit": lambda: core.orbit_family(torus_orbit_spec()),
-    "affine": _affine_family,
+    "torus-orbit": lambda: _per_node(core.orbit_family(torus_orbit_spec())),
+    "affine": lambda: _per_node(_affine_family()),
     "plane-shuffled": lambda: _plane_composed("shuffled"),
     "plane-hand": lambda: _plane_composed("hand"),
 }
@@ -496,6 +496,57 @@ class TestClosedFormSums:
             return
         with pytest.raises(numerics.DomainError, match=r"^r must lie in \[0, 1\], got "):
             build(r)
+
+
+def _affine_rows(rows, fiducial=None):
+    """The dim-16 thermal orbit on 64 group nodes through its first `rows` overlap rows,
+    with the thermal fiducial or the one given."""
+    params = halfplane.AffineParams(alpha=2.0, t=0.25, dim=16)
+    spec = halfplane.affine_orbit_spec(params, halfplane.affine_group_rule(8, 6.0), rows=rows)
+    return spec if fiducial is None else dataclasses.replace(spec, fiducial=fiducial)
+
+
+def _positive_fiducial(dim, seed):
+    """A seeded full-rank density with no zero entry: the orbit sum takes the eigh route."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+ORBIT_SPECS = {
+    "torus": torus_orbit_spec,  # fiducial diag(0.8, 0.2), real unitaries
+    "affine-rows3": lambda: _affine_rows(3),
+    "affine-rows16": lambda: _affine_rows(16),
+    "affine-non-diagonal": lambda: _affine_rows(3, _positive_fiducial(16, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_SPECS))
+class TestOrbitSums:
+    """Orbit families sum sum_k c_k U_k F U_k^dag one fiducial eigencolumn of the
+    overlap rows at a time, with no per-node density."""
+
+    def test_matches_the_loop(self, name):
+        fam = core.orbit_family(ORBIT_SPECS[name]())
+        assert fam.weighted_sum is not None
+        c = _coeffs(fam)
+        for coeffs in (None, c.real, c):
+            got = core._accumulate(fam, coeffs)
+            assert np.max(np.abs(got - loop_accumulate(fam, coeffs))) < TestNodeArrayContract.TOL
+
+    def test_small_budget_covers_each_node_once(self, name, monkeypatch):
+        spec = ORBIT_SPECS[name]()
+        seen = []
+        fam = core.orbit_family(dataclasses.replace(
+            spec, unitary=lambda g: seen.append(g) or spec.unitary(g)), c_rho=1.0)
+        # a node budgets its (rows, width) overlap rows twice: three nodes per batch
+        monkeypatch.setattr(core, "NODE_BATCH_BYTES", 3 * 32 * fam.dim * len(spec.fiducial))
+        c = _coeffs(fam).real
+        got = core._accumulate(fam, c)
+        assert max(map(len, seen)) == 3
+        assert np.array_equal(np.concatenate(seen), fam.rule.nodes[np.flatnonzero(c)])
+        assert np.max(np.abs(got - loop_accumulate(fam, c))) < TestNodeArrayContract.TOL
 
 
 def _compressed_thermal(z, params):

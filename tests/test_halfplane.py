@@ -662,6 +662,15 @@ class TestThermalKernel:
             ratio = halfplane.kernel_eigen_ratio(n, PARAMS, x=2.3)
             assert_allclose(ratio, (1 - PARAMS.t) * PARAMS.t ** n, rtol=1e-8)
 
+    def test_orders_share_one_kernel_evaluation(self, monkeypatch):
+        # the suite's kernel-eigenvalues row asks for its three orders in one call
+        calls, kernel = [], halfplane.thermal_kernel
+        monkeypatch.setattr(halfplane, "thermal_kernel",
+                            lambda *args: calls.append(args) or kernel(*args))
+        got = halfplane.kernel_eigen_ratio([0, 1, 2], PARAMS, 2.3)
+        assert len(calls) == 1
+        assert got == [halfplane.kernel_eigen_ratio(n, PARAMS, 2.3) for n in range(3)]
+
     @pytest.mark.parametrize("printed", [False, True])
     def test_array_kernel_matches_scalar(self, printed):
         xs = np.linspace(0.0, 12.0, 7)

@@ -384,6 +384,15 @@ class TestQuantization:
         rep = core.check_resolution(fam, block=PARAMS.dim // 2)
         assert rep.defect < 1e-10
 
+    @pytest.mark.parametrize("dim", [167, 256])
+    @pytest.mark.parametrize("t", [0.2, 0.9])
+    def test_default_rules_reach_dim_256(self, t, dim):
+        # dim + 16 radii put the 183rd node past x = 700 from dim 167 on; the default
+        # stops at 182, whose outermost node is x = 696.9
+        fam = plane.plane_family(plane.ThermalParams(t, dim))
+        assert fam.rule.size == 182 * (2 * dim + 32)
+        assert core.check_resolution(fam).defect < 1e-12
+
     def test_quantized_position_momentum(self):
         fam = plane.plane_family(PARAMS)
         blk = PARAMS.dim // 2
