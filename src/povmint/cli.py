@@ -215,9 +215,10 @@ def suite_halfplane(alpha, t, grid) -> tuple[dict, list[dict]]:
     checks.append(check("admissibility-derived", "croexpl", c_quad,
                         halfplane.c_rho_derived(alpha), 1e-8))
     if t > 0:
+        rule = halfplane.kernel_rule(alpha)
         checks.append(check("kernel-trace", "intkerLag",
-                            halfplane.kernel_trace(params), 1.0, 1e-9))
-        ratios = halfplane.kernel_eigen_ratio([0, 1, 2], params, 2.1)
+                            halfplane.kernel_trace(params, rule=rule), 1.0, 1e-9))
+        ratios = halfplane.kernel_eigen_ratio([0, 1, 2], params, 2.1, rule=rule)
         checks.append(check("kernel-eigenvalues", "intkerLag", ratios,
                             [(1.0 - t) * t ** n_ for n_ in range(3)], 1e-8))
     checks.append(check("resolution-block", "residrhoTqpF",

@@ -12,7 +12,6 @@ variables: q through the substitution q = e^u, p through p = tan(v).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -21,8 +20,8 @@ import numpy as np
 from .core import CsBasis, GroupOrbitSpec, orbit_integral
 # hyp2f1_terminating is unused here; perfbench/tracer.py rebinds it (ROADMAP item 1)
 from .numerics import (BESSEL_OVERFLOW_X, DomainError, QuadratureRule, _f21_terms,
-                       bessel_i_scaled, hyp2f1_terminating, laguerre, laguerre_rule,
-                       laguerre_table, legendre_rule, MAX_RULE_NODES, product_rule)
+                       bessel_i_scaled, hyp2f1_terminating, laguerre, laguerre_dx_rule,
+                       laguerre_rule, laguerre_table, legendre_rule, MAX_RULE_NODES, product_rule)
 
 
 @dataclass(frozen=True)
@@ -269,28 +268,27 @@ def thermal_kernel(x, y, params: AffineParams, printed: bool = False):
     return out if out.ndim else float(out)
 
 
-@functools.cache
-def kernel_rule() -> QuadratureRule:
-    """The kernel checks' 200-node rule for dx on [0, 160], built on first use."""
-    return legendre_rule(200, 0.0, 160.0)
+def kernel_rule(alpha: float) -> QuadratureRule:
+    return laguerre_dx_rule(40, alpha)  # the kernel checks' rule for dx (DECISIONS.md entry 34)
 
 
-def kernel_trace(params: AffineParams, printed: bool = False) -> float:
-    """Quadrature of int K_T(x, x) dx under kernel_rule(); equals tr rho_T = 1
-    for the corrected kernel."""
-    rule = kernel_rule()
-    x = rule.nodes
-    return float(rule.integrate(thermal_kernel(x, x, params, printed)))
+def kernel_trace(params: AffineParams, printed: bool = False,
+                 rule: QuadratureRule | None = None) -> float:
+    """int K_T(x, x) dx = tr rho_T on rule (default kernel_rule(alpha)); 1 for the corrected K_T."""
+    rule = kernel_rule(params.alpha) if rule is None else rule
+    return float(rule.integrate(thermal_kernel(rule.nodes, rule.nodes, params, printed)))
 
 
-def kernel_eigen_ratio(n: int | list[int], params: AffineParams, x: float,
-                       printed: bool = False) -> float | list[float]:
-    """(int K_T(x, y) e_n(y) dy) / e_n(x) under kernel_rule(), (1-t) t^n for the corrected
-    kernel; a list of orders n gives their ratios from one evaluation of K_T(x, .)."""
-    rule = kernel_rule()
-    kern = thermal_kernel(x, rule.nodes, params, printed)
-    ratios = [float(rule.integrate(kern * basis_fn(m, params.alpha, rule.nodes)))
-              / basis_fn(m, params.alpha, x) for m in (n if np.ndim(n) else [n])]
+def kernel_eigen_ratio(n: int | list[int], params: AffineParams, x: float, printed: bool = False,
+                       rule: QuadratureRule | None = None) -> float | list[float]:
+    """(int K_T(x, y) e_n(y) dy) / e_n(x) under rule (default kernel_rule(alpha)), (1-t) t^n for
+    the corrected kernel, DomainError where e_n(x) = 0; a list of orders shares one K_T(x, .)."""
+    rule = kernel_rule(params.alpha) if rule is None else rule
+    kern, ratios = thermal_kernel(x, rule.nodes, params, printed), []
+    for m in n if np.ndim(n) else [n]:
+        if not (at_x := basis_fn(m, params.alpha, x)):
+            raise DomainError(f"e_{m} vanishes at x = {x}: no eigenvalue ratio there")
+        ratios.append(float(rule.integrate(kern * basis_fn(m, params.alpha, rule.nodes))) / at_x)
     return ratios if np.ndim(n) else ratios[0]
 
 

@@ -266,6 +266,14 @@ def laguerre_rule(n: int, alpha: float = 0.0) -> QuadratureRule:
                                          np.sqrt(k[1:] * (k[1:] + alpha)), recurrence))
 
 
+def laguerre_dx_rule(n: int, alpha: float, rate: float = 1.0) -> QuadratureRule:
+    """laguerre_rule(n, alpha) as a rule for dJ in x = rate J: exact on poly(x) x^alpha e^-x."""
+    base = laguerre_rule(n, alpha)  # w times e^x x^-alpha, in log space: w e^x overflows
+    with np.errstate(divide="ignore"):  # a w that underflowed to 0 (n >= 200) stays 0
+        log_w = np.log(base.weights) + base.nodes - alpha * np.log(base.nodes)
+    return QuadratureRule(base.nodes / rate, np.exp(log_w) / rate)
+
+
 def product_rule(rule_a: QuadratureRule, rule_b: QuadratureRule) -> QuadratureRule:
     """Tensor product of two 1-D rules; nodes are (a, b) pairs."""
     if rule_a.nodes.ndim != 1 or rule_b.nodes.ndim != 1:

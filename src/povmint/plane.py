@@ -22,7 +22,7 @@ import numpy as np
 from .core import DensityFamily, quantize_values
 # hyp2f1_terminating is unused here; perfbench/tracer.py rebinds it (ROADMAP item 1)
 from .numerics import (DomainError, QuadratureRule, _f21_terms, bessel_i,
-                       hyp2f1_terminating, laguerre, laguerre_rule, laguerre_table,
+                       hyp2f1_terminating, laguerre, laguerre_dx_rule, laguerre_table,
                        periodic_rule, product_rule)
 from .operators import max_defect
 
@@ -220,15 +220,10 @@ def plane_hs_closed(t: float, prob: float, printed: bool = False) -> float:
 
 
 def _radial_rule(n: int, t: float, alpha: float = 0.0) -> QuadratureRule:
-    """n-point Gauss-Laguerre rule for x^alpha e^{-x} dx in x = (1-t)J, as a
-    rule for plain dJ on [0, inf): exact for polynomial(x) x^alpha e^{-x}."""
+    """laguerre_dx_rule in x = (1-t)J: a rule for dJ, exact for polynomial(x) x^alpha e^{-x}."""
     if not 0.0 <= t < 1.0:  # NaN fails too
         raise DomainError(f"t must lie in [0, 1), got {t}")
-    base = laguerre_rule(n, alpha)
-    # in log space: w e^x overflows at the outermost nodes, the product does not
-    with np.errstate(divide="ignore"):  # a w that underflowed to 0 (n >= 200) stays 0
-        log_w = np.log(base.weights) + base.nodes - alpha * np.log(base.nodes)
-    return QuadratureRule(base.nodes / (1.0 - t), np.exp(log_w) / (1.0 - t))
+    return laguerre_dx_rule(n, alpha, 1.0 - t)
 
 
 def _exact_radii(dim: int) -> int:

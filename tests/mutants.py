@@ -217,6 +217,14 @@ MUTANTS = [
            "        return run_verify(args)",
            ("tests/test_cli.py::TestParser::test_help_and_usage_errors_are_unchanged",)),
 
+    # --- the kernel checks' rule (entry 34)
+    Mutant("plain-dx-reweighting-flipped (entry 34)", "numerics.py",
+           "- alpha * np.log(base.nodes)", "+ alpha * np.log(base.nodes)",
+           ("tests/test_halfplane.py::TestThermalKernel::test_kernel_rule_integrates_laguerre_moments_exactly",)),
+    Mutant("kernel-rule-12-nodes (entry 34)", "halfplane.py",
+           "laguerre_dx_rule(40, alpha)", "laguerre_dx_rule(12, alpha)",
+           ("tests/test_halfplane.py::TestThermalKernel::test_kernel_checks_hold_over_alpha_and_t",)),
+
     # --- DomainError guards, each dropped
     Mutant("periodic-rule-accepts-fractions", "numerics.py",
            "    if n < 1 or n % 1:  # an integral float is accepted; NaN fails\n"
@@ -260,7 +268,7 @@ MUTANTS = [
            "if not np.all((x >= 0) & (x < math.inf) & (y >= 0) & (y < math.inf)):",
            "if not np.all((x >= 0) & (y >= 0)):",
            ("tests/test_halfplane.py::TestThermalKernel::test_infinite_argument_is_a_domain_error",)),
-    Mutant("radial-rule-zero-weight-warns (entry 32)", "plane.py",
+    Mutant("laguerre-dx-rule-zero-weight-warns (entry 32)", "numerics.py",
            'with np.errstate(divide="ignore"):', "with np.errstate():",
            ("tests/test_plane.py::TestCompressedDensity::test_rule_keeps_underflowed_weights_at_zero",)),
     Mutant("covariance-unitary-shape-guard (entry 31)", "core.py",
@@ -325,6 +333,9 @@ MUTANTS = [
     Mutant("kernel-argument-guard", "halfplane.py",
            'raise DomainError("kernel arguments must be nonnegative and finite")', "pass",
            ("tests/test_halfplane.py::TestThermalKernel::test_kernel_guards",)),
+    Mutant("eigen-ratio-root-guard (entry 34)", "halfplane.py",
+           'raise DomainError(f"e_{m} vanishes at x = {x}: no eigenvalue ratio there")', "pass",
+           ("tests/test_halfplane.py::TestThermalKernel::test_eigen_ratio_at_a_root_is_a_domain_error",)),
     Mutant("fold-pairing-guard (entry 18)", "halfplane.py",
            'raise DomainError("the group rule must pair (q, p) with (q, -p) at equal weights")', "pass",
            ("tests/test_halfplane.py::TestMirrorFold::test_unpaired_rule_raises",)),

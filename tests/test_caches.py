@@ -11,10 +11,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "povmint"
 CACHES = {"cache", "lru_cache", "cached_property"}
 
-ALLOWED = {
-    "halfplane.kernel_rule": "ROADMAP item 23 replaces the rule; removing the cache "
-                             "alone costs ~5 ms per halfplane-verify op",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _decorator_name(node) -> str | None:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from povmint import core, halfplane
+from povmint import cli, core, halfplane
 from povmint.numerics import (DomainError, QuadratureRule, bessel_i, legendre_rule,
                               product_rule)
 
@@ -630,13 +630,39 @@ class TestMirrorFold:
 
 
 class TestThermalKernel:
-    def test_kernel_rule_is_the_200_node_rule_on_0_160(self):
-        rule, want = halfplane.kernel_rule(), legendre_rule(200, 0.0, 160.0)
-        assert np.array_equal(rule.nodes, want.nodes)
-        assert np.array_equal(rule.weights, want.weights)
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 5.0, 20.0])
+    def test_kernel_rule_integrates_laguerre_moments_exactly(self, alpha):
+        # plain-dx weights on n Gauss-Laguerre(alpha) nodes: exact for x^(alpha+k) e^-x, k < 2n
+        rule = halfplane.kernel_rule(alpha)
+        x = rule.nodes
+        for k in range(2 * rule.size):
+            assert_allclose(rule.integrate(x ** (alpha + k) * np.exp(-x)),
+                            math.exp(math.lgamma(alpha + k + 1.0)), rtol=1e-12)
 
-    def test_kernel_rule_is_built_once(self):
-        assert halfplane.kernel_rule() is halfplane.kernel_rule()
+    @pytest.mark.parametrize("t", [0.2, 0.5])
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 5.0, 20.0])
+    def test_kernel_checks_hold_over_alpha_and_t(self, alpha, t):
+        # the suite's kernel-trace and kernel-eigenvalues rows at their tolerances
+        params = halfplane.AffineParams(alpha, t, dim=16)
+        assert abs(halfplane.kernel_trace(params) - 1.0) <= 1e-9
+        ratios = halfplane.kernel_eigen_ratio([0, 1, 2], params, 2.1)
+        assert max(abs(r - (1.0 - t) * t ** n) for n, r in enumerate(ratios)) <= 1e-8
+
+    def test_suite_builds_the_kernel_rule_once(self, monkeypatch):
+        calls, build = [], halfplane.kernel_rule
+        monkeypatch.setattr(halfplane, "kernel_rule",
+                            lambda alpha: calls.append(alpha) or build(alpha))
+        cli.main(["verify", "halfplane"])
+        assert calls == [2.0]
+
+    @pytest.mark.parametrize("n, x, message", [(1, 3.0, "e_1 vanishes at x = 3.0"),
+                                                ([0, 1, 2], 3.0, "e_1 vanishes at x = 3.0"),
+                                                (0, 0.0, "e_0 vanishes at x = 0.0")],
+                             ids=["e1-at-3", "orders-at-3", "e0-at-0"])
+    def test_eigen_ratio_at_a_root_is_a_domain_error(self, n, x, message):
+        # e_1 = 0 at x = 3 for alpha 2 (L_1^(2)(x) = 3 - x), and every e_n at x = 0
+        with pytest.raises(DomainError, match=message):
+            halfplane.kernel_eigen_ratio(n, halfplane.AffineParams(2.0, 0.2, 16), x)
 
     def test_trace_is_one(self):
         assert_allclose(halfplane.kernel_trace(PARAMS), 1.0, rtol=1e-10)
@@ -695,11 +721,11 @@ class TestThermalKernel:
         assert bessel_i(1.0, np.array([2.0, 700.0])).shape == (2,)
 
     def test_large_bessel_argument(self):
-        # at t 0.9 the I_alpha argument reaches ~3036 on kernel_rule(), far past
+        # at t 0.9 the I_alpha argument reaches ~2772 on kernel_rule(2), far past
         # where I_alpha itself overflows a double
         t, x = 0.9, 150.0
         params = halfplane.AffineParams(2.0, t, 4)
-        nodes = halfplane.kernel_rule().nodes
+        nodes = halfplane.kernel_rule(2.0).nodes
         assert np.all(np.isfinite(halfplane.thermal_kernel(nodes, nodes, params)))
         with mpmath.workdps(30):
             want = (mpmath.mpf(t) ** -1 * mpmath.exp(-(1 + t) * x / (1 - t))

@@ -37,9 +37,9 @@ class TestParamsAndStates:
         # radial_density is validated to dim 256; past it ThermalParams refuses
         # the truncation before plane_family builds its (dim + 16)-node rule
         def never(*args):
-            raise AssertionError("laguerre_rule ran")
+            raise AssertionError("laguerre_dx_rule ran")
 
-        monkeypatch.setattr(plane, "laguerre_rule", never)
+        monkeypatch.setattr(plane, "laguerre_dx_rule", never)
         assert plane.ThermalParams(t=0.2, dim=256).dim == 256
         with pytest.raises(numerics.DomainError, match="dim must be >= 1 and <= 256, got 257"):
             plane.plane_family(plane.ThermalParams(t=0.2, dim=257))
