@@ -329,28 +329,34 @@ def parity_op(dim: int) -> np.ndarray:
 
 
 def _radial_integrals(params: ThermalParams) -> np.ndarray:
-    """R[m, m'] = int_0^inf [rho_T(sqrt(J))]_{mm'} dJ, exactly per parity.
-
-    In x = (1-t)J the entries are polynomials of degree <= dim - 1 times e^{-x}
-    (even parity: Gauss-Laguerre alpha = 0) or sqrt(x) e^{-x} (odd: alpha = 1/2),
-    so dim // 2 + 8 nodes per parity are exact.  Diagonal d = m - m' has the
-    parity of m + m', so each rule integrates every other packed diagonal.
-    """
-    n_j = _exact_radii(params.dim)
-    rule0, rule_h = (_radial_rule(n_j, params.t, alpha) for alpha in (0.0, 0.5))
-    stack = np.ascontiguousarray(  # [i, d, n], so that each sum runs over J in node order
-        _radial_packed(np.concatenate([rule0.nodes, rule_h.nodes]), params).swapaxes(0, 1))
-    r = np.empty((params.dim, params.dim))  # [d, n]
-    r[0::2], r[1::2] = rule0.integrate(stack[:n_j, 0::2]), rule_h.integrate(stack[n_j:, 1::2])
-    return _square(r)
+    """R[m, m'] = int_0^inf [rho_T(sqrt(J))]_{mm'} dJ in closed form (DECISIONS.md entry 35):
+    for m <= m' = m + d, Gamma(m + d/2 + 1)/sqrt(m! m'!) (1-t)^{d/2} 2F1(-m, d/2; -m - d/2; t),
+    mirrored below the diagonal.  The prefactor, <= 1, is a product down each diagonal d from
+    Gamma(d/2 + 1)/sqrt(d!), itself a product in steps of 2 from 1 and sqrt(pi)/2, so nothing
+    overflows up to dim 256; c + k < 0 for k < m, so every 2F1 term is >= 0."""
+    t, dim = params.t, params.dim
+    k = np.arange(dim)
+    head = np.where(k % 2, math.sqrt(math.pi) / 2.0, 1.0)  # in steps of (d/2)/sqrt(d(d-1))
+    ratio = 0.5 * k[2:] / np.sqrt(k[2:] * (k[2:] - 1.0))
+    head[2::2] *= np.cumprod(ratio[0::2])
+    head[3::2] *= np.cumprod(ratio[1::2])
+    n = k[1:, None]  # [n, d]: down diagonal d in steps of (n + d/2)/sqrt(n(n + d))
+    pre = np.cumprod(np.vstack([head, (n + 0.5 * k) / np.sqrt(n * (n + k))]), axis=0)
+    m, mp = np.triu_indices(dim)
+    d = mp - m
+    with np.errstate(invalid="ignore"):  # the masked steps past each degree divide 0 by 0
+        f21 = sum(_f21_terms(m, d / 2.0, -m - d / 2.0, t))  # in term order
+    r = np.empty((dim, dim))
+    r[mp, m] = r[m, mp] = pre[m, d] * (1.0 - t) ** (d / 2.0) * f21
+    return r
 
 
 def phase_operator(params: ThermalParams) -> np.ndarray:
-    """Quantized angle via exact angular integrals (the quadrature route).
+    """Quantized angle via exact angular integrals (the normative route).
 
     int_0^{2pi} gamma e^{i k gamma} dgamma equals 2 pi^2 at k=0 and
     -2 pi i / k otherwise, so A_g = pi diag(R_mm) + i R_mm' / (m'-m), with R
-    from _radial_integrals (exact on dim // 2 + 8 nodes per parity).
+    from the closed form of _radial_integrals (the corrected F_mm', entry 10).
     """
     r = _radial_integrals(params)
     idx = np.arange(params.dim)
@@ -367,9 +373,12 @@ def phase_operator_printed(params: ThermalParams) -> np.ndarray:
                * 2F1(-m, (m'-m)/2; -(m+m')/2; t).
     The sqrt(m m') denominator diverges at index 0, so rows/columns at
     m = 0 are left as NaN; hypergeometric pole cases are NaN as well.
-    The quadrature route is the normative one.
+    phase_operator is the normative route.  DomainError past dim 172, where
+    Gamma((m+m')/2 + 1) overflows off the diagonal (DECISIONS.md entry 10).
     """
     t, dim = params.t, params.dim
+    if dim > 172:
+        raise DomainError(f"the printed route is evaluated for dim <= 172, got {dim}")
     m, mp = np.indices((dim, dim))
     b, c = (mp - m) / 2.0, -(m + mp) / 2.0
     # at a pole b is a negative integer, so an exact 0 / 0 makes the entry NaN
@@ -378,8 +387,8 @@ def phase_operator_printed(params: ThermalParams) -> np.ndarray:
         # row m sums its m + 1 terms; fsum of the zero padding past them adds nothing
         f21 = np.array([[math.fsum(e) for e in terms[:row + 1, row].T.tolist()]
                         for row in range(dim)])
-        # Gamma((m+m')/2 + 1); m + m' = 2 dim - 2 falls on the diagonal only, so
-        # it is not evaluated (math.gamma(dim) overflows from dim 172 on)
+        # Gamma((m+m')/2 + 1); m + m' = 2 dim - 2 falls on the diagonal only and is not
+        # evaluated; the guard keeps the first off-diagonal's Gamma(dim - 1/2) finite
         gam = [math.gamma(s / 2.0 + 1.0) for s in range(2 * dim - 2)] + [math.nan]
         pw = [(1.0 - t) ** (d / 2.0) for d in range(1 - dim, dim)]
         f = ((1.0 - t) * np.take(gam, m + mp) / np.sqrt(m * mp)

@@ -121,9 +121,15 @@ MUTANTS = [
     Mutant("displacement-upper-sign-dropped (entry 28)", "plane.py",
            "-square, square)", "square, square)",
            ("tests/test_plane.py::TestDisplacementOracles::test_scaled_real_strips_gaussian",)),
-    Mutant("radial-integrals-odd-on-even-nodes (entry 25)", "plane.py",
-           "rule_h.integrate(stack[n_j:, 1::2])", "rule_h.integrate(stack[:n_j, 1::2])",
-           ("tests/test_plane.py::TestCompressedDensity::test_radial_integrals_exact_at_half_the_nodes",)),
+    Mutant("radial-integrals-printed-1-t-factor (entries 10, 35)", "plane.py",
+           "(1.0 - t) ** (d / 2.0) * f21", "(1.0 - t) ** (d / 2.0 + 1.0) * f21",
+           ("tests/test_plane.py::TestRadialIntegrals::test_matches_mpmath",)),
+    Mutant("radial-integrals-printed-sqrt-m-mp (entries 10, 35)", "plane.py",
+           "pre[m, d] *", "np.array([math.gamma(s / 2.0 + 1.0) for s in m + mp]) / np.sqrt(m * mp) *",
+           ("tests/test_plane.py::TestRadialIntegrals::test_matches_mpmath",)),
+    Mutant("radial-integrals-lower-degree-max (entry 35)", "plane.py",
+           "m, mp = np.triu_indices(dim)", "m, mp = np.indices((dim, dim)).reshape(2, -1)",
+           ("tests/test_plane.py::TestRadialIntegrals::test_matches_mpmath",)),
     Mutant("sphere-sum-sigma-y-sign (entry 26)", "sphere.py",
            "-r * SIGMA[1]", "r * SIGMA[1]",
            ("tests/test_core.py::TestClosedFormSums::test_matches_the_loop",)),
@@ -210,8 +216,7 @@ MUTANTS = [
            ("tests/test_cli.py::TestPlaneSizedRules::test_rows_match_the_default_rules[0.9-16]",)),
     Mutant("plane-radii-below-degree-exact (entry 32)", "plane.py",
            "return dim // 2 + 8", "return dim // 2 - 2",
-           ("tests/test_cli.py::TestPlaneSizedRules::test_rows_match_the_default_rules[0.0-48]",
-            "tests/test_plane.py::TestCompressedDensity::test_radial_integrals_exact_at_half_the_nodes")),
+           ("tests/test_cli.py::TestPlaneSizedRules::test_rows_match_the_default_rules[0.0-16]",)),
     Mutant("verify-reparse-dropped (entry 29)", "cli.py",
            "        if not unrecognized:\n            return run_verify(args)",
            "        return run_verify(args)",

@@ -5,8 +5,9 @@ in batched arrays: the sphere density by SU(2) transport through quaternions,
 the pure circle and sphere densities as projectors, the circle density from
 its matrix entries (a, b), the half-plane UIR acting on functions, the plane
 probability kernel as a trace of two matrices, the plane family's weighted sum
-by Toeplitz windows, the Laguerre table by its literal three-term recurrence,
-and the finite free-parameter ledger. pytest imports this module but collects
+by Toeplitz windows, the phase operator's radial integrals by Gauss-Laguerre
+quadrature, the Laguerre table by its literal three-term recurrence, and the
+finite free-parameter ledger. pytest imports this module but collects
 no tests from it.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from povmint.circle import CircleDensityParams, rho_circle
-from povmint.numerics import DomainError, QuadratureRule
+from povmint.numerics import DomainError, QuadratureRule, laguerre_dx_rule
 from povmint.plane import ThermalParams, displaced_thermal, radial_density
 from povmint.sphere import _signed_pauli
 
@@ -153,6 +154,23 @@ def plane_toeplitz_sum(params: ThermalParams, radial: QuadratureRule,
               for part in (s.real, s.imag))
     return (np.einsum("jmn,jmn->mn", stack, re)
             + 1j * np.einsum("jmn,jmn->mn", stack, im))
+
+
+def radial_integrals_quadrature(params: ThermalParams) -> np.ndarray:
+    """R[m, m'] = int_0^inf [rho_T(sqrt(J))]_{mm'} dJ, exactly per parity: in x = (1-t)J
+    the entries are polynomials of degree <= dim - 1 times e^{-x} (m + m' even:
+    Gauss-Laguerre alpha = 0) or sqrt(x) e^{-x} (odd: alpha = 1/2), so dim // 2 + 8
+    nodes per parity are exact.  16 radii at a time keep dim 256 to 8 MB per block."""
+    dim = params.dim
+    odd = np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 1
+    out = np.zeros((dim, dim))
+    for alpha, keep in ((0.0, ~odd), (0.5, odd)):
+        rule = laguerre_dx_rule(dim // 2 + 8, alpha, 1.0 - params.t)
+        for start in range(0, rule.size, 16):
+            part = slice(start, start + 16)
+            block = np.tensordot(rule.weights[part], radial_density(rule.nodes[part], params), 1)
+            out[keep] += block[keep]
+    return out
 
 
 def laguerre_table_recurrence(n_max: int, alpha, x) -> np.ndarray:

@@ -568,6 +568,47 @@ class TestPackedWeightedSum:
             assert np.max(np.abs(fam.weighted_sum(coeffs) - want)) <= self.TOL
 
 
+def radial_integral_mpmath(t, m, mp):
+    """R[m, m'] = int_0^inf [rho_T(sqrt(J))]_{mm'} dJ for m <= m', from the corrected
+    F_mm' in 40-digit mpmath: Gamma((m+m')/2 + 1)/sqrt(m! m'!) (1-t)^{(m'-m)/2}
+    2F1(-m, (m'-m)/2; -(m+m')/2; t)."""
+    with mpmath.workdps(40):
+        tm, half = mpmath.mpf(t), mpmath.mpf(1) / 2
+        return float(mpmath.gamma((m + mp) * half + 1)
+                     / mpmath.sqrt(mpmath.factorial(m) * mpmath.factorial(mp))
+                     * (1 - tm) ** ((mp - m) * half)
+                     * mpmath.hyp2f1(-m, (mp - m) * half, -(m + mp) * half, tm))
+
+
+class TestRadialIntegrals:
+    """_radial_integrals, the closed form, against mpmath and the quadrature route."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32])
+    @pytest.mark.parametrize("t", [0.0, 0.2, 0.5, 0.9])
+    def test_matches_mpmath(self, t, dim):
+        got = plane._radial_integrals(plane.ThermalParams(t, dim))
+        m, mp = np.triu_indices(dim)
+        want = np.array([radial_integral_mpmath(t, a, b) for a, b in zip(m, mp)])
+        assert np.max(np.abs(got[m, mp] - want)) <= 2e-15
+        assert np.array_equal(got, got.T) and np.all(np.diag(got) == 1.0)
+
+    @pytest.mark.parametrize("dim", [128, 256])
+    @pytest.mark.parametrize("t", [0.0, 0.2, 0.9, 0.999])
+    def test_matches_quadrature_to_dim_256(self, t, dim):
+        params = plane.ThermalParams(t, dim)
+        got = plane._radial_integrals(params)
+        assert np.all(np.isfinite(got)) and np.array_equal(got, got.T)
+        assert np.max(np.abs(got - oracles.radial_integrals_quadrature(params))) <= 1e-12
+
+    def test_builds_no_rule_and_no_radial_stack(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a radial rule or stack was built")
+
+        for name in ("_radial_rule", "laguerre_dx_rule", "_radial_packed"):
+            monkeypatch.setattr(plane, name, never)
+        assert np.all(np.isfinite(plane.phase_operator(PARAMS)))
+
+
 class TestPhaseOperator:
     def test_hermitian_with_pi_diagonal(self):
         ph = plane.phase_operator(PARAMS)
@@ -591,26 +632,27 @@ class TestPhaseOperator:
         assert_allclose(np.diag(pa).real, math.pi, atol=1e-13)
 
     @staticmethod
-    def printed_route_per_entry(params):
+    def printed_entry(t, m, mp):
+        """One off-diagonal entry of the published route, from one scalar 2F1."""
+        if m == 0 or mp == 0:
+            return complex(math.nan, math.nan)
+        try:
+            f21 = numerics.hyp2f1_terminating(m, (mp - m) / 2.0, -(m + mp) / 2.0, t)
+        except numerics.PoleError:
+            return complex(math.nan, math.nan)
+        f = ((1.0 - t) * math.gamma((m + mp) / 2.0 + 1.0)
+             / math.sqrt(m * mp) * (1.0 - t) ** ((mp - m) / 2.0) * f21)
+        return 1.0j * f / (mp - m)
+
+    @classmethod
+    def printed_route_per_entry(cls, params):
         """The published route one entry at a time, one scalar 2F1 each."""
         t, dim = params.t, params.dim
         out = (math.pi * np.eye(dim)).astype(complex)
         for m in range(dim):
             for mp in range(dim):
-                if m == mp:
-                    continue
-                if m == 0 or mp == 0:
-                    out[m, mp] = complex(math.nan, math.nan)
-                    continue
-                try:
-                    f21 = numerics.hyp2f1_terminating(m, (mp - m) / 2.0,
-                                                      -(m + mp) / 2.0, t)
-                except numerics.PoleError:
-                    out[m, mp] = complex(math.nan, math.nan)
-                    continue
-                f = ((1.0 - t) * math.gamma((m + mp) / 2.0 + 1.0)
-                     / math.sqrt(m * mp) * (1.0 - t) ** ((mp - m) / 2.0) * f21)
-                out[m, mp] = 1.0j * f / (mp - m)
+                if m != mp:
+                    out[m, mp] = cls.printed_entry(t, m, mp)
         return out
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32, 48])
@@ -621,6 +663,18 @@ class TestPhaseOperator:
         got = plane.phase_operator_printed(params)
         want = self.printed_route_per_entry(params)
         assert np.array_equal(got, want, equal_nan=True)
+
+    def test_published_route_refuses_dims_past_172(self):
+        # Gamma((m+m')/2 + 1) off the diagonal peaks at Gamma(dim - 1/2): finite at dim
+        # 172, an OverflowError of math.gamma from dim 173, so the route refuses those dims
+        got = plane.phase_operator_printed(plane.ThermalParams(0.2, 172))
+        corner = [(1, 171), (170, 171), (171, 170), (85, 170), (171, 1)]
+        want = [self.printed_entry(0.2, m, mp) for m, mp in corner]
+        assert np.array_equal([got[m, mp] for m, mp in corner], want, equal_nan=True)
+        assert np.all(np.isfinite(got[1:, 1:][np.triu_indices(171)]))
+        for dim in (173, 256):
+            with pytest.raises(numerics.DomainError, match="dim <= 172, got "):
+                plane.phase_operator_printed(plane.ThermalParams(0.2, dim))
 
     @pytest.mark.xfail(strict=True, reason="published matrix-element route "
                        "disagrees with the quadrature route even away from "
