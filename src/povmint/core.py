@@ -235,8 +235,8 @@ class GroupOrbitSpec:
     translate: Callable[[object, object], object] | None
 
     def orbit_density(self, g) -> Array:
-        # U F U^dag as conj(conj(U F) U^T), U F one GEMM: two (..., r, dim) arrays live
-        u = np.asarray(self.unitary(g), dtype=complex)
+        # U F U^dag = conj(conj(U F) U^T), U F one GEMM on C-ordered U: two (..., r, dim) arrays live
+        u = np.ascontiguousarray(self.unitary(g), dtype=complex)
         uf = (u.reshape(-1, u.shape[-1]) @ self.fiducial).reshape(u.shape)
         rho = np.conjugate(uf, out=uf) @ np.swapaxes(u, -1, -2)
         return np.conjugate(rho, out=rho)
@@ -261,7 +261,8 @@ def orbit_family(spec: GroupOrbitSpec, c_rho: float | None = None) -> DensityFam
     """Orbit family with measure dnu = dmu / c_rho, normalized to resolve I.  Its weighted sum
     takes the Hermitian fiducial F = V diag(lam) V^dag (no V if F is diagonal) and W = U V:
     sum_k c_k U_k F U_k^dag = sum_n lam_n (c o W[:, :, n])^T conj(W[:, :, n]), one r x r GEMM
-    per column and node batch, whose rows count twice against NODE_BATCH_BYTES (temporaries)."""
+    per column and node batch, whose rows count twice against NODE_BATCH_BYTES (temporaries).
+    With F diagonal, W[:, :, n] is read in U's layout: node-contiguous from overlap_block."""
     if c_rho is None:
         c_rho = covariant_c_rho(spec)
     rule = QuadratureRule(spec.group_rule.nodes, spec.group_rule.weights / c_rho)

@@ -127,7 +127,8 @@ def overlap_block(q, p, alpha: float, rows: int, cols: int) -> np.ndarray:
     by running products in x and y; row 0 and column 0 need no 2F1 sum.
 
     q and p may be arrays (broadcast together): the result then has shape
-    q.shape + (rows, cols), and each element runs over all nodes at once.
+    q.shape + (rows, cols), and each element runs over all nodes at once. It is
+    a transposed view of a (rows, cols) + q.shape buffer: out[..., i, n] is contiguous.
     Raises DomainError unless 0 < alpha < inf, q > 0, and p and 1/q are finite.
     """
     if not 0.0 < alpha < math.inf:
@@ -146,7 +147,7 @@ def overlap_block(q, p, alpha: float, rows: int, cols: int) -> np.ndarray:
     lg = np.array([math.lgamma(k + alpha + 1.0) for k in range(rows + cols)])
     lga1 = math.lgamma(alpha + 1.0)
     half = 0.5 * (lg - lf)
-    out = np.empty(q.shape + (rows, cols), dtype=complex)
+    out = np.empty((rows, cols) + q.shape, dtype=complex).transpose([*range(2, q.ndim + 2), 0, 1])
     if rows and cols:
         out[..., 0, 0] = np.exp(base - (alpha + 1.0) * log_s)
         y = (s - 1.0 / q) / s

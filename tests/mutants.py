@@ -6,9 +6,18 @@ Each mutant replaces one exact snippet of one file under ``src/`` (the
 snippet must occur there exactly once, or the script stops before running
 anything).  The script copies ``src/`` to a temporary directory, checks that
 the unmutated copy passes every named test, and then, one mutant after
-another, applies the replacement, runs that mutant's tests in one pytest
-subprocess with ``PYTHONPATH`` on the copy, and restores the file.  A mutant
-is killed when pytest reports a failing test.  No process pool is started.
+another, applies the replacement, runs that mutant's tests with
+``pytest.main`` in one child forked from this process, with the copy first on
+``sys.path`` and on ``PYTHONPATH``, and restores the file.  Before the first
+fork this process pins BLAS to one thread, imports pytest and the tests'
+third-party modules once and moves them out of the garbage collector's scans
+(``gc.freeze``).  It never imports ``povmint``, so each child imports it, and
+the test modules, from the copy as it stands.  Bytecode goes under a prefix in
+the temporary directory: the unmutated run writes it, the copy's is then
+deleted, and the children write none, so they reuse the test modules'
+assertion-rewritten bytecode and compile each mutated module from its source.
+A mutant is killed when pytest reports a failing test.  One child runs at a
+time, and no process pool is started.
 
 Exit status: 0 when every mutant is killed, 1 when one survives or errs,
 2 when a snippet is not unique, a named test is not defined or the unmutated
@@ -25,18 +34,23 @@ that deletes a mutant's snippet updates or retires that mutant.
 from __future__ import annotations
 
 import ast
+import gc
+import importlib
 import os
 import shutil
-import subprocess
+import signal
 import sys
 import tempfile
 import time
+import traceback
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 TIMEOUT_S = 120
+# imported once by the parent; each forked child finds them loaded
+PRELOAD = ("pytest", "numpy", "numpy.testing", "mpmath", "scipy.special")
 
 
 class Mutant(NamedTuple):
@@ -191,9 +205,14 @@ MUTANTS = [
     Mutant("plane-default-radii-uncapped", "plane.py",
            "_radial_rule(min(dim + 16, 182), params.t)", "_radial_rule(dim + 16, params.t)",
            ("tests/test_plane.py::TestQuantization::test_default_rules_reach_dim_256",)),
-    Mutant("seed-not-a-run-flag", "cli.py",
+    Mutant("seed-not-a-run-flag (entry 21)", "cli.py",
            'RUN_FLAGS = ("tol", "seed", "out", "format")', 'RUN_FLAGS = ("tol", "out", "format")',
-           ("tests/test_cli.py::TestSuiteFlags::test_run_flags_are_accepted_by_every_suite",)),
+           ("tests/test_cli.py::TestSuiteFlags::test_run_flags_are_accepted_by_every_suite",
+            "tests/test_cli.py::TestGoldenReports::test_report_digests[verify plane --seed 0 --format json]")),
+    Mutant("reports-written-per-suite (entry 21)", "cli.py",
+           'reports.append((render(report, opts["format"]), path))',
+           '_emit(render(report, opts["format"]), path)',
+           ("tests/test_cli.py::TestVerify::test_all_writes_nothing_when_a_later_suite_fails",)),
 
     # --- the report params writer
     Mutant("params-in-signature-order", "cli.py",
@@ -229,6 +248,15 @@ MUTANTS = [
     Mutant("kernel-rule-12-nodes (entry 34)", "halfplane.py",
            "laguerre_dx_rule(40, alpha)", "laguerre_dx_rule(12, alpha)",
            ("tests/test_halfplane.py::TestThermalKernel::test_kernel_checks_hold_over_alpha_and_t",)),
+
+    # --- the overlap block (entries 16 and 36)
+    Mutant("partner-route-choice-inverted (entry 16)", "halfplane.py",
+           "elem[fb] = np.where(err_b < err_a,", "elem[fb] = np.where(err_b > err_a,",
+           ("tests/test_halfplane.py::TestBatchedOverlap::test_corner_and_fallback_nodes_match_mpmath",)),
+    Mutant("overlap-block-node-major (entry 36)", "halfplane.py",
+           "out = np.empty((rows, cols) + q.shape, dtype=complex).transpose([*range(2, q.ndim + 2), 0, 1])",
+           "out = np.empty(q.shape + (rows, cols), dtype=complex)",
+           ("tests/test_halfplane.py::TestBatchedOverlap::test_node_vectors_are_contiguous",)),
 
     # --- DomainError guards, each dropped
     Mutant("periodic-rule-accepts-fractions", "numerics.py",
@@ -364,18 +392,55 @@ MUTANTS = [
 ]
 
 
-def run_tests(src: Path, tests, stop_first: bool) -> tuple[int, str]:
-    """pytest's exit code and output for ``tests`` with ``src`` on PYTHONPATH."""
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1",
-           "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"}
-    argv = [sys.executable, "-m", "pytest", "-q", "--tb=no", "-p", "no:cacheprovider",
-            *(["-x"] if stop_first else []), *tests]
+def preload() -> None:
+    """Pin BLAS to one thread before numpy loads (a child forked from a process with BLAS
+    threads can hang), then import PRELOAD into this process."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    os.environ["PYTEST_DISABLE_PLUGIN_AUTOLOAD"] = "1"
+    for name in PRELOAD:
+        importlib.import_module(name)
+    gc.freeze()  # the children's collections skip what is loaded by now
+
+
+def _child(src: Path, argv: list[str], log: int, write: bool) -> None:
+    """Run pytest on argv in this forked child, with its output to ``log`` and its bytecode
+    under ``src``'s sibling ``pycache`` (written only if ``write``); never returns."""
+    code = 3
     try:
-        proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True,
-                              timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
+        signal.alarm(TIMEOUT_S)
+        os.dup2(log, 1)
+        os.dup2(log, 2)
+        os.chdir(ROOT)
+        os.environ.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        sys.pycache_prefix, sys.dont_write_bytecode = str(src.parent / "pycache"), not write
+        sys.path.insert(0, str(src))
+        import pytest
+        code = int(pytest.main(argv))
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+
+
+def run_tests(src: Path, tests, stop_first: bool, write: bool = False) -> tuple[int, str]:
+    """pytest's exit code and output for ``tests``, run in one child forked from this
+    process with ``src`` first on ``sys.path``."""
+    argv = ["-q", "--tb=no", "-p", "no:cacheprovider", *(["-x"] if stop_first else []), *tests]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with tempfile.TemporaryFile("w+") as log:
+        pid = os.fork()
+        if pid == 0:
+            _child(src, argv, log.fileno(), write)
+        status = os.waitpid(pid, 0)[1]
+        log.seek(0)
+        out = log.read()
+    if os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGALRM:
         return -1, f"timed out after {TIMEOUT_S} s"
-    return proc.returncode, proc.stdout + proc.stderr
+    return os.waitstatus_to_exitcode(status), out
 
 
 def stale_snippets() -> list[str]:
@@ -406,10 +471,13 @@ def main() -> int:
     if bad:
         print("mutant table is stale:\n  " + "\n  ".join(bad))
         return 2
+    preload()
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "src"
         shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
-        code, out = run_tests(copy, sorted({t for m in MUTANTS for t in m.tests}), False)
+        code, out = run_tests(copy, sorted({t for m in MUTANTS for t in m.tests}), False, True)
+        # the test modules' bytecode stays for the children; the copy's goes
+        shutil.rmtree(Path(tmp) / "pycache" / str(copy).lstrip(os.sep), ignore_errors=True)
         if code != 0:
             print(f"the unmutated copy fails its tests (pytest exit {code}):\n{out}")
             return 2

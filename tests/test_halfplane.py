@@ -149,7 +149,7 @@ def resolution_block_einsum(params, block, rule, c_rho):
     imaginary parts of M."""
     m = halfplane.overlap_block(rule.nodes[:, 0], rule.nodes[:, 1],
                                 params.alpha, block, params.dim)
-    parts = m.view(float).reshape(m.shape + (2,))
+    parts = np.stack([m.real, m.imag], axis=-1)
     g = np.einsum("k,n,kinc,kjnd->cdij", rule.weights, thermal_weights(params),
                   parts, parts)
     return (g[0, 0] + g[1, 1] + 1j * (g[1, 0] - g[0, 1])) / c_rho
@@ -381,6 +381,15 @@ class TestBatchedOverlap:
         assert got.shape == (2, 3, 3, 4)
         assert_allclose(got[1, 2], halfplane.overlap_block(2.0, 1.0, 2.0, 3, 4),
                         rtol=0, atol=1e-15)
+
+    def test_node_vectors_are_contiguous(self):
+        # the shape stays q.shape + (rows, cols), but each element (i, n) is one
+        # contiguous vector over the nodes
+        nodes = central_nodes(6)
+        for q, p in [nodes.T, nodes.T.reshape(2, 2, 3)]:
+            got = halfplane.overlap_block(q, p, 2.0, 3, 4)
+            assert got.shape == q.shape + (3, 4)
+            assert all(got[..., i, n].flags.c_contiguous for i in range(3) for n in range(4))
 
     def test_identity_element_inside_batch(self):
         got = halfplane.overlap_block(np.array([0.7, 1.0, 1.0]),
