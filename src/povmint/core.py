@@ -74,12 +74,6 @@ def _slices(idx: Array, node_bytes: int):
         yield idx[start:start + step]
 
 
-def _batches(fam: DensityFamily, idx: Array):
-    """Yield (part, rho(rule.nodes[part])) over _slices of idx, a dim x dim matrix per node."""
-    for part in _slices(idx, 16 * fam.dim ** 2):
-        yield part, _on_nodes(fam.evaluate, fam.rule.nodes[part], (fam.dim,) * 2)
-
-
 def _accumulate(fam: DensityFamily, coeffs=None) -> Array:
     """Weighted sum of rho over nodes: the family's own weighted_sum when it has one, of complex
     c as ws(Re c) + i ws(Im c); else one einsum per batch of the nodes with nonzero coefficient."""
@@ -90,8 +84,9 @@ def _accumulate(fam: DensityFamily, coeffs=None) -> Array:
     if fam.weighted_sum is not None:
         return fam.weighted_sum(c)
     total = np.zeros((fam.dim, fam.dim), dtype=complex)
-    for part, mats in _batches(fam, np.flatnonzero(c)):
-        total += np.einsum("k,kij->ij", c[part], mats)
+    for part in _slices(np.flatnonzero(c), 16 * fam.dim ** 2):  # no batch outlives its einsum
+        total += np.einsum("k,kij->ij", c[part],
+                           _on_nodes(fam.evaluate, fam.rule.nodes[part], (fam.dim,) * 2))
     return total
 
 

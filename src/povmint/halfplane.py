@@ -207,12 +207,14 @@ def affine_orbit_spec(params: AffineParams, rule: QuadratureRule | None = None,
     compressions of rho_T(q,p) onto e_0..e_{rows-1}, and the probe is the
     rows x rows projector on e_0. The block is exactly unitary only in the
     infinite-basis limit; the admissibility integral needs only its first
-    row (rows=1), which is exact up to the thermal tail t^dim.
+    row (rows=1), which is exact up to the thermal tail t^dim; rows must be an integer >= 1.
     """
     if rule is None:
         rule = affine_group_rule()
     dim, alpha = params.dim, params.alpha
     rows = dim if rows is None else rows
+    if isinstance(rows, bool) or not isinstance(rows, (int, np.integer)) or rows < 1:
+        raise DomainError(f"rows must be an integer >= 1, got {rows!r}")
     fiducial = np.diag((1.0 - params.t) * params.t ** np.arange(dim)).astype(complex)
     probe = np.zeros((rows, rows), dtype=complex)
     probe[0, 0] = 1.0

@@ -267,7 +267,10 @@ def laguerre_rule(n: int, alpha: float = 0.0) -> QuadratureRule:
 
 
 def laguerre_dx_rule(n: int, alpha: float, rate: float = 1.0) -> QuadratureRule:
-    """laguerre_rule(n, alpha) as a rule for dJ in x = rate J: exact on poly(x) x^alpha e^-x."""
+    """laguerre_rule(n, alpha) as a rule for dJ in x = rate J: exact on poly(x) x^alpha e^-x.
+    DomainError unless 0 < rate < inf."""
+    if not 0.0 < rate < math.inf:  # NaN fails too
+        raise DomainError(f"rate must lie in (0, inf), got {rate}")
     base = laguerre_rule(n, alpha)  # w times e^x x^-alpha, in log space: w e^x overflows
     with np.errstate(divide="ignore"):  # a w that underflowed to 0 (n >= 200) stays 0
         log_w = np.log(base.weights) + base.nodes - alpha * np.log(base.nodes)

@@ -62,8 +62,10 @@ def fock_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
 def _displacement_scaled_real(x, dim: int) -> np.ndarray:
     """e^{x/2} D(sqrt(x)) for an array of x, shape x.shape + (dim, dim): entry (n + k, n)
     sqrt(n!/(n+k)!) x^{k/2} L_n^{(k)}(x) from the diagonal recurrence at head 1, s = x, t = 1
-    and y = -x; entry (n, n + k) adds (-1)^k.  DomainError outside the validated range
-    dim <= 256, 0 <= x <= 600, and for a NaN x."""
+    and y = -x; entry (n, n + k) adds (-1)^k.  DomainError for a bool or non-integral dim,
+    outside the validated range dim <= 256, 0 <= x <= 600, and for a NaN x."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise DomainError(f"dim must be an integer, got {dim!r}")
     x = np.asarray(x, dtype=float)
     flat = x.reshape(1, -1)
     if not (dim in range(1, 257) and np.all((flat >= 0.0) & (flat <= 600.0))):  # NaN fails too
@@ -219,24 +221,12 @@ def plane_hs_closed(t: float, prob: float, printed: bool = False) -> float:
 # Quadrature over the plane and the POVM family.
 
 
-def _radial_rule(n: int, t: float, alpha: float = 0.0) -> QuadratureRule:
-    """laguerre_dx_rule in x = (1-t)J: a rule for dJ, exact for polynomial(x) x^alpha e^{-x}."""
-    if not 0.0 <= t < 1.0:  # NaN fails too
-        raise DomainError(f"t must lie in [0, 1), got {t}")
-    return laguerre_dx_rule(n, alpha, 1.0 - t)
-
-
-def _exact_radii(dim: int) -> int:
-    """Gauss-Laguerre nodes in x = (1-t)J exact to degree dim (2n - 1 >= dim) with a margin."""
-    return dim // 2 + 8
-
-
 def sized_rules(params: ThermalParams) -> tuple[QuadratureRule, QuadratureRule]:
-    """`verify plane`'s rules (DECISIONS.md entry 32): dim + 8 angles, and _exact_radii(dim)
-    radii plus ceil(4t/(1-t)) for the covariance rows' Gaussian bump, at most dim + 16."""
+    """`verify plane`'s rules (DECISIONS.md entry 32): dim + 8 angles, and dim // 2 + 8 radii
+    (2n - 1 >= dim: exact, with a margin) plus ceil(4t/(1-t)) for the covariance rows' bump."""
     t, dim = params.t, params.dim
-    n_j = min(dim + 16, _exact_radii(dim) + math.ceil(4.0 * t / (1.0 - t)))
-    return _radial_rule(n_j, t), periodic_rule(dim + 8, 1.0 / (2.0 * math.pi))
+    n_j = min(dim + 16, dim // 2 + 8 + math.ceil(4.0 * t / (1.0 - t)))
+    return laguerre_dx_rule(n_j, 0.0, 1.0 - t), periodic_rule(dim + 8, 1.0 / (2.0 * math.pi))
 
 
 def plane_family(params: ThermalParams, radial: QuadratureRule | None = None,
@@ -256,7 +246,7 @@ def plane_family(params: ThermalParams, radial: QuadratureRule | None = None,
     """
     dim = params.dim
     if radial is None:
-        radial = _radial_rule(min(dim + 16, 182), params.t)
+        radial = laguerre_dx_rule(min(dim + 16, 182), 0.0, 1.0 - params.t)
     if angular is None:
         angular = periodic_rule(max(2 * dim + 32, 64), 1.0 / (2.0 * math.pi))
     rule = product_rule(radial, angular)

@@ -16,8 +16,9 @@ the test modules, from the copy as it stands.  Bytecode goes under a prefix in
 the temporary directory: the unmutated run writes it, the copy's is then
 deleted, and the children write none, so they reuse the test modules'
 assertion-rewritten bytecode and compile each mutated module from its source.
-A mutant is killed when pytest reports a failing test.  One child runs at a
-time, and no process pool is started.
+A mutant is killed when pytest reports a failing test.  Where a named test is
+parametrized, the mutant names the case that kills it, so no run pays for the other
+cases.  One child runs at a time, and no process pool is started.
 
 Exit status: 0 when every mutant is killed, 1 when one survives or errs,
 2 when a snippet is not unique, a named test is not defined or the unmutated
@@ -86,7 +87,7 @@ MUTANTS = [
     Mutant("phase-printed-divides-complex (entry 10)", "plane.py",
            "out = 1j * (f / (mp - m))",
            "out = 1j * f / (mp - m)",
-           ("tests/test_plane.py::TestPhaseOperator::test_published_route_matches_per_entry_oracle",)),
+           ("tests/test_plane.py::TestPhaseOperator::test_published_route_matches_per_entry_oracle[0.0-8]",)),
     Mutant("c-rho-row-reads-printed (entries 11, 12)", "cli.py",
            'checks.append(check("admissibility-derived", "croexpl", c_quad,\n'
            "                        halfplane.c_rho_derived(alpha), 1e-8))",
@@ -103,13 +104,13 @@ MUTANTS = [
            ("tests/test_finite.py::TestFeasibility",)),
     Mutant("bessel-hankel-floor-12 (entry 17)", "numerics.py",
            "x_h = max([20.0,", "x_h = max([12.0,",
-           ("tests/test_numerics.py::TestBessel::test_matches_mpmath",)),
+           ("tests/test_numerics.py::TestBessel::test_matches_mpmath[0.5]",)),
     Mutant("lm-zero-column-scale (entry 17)", "finite.py",
            "np.where(d > 0, d * d, 1.0)", "d * d",
            ("tests/test_finite.py::TestLeastSquares::test_gauge_degenerate_start",)),
     Mutant("qubit-rounding-eigenvalues-kept (entry 20)", "finite.py",
            "np.sqrt(np.where(w > 1e-12, w, 0.0))", "np.sqrt(np.maximum(w, 0.0))",
-           ("tests/test_finite.py::TestClosedForm::test_invariant_under_unitary_and_transpose",)),
+           ("tests/test_finite.py::TestClosedForm::test_invariant_under_unitary_and_transpose[2]",)),
     Mutant("real-values-made-complex (entry 25)", "core.py",
            "vals = np.asarray(vals, dtype=complex if np.iscomplexobj(vals) else float)",
            "vals = np.asarray(vals, dtype=complex)",
@@ -117,60 +118,60 @@ MUTANTS = [
     Mutant("packed-builder-column-write (entry 25)", "plane.py",
            "out=packed[n, :dim - n])",
            "out=packed[n, 1:dim - n + 1])",
-           ("tests/test_plane.py::TestCompressedDensity::test_matches_mpmath_closed_form",)),
+           ("tests/test_plane.py::TestCompressedDensity::test_matches_mpmath_closed_form[0.0]",)),
     Mutant("quantize-symbol-made-complex (entry 28)", "core.py",
            "vals if vals.imag.any() else vals.real", "vals",
            ("tests/test_core.py::TestQuantizeValues::test_real_symbol_reaches_the_family_as_one_float_call",)),
     Mutant("displacement-column-0 (entry 28)", "plane.py",
            "np.sqrt(s / k[1:])", "np.sqrt(s / (k[1:] + 1))",
-           ("tests/test_plane.py::TestDisplacementOracles::test_matches_mpmath_and_loop",)),
+           ("tests/test_plane.py::TestDisplacementOracles::test_matches_mpmath_and_loop[48]",)),
     Mutant("displacement-recurrence-y-sign (entry 28)", "plane.py",
            "_diagonal_recurrence(1.0, flat, 1.0, -flat, dim)",
            "_diagonal_recurrence(1.0, flat, 1.0, flat, dim)",
-           ("tests/test_plane.py::TestDisplacementOracles::test_matches_mpmath_and_loop",)),
+           ("tests/test_plane.py::TestDisplacementOracles::test_matches_mpmath_and_loop[48]",)),
     Mutant("displacement-recurrence-t (entry 28)", "plane.py",
            "_diagonal_recurrence(1.0, flat, 1.0, -flat, dim)",
            "_diagonal_recurrence(1.0, flat, 0.5, -flat, dim)",
-           ("tests/test_plane.py::TestDisplacementOracles::test_matches_mpmath_and_loop",)),
+           ("tests/test_plane.py::TestDisplacementOracles::test_matches_mpmath_and_loop[48]",)),
     Mutant("displacement-upper-sign-dropped (entry 28)", "plane.py",
            "-square, square)", "square, square)",
-           ("tests/test_plane.py::TestDisplacementOracles::test_scaled_real_strips_gaussian",)),
+           ("tests/test_plane.py::TestDisplacementOracles::test_scaled_real_strips_gaussian[10.0]",)),
     Mutant("radial-integrals-printed-1-t-factor (entries 10, 35)", "plane.py",
            "(1.0 - t) ** (d / 2.0) * f21", "(1.0 - t) ** (d / 2.0 + 1.0) * f21",
-           ("tests/test_plane.py::TestRadialIntegrals::test_matches_mpmath",)),
+           ("tests/test_plane.py::TestRadialIntegrals::test_matches_mpmath[0.2-1]",)),
     Mutant("radial-integrals-printed-sqrt-m-mp (entries 10, 35)", "plane.py",
            "pre[m, d] *", "np.array([math.gamma(s / 2.0 + 1.0) for s in m + mp]) / np.sqrt(m * mp) *",
-           ("tests/test_plane.py::TestRadialIntegrals::test_matches_mpmath",)),
+           ("tests/test_plane.py::TestRadialIntegrals::test_matches_mpmath[0.2-1]",)),
     Mutant("radial-integrals-lower-degree-max (entry 35)", "plane.py",
            "m, mp = np.triu_indices(dim)", "m, mp = np.indices((dim, dim)).reshape(2, -1)",
-           ("tests/test_plane.py::TestRadialIntegrals::test_matches_mpmath",)),
+           ("tests/test_plane.py::TestRadialIntegrals::test_matches_mpmath[0.0-2]",)),
     Mutant("sphere-sum-sigma-y-sign (entry 26)", "sphere.py",
            "-r * SIGMA[1]", "r * SIGMA[1]",
-           ("tests/test_core.py::TestClosedFormSums::test_matches_the_loop",)),
+           ("tests/test_core.py::TestClosedFormSums::test_matches_the_loop[sphere]",)),
     Mutant("circle-sum-cos-sin-swapped (entry 26)", "circle.py",
            "np.cos(big_phi), np.sin(big_phi)]", "np.sin(big_phi), np.cos(big_phi)]",
-           ("tests/test_core.py::TestClosedFormSums::test_matches_the_loop",)),
+           ("tests/test_core.py::TestClosedFormSums::test_matches_the_loop[circle]",)),
     Mutant("legendre-not-symmetrized (entry 26)", "numerics.py",
            "x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])", "pass",
-           ("tests/test_numerics.py::TestLegendreRule::test_matches_mpmath",)),
+           ("tests/test_numerics.py::TestLegendreRule::test_matches_mpmath[16]",)),
     Mutant("legendre-weight-off-the-root (entry 26)", "numerics.py",
            "2.0 * (one_x2 + 2.0 * x * step)", "2.0 * one_x2",
-           ("tests/test_numerics.py::TestLegendreRule::test_matches_mpmath",)),
+           ("tests/test_numerics.py::TestLegendreRule::test_matches_mpmath[48]",)),
     Mutant("golub-welsch-newton-step-dropped (entries 15, 26)", "numerics.py",
            "x -= recurrence(x)[0]", "pass",
-           ("tests/test_numerics.py::TestLegendreRule::test_matches_mpmath",
-            "tests/test_numerics.py::TestLaguerreRule::test_matches_scipy")),
+           ("tests/test_numerics.py::TestLegendreRule::test_matches_mpmath[16]",
+            "tests/test_numerics.py::TestLaguerreRule::test_matches_scipy[0.0]")),
 
     Mutant("plane-sum-lower-sign (entries 23, 27)", "plane.py",
            "out[lower], out[upper] = rc + 1j * rs,", "out[lower], out[upper] = rc - 1j * rs,",
-           ("tests/test_plane.py::TestPackedWeightedSum::test_matches_toeplitz_oracle",)),
+           ("tests/test_plane.py::TestPackedWeightedSum::test_matches_toeplitz_oracle[2-odd-offset]",)),
     Mutant("plane-sum-upper-sign (entries 23, 27)", "plane.py",
            "rc + 1j * rs, rc - 1j * rs", "rc + 1j * rs, rc + 1j * rs",
-           ("tests/test_plane.py::TestPackedWeightedSum::test_matches_toeplitz_oracle",)),
+           ("tests/test_plane.py::TestPackedWeightedSum::test_matches_toeplitz_oracle[2-odd-offset]",)),
     Mutant("complex-split-imaginary-sign (entry 27)", "core.py",
            "fam.weighted_sum(re) + 1j * fam.weighted_sum(im)",
            "fam.weighted_sum(re) - 1j * fam.weighted_sum(im)",
-           ("tests/test_core.py::TestClosedFormSums::test_matches_the_loop",)),
+           ("tests/test_core.py::TestClosedFormSums::test_matches_the_loop[circle]",)),
     Mutant("complex-split-skipped (entry 27)", "core.py",
            "if fam.weighted_sum is not None and np.iscomplexobj(c):", "if False:",
            ("tests/test_core.py::TestQuantizeValues::test_real_values_reach_the_family_as_float",)),
@@ -182,7 +183,7 @@ MUTANTS = [
     Mutant("laguerre-step-reassociated", "numerics.py",
            "a, b = 2 * ks - 1 + alpha - x, ks - 1 + alpha",
            "a, b = 2 * ks - 1 + (alpha - x), ks - 1 + alpha",
-           ("tests/test_numerics.py::TestLaguerre::test_table_matches_literal_recurrence",)),
+           ("tests/test_numerics.py::TestLaguerre::test_table_matches_literal_recurrence[2]",)),
     Mutant("bessel-overflow-guard-np-all", "numerics.py",
            "if np.any(x > BESSEL_OVERFLOW_X):", "if np.all(x > BESSEL_OVERFLOW_X):",
            ("tests/test_halfplane.py::TestThermalKernel::test_array_guards",)),
@@ -192,27 +193,28 @@ MUTANTS = [
     Mutant("last-node-batch-dropped", "core.py",
            "for start in range(0, len(idx), step):",
            "for start in range(0, len(idx) - step + 1, step):",
-           ("tests/test_core.py::TestNodeArrayContract::test_small_batch_budget_crosses_chunks",)),
+           ("tests/test_core.py::TestNodeArrayContract::test_small_batch_budget_crosses_chunks[torus-orbit]",)),
     Mutant("orbit-sum-conjugate-dropped", "core.py",
            "@ col.conj()", "@ col",
-           ("tests/test_core.py::TestOrbitSums::test_matches_the_loop",)),
+           ("tests/test_core.py::TestOrbitSums::test_matches_the_loop[affine-non-diagonal]",)),
     Mutant("orbit-sum-eigenbasis-skipped", "core.py",
            "u = u @ vecs", "u = u",
-           ("tests/test_core.py::TestOrbitSums::test_matches_the_loop",)),
+           ("tests/test_core.py::TestOrbitSums::test_matches_the_loop[affine-non-diagonal]",)),
     Mutant("orbit-sum-column-skipped", "core.py",
            "for n in np.flatnonzero(lam):", "for n in np.flatnonzero(lam)[1:]:",
-           ("tests/test_core.py::TestOrbitSums::test_matches_the_loop",)),
+           ("tests/test_core.py::TestOrbitSums::test_matches_the_loop[torus]",)),
     Mutant("plane-default-radii-uncapped", "plane.py",
-           "_radial_rule(min(dim + 16, 182), params.t)", "_radial_rule(dim + 16, params.t)",
-           ("tests/test_plane.py::TestQuantization::test_default_rules_reach_dim_256",)),
+           "laguerre_dx_rule(min(dim + 16, 182), 0.0, 1.0 - params.t)",
+           "laguerre_dx_rule(dim + 16, 0.0, 1.0 - params.t)",
+           ("tests/test_plane.py::TestQuantization::test_default_rules_reach_dim_256[0.2-167]",)),
     Mutant("seed-not-a-run-flag (entry 21)", "cli.py",
            'RUN_FLAGS = ("tol", "seed", "out", "format")', 'RUN_FLAGS = ("tol", "out", "format")',
-           ("tests/test_cli.py::TestSuiteFlags::test_run_flags_are_accepted_by_every_suite",
+           ("tests/test_cli.py::TestSuiteFlags::test_run_flags_are_accepted_by_every_suite[halfplane]",
             "tests/test_cli.py::TestGoldenReports::test_report_digests[verify plane --seed 0 --format json]")),
     Mutant("reports-written-per-suite (entry 21)", "cli.py",
            'reports.append((render(report, opts["format"]), path))',
            '_emit(render(report, opts["format"]), path)',
-           ("tests/test_cli.py::TestVerify::test_all_writes_nothing_when_a_later_suite_fails",)),
+           ("tests/test_cli.py::TestVerify::test_all_writes_nothing_when_a_later_suite_fails[stdout]",)),
 
     # --- the report params writer
     Mutant("params-in-signature-order", "cli.py",
@@ -226,15 +228,15 @@ MUTANTS = [
     # --- verify's default rules and its parser (entry 29)
     Mutant("sphere-default-below-degree (entry 29)", "cli.py",
            "n = max(grid or 8, 8)", "n = max(grid or 1, 1)",
-           ("tests/test_cli.py::TestVerify::test_default_rule_is_exact_for_every_row",)),
+           ("tests/test_cli.py::TestVerify::test_default_rule_is_exact_for_every_row[1-sphere]",)),
     Mutant("halfplane-default-48 (entry 29)", "cli.py",
            "grid = max(grid or 64, 64)", "grid = max(grid or 48, 48)",
            ("tests/test_cli.py::TestSuiteFlags::test_default_params_come_in_flags_order[halfplane]",)),
     Mutant("plane-rule-t-term-dropped (entry 32)", "plane.py",
-           "_exact_radii(dim) + math.ceil(4.0 * t / (1.0 - t))", "_exact_radii(dim)",
+           "dim // 2 + 8 + math.ceil(4.0 * t / (1.0 - t))", "dim // 2 + 8",
            ("tests/test_cli.py::TestPlaneSizedRules::test_rows_match_the_default_rules[0.9-16]",)),
     Mutant("plane-radii-below-degree-exact (entry 32)", "plane.py",
-           "return dim // 2 + 8", "return dim // 2 - 2",
+           "min(dim + 16, dim // 2 + 8 +", "min(dim + 16, dim // 2 - 2 +",
            ("tests/test_cli.py::TestPlaneSizedRules::test_rows_match_the_default_rules[0.0-16]",)),
     Mutant("verify-reparse-dropped (entry 29)", "cli.py",
            "        if not unrecognized:\n            return run_verify(args)",
@@ -244,15 +246,15 @@ MUTANTS = [
     # --- the kernel checks' rule (entry 34)
     Mutant("plain-dx-reweighting-flipped (entry 34)", "numerics.py",
            "- alpha * np.log(base.nodes)", "+ alpha * np.log(base.nodes)",
-           ("tests/test_halfplane.py::TestThermalKernel::test_kernel_rule_integrates_laguerre_moments_exactly",)),
+           ("tests/test_halfplane.py::TestThermalKernel::test_kernel_rule_integrates_laguerre_moments_exactly[2.0]",)),
     Mutant("kernel-rule-12-nodes (entry 34)", "halfplane.py",
            "laguerre_dx_rule(40, alpha)", "laguerre_dx_rule(12, alpha)",
-           ("tests/test_halfplane.py::TestThermalKernel::test_kernel_checks_hold_over_alpha_and_t",)),
+           ("tests/test_halfplane.py::TestThermalKernel::test_kernel_checks_hold_over_alpha_and_t[0.5-0.5]",)),
 
     # --- the overlap block (entries 16 and 36)
     Mutant("partner-route-choice-inverted (entry 16)", "halfplane.py",
            "elem[fb] = np.where(err_b < err_a,", "elem[fb] = np.where(err_b > err_a,",
-           ("tests/test_halfplane.py::TestBatchedOverlap::test_corner_and_fallback_nodes_match_mpmath",)),
+           ("tests/test_halfplane.py::TestBatchedOverlap::test_corner_and_fallback_nodes_match_mpmath[2.0]",)),
     Mutant("overlap-block-node-major (entry 36)", "halfplane.py",
            "out = np.empty((rows, cols) + q.shape, dtype=complex).transpose([*range(2, q.ndim + 2), 0, 1])",
            "out = np.empty(q.shape + (rows, cols), dtype=complex)",
@@ -266,27 +268,27 @@ MUTANTS = [
            "    if n < 1:\n"
            '        raise DomainError(f"node count must be an integer >= 1, got {n}")\n'
            "    if n > MAX_RULE_NODES:",
-           ("tests/test_numerics.py::TestRules::test_node_count_must_be_an_integer",)),
+           ("tests/test_numerics.py::TestRules::test_node_count_must_be_an_integer[nan-periodic]",)),
     Mutant("laguerre-degree-guard", "numerics.py",
            'raise DomainError(f"degree must be a nonnegative integer, got {n_max}")', "pass",
            ("tests/test_numerics.py::TestLaguerre::test_rejects_bad_degree_and_alpha",)),
     Mutant("laguerre-degree-accepts-nonfinite (entry 30)", "numerics.py",
            "if not 0 <= n_max < math.inf or n_max % 1:", "if n_max < 0 or int(n_max) != n_max:",
-           ("tests/test_numerics.py::TestDegreeGuards::test_nonfinite_degree_is_a_domain_error",)),
+           ("tests/test_numerics.py::TestDegreeGuards::test_nonfinite_degree_is_a_domain_error[laguerre_table-inf]",)),
     Mutant("f21-degree-accepts-nonfinite (entry 30)", "numerics.py",
            "any(d < 0 or d % 1 for d in degrees)", "any(d < 0 or int(d) != d for d in degrees)",
-           ("tests/test_numerics.py::TestDegreeGuards::test_nonfinite_degree_is_a_domain_error",)),
+           ("tests/test_numerics.py::TestDegreeGuards::test_nonfinite_degree_is_a_domain_error[_f21_terms-nan]",)),
     Mutant("laguerre-float-degree-kept (entry 31)", "numerics.py",
            "n_max, alpha, x = int(n_max), np.asarray(", "n_max, alpha, x = n_max, np.asarray(",
            ("tests/test_numerics.py::TestDegreeGuards::test_integral_float_degree_is_the_integer_degree",)),
     Mutant("laguerre-alpha-accepts-nonfinite (entry 31)", "numerics.py",
            "if not np.all(np.isfinite(alpha) & ((alpha > -1.0) | (alpha == np.round(alpha)))):",
            "if np.any((alpha <= -1.0) & (alpha != np.round(alpha))):",
-           ("tests/test_numerics.py::TestLaguerre::test_nonfinite_alpha_is_a_domain_error",)),
+           ("tests/test_numerics.py::TestLaguerre::test_nonfinite_alpha_is_a_domain_error[inf]",)),
     Mutant("laguerre-rule-alpha-accepts-nan (entry 31)", "numerics.py",
            "if not -1 < alpha < math.inf:  # NaN fails too", "if alpha <= -1:",
-           ("tests/test_numerics.py::TestRules::test_laguerre_rule_nonfinite_alpha",
-            "tests/test_halfplane.py::TestBasis::test_nan_alpha_is_a_domain_error")),
+           ("tests/test_numerics.py::TestRules::test_laguerre_rule_nonfinite_alpha[nan]",
+            "tests/test_halfplane.py::TestBasis::test_nan_alpha_is_a_domain_error[gram_defect]")),
     Mutant("bessel-argument-accepts-nan (entry 31)", "numerics.py",
            "if not np.all((x >= 0) & (x < math.inf)):", "if np.any((x < 0) | (x == math.inf)):",
            ("tests/test_numerics.py::TestBessel::test_nan_argument_is_a_domain_error",)),
@@ -296,11 +298,14 @@ MUTANTS = [
     Mutant("kernel-argument-accepts-nan (entry 31)", "halfplane.py",
            "if not np.all((x >= 0) & (x < math.inf) & (y >= 0) & (y < math.inf)):",
            "if np.any((x < 0) | (x == math.inf) | (y < 0) | (y == math.inf)):",
-           ("tests/test_halfplane.py::TestThermalKernel::test_nan_argument_is_a_domain_error",)),
+           ("tests/test_halfplane.py::TestThermalKernel::test_nan_argument_is_a_domain_error[nan-x]",)),
     Mutant("kernel-argument-accepts-inf (entry 32)", "halfplane.py",
            "if not np.all((x >= 0) & (x < math.inf) & (y >= 0) & (y < math.inf)):",
            "if not np.all((x >= 0) & (y >= 0)):",
-           ("tests/test_halfplane.py::TestThermalKernel::test_infinite_argument_is_a_domain_error",)),
+           ("tests/test_halfplane.py::TestThermalKernel::test_infinite_argument_is_a_domain_error[inf-y]",)),
+    Mutant("laguerre-dx-rule-rate-guard (entry 37)", "numerics.py",
+           'raise DomainError(f"rate must lie in (0, inf), got {rate}")', "pass",
+           ("tests/test_plane.py::TestCompressedDensity::test_rules_reject_rate_outside_0_inf[-0.5]",)),
     Mutant("laguerre-dx-rule-zero-weight-warns (entry 32)", "numerics.py",
            'with np.errstate(divide="ignore"):', "with np.errstate():",
            ("tests/test_plane.py::TestCompressedDensity::test_rule_keeps_underflowed_weights_at_zero",)),
@@ -327,10 +332,10 @@ MUTANTS = [
            ("tests/test_numerics.py::TestHyp2f1::test_rejects_negative_m",)),
     Mutant("rule-weights-finite-guard", "numerics.py",
            'raise DomainError("quadrature weights must be finite")', "pass",
-           ("tests/test_numerics.py::TestRules::test_rule_weights_must_be_finite",)),
+           ("tests/test_numerics.py::TestRules::test_rule_weights_must_be_finite[nan]",)),
     Mutant("legendre-interval-guard", "numerics.py",
            'raise DomainError(f"interval needs finite bounds a < b, got [{a}, {b}]")', "pass",
-           ("tests/test_numerics.py::TestRules::test_legendre_bad_inputs",)),
+           ("tests/test_numerics.py::TestRules::test_legendre_bad_inputs[inf-b]",)),
     Mutant("laguerre-rule-alpha-guard", "numerics.py",
            'raise DomainError(f"Gauss-Laguerre rule needs alpha > -1, got {alpha}")', "pass",
            ("tests/test_numerics.py::TestRules::test_bad_inputs",)),
@@ -350,16 +355,22 @@ MUTANTS = [
            'raise DomainError(f"J in [{np.min(j)}, {np.max(j)}] is outside the"\n'
            '                          " validated range 0 <= (1-t) J <= 700")', "pass",
            ("tests/test_plane.py::TestCompressedDensity::test_outside_validated_range_raises",)),
+    Mutant("displacement-dim-accepts-integral-float (entry 37)", "plane.py",
+           'raise DomainError(f"dim must be an integer, got {dim!r}")', "pass",
+           ("tests/test_plane.py::TestDisplacementOracles::test_validated_range_raises",)),
     Mutant("displacement-range-guard (entry 28)", "plane.py",
            'raise DomainError(f"dim = {dim}, |z|^2 in [{np.min(x)}, {np.max(x)}] is outside"\n'
            '                          " the validated range dim <= 256, 0 <= |z|^2 <= 600")', "pass",
            ("tests/test_plane.py::TestDisplacementOracles::test_validated_range_raises",)),
     Mutant("halfplane-alpha-guard", "halfplane.py",
            'raise DomainError(f"resolution requires 0 < alpha < inf, got {self.alpha}")', "pass",
-           ("tests/test_halfplane.py::TestBasis::test_alpha_must_be_positive_and_finite",)),
+           ("tests/test_halfplane.py::TestBasis::test_alpha_must_be_positive_and_finite[-1.0]",)),
     Mutant("halfplane-dim-accepts-bool (entry 30)", "halfplane.py",
            "if isinstance(self.dim, bool) or not isinstance", "if not isinstance",
            ("tests/test_halfplane.py::TestBasis::test_dim_must_be_an_integer[True]",)),
+    Mutant("orbit-rows-guard (entry 37)", "halfplane.py",
+           'raise DomainError(f"rows must be an integer >= 1, got {rows!r}")', "pass",
+           ("tests/test_halfplane.py::TestOrbitEngine::test_rows_must_be_an_integer_from_1[0]",)),
     Mutant("basis-domain-guard", "halfplane.py",
            'raise DomainError("basis functions live on x >= 0")', "pass",
            ("tests/test_halfplane.py::TestBasis::test_basis_domain",)),
@@ -368,20 +379,20 @@ MUTANTS = [
            ("tests/test_halfplane.py::TestThermalKernel::test_kernel_guards",)),
     Mutant("eigen-ratio-root-guard (entry 34)", "halfplane.py",
            'raise DomainError(f"e_{m} vanishes at x = {x}: no eigenvalue ratio there")', "pass",
-           ("tests/test_halfplane.py::TestThermalKernel::test_eigen_ratio_at_a_root_is_a_domain_error",)),
+           ("tests/test_halfplane.py::TestThermalKernel::test_eigen_ratio_at_a_root_is_a_domain_error[e1-at-3]",)),
     Mutant("fold-pairing-guard (entry 18)", "halfplane.py",
            'raise DomainError("the group rule must pair (q, p) with (q, -p) at equal weights")', "pass",
            ("tests/test_halfplane.py::TestMirrorFold::test_unpaired_rule_raises",)),
     Mutant("unit-radius-guard", "numerics.py",
            'raise DomainError(f"r must lie in [0, 1], got {r}")', "pass",
-           ("tests/test_circle.py::TestParams::test_rejects_any_bad_entry_of_r",)),
+           ("tests/test_circle.py::TestParams::test_rejects_any_bad_entry_of_r[r1]",)),
     Mutant("circle-family-r-guard (entry 26)", "circle.py",
            "r, rule = float(unit_radius(r)), circle_rule(n)", "r, rule = float(r), circle_rule(n)",
-           ("tests/test_core.py::TestClosedFormSums::test_r_is_checked_when_the_family_is_built",)),
+           ("tests/test_core.py::TestClosedFormSums::test_r_is_checked_when_the_family_is_built[1.5-circle]",)),
     Mutant("sphere-family-r-guard (entry 26)", "sphere.py",
            "r, rule = float(unit_radius(r)), sphere_rule(n_theta, n_phi)",
            "r, rule = float(r), sphere_rule(n_theta, n_phi)",
-           ("tests/test_core.py::TestClosedFormSums::test_r_is_checked_when_the_family_is_built",)),
+           ("tests/test_core.py::TestClosedFormSums::test_r_is_checked_when_the_family_is_built[1.5-sphere]",)),
     Mutant("gauss-rule-matrix-budget", "numerics.py",
            'raise DomainError(f"{n} x {n} Jacobi matrix exceeds the budget of {MAX_RULE_NODES}")',
            "pass",

@@ -4,6 +4,7 @@ integrands are trigonometric polynomials (trapezoid rules are exact)."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -375,7 +376,8 @@ def loop_accumulate(fam, coeffs=None):
 
 def _plane_grid():
     """A dim-12 plane family on 10 radii x 16 angles."""
-    return plane.plane_family(plane.ThermalParams(t=0.2, dim=12), plane._radial_rule(10, 0.2),
+    return plane.plane_family(plane.ThermalParams(t=0.2, dim=12),
+                              numerics.laguerre_dx_rule(10, 0.0, 1.0 - 0.2),
                               periodic_rule(16, 1.0 / (2.0 * math.pi)))
 
 
@@ -461,6 +463,26 @@ class TestNodeArrayContract:
         got = core._accumulate(counted, c)
         assert calls and max(calls) == 3 and sum(calls) == np.count_nonzero(c)
         assert np.max(np.abs(got - loop_accumulate(fam, c))) < self.TOL
+
+
+class TestNodeBatchMemory:
+    def test_one_batch_lives_at_a_time(self, monkeypatch):
+        # a family with no weighted_sum is reduced one batch of node matrices at a time,
+        # and each batch is freed before the next is evaluated: a batch kept across the
+        # next evaluate call would put the peak at two batches
+        dim, batch_nodes = 16, 400
+        monkeypatch.setattr(core, "NODE_BATCH_BYTES", batch_nodes * 16 * dim * dim)
+        rule = QuadratureRule(np.arange(3.0 * batch_nodes), np.ones(3 * batch_nodes))
+        fam = core.DensityFamily(dim, lambda x: np.ones((len(x), dim, dim), complex), rule)
+        core._accumulate(fam)
+        tracemalloc.start()
+        try:
+            total = core._accumulate(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(total, np.full((dim, dim), 3.0 * batch_nodes + 0j))
+        assert peak <= 1.5 * core.NODE_BATCH_BYTES
 
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_FAMILIES))

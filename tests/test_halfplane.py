@@ -598,6 +598,16 @@ class TestOrbitEngine:
         full = core.covariant_c_rho(halfplane.affine_orbit_spec(PARAMS, rule))
         assert abs(one - full) < 1e-13
 
+    @pytest.mark.parametrize("rows", [0, -1, 2.0, 2.5, True, math.nan])
+    def test_rows_must_be_an_integer_from_1(self, rows):
+        # the probe projects on e_0, and overlap_block counts its rows with range()
+        with pytest.raises(DomainError, match="rows must be an integer >= 1, got "):
+            halfplane.affine_orbit_spec(PARAMS, halfplane.affine_group_rule(4), rows=rows)
+        if rows == 0:
+            with pytest.raises(DomainError, match="rows must be an integer >= 1, got 0"):
+                halfplane.affine_resolution_check(PARAMS, rows, halfplane.affine_group_rule(4))
+        assert halfplane.affine_orbit_spec(PARAMS, rows=np.int64(2)).probe.shape == (2, 2)
+
 
 class TestMirrorFold:
     """rho_T(q, -p) = conj rho_T(q, p) bit for bit, so the half-plane

@@ -23,6 +23,8 @@ class TestParamsAndStates:
         with pytest.raises(ValueError):
             plane.ThermalParams(t=1.0, dim=8)
         with pytest.raises(ValueError):
+            plane.ThermalParams(t=-0.1, dim=8)
+        with pytest.raises(ValueError):
             plane.ThermalParams(t=0.2, dim=0)
 
     @pytest.mark.parametrize("dim", [2.5, 10.0, math.nan, "8", None, True])
@@ -166,11 +168,12 @@ class TestDisplacementOracles:
         for z in (complex(math.nan, 1.0), complex(0.0, math.nan), 24.5, complex(math.inf, 0.0)):
             with pytest.raises(numerics.DomainError):
                 plane.displacement(z, 48)
-        for dim in (0, 2.5, 300):
+        for dim in (0, 2.5, 300, True, 3.0):  # as ThermalParams: no bool, no integral float
             with pytest.raises(numerics.DomainError):
                 plane.displacement(0.5, dim)
             with pytest.raises(numerics.DomainError):
                 plane._displacement_scaled_real(0.25, dim)
+        assert np.array_equal(plane.displacement(0.5, np.int64(3)), plane.displacement(0.5, 3))
 
     @pytest.mark.parametrize("x", [0.0, 0.5, 10.0, 80.0, 235.0])
     def test_scaled_real_strips_gaussian(self, x):
@@ -223,7 +226,8 @@ class TestCompressedDensity:
     @pytest.mark.parametrize("t", [0.0, 0.2, 0.7, 0.9])
     def test_matches_mpmath_closed_form(self, t):
         dim = 48
-        js = np.array([0.5, 3.0, 9.0, plane._radial_rule(dim + 16, t).nodes.max()])
+        outermost = numerics.laguerre_dx_rule(dim + 16, 0.0, 1.0 - t).nodes.max()
+        js = np.array([0.5, 3.0, 9.0, outermost])
         got = plane.radial_density(js, plane.ThermalParams(t, dim))
         m, n = np.tril_indices(dim)
         for j, rho in zip(js, got):
@@ -257,7 +261,8 @@ class TestCompressedDensity:
         # dim // 2 + 8 nodes per parity agree with twice as many
         params = plane.ThermalParams(t, dim)
         got = plane._radial_integrals(params)
-        rules = [plane._radial_rule(2 * (dim // 2 + 8), t, alpha) for alpha in (0.0, 0.5)]
+        rules = [numerics.laguerre_dx_rule(2 * (dim // 2 + 8), alpha, 1.0 - t)
+                 for alpha in (0.0, 0.5)]
         even, odd = (r.integrate(plane.radial_density(r.nodes, params)) for r in rules)
         parity = np.add.outer(np.arange(dim), np.arange(dim)) % 2
         assert np.max(np.abs(got - np.where(parity == 0, even, odd))) <= 1e-14
@@ -277,7 +282,7 @@ class TestCompressedDensity:
         # them at n = 272, dim 256's default count); each stays 0, with no divide-by-zero
         # warning, and the rule still integrates e^{-x} x^k in x = (1-t)J
         t = 0.2
-        rule = plane._radial_rule(272, t)
+        rule = numerics.laguerre_dx_rule(272, 0.0, 1.0 - t)
         assert np.count_nonzero(rule.weights == 0.0) == 22
         assert np.all(rule.weights[-22:] == 0.0) and np.all(rule.weights[:-22] > 0.0)
         x = (1.0 - t) * rule.nodes
@@ -285,11 +290,12 @@ class TestCompressedDensity:
             assert_allclose(rule.integrate(x ** k * np.exp(-x)), math.factorial(k) / (1 - t),
                             rtol=1e-12)
 
-    @pytest.mark.parametrize("t", [-0.1, 1.0, 1.5, math.nan])
-    def test_rules_reject_t_outside_0_1(self, t):
-        # past t = 1 the scaled nodes and weights would turn negative
-        with pytest.raises(numerics.DomainError):
-            plane._radial_rule(32, t)
+    @pytest.mark.parametrize("rate", [0.0, -0.5, math.nan, math.inf])
+    def test_rules_reject_rate_outside_0_inf(self, rate):
+        # a rate <= 0 (t >= 1) would divide by zero or turn the nodes and weights negative,
+        # and rate inf would give an all-zero rule
+        with pytest.raises(numerics.DomainError, match="rate must lie in"):
+            numerics.laguerre_dx_rule(32, 0.0, rate)
 
     @pytest.mark.parametrize("t", [0.0, 0.2, 0.9])
     def test_validated_range_corners(self, t):
@@ -554,7 +560,7 @@ class TestPackedWeightedSum:
     @pytest.mark.parametrize("dim", [1, 2, 5, 48, 166])
     def test_matches_toeplitz_oracle(self, dim, angles):
         params = plane.ThermalParams(t=0.2, dim=dim)
-        radial = plane._radial_rule(dim + 16, params.t)
+        radial = numerics.laguerre_dx_rule(dim + 16, 0.0, 1.0 - params.t)
         angular = {"default": _angular(max(2 * dim + 32, 64)),
                    "odd-offset": _angular(2 * dim + 33, offset=0.5),
                    "gauss-legendre": _legendre_angular(2 * dim + 32)}[angles]
@@ -604,7 +610,7 @@ class TestRadialIntegrals:
         def never(*args, **kwargs):
             raise AssertionError("a radial rule or stack was built")
 
-        for name in ("_radial_rule", "laguerre_dx_rule", "_radial_packed"):
+        for name in ("laguerre_dx_rule", "_radial_packed"):
             monkeypatch.setattr(plane, name, never)
         assert np.all(np.isfinite(plane.phase_operator(PARAMS)))
 
@@ -618,7 +624,7 @@ class TestPhaseOperator:
     def test_matches_full_quadrature(self):
         # independent route: quantize the angle over a dense product rule
         p = plane.ThermalParams(t=0.2, dim=12)
-        fam = plane.plane_family(p, plane._radial_rule(40, 0.2), _angular(512))
+        fam = plane.plane_family(p, numerics.laguerre_dx_rule(40, 0.0, 1.0 - 0.2), _angular(512))
         quad = core.quantize(fam, lambda nd: nd[1])
         # equispaced angular nodes see the sawtooth jump at first order only
         assert np.max(np.abs(quad - plane.phase_operator(p))[:6, :6]) < 2e-2
