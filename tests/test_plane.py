@@ -290,6 +290,17 @@ class TestCompressedDensity:
             assert_allclose(rule.integrate(x ** k * np.exp(-x)), math.factorial(k) / (1 - t),
                             rtol=1e-12)
 
+    @pytest.mark.parametrize("t", [-0.1, 1.0, 1.5, math.nan])
+    def test_rules_reject_t_outside_0_1(self, t, monkeypatch):
+        # the rules in x = (1-t)J take t from ThermalParams, which refuses it before any
+        # rule is built; t = -0.1 is rate 1.1, which laguerre_dx_rule alone would accept
+        def never(*args):
+            raise AssertionError("laguerre_dx_rule ran")
+
+        monkeypatch.setattr(plane, "laguerre_dx_rule", never)
+        with pytest.raises(numerics.DomainError, match="t must lie in"):
+            plane.sized_rules(plane.ThermalParams(t, 32))
+
     @pytest.mark.parametrize("rate", [0.0, -0.5, math.nan, math.inf])
     def test_rules_reject_rate_outside_0_inf(self, rate):
         # a rate <= 0 (t >= 1) would divide by zero or turn the nodes and weights negative,
